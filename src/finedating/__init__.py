@@ -59,7 +59,6 @@ from .finedate import (
 )
 from .lookup import LookupTable, build_lookup, query_lookup, read_lookup, write_lookup
 from .reftable import (
-    RefRecord,
     RefTable,
     RefTableSpec,
     build_combo_table,
@@ -124,7 +123,6 @@ __all__ = [
     "query_lookup",
     "read_lookup",
     "write_lookup",
-    "RefRecord",
     "RefTable",
     "RefTableSpec",
     "build_combo_table",

@@ -40,6 +40,27 @@ def from_cal_bp(cal_bp: float) -> float:
     return REFERENCE_YEAR - cal_bp
 
 
+def parse_date(text: str) -> float:
+    """Signed calendar year; '200BC' and 'AD20'/'20AD' accepted."""
+    t = text.strip().replace(" ", "")
+    upper = t.upper()
+    if upper.endswith("BC"):
+        return -float(upper[:-2])
+    if upper.endswith("AD"):
+        return float(upper[:-2])
+    if upper.startswith("AD"):
+        return float(upper[2:])
+    if upper.startswith("BC"):
+        return -float(upper[2:])
+    return float(t)
+
+
+def check_sd(sd: float) -> None:
+    """Reject a measurement or simulation sd that is negative, NaN or infinite."""
+    if not 0 <= sd < math.inf:
+        raise ValueError(f"sd must be finite and >= 0, got {sd!r}")
+
+
 @dataclass(frozen=True)
 class Measurement:
     """An uncalibrated radiocarbon age in years BP with its 1-sigma error.
@@ -56,8 +77,7 @@ class Measurement:
         if self.age != int(self.age):
             raise ValueError(f"measurement age must be an integer BP, got {self.age!r}")
         object.__setattr__(self, "age", int(self.age))
-        if self.sd < 0:
-            raise ValueError(f"measurement sd must be >= 0, got {self.sd!r}")
+        check_sd(self.sd)
 
 
 @dataclass(eq=False)
@@ -97,10 +117,6 @@ class CalCurve:
     def domain(self) -> tuple[float, float]:
         """(oldest, youngest) calendar date covered by the curve."""
         return (from_cal_bp(float(self.cal_bp[-1])), from_cal_bp(float(self.cal_bp[0])))
-
-    def contains(self, date: float) -> bool:
-        lo, hi = self.domain
-        return lo <= date <= hi
 
     def grid(self, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Uniform calendar-date grid over the domain with interpolated

@@ -20,25 +20,9 @@ import sys
 from pathlib import Path
 
 from . import __version__, csvio
-from .calcurve import Measurement, curve_at, load_curve
-from .evaluate import (
-    average_deviation_analysis,
-    evaluate_test_series,
-    histogram,
-    interval_normality,
-    mpd_report,
-    overall_aggregate,
-    performance_curves,
-    read_eval_rows,
-    write_eval_rows,
-)
-from .finedate import (
-    INDICATOR_NAMES,
-    compute_indicators,
-    match_measurements,
-    normalize_indicator,
-    write_report,
-)
+from .calcurve import Measurement, curve_at, load_curve, parse_date
+from .evaluate import evaluate_test_series, histogram, read_eval_rows, write_evaluation
+from .finedate import compute_indicators, match_measurements, normalize_indicator, write_report
 from .lookup import build_lookup, query_lookup, read_lookup, write_lookup
 from .reftable import (
     RefTableSpec,
@@ -49,26 +33,11 @@ from .reftable import (
     standard_spec,
     write_table,
 )
-from .simulate import generate_test_datasets, read_tests, write_tests
+from .simulate import convert_rsim_to_tests, generate_test_datasets, read_tests, write_tests
 
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DATA = 4
-
-
-def parse_date(text: str) -> float:
-    """Signed calendar year; '200BC' and 'AD20'/'20AD' accepted."""
-    t = text.strip().replace(" ", "")
-    upper = t.upper()
-    if upper.endswith("BC"):
-        return -float(upper[:-2])
-    if upper.endswith("AD"):
-        return float(upper[:-2])
-    if upper.startswith("AD"):
-        return float(upper[2:])
-    if upper.startswith("BC"):
-        return -float(upper[2:])
-    return float(t)
 
 
 def parse_span(text: str) -> tuple[float, float]:
@@ -136,9 +105,10 @@ def _require(value, flag: str):
     return value
 
 
-def _write_manifest(out_base: Path, subcommand: str, entries: dict) -> str:
+def _write_manifest(out_base: Path, subcommand: str, entries: dict) -> dict:
     """Write '<base>_manifest.txt' (or 'run_manifest.txt' inside an
-    output directory) and return its bare name for CSV headers."""
+    output directory) and return the provenance header of the run's CSVs:
+    tool, subcommand, the manifest's bare name and the seed, if any."""
     if out_base.suffix:
         path = out_base.with_name(out_base.stem + "_manifest.txt")
     else:
@@ -151,17 +121,9 @@ def _write_manifest(out_base: Path, subcommand: str, entries: dict) -> str:
     for key, val in entries.items():
         lines.append(f"{key} = {csvio.fmt(val)}")
     csvio.write_lines(path, lines)
-    return path.name
-
-
-def _provenance(subcommand: str, manifest_name: str, seed=None) -> dict:
-    prov = {
-        "tool": f"finedating {__version__}",
-        "subcommand": subcommand,
-        "manifest": manifest_name,
-    }
-    if seed is not None:
-        prov["seed"] = seed
+    prov = {"tool": f"finedating {__version__}", "subcommand": subcommand, "manifest": path.name}
+    if "seed" in entries:
+        prov["seed"] = entries["seed"]
     return prov
 
 
@@ -289,9 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FileNotFoundError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -376,7 +335,7 @@ def _cmd_ref_gen(args, config, seed: int, workers: int) -> int:
                 seed=seed,
             )
         table = build_reference_table(curve, spec, workers=workers)
-    manifest = _write_manifest(
+    prov = _write_manifest(
         out,
         "ref-gen",
         {
@@ -387,7 +346,7 @@ def _cmd_ref_gen(args, config, seed: int, workers: int) -> int:
             "out": out.name,
         },
     )
-    write_table(table, out, extra_header=_provenance("ref-gen", manifest, seed))
+    write_table(table, out, extra_header=prov)
     print(f"wrote {out} ({len(table.records)} records)")
     return 0
 
@@ -404,7 +363,7 @@ def _cmd_simulate(args, config, seed: int, workers: int) -> int:
         datasets = generate_test_datasets(
             curve, dates, per_date, sd=sd, seed=seed, group_size=group, workers=workers
         )
-        manifest = _write_manifest(
+        prov = _write_manifest(
             out,
             "simulate-tests",
             {
@@ -418,11 +377,7 @@ def _cmd_simulate(args, config, seed: int, workers: int) -> int:
                 "out": out.name,
             },
         )
-        write_tests(
-            datasets,
-            out,
-            extra_header={**_provenance("simulate-tests", manifest, seed), "curve": curve.name},
-        )
+        write_tests(datasets, out, extra_header={**prov, "curve": curve.name})
         print(f"wrote {out} ({len(datasets)} datasets)")
         return 0
     if action == "convert":
@@ -430,7 +385,7 @@ def _cmd_simulate(args, config, seed: int, workers: int) -> int:
         group = int(_effective(args, config, "group", 3))
         out = Path(_require(_effective(args, config, "out"), "out"))
         datasets, leftovers = convert_rsim_to_tests(infile, group_size=group)
-        manifest = _write_manifest(
+        prov = _write_manifest(
             out,
             "simulate-convert",
             {
@@ -441,7 +396,7 @@ def _cmd_simulate(args, config, seed: int, workers: int) -> int:
                 "out": out.name,
             },
         )
-        write_tests(datasets, out, extra_header=_provenance("simulate-convert", manifest))
+        write_tests(datasets, out, extra_header=prov)
         for date, count in leftovers:
             print(
                 f"warning: {count} leftover row(s) at date {date:g} did not fill a "
@@ -451,83 +406,6 @@ def _cmd_simulate(args, config, seed: int, workers: int) -> int:
         print(f"wrote {out} ({len(datasets)} datasets)")
         return 0
     raise CliError(EXIT_USAGE, "usage: simulate needs an action: tests or convert")
-
-
-def convert_rsim_to_tests(path, group_size: int = 3):
-    """Group exported simulation rows (cal_date, age, sd) into
-    consecutive clusters of ``group_size`` sharing one calendar date.
-
-    Returns (datasets, leftovers) where leftovers lists (date, count)
-    of trailing rows that did not fill a full group.
-    """
-    from .simulate import SimRecord, TestDataset
-
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-    meta, columns, rows = csvio.read_commented_csv(path)
-    cols = [c.strip().casefold() for c in columns]
-    aliases = {
-        "cal_date": ("cal_date", "caldate", "original_cal_date", "date", "calendar_date"),
-        "age": ("age", "age_bp", "c14_age", "14c_age", "value"),
-        "sd": ("sd", "error", "sigma", "uncertainty"),
-    }
-
-    def find(kind: str) -> int:
-        for alias in aliases[kind]:
-            if alias in cols:
-                return cols.index(alias)
-        raise ValueError(
-            f"cannot find a {kind} column in {path}; columns are {columns}"
-        )
-
-    ci, ai, si = find("cal_date"), find("age"), find("sd")
-    by_date: dict[float, list[tuple[int, float]]] = {}
-    order: list[float] = []
-    for lineno, cells in enumerate(rows, start=1):
-        try:
-            date = parse_date(cells[ci])
-            age = int(round(float(cells[ai])))
-            sd = float(cells[si])
-        except (ValueError, IndexError):
-            raise ValueError(f"malformed row {lineno} in {path}: {cells}") from None
-        if date not in by_date:
-            by_date[date] = []
-            order.append(date)
-        by_date[date].append((age, sd))
-
-    datasets = []
-    leftovers: list[tuple[float, int]] = []
-    data_id = 0
-    sim_id = 0
-    for date in order:
-        entries = by_date[date]
-        n_full = len(entries) // group_size
-        for g in range(n_full):
-            data_id += 1
-            chunk = entries[g * group_size : (g + 1) * group_size]
-            sds = {sd for _, sd in chunk}
-            sd = chunk[0][1] if len(sds) == 1 else float(sum(s for _, s in chunk) / group_size)
-            recs = []
-            for age, row_sd in chunk:
-                sim_id += 1
-                recs.append(
-                    SimRecord(
-                        sim_id=sim_id,
-                        base_date=date,
-                        age=age,
-                        sd=row_sd,
-                        cal_mean=float("nan"),
-                        cal_median=float("nan"),
-                        cal_sigma=float("nan"),
-                    )
-                )
-            datasets.append(
-                TestDataset(data_id=data_id, original_date=date, sd=sd, records=tuple(recs))
-            )
-        rest = len(entries) - n_full * group_size
-        if rest:
-            leftovers.append((date, rest))
-    return datasets, leftovers
 
 
 def _parse_measurements(args, config) -> list[Measurement]:
@@ -556,7 +434,7 @@ def _cmd_finedate(args, config) -> int:
     out = Path(_require(_effective(args, config, "out"), "out"))
     matches = match_measurements(table, measurements)
     indicators = compute_indicators(matches)
-    manifest = _write_manifest(
+    prov = _write_manifest(
         out,
         "finedate",
         {
@@ -566,9 +444,7 @@ def _cmd_finedate(args, config) -> int:
             "out": out.name,
         },
     )
-    overview, summary = write_report(
-        matches, indicators, out, extra_header=_provenance("finedate", manifest)
-    )
+    overview, summary = write_report(matches, indicators, out, extra_header=prov)
     for age in matches.unmatched:
         print(f"warning: measured age {age} BP has no match in the table", file=sys.stderr)
     print(f"wrote {overview} and {summary} ({matches.n_prime} matched records)")
@@ -594,7 +470,7 @@ def _cmd_evaluate(args, config) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     rows = evaluate_test_series(table, datasets)
-    manifest = _write_manifest(
+    prov = _write_manifest(
         out_dir,
         "evaluate",
         {
@@ -604,95 +480,7 @@ def _cmd_evaluate(args, config) -> int:
             "out": out_dir.name,
         },
     )
-    prov = _provenance("evaluate", manifest)
-    write_eval_rows(rows, out_dir / "eval_long.csv", extra_header=prov)
-
-    for threshold in (25, 35):
-        lines = csvio.header_block({**prov, "threshold": threshold})
-        lines.append("original_cal_date,CalDate,Mean,Median")
-        fractions = performance_curves(rows, threshold)
-        by_date: dict[float, dict[str, float]] = {}
-        for date, family, frac in fractions:
-            by_date.setdefault(date, {})[family] = frac
-        for date in sorted(by_date):
-            f = by_date[date]
-            lines.append(
-                f"{csvio.fmt(date)},{csvio.fmt(f['CalDate'])},"
-                f"{csvio.fmt(f['Mean'])},{csvio.fmt(f['Median'])}"
-            )
-        csvio.write_lines(out_dir / f"performance_{threshold}.csv", lines)
-
-    per_date, full_span = average_deviation_analysis(rows)
-    lines = csvio.header_block(prov)
-    lines.append("original_cal_date," + ",".join(INDICATOR_NAMES))
-    dates = sorted({date for date, _ in per_date})
-    for date in dates:
-        cells = [csvio.fmt(date)]
-        for name in INDICATOR_NAMES:
-            cells.append(csvio.fmt(per_date.get((date, name))))
-        lines.append(",".join(cells))
-    lines.append(
-        "full_span," + ",".join(csvio.fmt(full_span[name]) for name in INDICATOR_NAMES)
-    )
-    csvio.write_lines(out_dir / "avg_deviation.csv", lines)
-
-    lines = csvio.header_block(prov)
-    lines.append(
-        "original_cal_date,n_ages,ages_statistic,ages_p_value,"
-        "n_matched_dates,matched_dates_statistic"
-    )
-    for item in interval_normality(table, datasets):
-        lines.append(
-            ",".join(
-                csvio.fmt(v)
-                for v in (
-                    item.original_date,
-                    item.n_ages,
-                    item.ages_statistic,
-                    item.ages_p_value,
-                    item.n_matched_dates,
-                    item.matched_dates_statistic,
-                )
-            )
-        )
-    csvio.write_lines(out_dir / "normality_by_interval.csv", lines)
-
-    results = mpd_report(rows)
-    lines = csvio.header_block(prov)
-    if results:
-        overall_mean, overall_median = overall_aggregate(results)
-        lines += csvio.header_block(
-            {"overall_mean": overall_mean, "overall_median": overall_median}
-        )
-    lines.append(
-        "data_id,original_cal_date,indicator,value,tolerance,match_count,"
-        "under_min,mpd,range,delta"
-    )
-    # mpd_report walks the rows in order, skipping valueless ones
-    it = iter(results)
-    for row in rows:
-        if row.value is None:
-            continue
-        res = next(it)
-        lines.append(
-            ",".join(
-                csvio.fmt(v)
-                for v in (
-                    row.data_id,
-                    row.original_date,
-                    res.indicator,
-                    res.value,
-                    res.tolerance,
-                    res.match_count,
-                    res.under_min,
-                    res.mpd,
-                    res.value_range,
-                    res.delta,
-                )
-            )
-        )
-    csvio.write_lines(out_dir / "mpd_report.csv", lines)
-
+    write_evaluation(table, datasets, rows, out_dir, prov)
     print(f"wrote evaluation artifacts to {out_dir} ({len(rows)} rows)")
     return 0
 
@@ -704,12 +492,12 @@ def _cmd_lookup(args, config) -> int:
         width = float(_effective(args, config, "bucket-width", 5.0))
         out = Path(_require(_effective(args, config, "out"), "out"))
         table = build_lookup(rows, bucket_width=width)
-        manifest = _write_manifest(
+        prov = _write_manifest(
             out,
             "lookup-build",
             {"bucket_width": width, "buckets": len(table.bucket_lefts), "out": out.name},
         )
-        write_lookup(table, out, extra_header=_provenance("lookup-build", manifest))
+        write_lookup(table, out, extra_header=prov)
         print(f"wrote {out} ({len(table.bucket_lefts)} buckets)")
         return 0
     if action == "query":
@@ -729,29 +517,36 @@ def _cmd_lookup(args, config) -> int:
     raise CliError(EXIT_USAGE, "usage: lookup needs an action: build or query")
 
 
-def _column_values(path, column: str) -> list[float]:
-    """Numeric values of a CSV column; an indicator name selects the
-    matching rows of an evaluation file instead."""
-    _, columns, rows = csvio.read_commented_csv(path)
+def _indicator_or_none(name: str | None) -> str | None:
     try:
-        name = normalize_indicator(column)
+        return normalize_indicator(name) if name is not None else None
     except ValueError:
-        name = None
-    if name is not None and "indicator" in columns and "value" in columns:
-        ii = columns.index("indicator")
-        vi = columns.index("value")
-        values = [
-            float(cells[vi]) for cells in rows if cells[ii] == name and cells[vi]
-        ]
-        if not values:
-            raise ValueError(f"no rows for indicator {name} in {path}")
-        return values
-    if column not in columns:
+        return None
+
+
+def _select_values(
+    path, art: csvio.Artifact, column: str, paired: str | None = None
+) -> list[float]:
+    """Numeric cells of a CSV column.  In a file with ``indicator`` and
+    ``value`` columns, an indicator name selects the values of that
+    indicator's rows, and a plain column paired with an indicator name
+    takes its cells from the same rows."""
+    columns, rows = art.columns, art.rows
+    by_indicator = "indicator" in columns and "value" in columns
+    name = _indicator_or_none(column) if by_indicator else None
+    if name is not None:
+        column = "value"
+    elif column not in columns:
         raise ValueError(f"no column {column!r} in {path}; columns are {columns}")
+    elif by_indicator and paired not in columns:
+        name = _indicator_or_none(paired)
+    if name is not None:
+        ii = columns.index("indicator")
+        rows = [cells for cells in rows if cells[ii] == name]
     ci = columns.index(column)
     values = [float(cells[ci]) for cells in rows if cells[ci]]
     if not values:
-        raise ValueError(f"column {column!r} in {path} has no numeric values")
+        raise ValueError(f"no numeric values for {column!r} in {path}")
     return values
 
 
@@ -760,16 +555,17 @@ def _cmd_hist(args, config) -> int:
     column = str(_require(_effective(args, config, "col"), "col"))
     out = Path(_require(_effective(args, config, "out"), "out"))
     bins = _effective(args, config, "bins")
-    values = _column_values(infile, column)
+    values = _select_values(infile, csvio.read_commented_csv(infile), column)
     edges, counts = histogram(values, bins=int(bins) if bins is not None else None)
-    manifest = _write_manifest(
+    prov = _write_manifest(
         out, "hist", {"in": Path(str(infile)).name, "col": column, "bins": len(counts)}
     )
-    lines = csvio.header_block({**_provenance("hist", manifest), "n": len(values)})
-    lines.append("bin_left,bin_right,count")
-    for i, count in enumerate(counts):
-        lines.append(f"{csvio.fmt(edges[i])},{csvio.fmt(edges[i + 1])},{int(count)}")
-    csvio.write_lines(out, lines)
+    csvio.write_artifact(
+        out,
+        {**prov, "n": len(values)},
+        ["bin_left", "bin_right", "count"],
+        ((edges[i], edges[i + 1], int(count)) for i, count in enumerate(counts)),
+    )
     print(f"wrote {out} ({len(counts)} bins, n={len(values)})")
     return 0
 
@@ -779,42 +575,15 @@ def _cmd_scatter(args, config) -> int:
     xcol = str(_require(_effective(args, config, "x", attr="xcol"), "x"))
     ycol = str(_require(_effective(args, config, "y", attr="ycol"), "y"))
     out = Path(_require(_effective(args, config, "out"), "out"))
-    _, columns, rows = csvio.read_commented_csv(infile)
-
-    def pick(colname: str) -> list[float]:
-        try:
-            name = normalize_indicator(colname)
-        except ValueError:
-            name = None
-        if name is not None and "indicator" in columns:
-            ii, vi = columns.index("indicator"), columns.index("value")
-            return [float(c[vi]) for c in rows if c[ii] == name and c[vi]]
-        if colname not in columns:
-            raise ValueError(f"no column {colname!r} in {infile}; columns are {columns}")
-        ci = columns.index(colname)
-        if "indicator" in columns and (ycol not in columns or xcol not in columns):
-            # pair the plain column with indicator-filtered rows
-            other = ycol if colname == xcol else xcol
-            try:
-                other_name = normalize_indicator(other)
-            except ValueError:
-                other_name = None
-            if other_name is not None:
-                ii = columns.index("indicator")
-                return [float(c[ci]) for c in rows if c[ii] == other_name and c[ci]]
-        return [float(c[ci]) for c in rows if c[ci]]
-
-    xs, ys = pick(xcol), pick(ycol)
+    art = csvio.read_commented_csv(infile)
+    xs = _select_values(infile, art, xcol, paired=ycol)
+    ys = _select_values(infile, art, ycol, paired=xcol)
     if len(xs) != len(ys):
         raise ValueError(f"x and y selections differ in length: {len(xs)} vs {len(ys)}")
-    manifest = _write_manifest(
+    prov = _write_manifest(
         out, "scatter", {"in": Path(str(infile)).name, "x": xcol, "y": ycol, "points": len(xs)}
     )
-    lines = csvio.header_block(_provenance("scatter", manifest))
-    lines.append(f"{xcol},{ycol}")
-    for x, y in zip(xs, ys):
-        lines.append(f"{csvio.fmt(x)},{csvio.fmt(y)}")
-    csvio.write_lines(out, lines)
+    csvio.write_artifact(out, prov, [xcol, ycol], zip(xs, ys))
     print(f"wrote {out} ({len(xs)} points)")
     return 0
 

@@ -1,9 +1,26 @@
-"""Small helpers shared by the CSV writers and readers.
+"""The one CSV artifact schema: every artifact is written and read here.
 
-All artifact files are plain CSV with a leading block of ``# key=value``
-comment lines.  Formatting is fully deterministic (shortest round-trip
-float repr, no timestamps) so that rebuilding with the same seed yields
+An artifact is a UTF-8 text file of ``\\n``-terminated lines, in order:
+
+1. a header block of ``# key=value`` lines (``format`` first for the
+   artifacts that have a reader, then provenance such as the manifest);
+2. optional extra ``# key=cell,cell,...`` lines that may repeat, such as
+   the ``# spec=`` lines of a reference table;
+3. one column line;
+4. the data rows, cells joined by ``,`` without quoting (no cell holds a
+   comma).
+
+Every cell, header value included, is formatted by :func:`fmt`: ``None``
+and NaN are blank, booleans are ``true``/``false``, integral floats below
+1e15 drop the point, and other floats use the shortest repr that round
+trips.  Nothing depends on time or locale, so the same seed rebuilds
 byte-identical files.
+
+A ``checksum`` header carries the crc32 of the data lines exactly as
+written; the reader recomputes it over the lines as read, so any edit to
+a data line, spaces included, is rejected.  A file without the header is
+not checked.  The reader also rejects any data row whose cell count
+differs from the column line, naming the file and the line number.
 """
 
 from __future__ import annotations
@@ -11,6 +28,10 @@ from __future__ import annotations
 import math
 import zlib
 from pathlib import Path
+from typing import NamedTuple
+
+# Rows parsed per batch; bounds the transient cell lists of a large file.
+_CHUNK = 1024
 
 
 def fmt(value) -> str:
@@ -32,14 +53,16 @@ def fmt(value) -> str:
 
 
 def parse_float(cell: str) -> float | None:
+    """A float cell; blank is None."""
     cell = cell.strip()
     if not cell:
         return None
     return float(cell)
 
 
-def header_block(pairs: dict) -> list[str]:
-    return [f"# {key}={fmt(val)}" for key, val in pairs.items()]
+def parse_float_nan(cell: str) -> float:
+    """A float cell; blank is NaN."""
+    return float(cell.strip() or "nan")
 
 
 def write_lines(path, lines: list[str]) -> None:
@@ -50,28 +73,95 @@ def write_lines(path, lines: list[str]) -> None:
             fh.write("\n")
 
 
-def read_commented_csv(path) -> tuple[dict, list[str], list[list[str]]]:
-    """Return (header key/values, column names, data rows) of a file."""
-    meta: dict[str, str] = {}
+def write_artifact(path, header: dict, columns, rows, extra: dict | None = None) -> None:
+    """Write one artifact: header, extra lines, column line and rows.
+
+    ``rows`` yields one tuple of cells per data row; ``extra`` maps a key
+    to the cell tuples of its repeated ``# key=`` lines.  A ``checksum``
+    key in ``header`` is written, at its place, as the crc32 of the data
+    lines, whatever value it holds.
+    """
+    data = [",".join(map(fmt, row)) for row in rows]
+    if "checksum" in header:
+        header = {**header, "checksum": rows_checksum(data)}
+    lines = [f"# {key}={fmt(val)}" for key, val in header.items()]
+    for key, entries in (extra or {}).items():
+        lines.extend(f"# {key}=" + ",".join(map(fmt, cells)) for cells in entries)
+    lines.append(",".join(columns))
+    lines.extend(data)
+    write_lines(path, lines)
+
+
+class Artifact(NamedTuple):
+    meta: dict
+    columns: list[str]
+    rows: list
+
+
+def read_commented_csv(
+    path, kind: str | None = None, schema: dict | None = None, extra=(), record=None
+) -> Artifact:
+    """Read an artifact as (header key/values, column names, data rows).
+
+    ``kind``, when given, must equal the ``format`` header.  ``schema``
+    maps each column name to its cell parser: the column line must equal
+    its keys, and every row comes back as a tuple of parsed cells, or as
+    ``record(*cells)`` when ``record`` is given.  Without a schema, rows
+    are lists of stripped strings.  Keys listed in ``extra`` may repeat;
+    each maps to the list of its lines' cells.
+    """
+    meta: dict = {key: [] for key in extra}
     columns: list[str] = []
-    rows: list[list[str]] = []
+    data: list[str] = []
+    commas = -1
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if not columns:
-                columns = cells
+                key, eq, val = line[1:].partition("=")
+                key, val = key.strip(), val.strip()
+                if key in extra:
+                    meta[key].append([cell.strip() for cell in val.split(",")])
+                elif eq:
+                    meta[key] = val
+            elif columns:
+                if line.count(",") != commas:
+                    raise ValueError(
+                        f"ragged row in {path} at line {lineno}: "
+                        f"{line.count(',') + 1} cells, the column line has {len(columns)}"
+                    )
+                data.append(line)
             else:
-                rows.append(cells)
-    return meta, columns, rows
+                columns = [cell.strip() for cell in line.split(",")]
+                commas = len(columns) - 1
+                if kind is not None and meta.get("format") != kind:
+                    raise ValueError(f"{path} is not a {kind} file")
+                if schema is not None and columns != list(schema):
+                    raise ValueError(f"unexpected columns in {path}: {columns}")
+    if not columns and (kind is not None or schema is not None):
+        raise ValueError(f"{path} has no column line")
+    if "checksum" in meta and int(meta["checksum"]) != rows_checksum(data):
+        raise ValueError(f"corrupt table: checksum mismatch in {path}")
+    if schema is None:
+        rows = [[cell.strip() for cell in line.split(",")] for line in data]
+    else:
+        rows = _parse_rows(data, tuple(schema.values()), record)
+    return Artifact(meta, columns, rows)
+
+
+def _parse_rows(lines: list[str], parsers: tuple, record) -> list:
+    # Split a batch of lines in one call and parse it column by column:
+    # a few C-level loops per batch instead of a list and Python calls per
+    # row, which also keeps the garbage collector out of the way.
+    n = len(parsers)
+    rows: list = []
+    for start in range(0, len(lines), _CHUNK):
+        cells = ",".join(lines[start : start + _CHUNK]).split(",")
+        columns = [map(parse, cells[i::n]) for i, parse in enumerate(parsers)]
+        rows.extend(zip(*columns) if record is None else map(record, *columns))
+    return rows
 
 
 def rows_checksum(lines: list[str]) -> int:

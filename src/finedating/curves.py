@@ -96,11 +96,6 @@ def synthetic_study_curve(
     return CalCurve(name=name, cal_bp=bp, c14_age=mu, error=err)
 
 
-def synthetic_plateau_dates() -> tuple[float, ...]:
-    """Calendar dates centered on the engineered plateaus."""
-    return tuple(1950.0 - 0.5 * (lo + hi) for lo, hi in _PLATEAUS)
-
-
 def write_curve(curve: CalCurve, path) -> None:
     """Write a curve in the comment-prefixed delimited text format read
     by :func:`finedating.calcurve.load_curve`."""

@@ -11,8 +11,9 @@ All outputs are plain rows ready for CSV emission; nothing here draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import distributions
@@ -418,59 +419,30 @@ def mpd_report(
     return results
 
 
-EVAL_COLUMNS = [
-    "data_id",
-    "original_cal_date",
-    "indicator",
-    "value",
-    "delta",
-    "category",
-    "n_matches",
-]
+EVAL_SCHEMA = {
+    "data_id": int,
+    "original_cal_date": float,
+    "indicator": str.strip,
+    "value": csvio.parse_float,
+    "delta": csvio.parse_float,
+    "category": str.strip,
+    "n_matches": int,
+}
 
 
 def write_eval_rows(rows: list[EvalRow], path, extra_header: dict | None = None) -> None:
     header = {"format": "finedating-eval", "rows": len(rows)}
     if extra_header:
         header.update(extra_header)
-    lines = csvio.header_block(header)
-    lines.append(",".join(EVAL_COLUMNS))
-    for row in rows:
-        lines.append(
-            ",".join(
-                csvio.fmt(v)
-                for v in (
-                    row.data_id,
-                    row.original_date,
-                    row.indicator,
-                    row.value,
-                    row.delta,
-                    row.category,
-                    row.n_matches,
-                )
-            )
-        )
-    csvio.write_lines(path, lines)
+    cells = (
+        (r.data_id, r.original_date, r.indicator, r.value, r.delta, r.category, r.n_matches)
+        for r in rows
+    )
+    csvio.write_artifact(path, header, EVAL_SCHEMA, cells)
 
 
 def read_eval_rows(path) -> list[EvalRow]:
-    _, columns, cells_rows = csvio.read_commented_csv(path)
-    if columns != EVAL_COLUMNS:
-        raise ValueError(f"not an evaluation file: {path}")
-    rows = []
-    for cells in cells_rows:
-        rows.append(
-            EvalRow(
-                data_id=int(cells[0]),
-                original_date=float(cells[1]),
-                indicator=cells[2],
-                value=csvio.parse_float(cells[3]),
-                delta=csvio.parse_float(cells[4]),
-                category=cells[5],
-                n_matches=int(cells[6]),
-            )
-        )
-    return rows
+    return csvio.read_commented_csv(path, "finedating-eval", EVAL_SCHEMA, record=EvalRow).rows
 
 
 @dataclass(frozen=True)
@@ -526,3 +498,69 @@ def interval_normality(table: RefTable, datasets: list[TestDataset]) -> list[Int
             )
         )
     return out
+
+
+NORMALITY_COLUMNS = ["original_cal_date", "n_ages", "ages_statistic", "ages_p_value",
+                     "n_matched_dates", "matched_dates_statistic"]
+MPD_COLUMNS = ["data_id", "original_cal_date", "indicator", "value", "tolerance",
+               "match_count", "under_min", "mpd", "range", "delta"]
+
+
+def write_evaluation(
+    table: RefTable,
+    datasets: list[TestDataset],
+    rows: list[EvalRow],
+    out_dir,
+    header: dict,
+) -> None:
+    """Write the artifacts of an evaluated test series into ``out_dir``:
+    ``eval_long.csv``, ``performance_25.csv``, ``performance_35.csv``,
+    ``avg_deviation.csv``, ``normality_by_interval.csv`` and
+    ``mpd_report.csv``, each under the given header."""
+    out_dir = Path(out_dir)
+    write_eval_rows(rows, out_dir / "eval_long.csv", extra_header=header)
+
+    for threshold in (25, 35):
+        by_date: dict[float, dict[str, float]] = {}
+        for date, family, frac in performance_curves(rows, threshold):
+            by_date.setdefault(date, {})[family] = frac
+        csvio.write_artifact(
+            out_dir / f"performance_{threshold}.csv",
+            {**header, "threshold": threshold},
+            ["original_cal_date", *FAMILIES],
+            ((date, *fracs.values()) for date, fracs in sorted(by_date.items())),
+        )
+
+    per_date, full_span = average_deviation_analysis(rows)
+    deviations = [
+        (date, *(per_date.get((date, name)) for name in INDICATOR_NAMES))
+        for date in sorted({date for date, _ in per_date})
+    ]
+    deviations.append(("full_span", *(full_span[name] for name in INDICATOR_NAMES)))
+    csvio.write_artifact(
+        out_dir / "avg_deviation.csv", header, ["original_cal_date", *INDICATOR_NAMES], deviations
+    )
+
+    csvio.write_artifact(
+        out_dir / "normality_by_interval.csv",
+        header,
+        NORMALITY_COLUMNS,
+        map(astuple, interval_normality(table, datasets)),
+    )
+
+    results = mpd_report(rows)
+    mpd_header = dict(header)
+    if results:
+        mpd_header["overall_mean"], mpd_header["overall_median"] = overall_aggregate(results)
+    # mpd_report walks the rows in order, skipping valueless ones
+    searched = (row for row in rows if row.value is not None)
+    csvio.write_artifact(
+        out_dir / "mpd_report.csv",
+        mpd_header,
+        MPD_COLUMNS,
+        (
+            (row.data_id, row.original_date, res.indicator, res.value, res.tolerance,
+             res.match_count, res.under_min, res.mpd, res.value_range, res.delta)
+            for row, res in zip(searched, results)
+        ),
+    )

@@ -141,64 +141,20 @@ def match_measurements(table: RefTable, measurements: list[Measurement]) -> Matc
 
 @dataclass(frozen=True)
 class IndicatorSet:
-    """The twelve estimates of the target calendar date."""
+    """The twelve estimates of the target calendar date, and how many
+    values each one aggregated, keyed by :data:`INDICATOR_NAMES`."""
 
-    caldate_mean: float
-    caldate_median: float
-    u_caldate_mean: float
-    u_caldate_median: float
-    mean_mean: float
-    mean_median: float
-    u_mean_mean: float
-    u_mean_median: float
-    median_mean: float
-    median_median: float
-    u_median_mean: float
-    u_median_median: float
-    n_pooled: int
-    n_unique_caldate: int
-    n_unique_mean: int
-    n_unique_median: int
-
-    _ATTR = {
-        "CalDate_Mean": "caldate_mean",
-        "CalDate_Median": "caldate_median",
-        "unique_CalDate_Mean": "u_caldate_mean",
-        "unique_CalDate_Median": "u_caldate_median",
-        "Mean_Mean": "mean_mean",
-        "Mean_Median": "mean_median",
-        "unique_Mean_Mean": "u_mean_mean",
-        "unique_Mean_Median": "u_mean_median",
-        "Median_Mean": "median_mean",
-        "Median_Median": "median_median",
-        "unique_Median_Mean": "u_median_mean",
-        "unique_Median_Median": "u_median_median",
-    }
+    values: dict[str, float]
+    counts: dict[str, int]
 
     def value(self, indicator: str) -> float:
-        return getattr(self, self._ATTR[normalize_indicator(indicator)])
+        return self.values[normalize_indicator(indicator)]
 
     def n_used(self, indicator: str) -> int:
-        name = normalize_indicator(indicator)
-        if not name.startswith("unique_"):
-            return self.n_pooled
-        family = name.split("_")[1]
-        return {
-            "CalDate": self.n_unique_caldate,
-            "Mean": self.n_unique_mean,
-            "Median": self.n_unique_median,
-        }[family]
+        return self.counts[normalize_indicator(indicator)]
 
     def as_rows(self) -> list[tuple[str, float, int]]:
-        return [(name, self.value(name), self.n_used(name)) for name in INDICATOR_NAMES]
-
-
-def _mean(values: list[float]) -> float:
-    return float(np.mean(values))
-
-
-def _median(values: list[float]) -> float:
-    return float(np.median(values))
+        return [(name, self.values[name], self.counts[name]) for name in INDICATOR_NAMES]
 
 
 def compute_indicators(matches: MatchSet) -> IndicatorSet:
@@ -210,30 +166,23 @@ def compute_indicators(matches: MatchSet) -> IndicatorSet:
     """
     if matches.n_prime < 1:
         raise ValueError("nothing to aggregate: match set is empty")
-    dates = matches.pooled_dates()
-    means = matches.pooled_means()
-    medians = matches.pooled_medians()
-    u_dates = sorted(set(dates))
-    u_means = sorted(set(means))
-    u_medians = sorted(set(medians))
-    return IndicatorSet(
-        caldate_mean=_mean(dates),
-        caldate_median=_median(dates),
-        u_caldate_mean=_mean(u_dates),
-        u_caldate_median=_median(u_dates),
-        mean_mean=_mean(means),
-        mean_median=_median(means),
-        u_mean_mean=_mean(u_means),
-        u_mean_median=_median(u_means),
-        median_mean=_mean(medians),
-        median_median=_median(medians),
-        u_median_mean=_mean(u_medians),
-        u_median_median=_median(u_medians),
-        n_pooled=matches.n_prime,
-        n_unique_caldate=len(u_dates),
-        n_unique_mean=len(u_means),
-        n_unique_median=len(u_medians),
-    )
+    pools = {
+        "CalDate": matches.pooled_dates(),
+        "Mean": matches.pooled_means(),
+        "Median": matches.pooled_medians(),
+    }
+    values: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for family, (mean, median, u_mean, u_median) in FAMILIES.items():
+        pooled = pools[family]
+        unique = sorted(set(pooled))
+        values[mean] = float(np.mean(pooled))
+        values[median] = float(np.median(pooled))
+        values[u_mean] = float(np.mean(unique))
+        values[u_median] = float(np.median(unique))
+        counts[mean] = counts[median] = len(pooled)
+        counts[u_mean] = counts[u_median] = len(unique)
+    return IndicatorSet(values=values, counts=counts)
 
 
 OVERVIEW_COLUMNS = [
@@ -246,7 +195,7 @@ OVERVIEW_COLUMNS = [
     "ref_cal_sigma",
 ]
 
-SUMMARY_COLUMNS = ["indicator", "value", "n_used"]
+SUMMARY_SCHEMA = {"indicator": str.strip, "value": float, "n_used": int}
 
 
 def write_report(
@@ -265,51 +214,44 @@ def write_report(
     header = dict(extra_header or {})
 
     overview_path = prefix + "_overview.csv"
-    lines = csvio.header_block({"format": "finedating-overview", **header})
-    lines.append(",".join(OVERVIEW_COLUMNS))
-    for i, rec in matches.records():
-        lines.append(
-            ",".join(
-                csvio.fmt(v)
-                for v in (
-                    i,
-                    matches.measurements[i].age,
-                    rec.sim_id,
-                    rec.base_date,
-                    rec.cal_mean,
-                    rec.cal_median,
-                    rec.cal_sigma,
-                )
+    csvio.write_artifact(
+        overview_path,
+        {"format": "finedating-overview", **header},
+        OVERVIEW_COLUMNS,
+        (
+            (
+                i,
+                matches.measurements[i].age,
+                rec.sim_id,
+                rec.base_date,
+                rec.cal_mean,
+                rec.cal_median,
+                rec.cal_sigma,
             )
-        )
-    csvio.write_lines(overview_path, lines)
+            for i, rec in matches.records()
+        ),
+    )
 
     summary_path = prefix + "_summary.csv"
-    lines = csvio.header_block({"format": "finedating-summary", **header})
-    lines.append(",".join(SUMMARY_COLUMNS))
-    for name, value, n_used in indicators.as_rows():
-        lines.append(f"{name},{csvio.fmt(value)},{n_used}")
-    lines.append(f"total_matches,{csvio.fmt(matches.n_prime)},{matches.n_prime}")
-    lines.append(
-        f"unique_measured_ages,{csvio.fmt(matches.unique_measured_ages())},"
-        f"{len(matches.measurements)}"
+    rows = indicators.as_rows()
+    rows.append(("total_matches", matches.n_prime, matches.n_prime))
+    rows.append(
+        ("unique_measured_ages", matches.unique_measured_ages(), len(matches.measurements))
     )
-    for age in matches.unmatched:
-        lines.append(f"unmatched_age,{age},0")
-    csvio.write_lines(summary_path, lines)
+    rows.extend(("unmatched_age", age, 0) for age in matches.unmatched)
+    csvio.write_artifact(
+        summary_path, {"format": "finedating-summary", **header}, SUMMARY_SCHEMA, rows
+    )
     return overview_path, summary_path
 
 
 def read_summary(path) -> dict[str, float]:
     """Indicator name -> value from a summary file (diagnostics skipped)."""
-    _, columns, rows = csvio.read_commented_csv(path)
-    if columns != SUMMARY_COLUMNS:
-        raise ValueError(f"not a summary file: {path}")
+    rows = csvio.read_commented_csv(path, "finedating-summary", SUMMARY_SCHEMA).rows
     values: dict[str, float] = {}
-    for cells in rows:
+    for name, value, _ in rows:
         try:
-            name = normalize_indicator(cells[0])
+            values[normalize_indicator(name)] = value
         except ValueError:
             continue
-        values[name] = float(cells[1])
     return values

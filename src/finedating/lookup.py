@@ -13,7 +13,7 @@ be reliable at that value, without knowing the true date.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import csvio
 from .evaluate import NO_MATCH, EvalRow
@@ -117,9 +117,23 @@ def query_lookup(
     return left, stats.total_count, stats.frac12, stats.frac25
 
 
-def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> None:
-    """One row per bucket; per indicator the columns
+def _lookup_schema(indicators) -> dict:
+    """Column name -> cell parser: ``BucketLeft``, then per indicator
     ``<Ind>_TotalCount, <Ind>_Frac12, <Ind>_Frac25``."""
+    columns = {"BucketLeft": float}
+    for name in indicators:
+        columns[f"{name}_TotalCount"] = int
+        columns[f"{name}_Frac12"] = csvio.parse_float
+        columns[f"{name}_Frac25"] = csvio.parse_float
+    return columns
+
+
+LOOKUP_SCHEMA = _lookup_schema(INDICATOR_NAMES)
+
+
+def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> None:
+    """One row per bucket, with the count and both fractions of every
+    indicator."""
     header = {
         "format": "finedating-lookup",
         "bucket_width": table.bucket_width,
@@ -127,47 +141,25 @@ def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> 
     }
     if extra_header:
         header.update(extra_header)
-    lines = csvio.header_block(header)
-    columns = ["BucketLeft"]
-    for name in table.indicators:
-        columns.extend([f"{name}_TotalCount", f"{name}_Frac12", f"{name}_Frac25"])
-    lines.append(",".join(columns))
-    for left in table.bucket_lefts:
-        cells = [csvio.fmt(left)]
-        for name in table.indicators:
-            stats = table.cells[(left, name)]
-            cells.extend(
-                [csvio.fmt(stats.total_count), csvio.fmt(stats.frac12), csvio.fmt(stats.frac25)]
-            )
-        lines.append(",".join(cells))
-    csvio.write_lines(path, lines)
+    rows = (
+        (left, *(v for name in table.indicators for v in astuple(table.cells[(left, name)])))
+        for left in table.bucket_lefts
+    )
+    csvio.write_artifact(path, header, _lookup_schema(table.indicators), rows)
 
 
 def read_lookup(path) -> LookupTable:
-    meta, columns, rows = csvio.read_commented_csv(path)
-    if meta.get("format") != "finedating-lookup" or not columns or columns[0] != "BucketLeft":
-        raise ValueError(f"not a lookup table file: {path}")
+    meta, _, rows = csvio.read_commented_csv(path, "finedating-lookup", LOOKUP_SCHEMA)
     width = float(meta["bucket_width"])
     tol = tuple(float(t) for t in meta["tolerances"].split(";"))
-    indicators = []
-    for col in columns[1::3]:
-        if not col.endswith("_TotalCount"):
-            raise ValueError(f"not a lookup table file: unexpected column {col!r}")
-        indicators.append(col[: -len("_TotalCount")])
-    lefts = []
     cells: dict[tuple[float, str], BucketStats] = {}
-    for cells_row in rows:
-        left = float(cells_row[0])
-        lefts.append(left)
-        for k, name in enumerate(indicators):
-            total = int(cells_row[1 + 3 * k])
-            frac12 = csvio.parse_float(cells_row[2 + 3 * k])
-            frac25 = csvio.parse_float(cells_row[3 + 3 * k])
-            cells[(left, name)] = BucketStats(total, frac12, frac25)
+    for left, *stats in rows:
+        for k, name in enumerate(INDICATOR_NAMES):
+            cells[(left, name)] = BucketStats(*stats[3 * k : 3 * k + 3])
     return LookupTable(
         bucket_width=width,
         tolerances=(tol[0], tol[1]),
-        bucket_lefts=tuple(lefts),
-        indicators=tuple(indicators),
+        bucket_lefts=tuple(row[0] for row in rows),
+        indicators=INDICATOR_NAMES,
         cells=cells,
     )

@@ -10,13 +10,11 @@ build; matching is served by a lazily built age index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import csvio, parallel
-from .calcurve import CalCurve, curve_at
+from .calcurve import CalCurve, check_sd, curve_at
 from .simulate import SimRecord, r_simulate, substream
-
-RefRecord = SimRecord
 
 
 @dataclass(frozen=True)
@@ -35,6 +33,7 @@ class RefTableSpec:
             raise ValueError(f"year_interval must be >= 1, got {self.year_interval}")
         if self.per_slice < 1:
             raise ValueError("empty spec: per_slice must be >= 1")
+        check_sd(self.sd)
         oldest, youngest = self.span
         if not oldest < youngest:
             raise ValueError(f"span oldest must precede youngest, got {self.span}")
@@ -165,140 +164,72 @@ def build_combo_table(
             f"incompatible specs: combo components must share span and step, got spans {sorted(spans)} steps {sorted(steps)}"
         )
     records: list[SimRecord] = []
-    next_id = 1
     for spec in specs:
         part = build_reference_table(curve, spec, grid_step=grid_step, workers=workers)
-        for rec in part.records:
-            records.append(
-                SimRecord(
-                    sim_id=next_id,
-                    base_date=rec.base_date,
-                    age=rec.age,
-                    sd=rec.sd,
-                    cal_mean=rec.cal_mean,
-                    cal_median=rec.cal_median,
-                    cal_sigma=rec.cal_sigma,
-                )
-            )
-            next_id += 1
+        first = len(records) + 1
+        records.extend(
+            replace(rec, sim_id=sim_id) for sim_id, rec in enumerate(part.records, first)
+        )
     return RefTable(
         label=label, curve_name=curve.name, specs=tuple(specs), records=tuple(records)
     )
 
 
-TABLE_COLUMNS = ["id", "cal_date", "age_bp", "sd", "cal_mean", "cal_median", "cal_sigma"]
+TABLE_SCHEMA = dict(
+    id=int, cal_date=float, age_bp=int, sd=float, cal_mean=float, cal_median=float, cal_sigma=float
+)
 
 
 def write_table(table: RefTable, path, extra_header: dict | None = None) -> None:
     """Persist a table as commented CSV with its specs and a checksum."""
-    data_lines = [
-        ",".join(
-            csvio.fmt(v)
-            for v in (
-                rec.sim_id,
-                rec.base_date,
-                rec.age,
-                rec.sd,
-                rec.cal_mean,
-                rec.cal_median,
-                rec.cal_sigma,
-            )
-        )
-        for rec in table.records
-    ]
     header = {
         "format": "finedating-reftable",
         "label": table.label,
         "curve": table.curve_name,
         "seed": ";".join(str(s.seed) for s in table.specs),
-        "records": len(data_lines),
-        "checksum": csvio.rows_checksum(data_lines),
+        "records": len(table.records),
+        "checksum": None,
     }
     if extra_header:
         header.update(extra_header)
-    lines = csvio.header_block(header)
-    for spec in table.specs:
-        lines.append(
-            "# spec="
-            + ",".join(
-                csvio.fmt(v)
-                for v in (
-                    spec.label,
-                    spec.year_interval,
-                    spec.per_slice,
-                    spec.sd,
-                    spec.span[0],
-                    spec.span[1],
-                    spec.seed,
-                )
-            )
-        )
-    lines.append(",".join(TABLE_COLUMNS))
-    lines.extend(data_lines)
-    csvio.write_lines(path, lines)
+    specs = [
+        (s.label, s.year_interval, s.per_slice, s.sd, s.span[0], s.span[1], s.seed)
+        for s in table.specs
+    ]
+    rows = (
+        (r.sim_id, r.base_date, r.age, r.sd, r.cal_mean, r.cal_median, r.cal_sigma)
+        for r in table.records
+    )
+    csvio.write_artifact(path, header, TABLE_SCHEMA, rows, extra={"spec": specs})
 
 
 def read_table(path) -> RefTable:
     """Read a table written by :func:`write_table`, validating shape,
     checksum and record invariants."""
-    meta: dict[str, str] = {}
-    specs: list[RefTableSpec] = []
-    columns: list[str] = []
-    data_lines: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, val = body.partition("=")
-                key, val = key.strip(), val.strip()
-                if key == "spec":
-                    parts = val.split(",")
-                    if len(parts) != 7:
-                        raise ValueError(f"corrupt table: bad spec header in {path}")
-                    specs.append(
-                        RefTableSpec(
-                            label=parts[0],
-                            year_interval=int(parts[1]),
-                            per_slice=int(parts[2]),
-                            sd=float(parts[3]),
-                            span=(float(parts[4]), float(parts[5])),
-                            seed=int(parts[6]),
-                        )
-                    )
-                else:
-                    meta[key] = val
-                continue
-            if not columns:
-                columns = [c.strip() for c in line.split(",")]
-            else:
-                data_lines.append(line)
-
-    if meta.get("format") != "finedating-reftable" or not specs or columns != TABLE_COLUMNS:
-        raise ValueError(f"corrupt table: {path} is not a reference table file")
-    expected = int(meta.get("records", "-1"))
-    if expected != len(data_lines):
-        raise ValueError(
-            f"corrupt table: {path} holds {len(data_lines)} rows, header says {expected}"
-        )
-    if "checksum" in meta and int(meta["checksum"]) != csvio.rows_checksum(data_lines):
-        raise ValueError(f"corrupt table: checksum mismatch in {path}")
-
-    records = []
-    for line in data_lines:
-        cells = line.split(",")
-        records.append(
-            SimRecord(
-                sim_id=int(cells[0]),
-                base_date=float(cells[1]),
-                age=int(cells[2]),
-                sd=float(cells[3]),
-                cal_mean=float(cells[4]),
-                cal_median=float(cells[5]),
-                cal_sigma=float(cells[6]),
+    meta, _, records = csvio.read_commented_csv(
+        path, "finedating-reftable", TABLE_SCHEMA, extra=("spec",), record=SimRecord
+    )
+    specs = []
+    for cells in meta["spec"]:
+        if len(cells) != 7:
+            raise ValueError(f"corrupt table: bad spec header in {path}")
+        label, interval, per_slice, sd, oldest, youngest, seed = cells
+        specs.append(
+            RefTableSpec(
+                label=label,
+                year_interval=int(interval),
+                per_slice=int(per_slice),
+                sd=float(sd),
+                span=(float(oldest), float(youngest)),
+                seed=int(seed),
             )
+        )
+    if not specs:
+        raise ValueError(f"corrupt table: {path} has no spec header")
+    expected = int(meta.get("records", "-1"))
+    if expected != len(records):
+        raise ValueError(
+            f"corrupt table: {path} holds {len(records)} rows, header says {expected}"
         )
     table = RefTable(
         label=meta.get("label", specs[0].label),
@@ -381,7 +312,3 @@ def records_by_slice(table: RefTable) -> dict[float, list[SimRecord]]:
         groups.setdefault(rec.base_date, []).append(rec)
     return dict(sorted(groups.items()))
 
-
-def age_span(table: RefTable) -> tuple[int, int]:
-    ages = [rec.age for rec in table.records]
-    return min(ages), max(ages)

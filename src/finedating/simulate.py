@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio, parallel
-from .calcurve import CalCurve, Measurement, calibrate, curve_at
+from .calcurve import CalCurve, Measurement, calibrate, check_sd, curve_at, parse_date
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ def round_half_away(x: float) -> int:
 
 def draw_age(curve: CalCurve, date: float, sd: float, rng: np.random.Generator) -> int:
     """Draw one integer radiocarbon age for a calendar date."""
-    if sd < 0:
-        raise ValueError(f"sd must be >= 0, got {sd}")
+    check_sd(sd)
     mu, sig = curve_at(curve, date)
     g = rng.normal(mu, math.sqrt(sd * sd + sig * sig))
     return round_half_away(g)
@@ -122,6 +121,7 @@ def generate_test_datasets(
         raise ValueError(f"datasets_per_date must be >= 1, got {datasets_per_date}")
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
+    check_sd(sd)
 
     jobs = [
         (di, ri, float(date))
@@ -147,7 +147,11 @@ def generate_test_datasets(
     return parallel.ordered_map(build, jobs, workers)
 
 
-TEST_COLUMNS = ["data_id", "original_cal_date", "age_bp", "sd", "cal_mean", "cal_median", "cal_sigma"]
+TEST_SCHEMA = dict(
+    data_id=int, original_cal_date=float, age_bp=int, sd=float,
+    cal_mean=csvio.parse_float_nan, cal_median=csvio.parse_float_nan,
+    cal_sigma=csvio.parse_float_nan,
+)
 
 
 def write_tests(datasets: list[TestDataset], path, extra_header: dict | None = None) -> None:
@@ -155,71 +159,93 @@ def write_tests(datasets: list[TestDataset], path, extra_header: dict | None = N
     header = {"format": "finedating-tests", "datasets": len(datasets)}
     if extra_header:
         header.update(extra_header)
-    lines = csvio.header_block(header)
-    lines.append(",".join(TEST_COLUMNS))
-    for ds in datasets:
-        for rec in ds.records:
-            lines.append(
-                ",".join(
-                    csvio.fmt(v)
-                    for v in (
-                        ds.data_id,
-                        ds.original_date,
-                        rec.age,
-                        rec.sd,
-                        rec.cal_mean,
-                        rec.cal_median,
-                        rec.cal_sigma,
-                    )
-                )
-            )
-    csvio.write_lines(path, lines)
+    rows = (
+        (ds.data_id, ds.original_date, r.age, r.sd, r.cal_mean, r.cal_median, r.cal_sigma)
+        for ds in datasets
+        for r in ds.records
+    )
+    csvio.write_artifact(path, header, TEST_SCHEMA, rows)
 
 
 def read_tests(path) -> list[TestDataset]:
-    """Read datasets written by :func:`write_tests` (or converted from
-    external simulation exports; blank calibration cells become NaN)."""
-    _, columns, rows = csvio.read_commented_csv(path)
-    if columns[: len(TEST_COLUMNS)] != TEST_COLUMNS:
-        raise ValueError(f"unexpected test CSV columns in {path}: {columns}")
-    grouped: dict[int, list[list[str]]] = {}
-    order: list[int] = []
-    for cells in rows:
-        data_id = int(cells[0])
-        if data_id not in grouped:
-            grouped[data_id] = []
-            order.append(data_id)
-        grouped[data_id].append(cells)
-
-    def cell_float(cells: list[str], i: int) -> float:
-        val = csvio.parse_float(cells[i])
-        return math.nan if val is None else val
-
+    """Read datasets written by :func:`write_tests` (blank calibration
+    cells, as in converted exports, become NaN)."""
+    grouped: dict[int, list[tuple]] = {}
+    for row in csvio.read_commented_csv(path, "finedating-tests", TEST_SCHEMA).rows:
+        grouped.setdefault(row[0], []).append(row)
     datasets = []
     sim_id = 0
-    for data_id in order:
-        cells_list = grouped[data_id]
-        date = float(cells_list[0][1])
-        sd = float(cells_list[0][3])
+    for data_id, rows in grouped.items():
+        _, date, _, sd, *_ = rows[0]
         recs = []
-        for cells in cells_list:
-            if float(cells[1]) != date or float(cells[3]) != sd:
+        for _, row_date, age, row_sd, cal_mean, cal_median, cal_sigma in rows:
+            if row_date != date or row_sd != sd:
                 raise ValueError(
                     f"dataset {data_id} mixes original dates or sds in {path}"
                 )
             sim_id += 1
-            recs.append(
-                SimRecord(
-                    sim_id=sim_id,
-                    base_date=date,
-                    age=int(cells[2]),
-                    sd=sd,
-                    cal_mean=cell_float(cells, 4),
-                    cal_median=cell_float(cells, 5),
-                    cal_sigma=cell_float(cells, 6),
-                )
-            )
+            recs.append(SimRecord(sim_id, date, age, sd, cal_mean, cal_median, cal_sigma))
         datasets.append(
             TestDataset(data_id=data_id, original_date=date, sd=sd, records=tuple(recs))
         )
     return datasets
+
+
+_EXPORT_ALIASES = {
+    "cal_date": ("cal_date", "caldate", "original_cal_date", "date", "calendar_date"),
+    "age": ("age", "age_bp", "c14_age", "14c_age", "value"),
+    "sd": ("sd", "error", "sigma", "uncertainty"),
+}
+
+
+def convert_rsim_to_tests(path, group_size: int = 3):
+    """Group exported simulation rows (cal_date, age, sd) into
+    consecutive clusters of ``group_size`` sharing one calendar date.
+
+    Returns (datasets, leftovers) where leftovers lists (date, count)
+    of trailing rows that did not fill a full group.
+    """
+    if group_size < 1:
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    _, columns, rows = csvio.read_commented_csv(path)
+    cols = [c.casefold() for c in columns]
+
+    def find(kind: str) -> int:
+        for alias in _EXPORT_ALIASES[kind]:
+            if alias in cols:
+                return cols.index(alias)
+        raise ValueError(f"cannot find a {kind} column in {path}; columns are {columns}")
+
+    ci, ai, si = find("cal_date"), find("age"), find("sd")
+    by_date: dict[float, list[tuple[int, float]]] = {}
+    for lineno, cells in enumerate(rows, start=1):
+        try:
+            date = parse_date(cells[ci])
+            age = int(round(float(cells[ai])))
+            sd = float(cells[si])
+        except ValueError:
+            raise ValueError(f"malformed row {lineno} in {path}: {cells}") from None
+        by_date.setdefault(date, []).append((age, sd))
+
+    datasets = []
+    leftovers: list[tuple[float, int]] = []
+    sim_id = 0
+    for date, entries in by_date.items():
+        n_full = len(entries) // group_size
+        for g in range(n_full):
+            chunk = entries[g * group_size : (g + 1) * group_size]
+            sds = {sd for _, sd in chunk}
+            sd = chunk[0][1] if len(sds) == 1 else float(sum(s for _, s in chunk) / group_size)
+            recs = []
+            for age, row_sd in chunk:
+                sim_id += 1
+                recs.append(SimRecord(sim_id, date, age, row_sd, math.nan, math.nan, math.nan))
+            datasets.append(
+                TestDataset(
+                    data_id=len(datasets) + 1, original_date=date, sd=sd, records=tuple(recs)
+                )
+            )
+        rest = len(entries) - n_full * group_size
+        if rest:
+            leftovers.append((date, rest))
+    return datasets, leftovers

@@ -190,3 +190,9 @@ def test_intcal20_ingestion_matches_independent_parse(intcal_curve):
     assert 2000.0 in by_bp
     mu, sig = fd.curve_at(intcal_curve, fd.from_cal_bp(2000.0))
     assert (mu, sig) == by_bp[2000.0]
+
+
+@pytest.mark.parametrize("sd", [-3.0, float("nan"), float("inf")])
+def test_measurement_rejects_negative_or_non_finite_sd(sd):
+    with pytest.raises(ValueError, match=f"sd must be finite and >= 0, got {sd!r}"):
+        fd.Measurement(2000, sd)

@@ -287,3 +287,46 @@ def test_same_seed_produces_byte_identical_csvs(curve_file, tmp_path):
     assert outputs[0].keys() == outputs[1].keys()
     for key in outputs[0]:
         assert outputs[0][key] == outputs[1][key], f"{key} differs between runs"
+
+
+@pytest.mark.parametrize("command", ["finedate", "ref-gen", "simulate-tests"])
+def test_bad_sd_is_data_error(pipeline, curve_file, tmp_path, capsys, command):
+    argv = {
+        "finedate": ["finedate", "--ref", pipeline / "ref.csv", "--ages", 2000, "--sd", "nan",
+                     "--out", tmp_path / "report"],
+        "ref-gen": ["ref-gen", "--curve", curve_file, "--label", "x", "--step", 5,
+                    "--per-slice", 1, "--sd", -3, "--span", "-50:0", "--out", tmp_path / "ref.csv"],
+        "simulate-tests": ["simulate", "tests", "--curve", curve_file, "--dates", "-100:-100:5",
+                           "--per-date", 1, "--sd", "nan", "--out", tmp_path / "tests.csv"],
+    }[command]
+    assert run(*argv) == 4
+    assert "sd must be finite and >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def cut_last_row(source, target) -> int:
+    """Copy a CSV without the last cell of its last row; return that line's number."""
+    lines = source.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+    target.write_text("\n".join(lines) + "\n")
+    return len(lines)
+
+
+@pytest.mark.parametrize("artifact", ["lookup", "tests", "eval"])
+def test_ragged_row_is_data_error(pipeline, tmp_path, capsys, artifact):
+    eval_long = pipeline / "eval" / "eval_long.csv"
+    bad = tmp_path / "bad.csv"
+    if artifact == "lookup":
+        assert run("lookup", "build", "--eval", eval_long, "--out", tmp_path / "lookup.csv") == 0
+        lineno = cut_last_row(tmp_path / "lookup.csv", bad)
+        argv = ("lookup", "query", "--table", bad, "--indicator", "CalDate_Median", "--value", -140)
+    elif artifact == "tests":
+        lineno = cut_last_row(pipeline / "tests.csv", bad)
+        argv = ("evaluate", "--ref", pipeline / "ref.csv", "--tests", bad, "--out", tmp_path / "ev")
+    else:
+        lineno = cut_last_row(eval_long, bad)
+        argv = ("lookup", "build", "--eval", bad, "--out", tmp_path / "out.csv")
+    capsys.readouterr()
+    assert run(*argv) == 4
+    err = capsys.readouterr().err
+    assert f"ragged row in {bad} at line {lineno}" in err

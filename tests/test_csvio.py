@@ -53,3 +53,48 @@ def test_write_lines_newline_discipline(tmp_path):
     path = tmp_path / "n.csv"
     csvio.write_lines(path, ["a", "b"])
     assert path.read_bytes() == b"a\nb\n"
+
+
+def test_write_artifact_layout(tmp_path):
+    path = tmp_path / "a.csv"
+    rows = [(1, -50.0, None), (2, 0.25, True)]
+    csvio.write_artifact(
+        path, {"format": "demo", "checksum": None, "n": 2}, ["id", "x", "flag"], rows,
+        extra={"spec": [("a", 5.0), ("b", 1.5)]},
+    )
+    crc = csvio.rows_checksum(["1,-50,", "2,0.25,true"])
+    assert path.read_text() == (
+        f"# format=demo\n# checksum={crc}\n# n=2\n# spec=a,5\n# spec=b,1.5\n"
+        "id,x,flag\n1,-50,\n2,0.25,true\n"
+    )
+
+
+def test_read_parses_schema_and_repeated_lines(tmp_path):
+    path = tmp_path / "a.csv"
+    schema = {"id": int, "x": float, "name": str.strip, "y": csvio.parse_float}
+    rows = [(1, -50.0, "p", None), (2, 0.125, "q", 3.5)]
+    csvio.write_artifact(path, {"format": "demo", "checksum": None}, schema, rows,
+                         extra={"spec": [("a", 5)]})
+    meta, columns, back = csvio.read_commented_csv(path, "demo", schema, extra=("spec",))
+    assert meta["spec"] == [["a", "5"]]
+    assert columns == list(schema)
+    assert back == rows
+
+
+def test_read_checks_format_columns_and_checksum(tmp_path):
+    path = tmp_path / "a.csv"
+    csvio.write_artifact(path, {"format": "demo", "checksum": None}, ["a", "b"], [(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match="not a other file"):
+        csvio.read_commented_csv(path, "other")
+    with pytest.raises(ValueError, match="unexpected columns"):
+        csvio.read_commented_csv(path, "demo", {"a": int, "c": int})
+    path.write_text(path.read_text().replace("3,4", "3, 4"))
+    with pytest.raises(ValueError, match="checksum mismatch"):
+        csvio.read_commented_csv(path)
+
+
+def test_ragged_row_names_file_and_line(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("# a=1\ncol1,col2\n1,2\n\n3\n")
+    with pytest.raises(ValueError, match=f"ragged row in {path} at line 5: 1 cells"):
+        csvio.read_commented_csv(path)

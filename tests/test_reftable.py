@@ -179,3 +179,9 @@ def test_edge_warnings_fire_near_span_edges(table_5_20_5, study_curve):
 def test_unknown_standard_label_rejected():
     with pytest.raises(ValueError, match="unknown table variant"):
         fd.standard_spec("9_9_9", seed=0)
+
+
+@pytest.mark.parametrize("sd", [-3.0, float("nan"), float("inf")])
+def test_spec_rejects_negative_or_non_finite_sd(sd):
+    with pytest.raises(ValueError, match="sd must be finite and >= 0"):
+        fd.RefTableSpec(label="x", year_interval=5, per_slice=1, sd=sd, span=(-50, 0), seed=1)

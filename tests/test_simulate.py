@@ -131,3 +131,9 @@ def test_record_calibration_matches_direct_calibrate(study_curve):
     assert rec.cal_mean == cal.mean
     assert rec.cal_median == cal.median
     assert rec.cal_sigma == cal.sigma
+
+
+@pytest.mark.parametrize("sd", [-3.0, float("nan"), float("inf")])
+def test_generate_rejects_negative_or_non_finite_sd(study_curve, sd):
+    with pytest.raises(ValueError, match="sd must be finite and >= 0"):
+        fd.generate_test_datasets(study_curve, [0.0], 1, sd=sd, seed=1)
