@@ -19,6 +19,7 @@ from .calcurve import (
     curve_at,
     from_cal_bp,
     load_curve,
+    posterior_summary,
     to_cal_bp,
 )
 from .curves import (
@@ -87,6 +88,7 @@ __all__ = [
     "curve_at",
     "from_cal_bp",
     "load_curve",
+    "posterior_summary",
     "to_cal_bp",
     "flat_curve",
     "linear_curve",

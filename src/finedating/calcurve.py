@@ -85,9 +85,10 @@ class CalCurve:
     """Piecewise-linear calibration curve, immutable after construction.
 
     ``cal_bp`` is strictly ascending; ``c14_age`` and ``error`` are the
-    curve mean and 1-sigma curve error at each knot.  Instances are safe
-    to share across workers; per-grid interpolation caches are built
-    lazily and keyed by grid step.
+    curve mean and 1-sigma curve error at each knot, all finite.  The knot
+    arrays are read-only copies, so the lazily built caches cannot go
+    stale: per-grid interpolations keyed by grid step, and posterior
+    summaries keyed by (age, sd, grid step).
     """
 
     name: str
@@ -95,15 +96,26 @@ class CalCurve:
     c14_age: np.ndarray
     error: np.ndarray
     _grids: dict = field(default_factory=dict, repr=False)
+    _summaries: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self.cal_bp = np.asarray(self.cal_bp, dtype=float)
-        self.c14_age = np.asarray(self.c14_age, dtype=float)
-        self.error = np.asarray(self.error, dtype=float)
+        self.cal_bp = np.array(self.cal_bp, dtype=float)
+        self.c14_age = np.array(self.c14_age, dtype=float)
+        self.error = np.array(self.error, dtype=float)
         if self.cal_bp.size == 0:
             raise ValueError("no knots")
         if self.cal_bp.size < 2:
             raise ValueError("curve needs at least 2 knots")
+        knots = (self.cal_bp, self.c14_age, self.error)
+        finite = np.isfinite(knots).all(axis=0)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"non-finite curve knot {i}: cal_bp={self.cal_bp[i]:g}, "
+                f"c14_age={self.c14_age[i]:g}, error={self.error[i]:g}"
+            )
+        for arr in knots:
+            arr.flags.writeable = False
         if not (np.diff(self.cal_bp) > 0).all():
             raise ValueError("unsorted curve: cal BP knots must be strictly increasing")
         if not (self.error > 0).all():
@@ -225,20 +237,55 @@ def calibrate(curve: CalCurve, meas: Measurement, grid_step: float = 1.0) -> Cal
     taking a fraction of the boundary cell so each interval set carries
     exactly its target mass.
     """
+    dates, pdf, mean, median, sigma = _posterior(curve, meas.age, meas.sd, grid_step)
+    return CalibrationResult(
+        grid=dates,
+        pdf=pdf,
+        step=float(grid_step),
+        mean=mean,
+        median=median,
+        sigma=sigma,
+        hpd68=_hpd_segments(dates, pdf, grid_step, HPD68_TARGET),
+        hpd95=_hpd_segments(dates, pdf, grid_step, HPD95_TARGET),
+    )
+
+
+def posterior_summary(
+    curve: CalCurve, age: int, sd: float, grid_step: float = 1.0
+) -> tuple[float, float, float]:
+    """(mean, median, sigma) of the posterior of ``age`` +- ``sd``.
+
+    Bit for bit the summaries of :func:`calibrate`, computed once per
+    distinct (age, sd, grid step) and kept on the curve.  An age that
+    cannot be calibrated raises on every call; nothing is kept for it.
+    """
+    key = (age, float(sd), float(grid_step))
+    summary = curve._summaries.get(key)
+    if summary is None:
+        meas = Measurement(age, sd)  # rejects a fractional age or a bad sd
+        _, _, *values = _posterior(curve, meas.age, meas.sd, grid_step)
+        summary = curve._summaries[meas.age, key[1], key[2]] = tuple(values)
+    return summary
+
+
+def _posterior(
+    curve: CalCurve, age: int, sd: float, grid_step: float
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Retained grid, cell masses, mean, median and sigma of one calibration."""
     if grid_step <= 0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     dates, mu, sig = curve.grid(grid_step)
-    var = meas.sd * meas.sd + sig * sig
-    logw = -0.5 * (meas.age - mu) ** 2 / var
+    var = sd * sd + sig * sig
+    logw = -0.5 * (age - mu) ** 2 / var
     peak = float(logw.max())
     if peak < _LOG_FLOOR:
         raise ValueError(
-            f"age outside calibratable range: {meas.age} BP has no support on curve {curve.name!r}"
+            f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
         )
     w = np.exp(logw)
     if float(w.sum()) < 1e-300:
         raise ValueError(
-            f"age outside calibratable range: {meas.age} BP has no support on curve {curve.name!r}"
+            f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
         )
 
     keep = np.nonzero(w > w.max() * _SUPPORT_EPS)[0]
@@ -253,19 +300,7 @@ def calibrate(curve: CalCurve, meas: Measurement, grid_step: float = 1.0) -> Cal
     i = int(np.searchsorted(cum, 0.5))
     prev = float(cum[i - 1]) if i > 0 else 0.0
     median = float(dates[i] - grid_step / 2 + grid_step * (0.5 - prev) / float(pdf[i]))
-
-    hpd68 = _hpd_segments(dates, pdf, grid_step, HPD68_TARGET)
-    hpd95 = _hpd_segments(dates, pdf, grid_step, HPD95_TARGET)
-    return CalibrationResult(
-        grid=dates,
-        pdf=pdf,
-        step=float(grid_step),
-        mean=mean,
-        median=median,
-        sigma=sigma,
-        hpd68=hpd68,
-        hpd95=hpd95,
-    )
+    return dates, pdf, mean, median, sigma
 
 
 def _hpd_segments(

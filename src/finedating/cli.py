@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 data.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -134,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"finedating {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="global RNG seed")
-    parser.add_argument(
-        "--workers", type=int, default=None, help="worker processes (default: all cores)"
-    )
     parser.add_argument("--config", default=None, help="flat key = value config file")
     sub = parser.add_subparsers(dest="subcommand")
 
@@ -262,15 +258,13 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace, config: dict[str, str]) -> int:
     seed = _effective(args, config, "seed")
     seed = int(seed) if seed is not None else 0
-    workers = _effective(args, config, "workers")
-    workers = int(workers) if workers is not None else (os.cpu_count() or 1)
 
     if args.subcommand == "curve":
         return _cmd_curve(args, config)
     if args.subcommand == "ref-gen":
-        return _cmd_ref_gen(args, config, seed, workers)
+        return _cmd_ref_gen(args, config, seed)
     if args.subcommand == "simulate":
-        return _cmd_simulate(args, config, seed, workers)
+        return _cmd_simulate(args, config, seed)
     if args.subcommand == "finedate":
         return _cmd_finedate(args, config)
     if args.subcommand == "evaluate":
@@ -308,7 +302,7 @@ def _cmd_curve(args, config) -> int:
     return 0
 
 
-def _cmd_ref_gen(args, config, seed: int, workers: int) -> int:
+def _cmd_ref_gen(args, config, seed: int) -> int:
     curve = _load_curve_arg(_require(_effective(args, config, "curve"), "curve"))
     out = Path(_require(_effective(args, config, "out"), "out"))
     combo = _effective(args, config, "combo")
@@ -316,7 +310,7 @@ def _cmd_ref_gen(args, config, seed: int, workers: int) -> int:
         labels = [t.strip() for t in str(combo).split(",") if t.strip()]
         specs = [standard_spec(label, seed + i) for i, label in enumerate(labels)]
         label = _effective(args, config, "label", "Combo")
-        table = build_combo_table(curve, specs, label=label, workers=workers)
+        table = build_combo_table(curve, specs, label=label)
     else:
         label = _require(_effective(args, config, "label"), "label")
         step = _effective(args, config, "step")
@@ -334,7 +328,7 @@ def _cmd_ref_gen(args, config, seed: int, workers: int) -> int:
                 span=parse_span(str(_require(span, "span"))),
                 seed=seed,
             )
-        table = build_reference_table(curve, spec, workers=workers)
+        table = build_reference_table(curve, spec)
     prov = _write_manifest(
         out,
         "ref-gen",
@@ -351,7 +345,7 @@ def _cmd_ref_gen(args, config, seed: int, workers: int) -> int:
     return 0
 
 
-def _cmd_simulate(args, config, seed: int, workers: int) -> int:
+def _cmd_simulate(args, config, seed: int) -> int:
     action = getattr(args, "action", None)
     if action == "tests":
         curve = _load_curve_arg(_require(_effective(args, config, "curve"), "curve"))
@@ -361,7 +355,7 @@ def _cmd_simulate(args, config, seed: int, workers: int) -> int:
         sd = float(_require(_effective(args, config, "sd"), "sd"))
         out = Path(_require(_effective(args, config, "out"), "out"))
         datasets = generate_test_datasets(
-            curve, dates, per_date, sd=sd, seed=seed, group_size=group, workers=workers
+            curve, dates, per_date, sd=sd, seed=seed, group_size=group
         )
         prov = _write_manifest(
             out,

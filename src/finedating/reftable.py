@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import csvio, parallel
+from . import csvio
 from .calcurve import CalCurve, check_sd, curve_at
-from .simulate import SimRecord, r_simulate, substream
+from .simulate import SimRecord, simulate_date, substream
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,11 @@ def build_reference_table(
     curve: CalCurve,
     spec: RefTableSpec,
     grid_step: float = 1.0,
-    workers: int = 1,
 ) -> RefTable:
     """Simulate ``per_slice`` measurements at every grid date of the spec.
 
-    Each slice uses the substream keyed by its index, so rebuilding with
-    the same seed reproduces the table exactly for any worker count.
+    Each slice is drawn from the substream keyed by its index, so
+    rebuilding with the same seed reproduces the table exactly.
     """
     lo, hi = curve.domain
     oldest, youngest = spec.span
@@ -129,22 +128,13 @@ def build_reference_table(
             f"span {spec.span} outside curve domain [{lo}, {hi}] of {curve.name!r}"
         )
 
-    dates = spec.slice_dates()
-
-    def build_slice(job: tuple[int, float]) -> list[SimRecord]:
-        si, date = job
-        rng = substream(spec.seed, si)
-        base = si * spec.per_slice
-        return [
-            r_simulate(curve, date, spec.sd, rng, sim_id=base + j + 1, grid_step=grid_step)
-            for j in range(spec.per_slice)
-        ]
-
-    if workers is not None and workers > 1:
-        curve.grid(grid_step)
-    slices = parallel.ordered_map(build_slice, list(enumerate(dates)), workers)
-    records = tuple(rec for chunk in slices for rec in chunk)
-    return RefTable(label=spec.label, curve_name=curve.name, specs=(spec,), records=records)
+    records: list[SimRecord] = []
+    for si, date in enumerate(spec.slice_dates()):
+        records += simulate_date(
+            curve, date, spec.sd, [substream(spec.seed, si)], spec.per_slice,
+            si * spec.per_slice + 1, grid_step,
+        )
+    return RefTable(label=spec.label, curve_name=curve.name, specs=(spec,), records=tuple(records))
 
 
 def build_combo_table(
@@ -152,7 +142,6 @@ def build_combo_table(
     specs: list[RefTableSpec],
     label: str = "Combo",
     grid_step: float = 1.0,
-    workers: int = 1,
 ) -> RefTable:
     """Concatenate component tables, re-assigning dense record ids."""
     if not specs:
@@ -165,7 +154,7 @@ def build_combo_table(
         )
     records: list[SimRecord] = []
     for spec in specs:
-        part = build_reference_table(curve, spec, grid_step=grid_step, workers=workers)
+        part = build_reference_table(curve, spec, grid_step=grid_step)
         first = len(records) + 1
         records.extend(
             replace(rec, sim_id=sim_id) for sim_id, rec in enumerate(part.records, first)

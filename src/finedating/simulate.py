@@ -3,10 +3,11 @@
 One simulation draws a radiocarbon age from a normal distribution
 centered on the curve mean at the given date, with variance
 ``sd^2 + sigma_curve(date)^2``, rounds it to an integer BP (ties away
-from zero) and calibrates the rounded age.  Even with a nominal sd of
-zero the draws disperse by the curve error.  Batch generation derives
-one RNG substream per (date, replicate) so outputs are reproducible and
-independent of scheduling.
+from zero) and summarizes the calibrated posterior of the rounded age.
+Even with a nominal sd of zero the draws disperse by the curve error.
+Batch generation derives one RNG substream per slice or dataset and
+draws each as one array, so outputs are reproducible; the summaries of
+each distinct (age, sd) are computed once per curve.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import csvio, parallel
-from .calcurve import CalCurve, Measurement, calibrate, check_sd, curve_at, parse_date
+from . import csvio
+from .calcurve import CalCurve, Measurement, check_sd, curve_at, parse_date, posterior_summary
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,48 @@ def round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-def draw_age(curve: CalCurve, date: float, sd: float, rng: np.random.Generator) -> int:
-    """Draw one integer radiocarbon age for a calendar date."""
+def draw_ages(
+    curve: CalCurve, date: float, sd: float, rngs: list[np.random.Generator], n: int
+) -> list[int]:
+    """Draw ``n`` integer radiocarbon ages for a calendar date from each
+    generator in turn.
+
+    Each generator gives one ``normal(size=n)`` array, the same values as
+    ``n`` scalar draws; rounding is :func:`round_half_away` on the array.
+    """
     check_sd(sd)
     mu, sig = curve_at(curve, date)
-    g = rng.normal(mu, math.sqrt(sd * sd + sig * sig))
-    return round_half_away(g)
+    scale = math.sqrt(sd * sd + sig * sig)
+    g = np.concatenate([rng.normal(mu, scale, size=n) for rng in rngs])
+    return np.copysign(np.floor(np.abs(g) + 0.5), g).astype(np.int64).tolist()
+
+
+def draw_age(curve: CalCurve, date: float, sd: float, rng: np.random.Generator) -> int:
+    """Draw one integer radiocarbon age for a calendar date."""
+    return draw_ages(curve, date, sd, [rng], 1)[0]
+
+
+def simulate_date(
+    curve: CalCurve,
+    date: float,
+    sd: float,
+    rngs: list[np.random.Generator],
+    n: int,
+    first_id: int = 1,
+    grid_step: float = 1.0,
+) -> list[SimRecord]:
+    """``n`` simulated measurements of one calendar date from each
+    generator in turn, with dense ids from ``first_id``.
+
+    The calibration summarized in each record uses the same sd as the
+    draw (see :func:`~finedating.calcurve.posterior_summary`).
+    """
+    ages = draw_ages(curve, date, sd, rngs, n)
+    date, sd = float(date), float(sd)
+    return [
+        SimRecord(sim_id, date, age, sd, *posterior_summary(curve, age, sd, grid_step))
+        for sim_id, age in enumerate(ages, first_id)
+    ]
 
 
 def r_simulate(
@@ -77,21 +114,8 @@ def r_simulate(
     sim_id: int = 0,
     grid_step: float = 1.0,
 ) -> SimRecord:
-    """Simulate one measurement of an object with a known calendar date.
-
-    The calibration stored in the record uses the same sd as the draw.
-    """
-    age = draw_age(curve, date, sd, rng)
-    cal = calibrate(curve, Measurement(age=age, sd=sd), grid_step=grid_step)
-    return SimRecord(
-        sim_id=sim_id,
-        base_date=float(date),
-        age=age,
-        sd=float(sd),
-        cal_mean=cal.mean,
-        cal_median=cal.median,
-        cal_sigma=cal.sigma,
-    )
+    """Simulate one measurement of an object with a known calendar date."""
+    return simulate_date(curve, date, sd, [rng], 1, sim_id, grid_step)[0]
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -107,13 +131,12 @@ def generate_test_datasets(
     seed: int,
     group_size: int = 3,
     grid_step: float = 1.0,
-    workers: int = 1,
 ) -> list[TestDataset]:
     """Clusters of simulated measurements for every requested date.
 
     For each date, ``datasets_per_date`` datasets of ``group_size``
-    measurements are drawn from the substream keyed by (date index,
-    dataset index); ids are dense in date-major order.
+    measurements are drawn, each from the substream keyed by (date
+    index, dataset index); ids are dense in date-major order.
     """
     if not dates:
         raise ValueError("no dates")
@@ -123,28 +146,21 @@ def generate_test_datasets(
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     check_sd(sd)
 
-    jobs = [
-        (di, ri, float(date))
-        for di, date in enumerate(dates)
-        for ri in range(datasets_per_date)
-    ]
-
-    def build(job: tuple[int, int, float]) -> TestDataset:
-        di, ri, date = job
-        rng = substream(seed, di, ri)
-        index = di * datasets_per_date + ri
-        recs = tuple(
-            r_simulate(curve, date, sd, rng, sim_id=index * group_size + j + 1, grid_step=grid_step)
-            for j in range(group_size)
-        )
-        return TestDataset(
-            data_id=index + 1, original_date=date, sd=float(sd), records=recs
-        )
-
-    if workers is not None and workers > 1:
-        # Warm the interpolation cache before forking so children share it.
-        curve.grid(grid_step)
-    return parallel.ordered_map(build, jobs, workers)
+    datasets = []
+    for di, date in enumerate(dates):
+        rngs = [substream(seed, di, ri) for ri in range(datasets_per_date)]
+        first = di * datasets_per_date
+        recs = simulate_date(curve, date, sd, rngs, group_size, first * group_size + 1, grid_step)
+        for ri in range(datasets_per_date):
+            datasets.append(
+                TestDataset(
+                    data_id=first + ri + 1,
+                    original_date=float(date),
+                    sd=float(sd),
+                    records=tuple(recs[ri * group_size : (ri + 1) * group_size]),
+                )
+            )
+    return datasets
 
 
 TEST_SCHEMA = dict(

@@ -63,12 +63,11 @@ def work(tmp_path_factory):
         + "".join(f"-100,{2050 + 3 * i},20\n" for i in range(6))
         + "".join(f"50BC,{2030 + 2 * i},15\n" for i in range(4))
     )
-    serial = ["--workers", 1]
-    run("--seed", 11, *serial, "ref-gen", "--curve", curve, "--label", "5_10_20",
+    run("--seed", 11, "ref-gen", "--curve", curve, "--label", "5_10_20",
         "--out", base / "ref.csv")
-    run("--seed", 5, *serial, "ref-gen", "--curve", curve, "--combo", "5_10_20,5_20_5",
+    run("--seed", 5, "ref-gen", "--curve", curve, "--combo", "5_10_20,5_20_5",
         "--out", base / "combo.csv")
-    run("--seed", 12, *serial, "simulate", "tests", "--curve", curve,
+    run("--seed", 12, "simulate", "tests", "--curve", curve,
         "--dates", "-160:-120:10", "--per-date", 4, "--group", 3, "--sd", 20,
         "--out", base / "tests.csv")
     run("simulate", "convert", "--in", rsim, "--group", 3, "--out", base / "conv.csv")

@@ -54,6 +54,30 @@ def test_load_rejects_single_knot():
         make_curve([(2000, 2050, 10)])
 
 
+@pytest.mark.parametrize(
+    "text,knot",
+    [
+        ("0,100,10\n10,nan,10\n20,120,inf\n", "knot 1: cal_bp=10, c14_age=nan, error=10"),
+        ("0,100,10\n10,110,10\n20,120,inf\n", "knot 2: cal_bp=20, c14_age=120, error=inf"),
+        ("0,100,10\nnan,110,10\n20,120,10\n", "knot 1: cal_bp=nan, c14_age=110"),
+        ("0,100,-inf\n10,110,10\n", "knot 0: cal_bp=0, c14_age=100, error=-inf"),
+    ],
+)
+def test_load_rejects_non_finite_knot(text, knot):
+    with pytest.raises(ValueError, match=f"non-finite curve {knot}"):
+        fd.load_curve(io.StringIO(text))
+
+
+def test_knot_arrays_are_read_only_copies():
+    bp, age, err = np.array([0.0, 10.0]), np.array([100.0, 110.0]), np.array([10.0, 10.0])
+    curve = fd.CalCurve(name="x", cal_bp=bp, c14_age=age, error=err)
+    for knots in (curve.cal_bp, curve.c14_age, curve.error):
+        with pytest.raises(ValueError, match="read-only"):
+            knots[0] = 1.0
+    bp[0] = -5.0  # the caller's array stays writable; the curve keeps its copy
+    assert curve.cal_bp[0] == 0.0
+
+
 def test_extra_columns_ignored():
     curve = make_curve([(2000, 2050, 10, -3, 1), (2100, 2130, 12, -4, 1)])
     assert curve.n_knots == 2
@@ -196,3 +220,42 @@ def test_intcal20_ingestion_matches_independent_parse(intcal_curve):
 def test_measurement_rejects_negative_or_non_finite_sd(sd):
     with pytest.raises(ValueError, match=f"sd must be finite and >= 0, got {sd!r}"):
         fd.Measurement(2000, sd)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "curve,ages",
+    [
+        (fd.synthetic_study_curve(), range(1800, 2321)),
+        (fd.synthetic_study_curve(span=(-3050.0, 1950.0)), range(2400, 2600)),
+    ],
+    ids=["study", "5000-year"],
+)
+def test_posterior_summary_is_calibrate_bit_for_bit(curve, ages):
+    for age in ages:
+        for sd in (0, 5, 20):
+            for step in (1, 2):
+                res = fd.calibrate(curve, fd.Measurement(age, sd), grid_step=step)
+                got = fd.posterior_summary(curve, age, sd, step)
+                assert _bits(got) == _bits((res.mean, res.median, res.sigma)), (age, sd, step)
+    cached = len(curve._summaries)
+    assert cached == len(ages) * 6
+    first = curve._summaries[(ages[0], 5.0, 1.0)]
+    assert fd.posterior_summary(curve, ages[0], 5, 1) is first
+    assert fd.posterior_summary(curve, float(ages[0]), 5.0, 1.0) is first
+    assert len(curve._summaries) == cached
+
+
+def test_posterior_summary_keeps_no_failure():
+    curve = fd.synthetic_study_curve()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="age outside calibratable range"):
+            fd.posterior_summary(curve, 50000, 10.0)
+    with pytest.raises(ValueError, match="sd must be finite"):
+        fd.posterior_summary(curve, 2000, float("nan"))
+    with pytest.raises(ValueError, match="integer BP"):
+        fd.posterior_summary(curve, 2000.5, 10.0)
+    assert curve._summaries == {}

@@ -60,6 +60,17 @@ def test_curve_info_missing_file():
     assert run("curve", "info", "/nonexistent/curve.14c") == 3
 
 
+def test_non_finite_curve_knot_is_data_error(tmp_path, capsys):
+    curve = tmp_path / "bad.14c"
+    curve.write_text("0,100,10\n10,nan,10\n20,120,inf\n")
+    assert run("curve", "info", curve) == 4
+    assert "non-finite curve knot 1" in capsys.readouterr().err
+    out = tmp_path / "ref.csv"
+    assert run("ref-gen", "--curve", curve, "--label", "x", "--step", 5, "--per-slice", 1,
+               "--sd", 5, "--span", "-50:-40", "--out", out) == 4
+    assert not out.exists()
+
+
 # --- pipeline ----------------------------------------------------------------
 
 def test_ref_gen_standard_label(curve_file, tmp_path, capsys):
@@ -275,9 +286,9 @@ def test_same_seed_produces_byte_identical_csvs(curve_file, tmp_path):
         ref = base / "ref.csv"
         tests = base / "tests.csv"
         eval_dir = base / "eval"
-        assert run("--seed", 77, "--workers", 1, "ref-gen", "--curve", curve_file,
+        assert run("--seed", 77, "ref-gen", "--curve", curve_file,
                    "--label", "5_10_20", "--out", ref) == 0
-        assert run("--seed", 78, "--workers", 2, "simulate", "tests", "--curve", curve_file,
+        assert run("--seed", 78, "simulate", "tests", "--curve", curve_file,
                    "--dates", "-150:-130:10", "--per-date", 3, "--sd", 20, "--out", tests) == 0
         assert run("evaluate", "--ref", ref, "--tests", tests, "--out", eval_dir) == 0
         assert run("lookup", "build", "--eval", eval_dir / "eval_long.csv",

@@ -57,15 +57,6 @@ def test_build_rejects_span_outside_domain(flat_curve):
         fd.build_reference_table(flat_curve, spec)
 
 
-def test_build_workers_equivalence(study_curve):
-    spec = fd.RefTableSpec(
-        label="tiny", year_interval=10, per_slice=4, sd=5, span=(-100, -50), seed=77
-    )
-    a = fd.build_reference_table(study_curve, spec, workers=1)
-    b = fd.build_reference_table(study_curve, spec, workers=2)
-    assert a.records == b.records
-
-
 def test_combo_concatenates_components(study_curve):
     spec = fd.RefTableSpec(
         label="small", year_interval=10, per_slice=3, sd=5, span=(-100, -50), seed=5

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import finedating as fd
 from finedating.evaluate import dagostino_pearson
-from finedating.simulate import round_half_away
+from finedating.simulate import draw_ages, round_half_away
 
 
 def test_zero_variance_limit():
@@ -33,12 +35,41 @@ def test_r_simulate_rejects_out_of_domain(study_curve):
         fd.r_simulate(study_curve, -9000.0, 20.0, fd.substream(1, 0))
 
 
+class _FixedDraws:
+    """Generator stand-in whose normal draws are the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def normal(self, loc, scale, size):
+        return np.array(self.values[:size])
+
+
 @pytest.mark.parametrize(
     "value,expected",
-    [(2.5, 3), (-2.5, -3), (2.4, 2), (-2.4, -2), (0.5, 1), (-0.5, -1), (0.0, 0)],
+    [(2.5, 3), (-2.5, -3), (2.4, 2), (-2.4, -2), (0.5, 1), (-0.5, -1), (0.0, 0),
+     (1e6 + 0.5, 1000001), (-1e6 - 0.5, -1000001)],
 )
-def test_rounding_ties_away_from_zero(value, expected):
+def test_rounding_ties_away_from_zero(study_curve, value, expected):
     assert round_half_away(value) == expected
+    # draw_ages rounds the whole array by the same rule
+    assert draw_ages(study_curve, -120.0, 20.0, [_FixedDraws([value])], 1) == [expected]
+
+
+def test_array_draw_equals_successive_scalar_draws(study_curve):
+    n = 200
+    block = draw_ages(study_curve, -120.0, 20.0, [fd.substream(8, 3)], n)
+    rng = fd.substream(8, 3)
+    assert block == [fd.draw_age(study_curve, -120.0, 20.0, rng) for _ in range(n)]
+    # reference: one scalar normal draw at a time, rounded one by one
+    mu, sig = fd.curve_at(study_curve, -120.0)
+    rng = fd.substream(8, 3)
+    scale = math.sqrt(20.0 * 20.0 + sig * sig)
+    assert block == [round_half_away(rng.normal(mu, scale)) for _ in range(n)]
+    assert all(type(age) is int for age in block)
+    # several generators are drawn in turn
+    both = draw_ages(study_curve, -120.0, 20.0, [fd.substream(8, 3), fd.substream(8, 4)], n)
+    assert both == block + draw_ages(study_curve, -120.0, 20.0, [fd.substream(8, 4)], n)
 
 
 def test_rounding_never_shifts_more_than_half():
@@ -70,13 +101,6 @@ def test_generate_seed_determinism(study_curve):
     assert a == b
     ages = lambda sets: sorted(m.age for ds in sets for m in ds.measurements)
     assert ages(a) != ages(c)
-
-
-def test_generate_workers_equivalence(study_curve):
-    dates = [-100.0, -50.0, 0.0]
-    serial = fd.generate_test_datasets(study_curve, dates, 2, sd=20.0, seed=9, workers=1)
-    parallel = fd.generate_test_datasets(study_curve, dates, 2, sd=20.0, seed=9, workers=2)
-    assert serial == parallel
 
 
 def test_generate_rejects_bad_inputs(study_curve):
