@@ -12,9 +12,10 @@ An artifact is a UTF-8 text file of ``\\n``-terminated lines, in order:
 
 Every cell, header value included, is formatted by :func:`fmt`: ``None``
 and NaN are blank, booleans are ``true``/``false``, integral floats below
-1e15 drop the point, and other floats use the shortest repr that round
-trips.  Nothing depends on time or locale, so the same seed rebuilds
-byte-identical files.
+1e15 drop the point, infinities are ``inf``/``-inf``, and other floats use
+the shortest repr that round trips.  numpy scalars format as the Python
+values they hold.  Nothing depends on time or locale, so the same seed
+rebuilds byte-identical files.
 
 A ``checksum`` header carries the crc32 of the data lines exactly as
 written; the reader recomputes it over the lines as read, so any edit to
@@ -25,31 +26,39 @@ differs from the column line, naming the file and the line number.
 
 from __future__ import annotations
 
-import math
 import zlib
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 # Rows parsed per batch; bounds the transient cell lists of a large file.
 _CHUNK = 1024
 
 
 def fmt(value) -> str:
-    """Deterministic, lossless cell formatting."""
-    if value is None:
+    """Deterministic, lossless cell formatting.
+
+    numpy scalars format as the Python value they hold (``np.True_`` is
+    ``true``, ``np.int64(3)`` is ``3``); infinities are ``inf``/``-inf``.
+    """
+    if type(value) is not float:  # most cells are floats: test those first
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        value = float(value)
+    if value != value:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    x = float(value)
-    if math.isnan(x):
-        return ""
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
+    if value.is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
 
 
 def parse_float(cell: str) -> float | None:
@@ -65,7 +74,7 @@ def parse_float_nan(cell: str) -> float:
     return float(cell.strip() or "nan")
 
 
-def write_lines(path, lines: list[str]) -> None:
+def write_lines(path, lines: Iterable[str]) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
@@ -79,17 +88,18 @@ def write_artifact(path, header: dict, columns, rows, extra: dict | None = None)
     ``rows`` yields one tuple of cells per data row; ``extra`` maps a key
     to the cell tuples of its repeated ``# key=`` lines.  A ``checksum``
     key in ``header`` is written, at its place, as the crc32 of the data
-    lines, whatever value it holds.
+    lines, whatever value it holds.  Without that key the rows are
+    formatted as they are written, so no artifact is held in memory whole.
     """
-    data = [",".join(map(fmt, row)) for row in rows]
+    data: Iterable[str] = (",".join(map(fmt, row)) for row in rows)
     if "checksum" in header:
+        data = list(data)
         header = {**header, "checksum": rows_checksum(data)}
     lines = [f"# {key}={fmt(val)}" for key, val in header.items()]
     for key, entries in (extra or {}).items():
         lines.extend(f"# {key}=" + ",".join(map(fmt, cells)) for cells in entries)
     lines.append(",".join(columns))
-    lines.extend(data)
-    write_lines(path, lines)
+    write_lines(path, chain(lines, data))
 
 
 class Artifact(NamedTuple):

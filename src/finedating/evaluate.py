@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import distributions
@@ -22,8 +25,9 @@ from . import csvio
 from .finedate import (
     FAMILIES,
     INDICATOR_NAMES,
-    compute_indicators,
-    match_measurements,
+    batch_indicators,
+    pool_blocks,
+    pooled_positions,
 )
 from .reftable import RefTable
 from .simulate import TestDataset
@@ -38,21 +42,26 @@ class DeltaCategory(str, Enum):
     IMPROVABLE = "improvable"
 
 
+# Inclusive upper bounds of |delta| for the first three categories.
+_DELTA_BOUNDS = (10.0, 25.0, 35.0)
+_CATEGORIES = tuple(DeltaCategory)
+
+
 def classify_delta(delta: float) -> DeltaCategory:
     """Category of a signed deviation in years; depends only on |delta|."""
-    d = abs(delta)
-    if d <= 10:
-        return DeltaCategory.EXCELLENT
-    if d <= 25:
-        return DeltaCategory.HIGH_QUALITY
-    if d <= 35:
-        return DeltaCategory.SATISFACTORY
-    return DeltaCategory.IMPROVABLE
+    return _CATEGORIES[int(np.searchsorted(_DELTA_BOUNDS, abs(delta)))]
 
 
-@dataclass(frozen=True)
-class MPDResult:
-    """Outcome of one tolerance-grown mode search."""
+def _category_names(deltas: np.ndarray) -> np.ndarray:
+    """:func:`classify_delta` values of an array of deltas (NaN is improvable)."""
+    names = np.array([c.value for c in _CATEGORIES], dtype=object)
+    return names[np.searchsorted(_DELTA_BOUNDS, np.abs(deltas))]
+
+
+class MPDResult(NamedTuple):
+    """Outcome of one tolerance-grown mode search.  A named tuple: a
+    report holds one per searched value, and tuples are the cheapest
+    immutable records to build by the tens of thousands."""
 
     indicator: str
     value: float
@@ -86,49 +95,83 @@ def mpd_search(
 
     Mode ties break toward the value closest to the query, then toward
     the older date.  One to m_min-1 matches at t_max are returned with
-    ``under_min`` set; zero matches at t_max is an error.  Callers
-    issuing many searches against one pool can pre-sort it and pass
-    ``assume_sorted`` to skip the per-call sort.
+    ``under_min`` set; zero matches at t_max is an error.  This is
+    :func:`mpd_searches` run on one query; ``assume_sorted`` is accepted
+    for callers that pre-sort, but the pool is run-length encoded either
+    way.
     """
     arr = np.asarray(pool, dtype=float)
     if arr.size == 0:
         raise ValueError("empty reference pool")
-    if not assume_sorted:
-        arr = np.sort(arr)
-
-    def window(tol: float) -> tuple[int, int]:
-        return (
-            int(np.searchsorted(arr, value - tol, side="left")),
-            int(np.searchsorted(arr, value + tol, side="right")),
-        )
-
-    tol = t0
-    lo, hi = window(tol)
-    while hi - lo < m_min and tol < t_max:
-        tol = min(tol + dt, t_max)
-        lo, hi = window(tol)
-    matched = arr[lo:hi]
-    if matched.size == 0:
-        raise ValueError(
-            f"no reference values within tolerance: nothing within +-{t_max:g} of {value:g}"
-        )
-    values, counts = np.unique(matched, return_counts=True)
-    best = counts.max()
-    candidates = values[counts == best]
-    # closest to the query value first, older (more negative) on ties
-    order = np.lexsort((candidates, np.abs(candidates - value)))
-    mpd = float(candidates[order[0]])
-    delta = None if original_date is None else mpd - original_date
+    tol, count, mpd, value_range = mpd_searches(arr, np.array([value], dtype=float),
+                                                t0, dt, t_max, m_min)
+    mpd = float(mpd[0])
     return MPDResult(
         indicator=indicator,
         value=float(value),
-        tolerance=float(tol),
-        match_count=int(matched.size),
+        tolerance=float(tol[0]),
+        match_count=int(count[0]),
         mpd=mpd,
-        value_range=float(matched.max() - matched.min()),
-        under_min=bool(matched.size < m_min),
-        delta=delta,
+        value_range=float(value_range[0]),
+        under_min=bool(count[0] < m_min),
+        delta=None if original_date is None else mpd - original_date,
     )
+
+
+def mpd_searches(
+    pool: np.ndarray,
+    queries: np.ndarray,
+    t0: float = 1.0,
+    dt: float = 1.0,
+    t_max: float = 10.0,
+    m_min: int = 5,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tolerance-grown mode search of :func:`mpd_search` for every
+    query against one non-empty pool, in one pass.
+
+    The pool is sorted and run-length encoded once.  A window
+    ``[q - tol, q + tol]`` never splits a run of equal values, so it is a
+    range of runs, found by ``searchsorted``; the tolerance grows only
+    for the queries still short of ``m_min``.  The mode is the run with
+    the highest count, then closest to the query, then older, taken over
+    the windows of each width at once.  Returns (tolerance, match count,
+    mode, value range) per query.
+    """
+    runs, counts = np.unique(pool, return_counts=True)
+    cum = np.concatenate(([0], np.cumsum(counts)))
+    tol = np.full(queries.size, float(t0))
+    lo = np.searchsorted(runs, queries - t0, side="left")
+    hi = np.searchsorted(runs, queries + t0, side="right")
+    short = np.flatnonzero(cum[hi] - cum[lo] < m_min)
+    step = t0
+    while short.size and step < t_max:
+        if dt <= 0:
+            raise ValueError(f"tolerance cannot grow: dt must be > 0, got {dt!r}")
+        step = min(step + dt, t_max)
+        q = queries[short]
+        lo[short] = np.searchsorted(runs, q - step, side="left")
+        hi[short] = np.searchsorted(runs, q + step, side="right")
+        tol[short] = step
+        short = short[cum[hi[short]] - cum[lo[short]] < m_min]
+    match_count = cum[hi] - cum[lo]
+    empty = np.flatnonzero(match_count == 0)
+    if empty.size:
+        raise ValueError(
+            "no reference values within tolerance: nothing within "
+            f"+-{t_max:g} of {queries[empty[0]]:g}"
+        )
+    best = lo.copy()
+    width = hi - lo
+    for w in np.unique(width[width > 1]):
+        # the windows of w runs as one (queries, w) matrix of run numbers;
+        # argmin takes the first, so the oldest, of equally close modes
+        of_width = np.flatnonzero(width == w)
+        window = lo[of_width, None] + np.arange(w)
+        n = counts[window]
+        dist = np.where(n == n.max(axis=1, keepdims=True),
+                        np.abs(runs[window] - queries[of_width, None]), np.inf)
+        best[of_width] = window[np.arange(of_width.size), dist.argmin(axis=1)]
+    return tol, match_count, runs[best], runs[hi - 1] - runs[lo]
 
 
 def overall_aggregate(results: list[MPDResult]) -> tuple[float, float]:
@@ -142,9 +185,9 @@ def overall_aggregate(results: list[MPDResult]) -> tuple[float, float]:
 NO_MATCH = "no_match"
 
 
-@dataclass(frozen=True)
-class EvalRow:
-    """One indicator of one evaluated dataset, long form."""
+class EvalRow(NamedTuple):
+    """One indicator of one evaluated dataset, long form; a named tuple,
+    like :class:`MPDResult`."""
 
     data_id: int
     original_date: float
@@ -155,46 +198,81 @@ class EvalRow:
     n_matches: int
 
 
+def _measured_ages(datasets: list[TestDataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measured ages of the datasets back to back, the number per
+    dataset, and whether every measurement of a dataset is one that
+    :class:`~finedating.calcurve.Measurement` accepts (an integral age
+    and a finite sd >= 0)."""
+    n_measured = np.fromiter((len(ds.records) for ds in datasets), dtype=np.int64,
+                             count=len(datasets))
+    ages = np.array([r.age for ds in datasets for r in ds.records], dtype=float)
+    sds = np.array([r.sd for ds in datasets for r in ds.records], dtype=float)
+    bad = ~((ages == np.floor(ages)) & (sds >= 0) & (sds < math.inf))
+    owner = np.repeat(np.arange(len(datasets)), n_measured)
+    valid = np.bincount(owner[bad], minlength=len(datasets)) == 0
+    ages[bad] = 0
+    return ages.astype(np.int64), n_measured, valid
+
+
 def evaluate_test_series(table: RefTable, datasets: list[TestDataset]) -> list[EvalRow]:
     """Fine-date every dataset against the table and score each of the
     twelve indicators against the known original date.
 
-    Datasets without any match yield flagged rows (category
-    ``no_match``) rather than aborting the run.
+    All datasets are matched and aggregated in one batch
+    (:func:`~finedating.finedate.batch_indicators`); each value is
+    that of :func:`~finedating.finedate.compute_indicators` on the
+    dataset alone.  Datasets without any match, or holding a measurement
+    that :class:`~finedating.calcurve.Measurement` rejects, yield flagged
+    rows (category ``no_match``) rather than aborting the run.
     """
+    ages, n_measured, valid = _measured_ages(datasets)
+    values, n_prime = batch_indicators(
+        table, ages[np.repeat(valid, n_measured)], np.where(valid, n_measured, 0)
+    )
+    matched = n_prime > 0
+    deltas = values - np.array([ds.original_date for ds in datasets], dtype=float)[matched, None]
+    categories = _category_names(deltas)
     rows: list[EvalRow] = []
-    for ds in datasets:
-        try:
-            matches = match_measurements(table, list(ds.measurements))
-        except ValueError:
-            for name in INDICATOR_NAMES:
-                rows.append(
-                    EvalRow(
-                        data_id=ds.data_id,
-                        original_date=ds.original_date,
-                        indicator=name,
-                        value=None,
-                        delta=None,
-                        category=NO_MATCH,
-                        n_matches=0,
-                    )
-                )
-            continue
-        indicators = compute_indicators(matches)
-        for name, value, _ in indicators.as_rows():
-            delta = value - ds.original_date
-            rows.append(
-                EvalRow(
-                    data_id=ds.data_id,
-                    original_date=ds.original_date,
-                    indicator=name,
-                    value=value,
-                    delta=delta,
-                    category=classify_delta(delta).value,
-                    n_matches=matches.n_prime,
-                )
-            )
+    k = 0
+    for ds, n in zip(datasets, n_prime.tolist()):
+        if n:
+            # one dataset's lists at a time: few transient objects next to the rows
+            rows += map(EvalRow, repeat(ds.data_id), repeat(ds.original_date), INDICATOR_NAMES,
+                        values[k].tolist(), deltas[k].tolist(), categories[k].tolist(), repeat(n))
+            k += 1
+        else:
+            rows += (EvalRow(ds.data_id, ds.original_date, name, None, None, NO_MATCH, 0)
+                     for name in INDICATOR_NAMES)
     return rows
+
+
+def _last_rows(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """Index of the last row holding each key, -1 where none does."""
+    last = np.full(n_keys, -1, dtype=np.int64)
+    np.maximum.at(last, keys, np.arange(keys.size))
+    return last
+
+
+def _group_means(keys: np.ndarray, values: np.ndarray) -> tuple[list, list[float]]:
+    """The distinct keys in ascending order, and ``np.mean`` of each key's
+    values in row order, bit for bit."""
+    distinct, sizes = np.unique(keys, return_counts=True)
+    grouped = values[np.argsort(keys, kind="stable")]
+    means = np.empty(sizes.size)
+    for groups, block in pool_blocks(grouped, sizes):
+        means[groups] = block.mean(axis=1)
+    return distinct.tolist(), means.tolist()
+
+
+_DATA_ID = attrgetter("data_id")
+_INDICATOR = attrgetter("indicator")
+_VALUE = attrgetter("value")
+_ORIGINAL_DATE = attrgetter("original_date")
+_DELTA = attrgetter("delta")
+
+
+def _column(rows: list[EvalRow], field: attrgetter, dtype=float) -> np.ndarray:
+    return np.fromiter(map(field, rows), dtype=dtype, count=len(rows))
 
 
 def performance_curves(
@@ -205,32 +283,33 @@ def performance_curves(
     A dataset succeeds for a family when the mean of its four absolute
     indicator deltas is at or below the threshold; unmatched datasets
     count as failures.  Returns (date, family, fraction) sorted by date.
+    A dataset's date and each of its indicator rows are the last given.
     """
     if threshold not in (25.0, 35.0, 25, 35):
         raise ValueError(f"unsupported threshold {threshold!r}: use 25 or 35")
-    by_dataset: dict[int, dict[str, EvalRow]] = {}
-    date_of: dict[int, float] = {}
-    for row in rows:
-        by_dataset.setdefault(row.data_id, {})[row.indicator] = row
-        date_of[row.data_id] = row.original_date
-
-    per_date: dict[float, dict[str, list[bool]]] = {}
-    for data_id, ind_rows in by_dataset.items():
-        date = date_of[data_id]
-        slot = per_date.setdefault(date, {name: [] for name in FAMILIES})
-        for family, members in FAMILIES.items():
-            deltas = [ind_rows[m].delta for m in members if m in ind_rows]
-            if any(d is None for d in deltas) or len(deltas) < len(members):
-                slot[family].append(False)
-            else:
-                score = float(np.mean(np.abs(deltas)))
-                slot[family].append(score <= threshold)
-    out = []
-    for date in sorted(per_date):
-        for family in FAMILIES:
-            flags = per_date[date][family]
-            out.append((date, family, sum(flags) / len(flags)))
-    return out
+    if not rows:
+        return []
+    slot = {name: k for k, name in enumerate(n for names in FAMILIES.values() for n in names)}
+    ids, dataset = np.unique(_column(rows, _DATA_ID, np.int64), return_inverse=True)
+    dates = _column(rows, _ORIGINAL_DATE)[_last_rows(dataset, ids.size)]
+    member = np.fromiter((slot.get(name, -1) for name in map(_INDICATOR, rows)),
+                         dtype=np.int64, count=len(rows))
+    is_member = member >= 0
+    cell = _last_rows(dataset[is_member] * len(slot) + member[is_member], ids.size * len(slot))
+    deltas = np.array([math.nan if d is None else d for d in map(_DELTA, rows)], dtype=float)
+    # a (dataset, member) cell without a row reads the appended NaN: a failure
+    deltas = np.append(deltas[is_member], math.nan)[cell]
+    score = np.abs(deltas.reshape(ids.size, len(FAMILIES), -1)).mean(axis=2)
+    success = score <= threshold
+    by_date, date_of = np.unique(dates, return_inverse=True)
+    totals = np.bincount(date_of, minlength=by_date.size).tolist()
+    hits = [np.bincount(date_of, weights=success[:, f], minlength=by_date.size).astype(int).tolist()
+            for f in range(len(FAMILIES))]
+    return [
+        (date, family, hits[f][d] / totals[d])
+        for d, date in enumerate(by_date.tolist())
+        for f, family in enumerate(FAMILIES)
+    ]
 
 
 def average_deviation_analysis(
@@ -240,18 +319,20 @@ def average_deviation_analysis(
     full span.  Values are unrounded; round only for display."""
     if not rows:
         raise ValueError("no evaluation rows")
-    sums: dict[tuple[float, str], list[float]] = {}
-    totals: dict[str, list[float]] = {name: [] for name in INDICATOR_NAMES}
-    for row in rows:
-        if row.delta is None:
-            continue
-        sums.setdefault((row.original_date, row.indicator), []).append(row.delta)
-        totals[row.indicator].append(row.delta)
-    per_date = {key: float(np.mean(vals)) for key, vals in sorted(sums.items())}
-    full_span = {
-        name: float(np.mean(vals)) if vals else math.nan for name, vals in totals.items()
-    }
-    return per_date, full_span
+    scored = [row for row in rows if row.delta is not None]
+    deltas = _column(scored, _DELTA)
+    names = sorted(set(map(_INDICATOR, scored)))
+    rank = {name: k for k, name in enumerate(names)}
+    name_of = np.fromiter(map(rank.__getitem__, map(_INDICATOR, scored)), dtype=np.int64,
+                          count=len(scored))
+    dates, date_of = np.unique(_column(scored, _ORIGINAL_DATE), return_inverse=True)
+    # key order is (date, indicator name) order
+    keys, means = _group_means(date_of * len(names) + name_of, deltas)
+    per_date = {(dates[k // len(names)].item(), names[k % len(names)]): mean
+                for k, mean in zip(keys, means)}
+    keys, means = _group_means(name_of, deltas)
+    totals = {names[k]: mean for k, mean in zip(keys, means)}
+    return per_date, {name: totals.get(name, math.nan) for name in INDICATOR_NAMES}
 
 
 def category_fractions(rows: list[EvalRow]) -> dict[str, float]:
@@ -384,6 +465,10 @@ def histogram(sample, bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
+# Results built per slice of mpd_report; bounds its transient lists.
+_SLICE = 4096
+
+
 def mpd_report(
     rows: list[EvalRow],
     t0: float = 1.0,
@@ -393,29 +478,37 @@ def mpd_report(
 ) -> list[MPDResult]:
     """Run the tolerance search for every evaluated indicator value,
     using the same indicator's values over all datasets as the
-    reference pool.  Rows without a value are skipped."""
-    pools: dict[str, list[float]] = {name: [] for name in INDICATOR_NAMES}
-    for row in rows:
-        if row.value is not None:
-            pools[row.indicator].append(row.value)
-    sorted_pools = {name: np.sort(vals) for name, vals in pools.items() if vals}
-    results: list[MPDResult] = []
-    for row in rows:
-        if row.value is None:
-            continue
-        results.append(
-            mpd_search(
-                sorted_pools[row.indicator],
-                row.value,
-                t0=t0,
-                dt=dt,
-                t_max=t_max,
-                m_min=m_min,
-                indicator=row.indicator,
-                original_date=row.original_date,
-                assume_sorted=True,
-            )
+    reference pool.  Rows without a value are skipped.  Each pool is
+    searched in one pass (:func:`mpd_searches`)."""
+    searched = [row for row in rows if row.value is not None]
+    n = len(searched)
+    values = _column(searched, _VALUE)
+    codes = {name: k for k, name in enumerate(dict.fromkeys(map(_INDICATOR, searched)))}
+    pool_of = np.fromiter(map(codes.__getitem__, map(_INDICATOR, searched)), dtype=np.int64,
+                          count=n)
+    tol = np.empty(n)
+    count = np.empty(n, dtype=np.int64)
+    mpd = np.empty(n)
+    value_range = np.empty(n)
+    for k in range(len(codes)):
+        members = np.flatnonzero(pool_of == k)
+        pool = values[members]
+        tol[members], count[members], mpd[members], value_range[members] = mpd_searches(
+            pool, pool, t0, dt, t_max, m_min
         )
+    delta = mpd - _column(searched, _ORIGINAL_DATE)
+    under_min = count < m_min
+    # built a slice at a time, so the transient lists stay small next to the
+    # results; the value and tolerance floats are shared, as per-row searches did
+    steps, step_of = np.unique(tol, return_inverse=True)
+    steps = steps.tolist()
+    results: list[MPDResult] = []
+    for s in range(0, n, _SLICE):
+        part = slice(s, s + _SLICE)
+        results += map(MPDResult, map(_INDICATOR, searched[part]), map(_VALUE, searched[part]),
+                       map(steps.__getitem__, step_of[part].tolist()), count[part].tolist(),
+                       mpd[part].tolist(), value_range[part].tolist(), under_min[part].tolist(),
+                       delta[part].tolist())
     return results
 
 
@@ -465,35 +558,40 @@ def interval_normality(table: RefTable, datasets: list[TestDataset]) -> list[Int
     """For each original date: the omnibus test over all simulated ages
     and the Anderson-Darling statistic over the pooled matched calendar
     dates."""
-    ages_by_date: dict[float, list[int]] = {}
-    matched_by_date: dict[float, list[float]] = {}
+    ages, n_measured, valid = _measured_ages(datasets)
+    if not valid.all():
+        bad = datasets[int(np.argmin(valid))]
+        raise ValueError(f"dataset {bad.data_id} holds a measurement with a bad age or sd")
+    dates = np.repeat([ds.original_date for ds in datasets], n_measured)
+    order = np.argsort(dates, kind="stable")  # dataset order, then measurement order
+    ages = ages[order]
     index = table.age_index()
-    for ds in datasets:
-        ages_by_date.setdefault(ds.original_date, []).extend(m.age for m in ds.measurements)
-        pool = matched_by_date.setdefault(ds.original_date, [])
-        for meas in ds.measurements:
-            pool.extend(rec.base_date for rec in index.get(meas.age, ()))
+    start, count = index.spans(ages)
+    matched = index.columns()[0][pooled_positions(start, count)]
+    by_date, n_ages = np.unique(dates[order], return_counts=True)
+    age_bounds = np.concatenate(([0], np.cumsum(n_ages)))
+    matched_bounds = np.concatenate(([0], np.cumsum(count)))[age_bounds]
     out = []
-    for date in sorted(ages_by_date):
-        ages = ages_by_date[date]
+    for i, date in enumerate(by_date.tolist()):
+        a0, a1 = age_bounds[i : i + 2].tolist()
+        m0, m1 = matched_bounds[i : i + 2].tolist()
         dp_stat = dp_p = None
-        if len(ages) >= 20:
-            dp = dagostino_pearson(ages)
+        if a1 - a0 >= 20:
+            dp = dagostino_pearson(ages[a0:a1])
             dp_stat, dp_p = dp.statistic, dp.p_value
-        matched = matched_by_date[date]
         ad_stat: float | None = None
-        if len(matched) >= 8:
+        if m1 - m0 >= 8:
             try:
-                ad_stat = anderson_darling(matched).statistic
+                ad_stat = anderson_darling(matched[m0:m1]).statistic
             except ValueError:
                 ad_stat = None
         out.append(
             IntervalNormality(
                 original_date=date,
-                n_ages=len(ages),
+                n_ages=a1 - a0,
                 ages_statistic=dp_stat,
                 ages_p_value=dp_p,
-                n_matched_dates=len(matched),
+                n_matched_dates=m1 - m0,
                 matched_dates_statistic=ad_stat,
             )
         )

@@ -119,24 +119,97 @@ def match_measurements(table: RefTable, measurements: list[Measurement]) -> Matc
     if not measurements:
         raise ValueError("no measurements")
     index = table.age_index()
-    per: list[tuple[SimRecord, ...]] = []
-    unmatched: list[int] = []
-    for meas in measurements:
-        hits = index.get(meas.age, ())
-        per.append(hits)
-        if not hits:
-            unmatched.append(meas.age)
-    if all(len(m) == 0 for m in per):
+    start, count = index.spans(np.array([m.age for m in measurements], dtype=np.int64))
+    if not count.any():
         lo, hi = table.span
         raise ValueError(
             "no matches in reference table: none of the measured ages occur in "
             f"{table.label!r} (span {lo:g}..{hi:g}; check span and buffer)"
         )
+    records = index.records
+    per = tuple(
+        tuple(records[p] for p in index.order[s : s + c].tolist())
+        for s, c in zip(start.tolist(), count.tolist())
+    )
     return MatchSet(
         measurements=tuple(measurements),
-        per_measurement=tuple(per),
-        unmatched=tuple(unmatched),
+        per_measurement=per,
+        unmatched=tuple(m.age for m, c in zip(measurements, count.tolist()) if not c),
     )
+
+
+def pooled_positions(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs ``start[i] .. start[i] + count[i] - 1`` laid end to end."""
+    shift = np.repeat(start - (np.cumsum(count) - count), count)
+    return shift + np.arange(shift.size)
+
+
+def pool_blocks(flat: np.ndarray, sizes: np.ndarray):
+    """Yield ``(pools, block)`` for each distinct pool size n.
+
+    ``flat`` holds pools of the given (nonzero) sizes back to back.
+    ``block`` is a fresh C-contiguous ``(k, n)`` matrix whose rows are
+    the k pools of size n, numbered ``pools``, each in its stored order:
+    a row reduction then sums exactly as a reduction over the pool alone.
+    """
+    starts = np.cumsum(sizes) - sizes
+    for n in np.unique(sizes):
+        pools = np.flatnonzero(sizes == n)
+        yield pools, flat[starts[pools, None] + np.arange(n)]
+
+
+def pool_statistics(flat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean, median, distinct-value mean and distinct-value median of
+    each pool stored back to back in ``flat``, as a ``(4, pools)``
+    matrix, and the number of distinct values of each pool.
+
+    Each value equals ``np.mean``/``np.median`` over the pool as a list
+    and over ``sorted(set(pool))``, bit for bit.
+    """
+    stats = np.empty((4, sizes.size))
+    n_distinct = np.empty(sizes.size, dtype=np.int64)
+    distinct, owners = [], []
+    for pools, block in pool_blocks(flat, sizes):
+        stats[0, pools] = block.mean(axis=1)
+        stats[1, pools] = np.median(block, axis=1)
+        block.sort(axis=1)
+        keep = np.ones(block.shape, dtype=bool)
+        np.not_equal(block[:, 1:], block[:, :-1], out=keep[:, 1:])
+        n_distinct[pools] = keep.sum(axis=1)
+        distinct.append(block[keep])
+        owners.append(pools)
+    if owners:
+        owner = np.concatenate(owners)
+        for pools, block in pool_blocks(np.concatenate(distinct), n_distinct[owner]):
+            stats[2, owner[pools]] = block.mean(axis=1)
+            stats[3, owner[pools]] = np.median(block, axis=1)
+    return stats, n_distinct
+
+
+def batch_indicators(
+    table: RefTable, ages: np.ndarray, n_measured: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The twelve indicators of many measurement sets at once.
+
+    ``ages`` holds the integer measured ages of all sets back to back,
+    ``n_measured`` the number in each set.  Returns the indicator values
+    of the matched sets as a ``(matched sets, 12)`` matrix in
+    :data:`INDICATOR_NAMES` order, and n' of every set (0 = no match).
+    Pools keep the order of :func:`match_measurements` (measurement
+    order, then table order), so each row equals
+    :func:`compute_indicators` of that set bit for bit.
+    """
+    index = table.age_index()
+    start, count = index.spans(ages)
+    owner = np.repeat(np.arange(n_measured.size), n_measured)
+    n_prime = np.bincount(owner, weights=count, minlength=n_measured.size).astype(np.int64)
+    positions = pooled_positions(start, count)
+    flat = np.concatenate([column[positions] for column in index.columns()])
+    sizes = n_prime[n_prime > 0]
+    stats, _ = pool_statistics(flat, np.tile(sizes, len(FAMILIES)))
+    # (statistic, family, set) -> (set, family, statistic): INDICATOR_NAMES order
+    values = stats.reshape(4, len(FAMILIES), sizes.size).transpose(2, 1, 0)
+    return values.reshape(sizes.size, len(INDICATOR_NAMES)), n_prime
 
 
 @dataclass(frozen=True)
@@ -162,27 +235,22 @@ def compute_indicators(matches: MatchSet) -> IndicatorSet:
 
     Unique variants deduplicate the pooled multiset by exact value
     before aggregating; deduplication is global over the pool, not per
-    measurement.
+    measurement.  The same kernel as :func:`batch_indicators`, run on
+    one pool per family.
     """
-    if matches.n_prime < 1:
+    n = matches.n_prime
+    if n < 1:
         raise ValueError("nothing to aggregate: match set is empty")
-    pools = {
-        "CalDate": matches.pooled_dates(),
-        "Mean": matches.pooled_means(),
-        "Median": matches.pooled_medians(),
-    }
-    values: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for family, (mean, median, u_mean, u_median) in FAMILIES.items():
-        pooled = pools[family]
-        unique = sorted(set(pooled))
-        values[mean] = float(np.mean(pooled))
-        values[median] = float(np.median(pooled))
-        values[u_mean] = float(np.mean(unique))
-        values[u_median] = float(np.median(unique))
-        counts[mean] = counts[median] = len(pooled)
-        counts[u_mean] = counts[u_median] = len(unique)
-    return IndicatorSet(values=values, counts=counts)
+    flat = np.array(
+        [*matches.pooled_dates(), *matches.pooled_means(), *matches.pooled_medians()],
+        dtype=float,
+    )
+    stats, n_distinct = pool_statistics(flat, np.full(len(FAMILIES), n))
+    # stats.T holds one row per family, in INDICATOR_NAMES order
+    return IndicatorSet(
+        values=dict(zip(INDICATOR_NAMES, stats.T.ravel().tolist())),
+        counts=dict(zip(INDICATOR_NAMES, (c for u in n_distinct.tolist() for c in (n, n, u, u)))),
+    )
 
 
 OVERVIEW_COLUMNS = [

@@ -149,9 +149,31 @@ def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> 
 
 
 def read_lookup(path) -> LookupTable:
+    """Read a table written by :func:`write_lookup`.
+
+    The bucket lefts must be the contiguous multiples of the bucket width
+    that :func:`build_lookup` emits, so that :func:`query_lookup` finds
+    the bucket of every value in the covered range.
+    """
     meta, _, rows = csvio.read_commented_csv(path, "finedating-lookup", LOOKUP_SCHEMA)
-    width = float(meta["bucket_width"])
-    tol = tuple(float(t) for t in meta["tolerances"].split(";"))
+    try:
+        width = float(meta["bucket_width"])
+        tol = tuple(float(t) for t in meta["tolerances"].split(";"))
+    except KeyError as exc:
+        raise ValueError(f"corrupt lookup: {path} has no {exc.args[0]} header") from None
+    if not 0 < width < math.inf or len(tol) != 2:
+        raise ValueError(
+            f"corrupt lookup: bad bucket_width or tolerances header in {path}"
+        )
+    lefts = tuple(row[0] for row in rows)
+    if not lefts:
+        raise ValueError(f"corrupt lookup: {path} has no buckets")
+    for i, left in enumerate(lefts):
+        if left != lefts[0] + i * width or bucket_left(left, width) != left:
+            raise ValueError(
+                f"corrupt lookup: bucket lefts in {path} must step by bucket_width "
+                f"{width:g} from a multiple of it; bucket {left:g} does not"
+            )
     cells: dict[tuple[float, str], BucketStats] = {}
     for left, *stats in rows:
         for k, name in enumerate(INDICATOR_NAMES):
@@ -159,7 +181,7 @@ def read_lookup(path) -> LookupTable:
     return LookupTable(
         bucket_width=width,
         tolerances=(tol[0], tol[1]),
-        bucket_lefts=tuple(row[0] for row in rows),
+        bucket_lefts=lefts,
         indicators=INDICATOR_NAMES,
         cells=cells,
     )

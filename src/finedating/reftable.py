@@ -5,12 +5,15 @@ sd, span, seed) by drawing ``per_slice`` simulated measurements at
 every grid date.  The standard variants are named ``step_per_sd``
 (``5_20_5`` = 5-year grid, 20 measurements per slice, sd 5); the Combo
 table concatenates the six 5-year variants.  Tables are immutable after
-build; matching is served by a lazily built age index.
+build; matching is served by a lazily built column index by age
+(:class:`AgeIndex`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from . import csvio
 from .calcurve import CalCurve, check_sd, curve_at
@@ -86,13 +89,60 @@ def standard_spec(label: str, seed: int) -> RefTableSpec:
     )
 
 
+class AgeIndex:
+    """The records of a table by integer age, as numpy columns.
+
+    ``order`` holds the record positions stably sorted by age, so the
+    records of one age keep table order, which is id order.  The records
+    of ``ages[i]`` sit at ``order[bounds[i]:bounds[i + 1]]``; an index
+    into ``order`` is a *position*.  :meth:`columns` gathers the matched
+    value columns in position order on first use, so retrieval of a few
+    ages pays only for the age column.
+    """
+
+    def __init__(self, records: tuple[SimRecord, ...]):
+        self.records = records
+        n = len(records)
+        age = np.fromiter((r.age for r in records), dtype=np.int64, count=n)
+        # (age, position) keys are distinct: a plain sort of them is the
+        # stable order by age, and costs a third of a stable sort
+        self.order = np.argsort(age * n + np.arange(n))
+        age = age[self.order]
+        first = np.flatnonzero(np.diff(age, prepend=age[:1] - 1))  # where each age starts
+        self.ages = age[first]
+        self.bounds = np.append(first, n)
+        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def spans(self, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(first position, record count) of each age; count 0 when absent."""
+        i = np.searchsorted(self.ages, ages)
+        hit = i < self.ages.size
+        hit[hit] = self.ages[i[hit]] == ages[hit]
+        i = i[hit]
+        start = np.zeros(len(ages), dtype=np.int64)
+        count = np.zeros(len(ages), dtype=np.int64)
+        start[hit] = self.bounds[i]
+        count[hit] = self.bounds[i + 1] - self.bounds[i]
+        return start, count
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(base_date, cal_mean, cal_median) in position order."""
+        if self._columns is None:
+            self._columns = tuple(
+                np.fromiter((getattr(r, name) for r in self.records), dtype=float,
+                            count=len(self.records))[self.order]
+                for name in ("base_date", "cal_mean", "cal_median")
+            )
+        return self._columns
+
+
 @dataclass(eq=False)
 class RefTable:
     label: str
     curve_name: str
     specs: tuple[RefTableSpec, ...]
     records: tuple[SimRecord, ...]
-    _age_index: dict | None = field(default=None, repr=False)
+    _age_index: AgeIndex | None = field(default=None, repr=False)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -101,13 +151,10 @@ class RefTable:
             max(s.span[1] for s in self.specs),
         )
 
-    def age_index(self) -> dict[int, tuple[SimRecord, ...]]:
-        """Records grouped by integer age, built once."""
+    def age_index(self) -> AgeIndex:
+        """The records' column index by age, built once."""
         if self._age_index is None:
-            idx: dict[int, list[SimRecord]] = {}
-            for rec in self.records:
-                idx.setdefault(rec.age, []).append(rec)
-            self._age_index = {age: tuple(recs) for age, recs in idx.items()}
+            self._age_index = AgeIndex(self.records)
         return self._age_index
 
 

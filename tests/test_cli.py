@@ -341,3 +341,29 @@ def test_ragged_row_is_data_error(pipeline, tmp_path, capsys, artifact):
     assert run(*argv) == 4
     err = capsys.readouterr().err
     assert f"ragged row in {bad} at line {lineno}" in err
+
+
+@pytest.mark.parametrize("damage", ["shifted", "gap", "no-width"])
+def test_corrupt_lookup_is_data_error(pipeline, tmp_path, capsys, damage):
+    built, bad = tmp_path / "lookup.csv", tmp_path / "bad.csv"
+    assert run("lookup", "build", "--eval", pipeline / "eval" / "eval_long.csv",
+               "--out", built) == 0
+    lines = built.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("BucketLeft")) + 1
+    lefts = [float(line.split(",", 1)[0]) for line in lines[first:]]
+    assert len(lefts) >= 3
+    value = lefts[1] + 1.0
+    if damage == "shifted":
+        # every left off the width grid: a query used to end in a KeyError
+        lines[first:] = [f"{left + 2.5:g},{line.split(',', 1)[1]}"
+                         for left, line in zip(lefts, lines[first:])]
+        value = lefts[1] + 3.0
+    elif damage == "gap":
+        del lines[first + 1]
+    else:
+        lines.remove("# bucket_width=5")
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("lookup", "query", "--table", bad, "--indicator", "CalDate_Median",
+               "--value", value) == 4
+    assert "corrupt lookup:" in capsys.readouterr().err

@@ -27,6 +27,26 @@ def test_fmt_handles_none_nan_bool_and_numpy_scalars():
     assert csvio.fmt(np.int64(7)) == "7"
 
 
+def test_fmt_numpy_bool_is_a_bool():
+    assert csvio.fmt(np.True_) == "true"
+    assert csvio.fmt(np.False_) == "false"
+    assert [csvio.fmt(b) for b in np.array([1.0, 3.0]) < 2.0] == ["true", "false"]
+
+
+def test_fmt_numpy_integer_is_an_int():
+    assert csvio.fmt(np.int64(10**16 + 1)) == "10000000000000001"
+    assert csvio.fmt(np.int32(-7)) == "-7"
+    assert csvio.fmt(np.uint8(255)) == "255"
+
+
+@pytest.mark.parametrize("value,cell", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (np.float64(-np.inf), "-inf"),
+], ids=["inf", "-inf", "numpy-inf"])
+def test_fmt_infinities_round_trip(value, cell):
+    assert csvio.fmt(value) == cell
+    assert csvio.parse_float(cell) == value
+
+
 def test_parse_float_blank_is_none():
     assert csvio.parse_float("") is None
     assert csvio.parse_float("  ") is None

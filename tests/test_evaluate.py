@@ -154,6 +154,18 @@ def test_unmatched_dataset_yields_flagged_rows():
     assert all(r.category == NO_MATCH and r.value is None for r in rows)
 
 
+def test_dataset_with_a_rejected_measurement_is_flagged():
+    table = tiny_table([(1, -120, 2000)])
+    good = fd.SimRecord(1, -110.0, 2000, 20.0, math.nan, math.nan, math.nan)
+    bad = fd.SimRecord(2, -110.0, 2000, math.nan, math.nan, math.nan, math.nan)
+    datasets = [fd.TestDataset(1, -110.0, 20.0, (good,)),
+                fd.TestDataset(2, -110.0, 20.0, (good, bad))]
+    rows = fd.evaluate_test_series(table, datasets)
+    assert [r.category == NO_MATCH for r in rows] == [False] * 12 + [True] * 12
+    with pytest.raises(ValueError, match="dataset 2"):
+        interval_normality(table, datasets)
+
+
 def test_full_scale_eval_shape(eval_rows):
     assert len(eval_rows) == 6100 * 12
     per_indicator = {}
