@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import finedating as fd
-from finedating.reftable import COMBO_COMPONENTS, records_by_slice
+from finedating.reftable import COMBO_COMPONENTS
 
 OUT = Path(__file__).parent / "output"
 
@@ -26,32 +26,30 @@ def main() -> None:
     spec = fd.standard_spec("5_20_5", seed=42)
     print(f"building {spec.label}: {spec.n_slices} slices x {spec.per_slice}/slice, sd {spec.sd:g}")
     table = fd.build_reference_table(curve, spec)
-    print(f"  {len(table.records)} records, ages {min(r.age for r in table.records)}"
-          f"..{max(r.age for r in table.records)} BP")
+    print(f"  {len(table)} records, ages {table.age.min()}..{table.age.max()} BP")
 
     path = OUT / "ref_5_20_5.csv"
     fd.write_table(table, path)
-    print(f"  written to {path} (round-trips losslessly: "
-          f"{fd.read_table(path).records == table.records})")
+    back = fd.read_table(path)
+    same = all(np.array_equal(a, b) for a, b in zip(back.columns(), table.columns()))
+    print(f"  written to {path} (round-trips losslessly: {same})")
 
-    ages = np.array([r.age for r in table.records], dtype=float)
-    mus = np.array([fd.curve_at(curve, r.base_date)[0] for r in table.records])
-    print(f"  correlation of drawn ages with the curve mean: {np.corrcoef(ages, mus)[0, 1]:.4f}")
+    mus = np.array([fd.curve_at(curve, date)[0] for date in table.base_date])
+    correlation = np.corrcoef(table.age, mus)[0, 1]
+    print(f"  correlation of drawn ages with the curve mean: {correlation:.4f}")
 
     print("\nper-slice dispersion (every 10th slice):")
-    for i, (date, recs) in enumerate(records_by_slice(table).items()):
-        if i % 10:
-            continue
-        slice_ages = [r.age for r in recs]
-        print(f"  {date:6g}: mean {np.mean(slice_ages):7.1f}, spread "
-              f"{max(slice_ages) - min(slice_ages):3d} y over {len(recs)} draws")
+    for date in np.unique(table.base_date)[::10]:
+        slice_ages = table.age[table.base_date == date]
+        print(f"  {date:6g}: mean {slice_ages.mean():7.1f}, spread "
+              f"{slice_ages.max() - slice_ages.min():3d} y over {slice_ages.size} draws")
 
     print("\nbuilding the Combo table from six 5-year variants ...")
     combo = fd.build_combo_table(
         curve, [fd.standard_spec(label, seed=42 + i) for i, label in enumerate(COMBO_COMPONENTS)]
     )
     print(f"  components: {', '.join(COMBO_COMPONENTS)}")
-    print(f"  total records: {len(combo.records)}")
+    print(f"  total records: {len(combo)}")
 
 
 if __name__ == "__main__":

@@ -24,17 +24,17 @@ def main() -> None:
     table = fd.build_reference_table(curve, fd.standard_spec("5_20_5", seed=42))
 
     rng = fd.substream(75, 0)
-    measurements = [
-        fd.r_simulate(curve, TRUE_DATE, 20.0, rng).measurement for _ in range(3)
-    ]
+    measurements = [fd.r_simulate(curve, TRUE_DATE, 20.0, rng) for _ in range(3)]
     print("measured ages:", ", ".join(f"{m.age} +- {m.sd:g}" for m in measurements))
 
     matches = fd.match_measurements(table, measurements)
     print(f"\nmatched records: {matches.n_prime}")
-    for i, per in enumerate(matches.per_measurement):
-        dates = sorted(r.base_date for r in per)
+    start = 0
+    for m, count in zip(measurements, matches.counts.tolist()):
+        dates = sorted(matches.pooled_dates()[start : start + count])
+        start += count
         span = f"{dates[0]:g}..{dates[-1]:g}" if dates else "-"
-        print(f"  age {measurements[i].age}: {len(per):3d} matches, dates {span}")
+        print(f"  age {m.age}: {count:3d} matches, dates {span}")
     if matches.unmatched:
         print("  unmatched ages:", matches.unmatched)
 

@@ -27,11 +27,11 @@ def main() -> None:
     table = fd.build_reference_table(curve, fd.standard_spec("5_20_5", seed=42))
 
     print(f"simulating {len(DATES)} dates x 20 datasets x 3 measurements ...")
-    datasets = fd.generate_test_datasets(curve, DATES, 20, sd=20.0, seed=99)
-    rows = fd.evaluate_test_series(table, datasets)
+    series = fd.generate_test_datasets(curve, DATES, 20, sd=20.0, seed=99)
+    rows = fd.evaluate_test_series(table, series)
     write_eval_rows(rows, OUT / "eval_long.csv")
-    unmatched = sum(1 for r in rows if r.category == "no_match") // 12
-    print(f"  {len(datasets)} datasets evaluated, {unmatched} without any match")
+    unmatched = (rows.category == "no_match").sum() // 12
+    print(f"  {len(series)} datasets evaluated, {unmatched} without any match")
 
     fractions = fd.category_fractions(rows)
     print("\nquality categories over all indicator evaluations:")
@@ -57,16 +57,16 @@ def main() -> None:
         print(f"  {name:28s} {full_span[name]:+6.2f}")
 
     print("\ntolerance-grown mode search over the evaluated pool:")
-    results = fd.mpd_report(rows[: 12 * 5])
-    sample = results[:6]
-    for res in sample:
-        print(f"  {res.indicator:28s} value {res.value:8.2f} -> mpd {res.mpd:8.2f} "
-              f"(T={res.tolerance:g}, {res.match_count} matches, range {res.value_range:g})")
-    mean, median = fd.overall_aggregate(results)
+    report = fd.mpd_report(rows[: 12 * 5])
+    for i in range(6):
+        print(f"  {report['indicator'][i]:28s} value {report['value'][i]:8.2f} -> mpd "
+              f"{report['mpd'][i]:8.2f} (T={report['tolerance'][i]:g}, "
+              f"{report['match_count'][i]} matches, range {report['range'][i]:g})")
+    mean, median = fd.overall_aggregate(report["mpd"])
     print(f"  overall mean {mean:.2f}, overall median {median:.2f}")
 
     print("\nper-interval dispersion diagnostics (every 12th date):")
-    for item in fd.interval_normality(table, datasets)[::12]:
+    for item in fd.interval_normality(table, series)[::12]:
         ad = "-" if item.matched_dates_statistic is None else f"{item.matched_dates_statistic:6.1f}"
         print(f"  {item.original_date:6g}: {item.n_matched_dates:5d} matched dates, "
               f"AD {ad}, ages omnibus p={item.ages_p_value:.2f}")

@@ -22,8 +22,8 @@ def main() -> None:
     curve = fd.synthetic_study_curve()
     OUT.mkdir(exist_ok=True)
     table = fd.build_reference_table(curve, fd.standard_spec("5_20_5", seed=42))
-    datasets = fd.generate_test_datasets(curve, DATES, 20, sd=20.0, seed=99)
-    rows = fd.evaluate_test_series(table, datasets)
+    series = fd.generate_test_datasets(curve, DATES, 20, sd=20.0, seed=99)
+    rows = fd.evaluate_test_series(table, series)
 
     lookup = build_lookup(rows)
     write_lookup(lookup, OUT / "lookup.csv")
@@ -39,7 +39,7 @@ def main() -> None:
 
     print("\nnow date a fresh object (true date -135) and consult the table:")
     rng = fd.substream(5, 5)
-    measurements = [fd.r_simulate(curve, -135.0, 20.0, rng).measurement for _ in range(3)]
+    measurements = [fd.r_simulate(curve, -135.0, 20.0, rng) for _ in range(3)]
     indicators = fd.compute_indicators(fd.match_measurements(table, measurements))
     print(f"  {'indicator':28s} {'value':>9s} {'bucket':>16s} {'n':>5s} {'<=12y':>6s} {'<=25y':>6s}")
     for name, value, _ in indicators.as_rows():

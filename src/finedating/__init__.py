@@ -31,7 +31,7 @@ from .curves import (
 )
 from .evaluate import (
     DeltaCategory,
-    EvalRow,
+    EvalColumns,
     MPDResult,
     NormalityResult,
     anderson_darling,
@@ -69,8 +69,7 @@ from .reftable import (
     write_table,
 )
 from .simulate import (
-    SimRecord,
-    TestDataset,
+    TestSeries,
     draw_age,
     generate_test_datasets,
     r_simulate,
@@ -96,7 +95,7 @@ __all__ = [
     "synthetic_study_curve",
     "write_curve",
     "DeltaCategory",
-    "EvalRow",
+    "EvalColumns",
     "MPDResult",
     "NormalityResult",
     "anderson_darling",
@@ -132,8 +131,7 @@ __all__ = [
     "read_table",
     "standard_spec",
     "write_table",
-    "SimRecord",
-    "TestDataset",
+    "TestSeries",
     "draw_age",
     "generate_test_datasets",
     "r_simulate",

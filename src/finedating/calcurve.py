@@ -275,14 +275,18 @@ def _posterior(
     if grid_step <= 0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     dates, mu, sig = curve.grid(grid_step)
-    var = sd * sd + sig * sig
-    logw = -0.5 * (age - mu) ** 2 / var
+    # -0.5 (age - mu)^2 / var, computed in one buffer: a fresh temporary
+    # per step costs page faults on every call when the heap is small
+    logw = age - mu
+    np.square(logw, out=logw)
+    logw *= -0.5
+    logw /= sd * sd + sig * sig
     peak = float(logw.max())
     if peak < _LOG_FLOOR:
         raise ValueError(
             f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
         )
-    w = np.exp(logw)
+    w = np.exp(logw, out=logw)
     if float(w.sum()) < 1e-300:
         raise ValueError(
             f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"

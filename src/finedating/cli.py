@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 data.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -43,7 +44,10 @@ def parse_span(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"span must be OLD:YOUNG, got {text!r}")
-    return parse_date(parts[0]), parse_date(parts[1])
+    span = parse_date(parts[0]), parse_date(parts[1])
+    if not all(map(math.isfinite, span)):
+        raise ValueError(f"--span OLD:YOUNG must be finite years, got {text!r}")
+    return span
 
 
 def parse_date_range(text: str) -> list[float]:
@@ -53,6 +57,8 @@ def parse_date_range(text: str) -> list[float]:
         raise ValueError(f"dates must be START:END:STEP, got {text!r}")
     start, end = parse_date(parts[0]), parse_date(parts[1])
     step = float(parts[2])
+    if not all(map(math.isfinite, (start, end, step))):
+        raise ValueError(f"--dates START:END:STEP must be finite numbers, got {text!r}")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     dates = []
@@ -63,6 +69,18 @@ def parse_date_range(text: str) -> list[float]:
     if not dates:
         raise ValueError(f"empty date range {text!r}")
     return dates
+
+
+def _parse_number(text, flag: str, kind=float):
+    """The finite ``kind`` (int or float) given as ``--flag``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"--{flag} must be {noun}, got {text!r}")
+    return value
 
 
 def load_config(path) -> dict[str, str]:
@@ -336,12 +354,12 @@ def _cmd_ref_gen(args, config, seed: int) -> int:
             "curve": curve.name,
             "label": table.label,
             "seed": seed,
-            "records": len(table.records),
+            "records": len(table),
             "out": out.name,
         },
     )
     write_table(table, out, extra_header=prov)
-    print(f"wrote {out} ({len(table.records)} records)")
+    print(f"wrote {out} ({len(table)} records)")
     return 0
 
 
@@ -354,7 +372,7 @@ def _cmd_simulate(args, config, seed: int) -> int:
         group = int(_effective(args, config, "group", 3))
         sd = float(_require(_effective(args, config, "sd"), "sd"))
         out = Path(_require(_effective(args, config, "out"), "out"))
-        datasets = generate_test_datasets(
+        series = generate_test_datasets(
             curve, dates, per_date, sd=sd, seed=seed, group_size=group
         )
         prov = _write_manifest(
@@ -367,37 +385,37 @@ def _cmd_simulate(args, config, seed: int) -> int:
                 "group": group,
                 "sd": sd,
                 "seed": seed,
-                "datasets": len(datasets),
+                "datasets": len(series),
                 "out": out.name,
             },
         )
-        write_tests(datasets, out, extra_header={**prov, "curve": curve.name})
-        print(f"wrote {out} ({len(datasets)} datasets)")
+        write_tests(series, out, extra_header={**prov, "curve": curve.name})
+        print(f"wrote {out} ({len(series)} datasets)")
         return 0
     if action == "convert":
         infile = _require(_effective(args, config, "in", attr="infile"), "in")
         group = int(_effective(args, config, "group", 3))
         out = Path(_require(_effective(args, config, "out"), "out"))
-        datasets, leftovers = convert_rsim_to_tests(infile, group_size=group)
+        series, leftovers = convert_rsim_to_tests(infile, group_size=group)
         prov = _write_manifest(
             out,
             "simulate-convert",
             {
                 "in": Path(str(infile)).name,
                 "group": group,
-                "datasets": len(datasets),
+                "datasets": len(series),
                 "leftover_rows": len(leftovers),
                 "out": out.name,
             },
         )
-        write_tests(datasets, out, extra_header=prov)
+        write_tests(series, out, extra_header=prov)
         for date, count in leftovers:
             print(
                 f"warning: {count} leftover row(s) at date {date:g} did not fill a "
                 f"group of {group} and were excluded",
                 file=sys.stderr,
             )
-        print(f"wrote {out} ({len(datasets)} datasets)")
+        print(f"wrote {out} ({len(series)} datasets)")
         return 0
     raise CliError(EXIT_USAGE, "usage: simulate needs an action: tests or convert")
 
@@ -412,7 +430,7 @@ def _parse_measurements(args, config) -> list[Measurement]:
         ai, si = cols.index("age"), cols.index("sd")
         return [Measurement(age=int(r[ai]), sd=float(r[si])) for r in rows]
     ages_text = _require(_effective(args, config, "ages"), "ages")
-    ages = [int(t) for t in str(ages_text).split(",") if t.strip()]
+    ages = [_parse_number(t, "ages", int) for t in str(ages_text).split(",") if t.strip()]
     sd_text = str(_require(_effective(args, config, "sd"), "sd"))
     sds = [float(t) for t in sd_text.split(",") if t.strip()]
     if len(sds) == 1:
@@ -447,8 +465,8 @@ def _cmd_finedate(args, config) -> int:
 
 def _cmd_evaluate(args, config) -> int:
     table = read_table(_require(_effective(args, config, "ref"), "ref"))
-    datasets = read_tests(_require(_effective(args, config, "tests"), "tests"))
-    if not datasets:
+    series = read_tests(_require(_effective(args, config, "tests"), "tests"))
+    if not len(series):
         raise CliError(EXIT_DATA, "data: tests file holds no datasets")
     out_dir = Path(_require(_effective(args, config, "out"), "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -456,25 +474,22 @@ def _cmd_evaluate(args, config) -> int:
     curve_path = _effective(args, config, "curve")
     curve = _load_curve_arg(str(curve_path)) if curve_path else None
     for warning in edge_warnings(
-        table,
-        [ds.original_date for ds in datasets],
-        curve=curve,
-        sd=max(ds.sd for ds in datasets),
+        table, series.original_date.tolist(), curve=curve, sd=float(series.sd.max())
     ):
         print(f"warning: {warning}", file=sys.stderr)
 
-    rows = evaluate_test_series(table, datasets)
+    rows = evaluate_test_series(table, series)
     prov = _write_manifest(
         out_dir,
         "evaluate",
         {
             "ref": table.label,
-            "tests": len(datasets),
+            "tests": len(series),
             "rows": len(rows),
             "out": out_dir.name,
         },
     )
-    write_evaluation(table, datasets, rows, out_dir, prov)
+    write_evaluation(table, series, rows, out_dir, prov)
     print(f"wrote evaluation artifacts to {out_dir} ({len(rows)} rows)")
     return 0
 
@@ -483,7 +498,7 @@ def _cmd_lookup(args, config) -> int:
     action = getattr(args, "action", None)
     if action == "build":
         rows = read_eval_rows(_require(_effective(args, config, "eval", attr="eval_file"), "eval"))
-        width = float(_effective(args, config, "bucket-width", 5.0))
+        width = _parse_number(_effective(args, config, "bucket-width", 5.0), "bucket-width")
         out = Path(_require(_effective(args, config, "out"), "out"))
         table = build_lookup(rows, bucket_width=width)
         prov = _write_manifest(
@@ -525,7 +540,7 @@ def _select_values(
     ``value`` columns, an indicator name selects the values of that
     indicator's rows, and a plain column paired with an indicator name
     takes its cells from the same rows."""
-    columns, rows = art.columns, art.rows
+    columns, rows = art.columns, art.body
     by_indicator = "indicator" in columns and "value" in columns
     name = _indicator_or_none(column) if by_indicator else None
     if name is not None:

@@ -20,21 +20,22 @@ rebuilds byte-identical files.
 A ``checksum`` header carries the crc32 of the data lines exactly as
 written; the reader recomputes it over the lines as read, so any edit to
 a data line, spaces included, is rejected.  A file without the header is
-not checked.  The reader also rejects any data row whose cell count
-differs from the column line, naming the file and the line number.
+not checked here; reference tables must carry one.  The reader also
+rejects any data row whose cell count differs from the column line,
+naming the file and the line number.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-# Rows parsed per batch; bounds the transient cell lists of a large file.
+# Rows parsed or formatted per batch; bounds the transient lists of a large file.
 _CHUNK = 1024
 
 
@@ -61,16 +62,8 @@ def fmt(value) -> str:
     return repr(value)
 
 
-def parse_float(cell: str) -> float | None:
-    """A float cell; blank is None."""
-    cell = cell.strip()
-    if not cell:
-        return None
-    return float(cell)
-
-
-def parse_float_nan(cell: str) -> float:
-    """A float cell; blank is NaN."""
+def parse_float(cell: str) -> float:
+    """A float cell; blank is NaN, which :func:`fmt` writes blank."""
     return float(cell.strip() or "nan")
 
 
@@ -102,22 +95,30 @@ def write_artifact(path, header: dict, columns, rows, extra: dict | None = None)
     write_lines(path, chain(lines, data))
 
 
+def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """Row tuples of equal-length numpy columns, as the Python values they
+    hold, converted a chunk at a time."""
+    for start in range(0, len(columns[0]), _CHUNK):
+        yield from zip(*(column[start : start + _CHUNK].tolist() for column in columns))
+
+
 class Artifact(NamedTuple):
     meta: dict
     columns: list[str]
-    rows: list
+    body: list | dict[str, np.ndarray]
 
 
 def read_commented_csv(
-    path, kind: str | None = None, schema: dict | None = None, extra=(), record=None
+    path, kind: str | None = None, schema: dict | None = None, extra=()
 ) -> Artifact:
-    """Read an artifact as (header key/values, column names, data rows).
+    """Read an artifact as (header key/values, column names, body).
 
     ``kind``, when given, must equal the ``format`` header.  ``schema``
-    maps each column name to its cell parser: the column line must equal
-    its keys, and every row comes back as a tuple of parsed cells, or as
-    ``record(*cells)`` when ``record`` is given.  Without a schema, rows
-    are lists of stripped strings.  Keys listed in ``extra`` may repeat;
+    maps each column name to its cell parser (``int``, ``float``,
+    :func:`parse_float` or ``str.strip``): the column line must equal its
+    keys, and the body is one numpy column per key (int64, float64, or
+    object for ``str.strip``).  Without a schema, the body is one list
+    of stripped strings per row.  Keys listed in ``extra`` may repeat;
     each maps to the list of its lines' cells.
     """
     meta: dict = {key: [] for key in extra}
@@ -155,23 +156,30 @@ def read_commented_csv(
     if "checksum" in meta and int(meta["checksum"]) != rows_checksum(data):
         raise ValueError(f"corrupt table: checksum mismatch in {path}")
     if schema is None:
-        rows = [[cell.strip() for cell in line.split(",")] for line in data]
-    else:
-        rows = _parse_rows(data, tuple(schema.values()), record)
-    return Artifact(meta, columns, rows)
+        return Artifact(meta, columns, [[cell.strip() for cell in ln.split(",")] for ln in data])
+    try:
+        return Artifact(meta, columns, _parse_body(data, schema))
+    except OverflowError:
+        raise ValueError(f"integer cell out of range in {path}") from None
 
 
-def _parse_rows(lines: list[str], parsers: tuple, record) -> list:
-    # Split a batch of lines in one call and parse it column by column:
-    # a few C-level loops per batch instead of a list and Python calls per
-    # row, which also keeps the garbage collector out of the way.
-    n = len(parsers)
-    rows: list = []
+def _parse_body(lines: list[str], schema: dict) -> dict[str, np.ndarray]:
+    # Split a batch of lines in one call and parse it column by column
+    # straight into an array: a few C-level loops per batch, no object per
+    # row, and only one batch of cell strings alive at a time.
+    n = len(schema)
+    parts: dict[str, list] = {name: [_parse_cells([], parse)] for name, parse in schema.items()}
     for start in range(0, len(lines), _CHUNK):
         cells = ",".join(lines[start : start + _CHUNK]).split(",")
-        columns = [map(parse, cells[i::n]) for i, parse in enumerate(parsers)]
-        rows.extend(zip(*columns) if record is None else map(record, *columns))
-    return rows
+        for i, (name, parse) in enumerate(schema.items()):
+            parts[name].append(_parse_cells(cells[i::n], parse))
+    return {name: np.concatenate(chunks) for name, chunks in parts.items()}
+
+
+def _parse_cells(cells: list[str], parse) -> np.ndarray:
+    if parse is str.strip:
+        return np.array([cell.strip() for cell in cells], dtype=object)
+    return np.fromiter(map(parse, cells), np.int64 if parse is int else float, len(cells))
 
 
 def rows_checksum(lines: list[str]) -> int:

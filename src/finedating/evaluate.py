@@ -5,7 +5,8 @@ reference pools, signed deltas against known original dates and their
 quality categories, per-date performance fractions for the three
 indicator families, average-deviation tables, omnibus and
 Anderson-Darling normality checks, and Rice-rule histogram utilities.
-All outputs are plain rows ready for CSV emission; nothing here draws.
+Outputs are numpy columns or plain rows, ready for CSV emission; nothing
+here draws.
 """
 
 from __future__ import annotations
@@ -14,23 +15,15 @@ import math
 from dataclasses import astuple, dataclass
 from enum import Enum
 from itertools import repeat
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import distributions
 
 from . import csvio
-from .finedate import (
-    FAMILIES,
-    INDICATOR_NAMES,
-    batch_indicators,
-    pool_blocks,
-    pooled_positions,
-)
+from .finedate import FAMILIES, INDICATOR_NAMES, batch_indicators, pool_blocks
 from .reftable import RefTable
-from .simulate import TestDataset
+from .simulate import TestSeries
 
 
 class DeltaCategory(str, Enum):
@@ -59,9 +52,7 @@ def _category_names(deltas: np.ndarray) -> np.ndarray:
 
 
 class MPDResult(NamedTuple):
-    """Outcome of one tolerance-grown mode search.  A named tuple: a
-    report holds one per searched value, and tuples are the cheapest
-    immutable records to build by the tens of thousands."""
+    """Outcome of one tolerance-grown mode search."""
 
     indicator: str
     value: float
@@ -88,7 +79,6 @@ def mpd_search(
     m_min: int = 5,
     indicator: str = "",
     original_date: float | None = None,
-    assume_sorted: bool = False,
 ) -> MPDResult:
     """Grow the tolerance from t0 by dt until at least m_min pool values
     fall within it (or t_max is reached), then report the mode.
@@ -96,9 +86,7 @@ def mpd_search(
     Mode ties break toward the value closest to the query, then toward
     the older date.  One to m_min-1 matches at t_max are returned with
     ``under_min`` set; zero matches at t_max is an error.  This is
-    :func:`mpd_searches` run on one query; ``assume_sorted`` is accepted
-    for callers that pre-sort, but the pool is run-length encoded either
-    way.
+    :func:`mpd_searches` run on one query.
     """
     arr = np.asarray(pool, dtype=float)
     if arr.size == 0:
@@ -174,47 +162,58 @@ def mpd_searches(
     return tol, match_count, runs[best], runs[hi - 1] - runs[lo]
 
 
-def overall_aggregate(results: list[MPDResult]) -> tuple[float, float]:
+def overall_aggregate(mpds) -> tuple[float, float]:
     """(mean, median) of the most probable dates."""
-    if not results:
+    mpds = np.asarray(mpds, dtype=float)
+    if not mpds.size:
         raise ValueError("no MPD results to aggregate")
-    mpds = [r.mpd for r in results]
     return float(np.mean(mpds)), float(np.median(mpds))
 
 
 NO_MATCH = "no_match"
 
 
-class EvalRow(NamedTuple):
-    """One indicator of one evaluated dataset, long form; a named tuple,
-    like :class:`MPDResult`."""
+@dataclass(frozen=True, eq=False)
+class EvalColumns:
+    """Evaluation rows in long form as numpy columns: one row per
+    indicator of each evaluated dataset.
 
-    data_id: int
-    original_date: float
-    indicator: str
-    value: float | None
-    delta: float | None
-    category: str
-    n_matches: int
+    ``indicator`` and ``category`` are object arrays of str.  A row
+    without a value (its dataset matched nothing) holds NaN ``value`` and
+    ``delta``, category ``no_match`` and ``n_matches`` 0.  ``len`` is the
+    row count, and indexing selects rows: ``rows[:12]``, ``rows[mask]``.
+    """
+
+    data_id: np.ndarray
+    original_date: np.ndarray
+    indicator: np.ndarray
+    value: np.ndarray
+    delta: np.ndarray
+    category: np.ndarray
+    n_matches: np.ndarray
+
+    def __len__(self) -> int:
+        return self.data_id.size
+
+    def __getitem__(self, rows) -> EvalColumns:
+        return EvalColumns(*(column[rows] for column in self.columns()))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The seven columns, in file order."""
+        return (self.data_id, self.original_date, self.indicator, self.value, self.delta,
+                self.category, self.n_matches)
 
 
-def _measured_ages(datasets: list[TestDataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measured ages of the datasets back to back, the number per
-    dataset, and whether every measurement of a dataset is one that
-    :class:`~finedating.calcurve.Measurement` accepts (an integral age
-    and a finite sd >= 0)."""
-    n_measured = np.fromiter((len(ds.records) for ds in datasets), dtype=np.int64,
-                             count=len(datasets))
-    ages = np.array([r.age for ds in datasets for r in ds.records], dtype=float)
-    sds = np.array([r.sd for ds in datasets for r in ds.records], dtype=float)
-    bad = ~((ages == np.floor(ages)) & (sds >= 0) & (sds < math.inf))
-    owner = np.repeat(np.arange(len(datasets)), n_measured)
-    valid = np.bincount(owner[bad], minlength=len(datasets)) == 0
-    ages[bad] = 0
-    return ages.astype(np.int64), n_measured, valid
+def _valid_datasets(series: TestSeries) -> np.ndarray:
+    """Whether every measurement of each dataset is one that
+    :class:`~finedating.calcurve.Measurement` accepts (a finite sd >= 0;
+    ages are integers by type)."""
+    owner = np.repeat(np.arange(len(series)), np.diff(series.offsets))
+    bad = ~((series.sd >= 0) & (series.sd < math.inf))
+    return np.bincount(owner[bad], minlength=len(series)) == 0
 
 
-def evaluate_test_series(table: RefTable, datasets: list[TestDataset]) -> list[EvalRow]:
+def evaluate_test_series(table: RefTable, series: TestSeries) -> EvalColumns:
     """Fine-date every dataset against the table and score each of the
     twelve indicators against the known original date.
 
@@ -225,25 +224,22 @@ def evaluate_test_series(table: RefTable, datasets: list[TestDataset]) -> list[E
     that :class:`~finedating.calcurve.Measurement` rejects, yield flagged
     rows (category ``no_match``) rather than aborting the run.
     """
-    ages, n_measured, valid = _measured_ages(datasets)
+    n_measured = np.diff(series.offsets)
+    valid = _valid_datasets(series)
     values, n_prime = batch_indicators(
-        table, ages[np.repeat(valid, n_measured)], np.where(valid, n_measured, 0)
+        table, series.age[np.repeat(valid, n_measured)], np.where(valid, n_measured, 0)
     )
     matched = n_prime > 0
-    deltas = values - np.array([ds.original_date for ds in datasets], dtype=float)[matched, None]
-    categories = _category_names(deltas)
-    rows: list[EvalRow] = []
-    k = 0
-    for ds, n in zip(datasets, n_prime.tolist()):
-        if n:
-            # one dataset's lists at a time: few transient objects next to the rows
-            rows += map(EvalRow, repeat(ds.data_id), repeat(ds.original_date), INDICATOR_NAMES,
-                        values[k].tolist(), deltas[k].tolist(), categories[k].tolist(), repeat(n))
-            k += 1
-        else:
-            rows += (EvalRow(ds.data_id, ds.original_date, name, None, None, NO_MATCH, 0)
-                     for name in INDICATOR_NAMES)
-    return rows
+    k = len(INDICATOR_NAMES)
+    value = np.full((len(series), k), math.nan)
+    value[matched] = values
+    delta = value - series.original_date[:, None]
+    category = np.where(matched[:, None], _category_names(delta), NO_MATCH)
+    return EvalColumns(
+        np.repeat(series.data_id, k), np.repeat(series.original_date, k),
+        np.tile(np.array(INDICATOR_NAMES, dtype=object), len(series)),
+        value.ravel(), delta.ravel(), category.ravel(), np.repeat(n_prime, k),
+    )
 
 
 def _last_rows(keys: np.ndarray, n_keys: int) -> np.ndarray:
@@ -264,20 +260,7 @@ def _group_means(keys: np.ndarray, values: np.ndarray) -> tuple[list, list[float
     return distinct.tolist(), means.tolist()
 
 
-_DATA_ID = attrgetter("data_id")
-_INDICATOR = attrgetter("indicator")
-_VALUE = attrgetter("value")
-_ORIGINAL_DATE = attrgetter("original_date")
-_DELTA = attrgetter("delta")
-
-
-def _column(rows: list[EvalRow], field: attrgetter, dtype=float) -> np.ndarray:
-    return np.fromiter(map(field, rows), dtype=dtype, count=len(rows))
-
-
-def performance_curves(
-    rows: list[EvalRow], threshold: float
-) -> list[tuple[float, str, float]]:
+def performance_curves(rows: EvalColumns, threshold: float) -> list[tuple[float, str, float]]:
     """Per-date success fraction of the three indicator families.
 
     A dataset succeeds for a family when the mean of its four absolute
@@ -287,18 +270,17 @@ def performance_curves(
     """
     if threshold not in (25.0, 35.0, 25, 35):
         raise ValueError(f"unsupported threshold {threshold!r}: use 25 or 35")
-    if not rows:
+    if not len(rows):
         return []
     slot = {name: k for k, name in enumerate(n for names in FAMILIES.values() for n in names)}
-    ids, dataset = np.unique(_column(rows, _DATA_ID, np.int64), return_inverse=True)
-    dates = _column(rows, _ORIGINAL_DATE)[_last_rows(dataset, ids.size)]
-    member = np.fromiter((slot.get(name, -1) for name in map(_INDICATOR, rows)),
-                         dtype=np.int64, count=len(rows))
+    ids, dataset = np.unique(rows.data_id, return_inverse=True)
+    dates = rows.original_date[_last_rows(dataset, ids.size)]
+    member = np.fromiter(map(slot.get, rows.indicator, repeat(-1)), dtype=np.int64,
+                         count=len(rows))
     is_member = member >= 0
     cell = _last_rows(dataset[is_member] * len(slot) + member[is_member], ids.size * len(slot))
-    deltas = np.array([math.nan if d is None else d for d in map(_DELTA, rows)], dtype=float)
     # a (dataset, member) cell without a row reads the appended NaN: a failure
-    deltas = np.append(deltas[is_member], math.nan)[cell]
+    deltas = np.append(rows.delta[is_member], math.nan)[cell]
     score = np.abs(deltas.reshape(ids.size, len(FAMILIES), -1)).mean(axis=2)
     success = score <= threshold
     by_date, date_of = np.unique(dates, return_inverse=True)
@@ -313,38 +295,35 @@ def performance_curves(
 
 
 def average_deviation_analysis(
-    rows: list[EvalRow],
+    rows: EvalColumns,
 ) -> tuple[dict[tuple[float, str], float], dict[str, float]]:
     """Signed mean delta per (original date, indicator) and over the
-    full span.  Values are unrounded; round only for display."""
-    if not rows:
+    full span, over the rows that have a delta.  Values are unrounded;
+    round only for display."""
+    if not len(rows):
         raise ValueError("no evaluation rows")
-    scored = [row for row in rows if row.delta is not None]
-    deltas = _column(scored, _DELTA)
-    names = sorted(set(map(_INDICATOR, scored)))
+    scored = rows[~np.isnan(rows.delta)]
+    names = sorted(set(scored.indicator.tolist()))
     rank = {name: k for k, name in enumerate(names)}
-    name_of = np.fromiter(map(rank.__getitem__, map(_INDICATOR, scored)), dtype=np.int64,
+    name_of = np.fromiter(map(rank.__getitem__, scored.indicator), dtype=np.int64,
                           count=len(scored))
-    dates, date_of = np.unique(_column(scored, _ORIGINAL_DATE), return_inverse=True)
+    dates, date_of = np.unique(scored.original_date, return_inverse=True)
     # key order is (date, indicator name) order
-    keys, means = _group_means(date_of * len(names) + name_of, deltas)
+    keys, means = _group_means(date_of * len(names) + name_of, scored.delta)
     per_date = {(dates[k // len(names)].item(), names[k % len(names)]): mean
                 for k, mean in zip(keys, means)}
-    keys, means = _group_means(name_of, deltas)
+    keys, means = _group_means(name_of, scored.delta)
     totals = {names[k]: mean for k, mean in zip(keys, means)}
     return per_date, {name: totals.get(name, math.nan) for name in INDICATOR_NAMES}
 
 
-def category_fractions(rows: list[EvalRow]) -> dict[str, float]:
+def category_fractions(rows: EvalColumns) -> dict[str, float]:
     """Fraction of matched indicator evaluations per quality category."""
-    matched = [r for r in rows if r.category != NO_MATCH]
-    if not matched:
+    matched = rows.category[rows.category != NO_MATCH]
+    if not matched.size:
         raise ValueError("no matched evaluation rows")
-    n = len(matched)
-    return {
-        cat.value: sum(1 for r in matched if r.category == cat.value) / n
-        for cat in DeltaCategory
-    }
+    return {cat.value: int(np.count_nonzero(matched == cat.value)) / matched.size
+            for cat in DeltaCategory}
 
 
 @dataclass(frozen=True)
@@ -368,7 +347,9 @@ def dagostino_pearson(sample) -> NormalityResult:
     zs = _skewness_z(x)
     zk = _kurtosis_z(x)
     k2 = zs * zs + zk * zk
-    p = float(distributions.chi2.sf(k2, 2))
+    from scipy.special import chdtrc  # imported here, so only the normality tests load scipy
+
+    p = float(chdtrc(2, k2))
     return NormalityResult(test_name="dagostino_pearson", statistic=float(k2), p_value=p, n=n)
 
 
@@ -432,7 +413,9 @@ def anderson_darling(sample) -> NormalityResult:
     if s == 0:
         raise ValueError("zero variance sample")
     z = (x - x.mean()) / s
-    cdf = distributions.norm.cdf(z)
+    from scipy.special import ndtr
+
+    cdf = ndtr(z)
     eps = np.finfo(float).tiny
     cdf = np.clip(cdf, eps, 1 - 1e-16)
     i = np.arange(1, n + 1)
@@ -465,51 +448,47 @@ def histogram(sample, bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
-# Results built per slice of mpd_report; bounds its transient lists.
-_SLICE = 4096
-
-
 def mpd_report(
-    rows: list[EvalRow],
+    rows: EvalColumns,
     t0: float = 1.0,
     dt: float = 1.0,
     t_max: float = 10.0,
     m_min: int = 5,
-) -> list[MPDResult]:
+) -> dict[str, np.ndarray]:
     """Run the tolerance search for every evaluated indicator value,
     using the same indicator's values over all datasets as the
     reference pool.  Rows without a value are skipped.  Each pool is
-    searched in one pass (:func:`mpd_searches`)."""
-    searched = [row for row in rows if row.value is not None]
+    searched in one pass (:func:`mpd_searches`).
+
+    Returns the columns of ``mpd_report.csv`` by name, one entry per
+    searched row, in row order.
+    """
+    searched = rows[~np.isnan(rows.value)]
     n = len(searched)
-    values = _column(searched, _VALUE)
-    codes = {name: k for k, name in enumerate(dict.fromkeys(map(_INDICATOR, searched)))}
-    pool_of = np.fromiter(map(codes.__getitem__, map(_INDICATOR, searched)), dtype=np.int64,
-                          count=n)
+    codes = {name: k for k, name in enumerate(dict.fromkeys(searched.indicator.tolist()))}
+    pool_of = np.fromiter(map(codes.__getitem__, searched.indicator), dtype=np.int64, count=n)
     tol = np.empty(n)
     count = np.empty(n, dtype=np.int64)
     mpd = np.empty(n)
     value_range = np.empty(n)
     for k in range(len(codes)):
         members = np.flatnonzero(pool_of == k)
-        pool = values[members]
+        pool = searched.value[members]
         tol[members], count[members], mpd[members], value_range[members] = mpd_searches(
             pool, pool, t0, dt, t_max, m_min
         )
-    delta = mpd - _column(searched, _ORIGINAL_DATE)
-    under_min = count < m_min
-    # built a slice at a time, so the transient lists stay small next to the
-    # results; the value and tolerance floats are shared, as per-row searches did
-    steps, step_of = np.unique(tol, return_inverse=True)
-    steps = steps.tolist()
-    results: list[MPDResult] = []
-    for s in range(0, n, _SLICE):
-        part = slice(s, s + _SLICE)
-        results += map(MPDResult, map(_INDICATOR, searched[part]), map(_VALUE, searched[part]),
-                       map(steps.__getitem__, step_of[part].tolist()), count[part].tolist(),
-                       mpd[part].tolist(), value_range[part].tolist(), under_min[part].tolist(),
-                       delta[part].tolist())
-    return results
+    return {
+        "data_id": searched.data_id,
+        "original_cal_date": searched.original_date,
+        "indicator": searched.indicator,
+        "value": searched.value,
+        "tolerance": tol,
+        "match_count": count,
+        "under_min": count < m_min,
+        "mpd": mpd,
+        "range": value_range,
+        "delta": mpd - searched.original_date,
+    }
 
 
 EVAL_SCHEMA = {
@@ -523,19 +502,16 @@ EVAL_SCHEMA = {
 }
 
 
-def write_eval_rows(rows: list[EvalRow], path, extra_header: dict | None = None) -> None:
+def write_eval_rows(rows: EvalColumns, path, extra_header: dict | None = None) -> None:
     header = {"format": "finedating-eval", "rows": len(rows)}
     if extra_header:
         header.update(extra_header)
-    cells = (
-        (r.data_id, r.original_date, r.indicator, r.value, r.delta, r.category, r.n_matches)
-        for r in rows
-    )
-    csvio.write_artifact(path, header, EVAL_SCHEMA, cells)
+    csvio.write_artifact(path, header, EVAL_SCHEMA, csvio.column_rows(*rows.columns()))
 
 
-def read_eval_rows(path) -> list[EvalRow]:
-    return csvio.read_commented_csv(path, "finedating-eval", EVAL_SCHEMA, record=EvalRow).rows
+def read_eval_rows(path) -> EvalColumns:
+    columns = csvio.read_commented_csv(path, "finedating-eval", EVAL_SCHEMA).body
+    return EvalColumns(*columns.values())
 
 
 @dataclass(frozen=True)
@@ -554,21 +530,21 @@ class IntervalNormality:
     matched_dates_statistic: float | None
 
 
-def interval_normality(table: RefTable, datasets: list[TestDataset]) -> list[IntervalNormality]:
+def interval_normality(table: RefTable, series: TestSeries) -> list[IntervalNormality]:
     """For each original date: the omnibus test over all simulated ages
     and the Anderson-Darling statistic over the pooled matched calendar
     dates."""
-    ages, n_measured, valid = _measured_ages(datasets)
+    valid = _valid_datasets(series)
     if not valid.all():
-        bad = datasets[int(np.argmin(valid))]
-        raise ValueError(f"dataset {bad.data_id} holds a measurement with a bad age or sd")
-    dates = np.repeat([ds.original_date for ds in datasets], n_measured)
+        raise ValueError(
+            f"dataset {series.data_id[np.argmin(valid)]} holds a measurement with a bad sd"
+        )
+    dates = np.repeat(series.original_date, np.diff(series.offsets))
     order = np.argsort(dates, kind="stable")  # dataset order, then measurement order
-    ages = ages[order]
-    index = table.age_index()
-    start, count = index.spans(ages)
-    matched = index.columns()[0][pooled_positions(start, count)]
-    by_date, n_ages = np.unique(dates[order], return_counts=True)
+    ages = series.age[order]
+    positions, count = table.age_index().match(ages)
+    matched = table.base_date[positions]
+    by_date, n_ages = np.unique(dates, return_counts=True)
     age_bounds = np.concatenate(([0], np.cumsum(n_ages)))
     matched_bounds = np.concatenate(([0], np.cumsum(count)))[age_bounds]
     out = []
@@ -600,14 +576,10 @@ def interval_normality(table: RefTable, datasets: list[TestDataset]) -> list[Int
 
 NORMALITY_COLUMNS = ["original_cal_date", "n_ages", "ages_statistic", "ages_p_value",
                      "n_matched_dates", "matched_dates_statistic"]
-MPD_COLUMNS = ["data_id", "original_cal_date", "indicator", "value", "tolerance",
-               "match_count", "under_min", "mpd", "range", "delta"]
-
-
 def write_evaluation(
     table: RefTable,
-    datasets: list[TestDataset],
-    rows: list[EvalRow],
+    series: TestSeries,
+    rows: EvalColumns,
     out_dir,
     header: dict,
 ) -> None:
@@ -643,22 +615,13 @@ def write_evaluation(
         out_dir / "normality_by_interval.csv",
         header,
         NORMALITY_COLUMNS,
-        map(astuple, interval_normality(table, datasets)),
+        map(astuple, interval_normality(table, series)),
     )
 
-    results = mpd_report(rows)
+    report = mpd_report(rows)
     mpd_header = dict(header)
-    if results:
-        mpd_header["overall_mean"], mpd_header["overall_median"] = overall_aggregate(results)
-    # mpd_report walks the rows in order, skipping valueless ones
-    searched = (row for row in rows if row.value is not None)
+    if report["mpd"].size:
+        mpd_header["overall_mean"], mpd_header["overall_median"] = overall_aggregate(report["mpd"])
     csvio.write_artifact(
-        out_dir / "mpd_report.csv",
-        mpd_header,
-        MPD_COLUMNS,
-        (
-            (row.data_id, row.original_date, res.indicator, res.value, res.tolerance,
-             res.match_count, res.under_min, res.mpd, res.value_range, res.delta)
-            for row, res in zip(searched, results)
-        ),
+        out_dir / "mpd_report.csv", mpd_header, report, csvio.column_rows(*report.values())
     )

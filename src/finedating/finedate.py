@@ -17,7 +17,7 @@ import numpy as np
 
 from . import csvio
 from .calcurve import Measurement
-from .reftable import RefTable, SimRecord
+from .reftable import RefTable
 
 # Canonical indicator names, in report order.  The leading token is the
 # value family (CalDate = simulated calendar dates, Mean = calibrated
@@ -69,39 +69,38 @@ def normalize_indicator(name: str) -> str:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchSet:
-    """All reference records matched by a set of measurements.
+    """All reference rows matched by a set of measurements.
 
-    ``per_measurement[i]`` holds the full match list of measurement i
-    (empty when unmatched); ``unmatched`` lists the measured ages that
-    found no record, in input order.
+    ``positions`` holds the matched row numbers of ``table``, pooled:
+    measurement by measurement in input order, each measurement's rows in
+    table order.  ``counts[i]`` is the number of rows measurement i
+    matched (0 when unmatched).
     """
 
+    table: RefTable
     measurements: tuple[Measurement, ...]
-    per_measurement: tuple[tuple[SimRecord, ...], ...]
-    unmatched: tuple[int, ...]
+    positions: np.ndarray
+    counts: np.ndarray
 
     @property
     def n_prime(self) -> int:
-        return sum(len(m) for m in self.per_measurement)
+        return self.positions.size
+
+    @property
+    def unmatched(self) -> tuple[int, ...]:
+        """The measured ages that found no row, in input order."""
+        return tuple(m.age for m, c in zip(self.measurements, self.counts.tolist()) if not c)
 
     def pooled_dates(self) -> list[float]:
-        return [rec.base_date for matches in self.per_measurement for rec in matches]
+        return self.table.base_date[self.positions].tolist()
 
     def pooled_means(self) -> list[float]:
-        return [rec.cal_mean for matches in self.per_measurement for rec in matches]
+        return self.table.cal_mean[self.positions].tolist()
 
     def pooled_medians(self) -> list[float]:
-        return [rec.cal_median for matches in self.per_measurement for rec in matches]
-
-    def records(self) -> list[tuple[int, SimRecord]]:
-        """(measurement index, record) pairs in pooled order."""
-        return [
-            (i, rec)
-            for i, matches in enumerate(self.per_measurement)
-            for rec in matches
-        ]
+        return self.table.cal_median[self.positions].tolist()
 
     def unique_measured_ages(self) -> int:
         """Diagnostic count of distinct measured ages (matching itself
@@ -118,30 +117,16 @@ def match_measurements(table: RefTable, measurements: list[Measurement]) -> Matc
     """
     if not measurements:
         raise ValueError("no measurements")
-    index = table.age_index()
-    start, count = index.spans(np.array([m.age for m in measurements], dtype=np.int64))
-    if not count.any():
+    positions, counts = table.age_index().match(
+        np.array([m.age for m in measurements], dtype=np.int64)
+    )
+    if not counts.any():
         lo, hi = table.span
         raise ValueError(
             "no matches in reference table: none of the measured ages occur in "
             f"{table.label!r} (span {lo:g}..{hi:g}; check span and buffer)"
         )
-    records = index.records
-    per = tuple(
-        tuple(records[p] for p in index.order[s : s + c].tolist())
-        for s, c in zip(start.tolist(), count.tolist())
-    )
-    return MatchSet(
-        measurements=tuple(measurements),
-        per_measurement=per,
-        unmatched=tuple(m.age for m, c in zip(measurements, count.tolist()) if not c),
-    )
-
-
-def pooled_positions(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The runs ``start[i] .. start[i] + count[i] - 1`` laid end to end."""
-    shift = np.repeat(start - (np.cumsum(count) - count), count)
-    return shift + np.arange(shift.size)
+    return MatchSet(table, tuple(measurements), positions, counts)
 
 
 def pool_blocks(flat: np.ndarray, sizes: np.ndarray):
@@ -199,12 +184,11 @@ def batch_indicators(
     order, then table order), so each row equals
     :func:`compute_indicators` of that set bit for bit.
     """
-    index = table.age_index()
-    start, count = index.spans(ages)
+    positions, count = table.age_index().match(ages)
     owner = np.repeat(np.arange(n_measured.size), n_measured)
     n_prime = np.bincount(owner, weights=count, minlength=n_measured.size).astype(np.int64)
-    positions = pooled_positions(start, count)
-    flat = np.concatenate([column[positions] for column in index.columns()])
+    flat = np.concatenate([table.base_date[positions], table.cal_mean[positions],
+                           table.cal_median[positions]])
     sizes = n_prime[n_prime > 0]
     stats, _ = pool_statistics(flat, np.tile(sizes, len(FAMILIES)))
     # (statistic, family, set) -> (set, family, statistic): INDICATOR_NAMES order
@@ -241,10 +225,9 @@ def compute_indicators(matches: MatchSet) -> IndicatorSet:
     n = matches.n_prime
     if n < 1:
         raise ValueError("nothing to aggregate: match set is empty")
-    flat = np.array(
-        [*matches.pooled_dates(), *matches.pooled_means(), *matches.pooled_medians()],
-        dtype=float,
-    )
+    table, positions = matches.table, matches.positions
+    flat = np.concatenate([table.base_date[positions], table.cal_mean[positions],
+                           table.cal_median[positions]])
     stats, n_distinct = pool_statistics(flat, np.full(len(FAMILIES), n))
     # stats.T holds one row per family, in INDICATOR_NAMES order
     return IndicatorSet(
@@ -272,7 +255,7 @@ def write_report(
     prefix,
     extra_header: dict | None = None,
 ) -> tuple[str, str]:
-    """Write the matched-record overview and the indicator summary.
+    """Write the matched-row overview and the indicator summary.
 
     Produces ``<prefix>_overview.csv`` (one row per matched record) and
     ``<prefix>_summary.csv`` (the twelve indicators, then diagnostic
@@ -282,21 +265,16 @@ def write_report(
     header = dict(extra_header or {})
 
     overview_path = prefix + "_overview.csv"
+    table, positions = matches.table, matches.positions
+    index = np.repeat(np.arange(len(matches.measurements)), matches.counts)
+    ages = np.array([m.age for m in matches.measurements], dtype=np.int64)
     csvio.write_artifact(
         overview_path,
         {"format": "finedating-overview", **header},
         OVERVIEW_COLUMNS,
-        (
-            (
-                i,
-                matches.measurements[i].age,
-                rec.sim_id,
-                rec.base_date,
-                rec.cal_mean,
-                rec.cal_median,
-                rec.cal_sigma,
-            )
-            for i, rec in matches.records()
+        csvio.column_rows(
+            index, ages[index], table.id[positions], table.base_date[positions],
+            table.cal_mean[positions], table.cal_median[positions], table.cal_sigma[positions],
         ),
     )
 
@@ -315,9 +293,9 @@ def write_report(
 
 def read_summary(path) -> dict[str, float]:
     """Indicator name -> value from a summary file (diagnostics skipped)."""
-    rows = csvio.read_commented_csv(path, "finedating-summary", SUMMARY_SCHEMA).rows
+    columns = csvio.read_commented_csv(path, "finedating-summary", SUMMARY_SCHEMA).body
     values: dict[str, float] = {}
-    for name, value, _ in rows:
+    for name, value in zip(columns["indicator"].tolist(), columns["value"].tolist()):
         try:
             values[normalize_indicator(name)] = value
         except ValueError:

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 
+import numpy as np
+
 from . import csvio
-from .evaluate import NO_MATCH, EvalRow
+from .evaluate import NO_MATCH, EvalColumns
 from .finedate import INDICATOR_NAMES, normalize_indicator
 
 
@@ -46,7 +48,7 @@ def bucket_left(value: float, width: float) -> float:
 
 
 def build_lookup(
-    rows: list[EvalRow],
+    rows: EvalColumns,
     bucket_width: float = 5.0,
     tolerances: tuple[float, float] = (12.0, 25.0),
 ) -> LookupTable:
@@ -57,27 +59,26 @@ def build_lookup(
     indicator) cells carry count 0 and blank fractions.  Buckets span
     the observed value range snapped outward to multiples of the width.
     """
-    if bucket_width <= 0:
-        raise ValueError(f"bucket_width must be > 0, got {bucket_width}")
+    if not 0 < bucket_width < math.inf:
+        raise ValueError(f"bucket_width must be finite and > 0, got {bucket_width}")
     tol_lo, tol_hi = sorted(tolerances)
-    usable = [r for r in rows if r.category != NO_MATCH and r.value is not None]
-    if not usable:
+    usable = rows[(rows.category != NO_MATCH) & ~np.isnan(rows.value)]
+    if not len(usable):
         raise ValueError("no matched evaluation rows to bucket")
 
-    counts: dict[tuple[float, str], list[int]] = {}
-    lo = math.inf
-    hi = -math.inf
-    for row in usable:
-        left = bucket_left(row.value, bucket_width)
-        lo = min(lo, left)
-        hi = max(hi, left)
-        cell = counts.setdefault((left, row.indicator), [0, 0, 0])
-        cell[0] += 1
-        if abs(row.delta) <= tol_lo:
-            cell[1] += 1
-        if abs(row.delta) <= tol_hi:
-            cell[2] += 1
+    # bucket_left of every value: np.floor equals math.floor as a float
+    row_left = np.floor(usable.value / bucket_width) * bucket_width
+    deviation = np.abs(usable.delta)
+    counts: dict[tuple[float, str], tuple[int, int, int]] = {}
+    for name in INDICATOR_NAMES:
+        mine = usable.indicator == name
+        keys, bucket = np.unique(row_left[mine], return_inverse=True)
+        near = deviation[mine]
+        tallies = (np.bincount(bucket[within], minlength=keys.size).tolist()
+                   for within in (slice(None), near <= tol_lo, near <= tol_hi))
+        counts.update(((key, name), cell) for key, *cell in zip(keys.tolist(), *tallies))
 
+    lo, hi = float(row_left.min()), float(row_left.max())
     n_buckets = int(round((hi - lo) / bucket_width)) + 1
     lefts = tuple(lo + i * bucket_width for i in range(n_buckets))
     cells: dict[tuple[float, str], BucketStats] = {}
@@ -137,7 +138,7 @@ def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> 
     header = {
         "format": "finedating-lookup",
         "bucket_width": table.bucket_width,
-        "tolerances": f"{table.tolerances[0]:g};{table.tolerances[1]:g}",
+        "tolerances": ";".join(map(csvio.fmt, table.tolerances)),
     }
     if extra_header:
         header.update(extra_header)
@@ -155,7 +156,7 @@ def read_lookup(path) -> LookupTable:
     that :func:`build_lookup` emits, so that :func:`query_lookup` finds
     the bucket of every value in the covered range.
     """
-    meta, _, rows = csvio.read_commented_csv(path, "finedating-lookup", LOOKUP_SCHEMA)
+    meta, _, columns = csvio.read_commented_csv(path, "finedating-lookup", LOOKUP_SCHEMA)
     try:
         width = float(meta["bucket_width"])
         tol = tuple(float(t) for t in meta["tolerances"].split(";"))
@@ -165,7 +166,7 @@ def read_lookup(path) -> LookupTable:
         raise ValueError(
             f"corrupt lookup: bad bucket_width or tolerances header in {path}"
         )
-    lefts = tuple(row[0] for row in rows)
+    lefts = tuple(columns["BucketLeft"].tolist())
     if not lefts:
         raise ValueError(f"corrupt lookup: {path} has no buckets")
     for i, left in enumerate(lefts):
@@ -175,9 +176,13 @@ def read_lookup(path) -> LookupTable:
                 f"{width:g} from a multiple of it; bucket {left:g} does not"
             )
     cells: dict[tuple[float, str], BucketStats] = {}
-    for left, *stats in rows:
-        for k, name in enumerate(INDICATOR_NAMES):
-            cells[(left, name)] = BucketStats(*stats[3 * k : 3 * k + 3])
+    for name in INDICATOR_NAMES:
+        stats = zip(
+            columns[f"{name}_TotalCount"].tolist(),
+            *([None if f != f else f for f in columns[f"{name}_{frac}"].tolist()]
+              for frac in ("Frac12", "Frac25")),
+        )
+        cells.update(((left, name), BucketStats(*cell)) for left, cell in zip(lefts, stats))
     return LookupTable(
         bucket_width=width,
         tolerances=(tol[0], tol[1]),

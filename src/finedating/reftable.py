@@ -5,19 +5,19 @@ sd, span, seed) by drawing ``per_slice`` simulated measurements at
 every grid date.  The standard variants are named ``step_per_sd``
 (``5_20_5`` = 5-year grid, 20 measurements per slice, sd 5); the Combo
 table concatenates the six 5-year variants.  Tables are immutable after
-build; matching is served by a lazily built column index by age
-(:class:`AgeIndex`).
+build; they are held as numpy columns, and matching is served by a
+lazily built index of the age column (:class:`AgeIndex`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import csvio
 from .calcurve import CalCurve, check_sd, curve_at
-from .simulate import SimRecord, simulate_date, substream
+from .simulate import simulate_date, substream
 
 
 @dataclass(frozen=True)
@@ -90,31 +90,27 @@ def standard_spec(label: str, seed: int) -> RefTableSpec:
 
 
 class AgeIndex:
-    """The records of a table by integer age, as numpy columns.
+    """The rows of a table by integer age.
 
-    ``order`` holds the record positions stably sorted by age, so the
-    records of one age keep table order, which is id order.  The records
-    of ``ages[i]`` sit at ``order[bounds[i]:bounds[i + 1]]``; an index
-    into ``order`` is a *position*.  :meth:`columns` gathers the matched
-    value columns in position order on first use, so retrieval of a few
-    ages pays only for the age column.
+    ``order`` holds the row numbers stably sorted by age, so the rows of
+    one age keep table order, which is id order; the rows of ``ages[i]``
+    are ``order[bounds[i]:bounds[i + 1]]``.
     """
 
-    def __init__(self, records: tuple[SimRecord, ...]):
-        self.records = records
-        n = len(records)
-        age = np.fromiter((r.age for r in records), dtype=np.int64, count=n)
-        # (age, position) keys are distinct: a plain sort of them is the
-        # stable order by age, and costs a third of a stable sort
+    def __init__(self, age: np.ndarray):
+        n = age.size
+        # (age, row) keys are distinct: a plain sort of them is the stable
+        # order by age, and costs a third of a stable sort
         self.order = np.argsort(age * n + np.arange(n))
         age = age[self.order]
         first = np.flatnonzero(np.diff(age, prepend=age[:1] - 1))  # where each age starts
         self.ages = age[first]
         self.bounds = np.append(first, n)
-        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def spans(self, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(first position, record count) of each age; count 0 when absent."""
+    def match(self, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows holding each of ``ages``, laid end to end in the order
+        of ``ages`` (table order within one age), and the number of rows
+        per age (0 when absent)."""
         i = np.searchsorted(self.ages, ages)
         hit = i < self.ages.size
         hit[hit] = self.ages[i[hit]] == ages[hit]
@@ -123,26 +119,36 @@ class AgeIndex:
         count = np.zeros(len(ages), dtype=np.int64)
         start[hit] = self.bounds[i]
         count[hit] = self.bounds[i + 1] - self.bounds[i]
-        return start, count
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(base_date, cal_mean, cal_median) in position order."""
-        if self._columns is None:
-            self._columns = tuple(
-                np.fromiter((getattr(r, name) for r in self.records), dtype=float,
-                            count=len(self.records))[self.order]
-                for name in ("base_date", "cal_mean", "cal_median")
-            )
-        return self._columns
+        shift = np.repeat(start - (np.cumsum(count) - count), count)
+        return self.order[shift + np.arange(shift.size)], count
 
 
 @dataclass(eq=False)
 class RefTable:
+    """A reference table as numpy columns, one row per simulated
+    measurement, in id order: ``id`` (1..n), ``base_date`` (the simulated
+    calendar date), ``age`` (the drawn integer age BP, int64), ``sd`` and
+    the mean, median and sigma of the age's calibrated posterior."""
+
     label: str
     curve_name: str
     specs: tuple[RefTableSpec, ...]
-    records: tuple[SimRecord, ...]
+    id: np.ndarray
+    base_date: np.ndarray
+    age: np.ndarray
+    sd: np.ndarray
+    cal_mean: np.ndarray
+    cal_median: np.ndarray
+    cal_sigma: np.ndarray
     _age_index: AgeIndex | None = field(default=None, repr=False)
+
+    def __len__(self) -> int:
+        return self.id.size
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The seven columns, in file order."""
+        return (self.id, self.base_date, self.age, self.sd, self.cal_mean, self.cal_median,
+                self.cal_sigma)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -152,9 +158,9 @@ class RefTable:
         )
 
     def age_index(self) -> AgeIndex:
-        """The records' column index by age, built once."""
+        """The rows' index by age, built once."""
         if self._age_index is None:
-            self._age_index = AgeIndex(self.records)
+            self._age_index = AgeIndex(self.age)
         return self._age_index
 
 
@@ -174,14 +180,18 @@ def build_reference_table(
         raise ValueError(
             f"span {spec.span} outside curve domain [{lo}, {hi}] of {curve.name!r}"
         )
-
-    records: list[SimRecord] = []
-    for si, date in enumerate(spec.slice_dates()):
-        records += simulate_date(
-            curve, date, spec.sd, [substream(spec.seed, si)], spec.per_slice,
-            si * spec.per_slice + 1, grid_step,
-        )
-    return RefTable(label=spec.label, curve_name=curve.name, specs=(spec,), records=tuple(records))
+    dates = spec.slice_dates()
+    slices = [
+        simulate_date(curve, date, spec.sd, [substream(spec.seed, si)], spec.per_slice, grid_step)
+        for si, date in enumerate(dates)
+    ]
+    age, cal_mean, cal_median, cal_sigma = map(np.concatenate, zip(*slices))
+    n = age.size
+    return RefTable(
+        spec.label, curve.name, (spec,), np.arange(1, n + 1),
+        np.repeat(np.asarray(dates, dtype=float), spec.per_slice), age,
+        np.full(n, float(spec.sd)), cal_mean, cal_median, cal_sigma,
+    )
 
 
 def build_combo_table(
@@ -199,15 +209,10 @@ def build_combo_table(
         raise ValueError(
             f"incompatible specs: combo components must share span and step, got spans {sorted(spans)} steps {sorted(steps)}"
         )
-    records: list[SimRecord] = []
-    for spec in specs:
-        part = build_reference_table(curve, spec, grid_step=grid_step)
-        first = len(records) + 1
-        records.extend(
-            replace(rec, sim_id=sim_id) for sim_id, rec in enumerate(part.records, first)
-        )
+    parts = [build_reference_table(curve, spec, grid_step=grid_step) for spec in specs]
+    columns = [np.concatenate(c) for c in zip(*(part.columns()[1:] for part in parts))]
     return RefTable(
-        label=label, curve_name=curve.name, specs=tuple(specs), records=tuple(records)
+        label, curve.name, tuple(specs), np.arange(1, columns[0].size + 1), *columns
     )
 
 
@@ -223,7 +228,7 @@ def write_table(table: RefTable, path, extra_header: dict | None = None) -> None
         "label": table.label,
         "curve": table.curve_name,
         "seed": ";".join(str(s.seed) for s in table.specs),
-        "records": len(table.records),
+        "records": len(table),
         "checksum": None,
     }
     if extra_header:
@@ -232,19 +237,19 @@ def write_table(table: RefTable, path, extra_header: dict | None = None) -> None
         (s.label, s.year_interval, s.per_slice, s.sd, s.span[0], s.span[1], s.seed)
         for s in table.specs
     ]
-    rows = (
-        (r.sim_id, r.base_date, r.age, r.sd, r.cal_mean, r.cal_median, r.cal_sigma)
-        for r in table.records
+    csvio.write_artifact(
+        path, header, TABLE_SCHEMA, csvio.column_rows(*table.columns()), extra={"spec": specs}
     )
-    csvio.write_artifact(path, header, TABLE_SCHEMA, rows, extra={"spec": specs})
 
 
 def read_table(path) -> RefTable:
     """Read a table written by :func:`write_table`, validating shape,
     checksum and record invariants."""
-    meta, _, records = csvio.read_commented_csv(
-        path, "finedating-reftable", TABLE_SCHEMA, extra=("spec",), record=SimRecord
+    meta, _, columns = csvio.read_commented_csv(
+        path, "finedating-reftable", TABLE_SCHEMA, extra=("spec",)
     )
+    if "checksum" not in meta:
+        raise ValueError(f"corrupt table: {path} has no checksum header")
     specs = []
     for cells in meta["spec"]:
         if len(cells) != 7:
@@ -262,36 +267,33 @@ def read_table(path) -> RefTable:
         )
     if not specs:
         raise ValueError(f"corrupt table: {path} has no spec header")
-    expected = int(meta.get("records", "-1"))
-    if expected != len(records):
-        raise ValueError(
-            f"corrupt table: {path} holds {len(records)} rows, header says {expected}"
-        )
     table = RefTable(
-        label=meta.get("label", specs[0].label),
-        curve_name=meta.get("curve", ""),
-        specs=tuple(specs),
-        records=tuple(records),
+        meta.get("label", specs[0].label), meta.get("curve", ""), tuple(specs), *columns.values()
     )
+    expected = int(meta.get("records", "-1"))
+    if expected != len(table):
+        raise ValueError(
+            f"corrupt table: {path} holds {len(table)} rows, header says {expected}"
+        )
     _validate_table(table)
     return table
 
 
 def _validate_table(table: RefTable) -> None:
     expected = sum(s.n_records for s in table.specs)
-    if len(table.records) != expected:
+    if len(table) != expected:
         raise ValueError(
-            f"corrupt table: {len(table.records)} records, specs require {expected}"
+            f"corrupt table: {len(table)} records, specs require {expected}"
         )
-    ids = [rec.sim_id for rec in table.records]
-    if ids != list(range(1, len(ids) + 1)):
+    if (table.id != np.arange(1, len(table) + 1)).any():
         raise ValueError("corrupt table: record ids are not dense from 1")
     oldest, youngest = table.span
-    for rec in table.records:
-        if not (oldest <= rec.base_date <= youngest):
-            raise ValueError(
-                f"corrupt table: record {rec.sim_id} date {rec.base_date} outside span"
-            )
+    outside = np.flatnonzero(~((table.base_date >= oldest) & (table.base_date <= youngest)))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"corrupt table: record {table.id[i]} date {table.base_date[i].item()} outside span"
+        )
 
 
 def buffer_margin(table: RefTable, curve: CalCurve | None = None, sd: float | None = None) -> float:
@@ -339,12 +341,3 @@ def edge_warnings(
             f"youngest analysis date ({hi:g}); matches will be truncated on the young side"
         )
     return warnings
-
-
-def records_by_slice(table: RefTable) -> dict[float, list[SimRecord]]:
-    """Records grouped by base date, in span order."""
-    groups: dict[float, list[SimRecord]] = {}
-    for rec in table.records:
-        groups.setdefault(rec.base_date, []).append(rec)
-    return dict(sorted(groups.items()))
-

@@ -21,40 +21,39 @@ from . import csvio
 from .calcurve import CalCurve, Measurement, check_sd, curve_at, parse_date, posterior_summary
 
 
-@dataclass(frozen=True)
-class SimRecord:
-    """One simulated measurement: the drawn integer age for a known
-    calendar date, plus the summaries of its calibrated posterior."""
+@dataclass(frozen=True, eq=False)
+class TestSeries:
+    """Simulated test datasets as numpy columns.
 
-    sim_id: int
-    base_date: float
-    age: int
-    sd: float
-    cal_mean: float
-    cal_median: float
-    cal_sigma: float
-
-    @property
-    def measurement(self) -> Measurement:
-        return Measurement(age=self.age, sd=self.sd)
-
-
-@dataclass(frozen=True)
-class TestDataset:
-    """A cluster of simulated measurements sharing one original date.
-
+    ``data_id`` and ``original_date`` hold one entry per dataset, the
+    other columns one row per measurement, with the datasets back to
+    back: dataset i holds rows ``offsets[i]:offsets[i + 1]``.
     ``original_date`` is the control value used later to score the
     dating result; it never feeds the indicator computation itself.
+    ``age`` is int64; the calibration columns are NaN where unknown, as
+    in converted exports.
     """
 
-    data_id: int
-    original_date: float
-    sd: float
-    records: tuple[SimRecord, ...]
+    __test__ = False  # not a pytest class
 
-    @property
-    def measurements(self) -> tuple[Measurement, ...]:
-        return tuple(r.measurement for r in self.records)
+    data_id: np.ndarray
+    original_date: np.ndarray
+    age: np.ndarray
+    sd: np.ndarray
+    cal_mean: np.ndarray
+    cal_median: np.ndarray
+    cal_sigma: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        """The number of datasets."""
+        return self.data_id.size
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The seven columns of the tests file, one row per measurement."""
+        sizes = np.diff(self.offsets)
+        return (np.repeat(self.data_id, sizes), np.repeat(self.original_date, sizes), self.age,
+                self.sd, self.cal_mean, self.cal_median, self.cal_sigma)
 
 
 def round_half_away(x: float) -> int:
@@ -89,33 +88,27 @@ def simulate_date(
     sd: float,
     rngs: list[np.random.Generator],
     n: int,
-    first_id: int = 1,
     grid_step: float = 1.0,
-) -> list[SimRecord]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``n`` simulated measurements of one calendar date from each
-    generator in turn, with dense ids from ``first_id``.
+    generator in turn, as the columns (age, cal_mean, cal_median,
+    cal_sigma).
 
-    The calibration summarized in each record uses the same sd as the
-    draw (see :func:`~finedating.calcurve.posterior_summary`).
+    The calibration summarized for each age uses the same sd as the draw
+    (see :func:`~finedating.calcurve.posterior_summary`).
     """
     ages = draw_ages(curve, date, sd, rngs, n)
-    date, sd = float(date), float(sd)
-    return [
-        SimRecord(sim_id, date, age, sd, *posterior_summary(curve, age, sd, grid_step))
-        for sim_id, age in enumerate(ages, first_id)
-    ]
+    sd = float(sd)
+    summaries = np.array([posterior_summary(curve, age, sd, grid_step) for age in ages],
+                         dtype=float).reshape(-1, 3)
+    return (np.array(ages, dtype=np.int64), *summaries.T)
 
 
 def r_simulate(
-    curve: CalCurve,
-    date: float,
-    sd: float,
-    rng: np.random.Generator,
-    sim_id: int = 0,
-    grid_step: float = 1.0,
-) -> SimRecord:
+    curve: CalCurve, date: float, sd: float, rng: np.random.Generator
+) -> Measurement:
     """Simulate one measurement of an object with a known calendar date."""
-    return simulate_date(curve, date, sd, [rng], 1, sim_id, grid_step)[0]
+    return Measurement(age=draw_age(curve, date, sd, rng), sd=float(sd))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -131,7 +124,7 @@ def generate_test_datasets(
     seed: int,
     group_size: int = 3,
     grid_step: float = 1.0,
-) -> list[TestDataset]:
+) -> TestSeries:
     """Clusters of simulated measurements for every requested date.
 
     For each date, ``datasets_per_date`` datasets of ``group_size``
@@ -146,65 +139,54 @@ def generate_test_datasets(
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     check_sd(sd)
 
-    datasets = []
-    for di, date in enumerate(dates):
-        rngs = [substream(seed, di, ri) for ri in range(datasets_per_date)]
-        first = di * datasets_per_date
-        recs = simulate_date(curve, date, sd, rngs, group_size, first * group_size + 1, grid_step)
-        for ri in range(datasets_per_date):
-            datasets.append(
-                TestDataset(
-                    data_id=first + ri + 1,
-                    original_date=float(date),
-                    sd=float(sd),
-                    records=tuple(recs[ri * group_size : (ri + 1) * group_size]),
-                )
-            )
-    return datasets
+    per_date = [
+        simulate_date(curve, date, sd, [substream(seed, di, ri) for ri in range(datasets_per_date)],
+                      group_size, grid_step)
+        for di, date in enumerate(dates)
+    ]
+    age, cal_mean, cal_median, cal_sigma = map(np.concatenate, zip(*per_date))
+    n = len(dates) * datasets_per_date
+    return TestSeries(
+        np.arange(1, n + 1), np.repeat(np.asarray(dates, dtype=float), datasets_per_date),
+        age, np.full(age.size, float(sd)), cal_mean, cal_median, cal_sigma,
+        np.arange(0, age.size + 1, group_size),
+    )
 
 
 TEST_SCHEMA = dict(
     data_id=int, original_cal_date=float, age_bp=int, sd=float,
-    cal_mean=csvio.parse_float_nan, cal_median=csvio.parse_float_nan,
-    cal_sigma=csvio.parse_float_nan,
+    cal_mean=csvio.parse_float, cal_median=csvio.parse_float, cal_sigma=csvio.parse_float,
 )
 
 
-def write_tests(datasets: list[TestDataset], path, extra_header: dict | None = None) -> None:
+def write_tests(series: TestSeries, path, extra_header: dict | None = None) -> None:
     """Write test datasets as CSV, one row per measurement."""
-    header = {"format": "finedating-tests", "datasets": len(datasets)}
+    header = {"format": "finedating-tests", "datasets": len(series)}
     if extra_header:
         header.update(extra_header)
-    rows = (
-        (ds.data_id, ds.original_date, r.age, r.sd, r.cal_mean, r.cal_median, r.cal_sigma)
-        for ds in datasets
-        for r in ds.records
-    )
-    csvio.write_artifact(path, header, TEST_SCHEMA, rows)
+    csvio.write_artifact(path, header, TEST_SCHEMA, csvio.column_rows(*series.columns()))
 
 
-def read_tests(path) -> list[TestDataset]:
+def read_tests(path) -> TestSeries:
     """Read datasets written by :func:`write_tests` (blank calibration
-    cells, as in converted exports, become NaN)."""
-    grouped: dict[int, list[tuple]] = {}
-    for row in csvio.read_commented_csv(path, "finedating-tests", TEST_SCHEMA).rows:
-        grouped.setdefault(row[0], []).append(row)
-    datasets = []
-    sim_id = 0
-    for data_id, rows in grouped.items():
-        _, date, _, sd, *_ = rows[0]
-        recs = []
-        for _, row_date, age, row_sd, cal_mean, cal_median, cal_sigma in rows:
-            if row_date != date or row_sd != sd:
-                raise ValueError(
-                    f"dataset {data_id} mixes original dates or sds in {path}"
-                )
-            sim_id += 1
-            recs.append(SimRecord(sim_id, date, age, sd, cal_mean, cal_median, cal_sigma))
-        datasets.append(
-            TestDataset(data_id=data_id, original_date=date, sd=sd, records=tuple(recs))
-        )
-    return datasets
+    cells, as in converted exports, become NaN).
+
+    The rows of one ``data_id`` form one dataset, in file order; datasets
+    are ordered by their first row.  All rows of a dataset must share its
+    original date and sd.
+    """
+    columns = csvio.read_commented_csv(path, "finedating-tests", TEST_SCHEMA).body
+    _, first, dataset = np.unique(columns["data_id"], return_index=True, return_inverse=True)
+    dataset = np.argsort(np.argsort(first))[dataset]  # numbered by first appearance
+    order = np.argsort(dataset, kind="stable")
+    data_id, date, age, sd, *cal = (column[order] for column in columns.values())
+    sizes = np.bincount(dataset, minlength=first.size)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    lead = np.repeat(offsets[:-1], sizes)  # each row's dataset's first row
+    mixed = np.flatnonzero((date != date[lead]) | (sd != sd[lead]))
+    if mixed.size:
+        raise ValueError(f"dataset {data_id[mixed[0]]} mixes original dates or sds in {path}")
+    return TestSeries(data_id[offsets[:-1]], date[offsets[:-1]], age, sd, *cal, offsets)
 
 
 _EXPORT_ALIASES = {
@@ -214,11 +196,11 @@ _EXPORT_ALIASES = {
 }
 
 
-def convert_rsim_to_tests(path, group_size: int = 3):
+def convert_rsim_to_tests(path, group_size: int = 3) -> tuple[TestSeries, list[tuple[float, int]]]:
     """Group exported simulation rows (cal_date, age, sd) into
     consecutive clusters of ``group_size`` sharing one calendar date.
 
-    Returns (datasets, leftovers) where leftovers lists (date, count)
+    Returns (series, leftovers) where leftovers lists (date, count)
     of trailing rows that did not fill a full group.
     """
     if group_size < 1:
@@ -243,25 +225,20 @@ def convert_rsim_to_tests(path, group_size: int = 3):
             raise ValueError(f"malformed row {lineno} in {path}: {cells}") from None
         by_date.setdefault(date, []).append((age, sd))
 
-    datasets = []
+    dates: list[float] = []
+    kept: list[tuple[int, float]] = []
     leftovers: list[tuple[float, int]] = []
-    sim_id = 0
     for date, entries in by_date.items():
-        n_full = len(entries) // group_size
-        for g in range(n_full):
-            chunk = entries[g * group_size : (g + 1) * group_size]
-            sds = {sd for _, sd in chunk}
-            sd = chunk[0][1] if len(sds) == 1 else float(sum(s for _, s in chunk) / group_size)
-            recs = []
-            for age, row_sd in chunk:
-                sim_id += 1
-                recs.append(SimRecord(sim_id, date, age, row_sd, math.nan, math.nan, math.nan))
-            datasets.append(
-                TestDataset(
-                    data_id=len(datasets) + 1, original_date=date, sd=sd, records=tuple(recs)
-                )
-            )
-        rest = len(entries) - n_full * group_size
+        n_full, rest = divmod(len(entries), group_size)
+        dates += [date] * n_full
+        kept += entries[: len(entries) - rest]
         if rest:
             leftovers.append((date, rest))
-    return datasets, leftovers
+    ages, sds = zip(*kept) if kept else ((), ())
+    nan = np.full(len(kept), math.nan)
+    series = TestSeries(
+        np.arange(1, len(dates) + 1), np.array(dates, dtype=float),
+        np.array(ages, dtype=np.int64), np.array(sds, dtype=float), nan, nan, nan,
+        np.arange(0, len(kept) + 1, group_size),
+    )
+    return series, leftovers

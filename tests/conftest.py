@@ -8,6 +8,8 @@ asserted band was checked against the seeded output.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,32 +97,90 @@ def brute_indicators(dates, means, medians):
     return out
 
 
+def make_table(rows, label: str = "t", span=(-400.0, 100.0), sd: float = 5.0) -> fd.RefTable:
+    """Reference table from (id, date, age, sd, cal_mean, cal_median,
+    cal_sigma) rows."""
+    id_, date, age, row_sd, mean, median, sigma = (
+        np.array(column) for column in zip(*rows)
+    ) if rows else [np.empty(0)] * 7
+    spec = fd.RefTableSpec(label=label, year_interval=5, per_slice=1, sd=sd, span=span, seed=0)
+    return fd.RefTable(
+        label, "none", (spec,), id_.astype(np.int64), date.astype(float), age.astype(np.int64),
+        row_sd.astype(float), mean.astype(float), median.astype(float), sigma.astype(float),
+    )
+
+
+def make_series(datasets) -> fd.TestSeries:
+    """Test series from (data_id, original_date, [(age, sd), ...])
+    datasets, without calibration values."""
+    measured = [pair for _, _, pairs in datasets for pair in pairs]
+    age, sd = (np.array(c) for c in zip(*measured)) if measured else [np.empty(0)] * 2
+    nan = np.full(len(measured), math.nan)
+    sizes = [len(pairs) for _, _, pairs in datasets]
+    return fd.TestSeries(
+        np.array([d[0] for d in datasets], dtype=np.int64),
+        np.array([d[1] for d in datasets], dtype=float), age.astype(np.int64), sd.astype(float),
+        nan, nan, nan, np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+    )
+
+
+def take_datasets(series: fd.TestSeries, picks) -> fd.TestSeries:
+    """The datasets of ``series`` numbered ``picks``, in that order."""
+    picks = np.asarray(picks, dtype=np.int64)
+    sizes = np.diff(series.offsets)[picks]
+    rows = np.concatenate([np.arange(series.offsets[i], series.offsets[i + 1]) for i in picks])
+    return fd.TestSeries(
+        series.data_id[picks], series.original_date[picks],
+        *(column[rows] for column in (series.age, series.sd, series.cal_mean, series.cal_median,
+                                      series.cal_sigma)),
+        offsets=np.concatenate(([0], np.cumsum(sizes))),
+    )
+
+
 def random_matchset(rng: np.random.Generator, max_size: int = 50) -> fd.MatchSet:
     """Random small match set with plenty of exact duplicates."""
     n_meas = int(rng.integers(1, 5))
-    per = []
+    rows = []
+    counts = []
     measurements = []
     for i in range(n_meas):
         age = int(rng.integers(1900, 1910))
         measurements.append(fd.Measurement(age=age, sd=10.0))
         k = int(rng.integers(0, max_size // n_meas + 1))
-        recs = []
         for j in range(k):
             # discrete grids force duplicate values across records
             date = float(rng.integers(-60, -40) * 5)
-            recs.append(
-                fd.SimRecord(
-                    sim_id=int(rng.integers(1, 10_000)),
-                    base_date=date,
-                    age=age,
-                    sd=5.0,
-                    cal_mean=float(rng.integers(-230, -210)) / 2.0,
-                    cal_median=float(rng.integers(-240, -220)) / 2.0,
-                    cal_sigma=float(rng.integers(5, 30)),
+            rows.append(
+                (
+                    int(rng.integers(1, 10_000)),
+                    date,
+                    age,
+                    5.0,
+                    float(rng.integers(-230, -210)) / 2.0,
+                    float(rng.integers(-240, -220)) / 2.0,
+                    float(rng.integers(5, 30)),
                 )
             )
-        per.append(tuple(recs))
-    unmatched = tuple(m.age for m, recs in zip(measurements, per) if not recs)
+        counts.append(k)
     return fd.MatchSet(
-        measurements=tuple(measurements), per_measurement=tuple(per), unmatched=unmatched
+        make_table(rows), tuple(measurements), np.arange(len(rows)), np.array(counts)
+    )
+
+
+def eval_columns(rows) -> fd.EvalColumns:
+    """Evaluation columns from (data_id, original_date, indicator, value,
+    delta, category, n_matches) rows; a value or delta of None is NaN."""
+    data_id, date, indicator, value, delta, category, n = zip(*rows) if rows else [()] * 7
+    as_float = lambda cells: np.array([math.nan if c is None else c for c in cells], dtype=float)
+    return fd.EvalColumns(
+        np.array(data_id, dtype=np.int64), as_float(date), np.array(indicator, dtype=object),
+        as_float(value), as_float(delta), np.array(category, dtype=object),
+        np.array(n, dtype=np.int64),
+    )
+
+
+def same_eval(a: fd.EvalColumns, b: fd.EvalColumns) -> bool:
+    """Equal columns, NaN equal to NaN."""
+    return all(
+        np.array_equal(x, y, equal_nan=x.dtype == float) for x, y in zip(a.columns(), b.columns())
     )

@@ -51,7 +51,7 @@ def intcal_table(curve, label: str, seed: int) -> fd.RefTable:
     return _intcal_cache[key]
 
 
-def intcal_ts3(curve) -> list[fd.TestDataset]:
+def intcal_ts3(curve) -> fd.TestSeries:
     if "ts3" not in _intcal_cache:
         dates = [-300.0 + 5.0 * i for i in range(61)]
         _intcal_cache["ts3"] = fd.generate_test_datasets(
@@ -60,7 +60,7 @@ def intcal_ts3(curve) -> list[fd.TestDataset]:
     return _intcal_cache["ts3"]
 
 
-def intcal_eval(curve, label: str, seed: int) -> list[fd.EvalRow]:
+def intcal_eval(curve, label: str, seed: int) -> fd.EvalColumns:
     key = f"eval:{label}:{seed}"
     if key not in _intcal_cache:
         _intcal_cache[key] = fd.evaluate_test_series(
@@ -130,13 +130,13 @@ def test_criterion_04_table_shapes(study_curve):
     counts = {}
     for label, expected in (("1_50_5", 10_000), ("5_20_5", 1300), ("5_100_5", 6500)):
         table = fd.build_reference_table(study_curve, fd.standard_spec(label, seed=400))
-        counts[label] = len(table.records)
+        counts[label] = len(table)
         assert counts[label] == expected
     combo = fd.build_combo_table(
         study_curve, [fd.standard_spec(l, 400 + i) for i, l in enumerate(COMBO_COMPONENTS)]
     )
-    assert len(combo.records) == 26_000
-    assert [r.sim_id for r in combo.records] == list(range(1, 26_001))
+    assert len(combo) == 26_000
+    assert combo.id.tolist() == list(range(1, 26_001))
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report(4, f"1_50_5/5_20_5/5_100_5/Combo = 10000/1300/6500/26000 records in {elapsed:.1f}s")
@@ -294,9 +294,8 @@ def test_criterion_12_lookup_correctness(eval_rows):
     assert bucket_left(-250.0, 5.0) == -250.0
     table = build_lookup(eval_rows)
     matched = {}
-    for r in eval_rows:
-        if r.category != "no_match":
-            matched[r.indicator] = matched.get(r.indicator, 0) + 1
+    for name in eval_rows.indicator[eval_rows.category != "no_match"].tolist():
+        matched[name] = matched.get(name, 0) + 1
     for name in fd.INDICATOR_NAMES:
         total = sum(table.cells[(left, name)].total_count for left in table.bucket_lefts)
         assert total == matched[name]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import finedating as fd
@@ -78,7 +79,7 @@ def test_ref_gen_standard_label(curve_file, tmp_path, capsys):
     code = run("--seed", 11, "ref-gen", "--curve", curve_file, "--label", "5_20_5", "--out", out)
     assert code == 0
     table = fd.read_table(out)
-    assert len(table.records) == 1300
+    assert len(table) == 1300
     assert (tmp_path / "ref_manifest.txt").exists()
     head = [l for l in out.read_text().splitlines() if l.startswith("#")]
     assert out.read_text().startswith("#")
@@ -93,7 +94,7 @@ def test_ref_gen_explicit_spec(curve_file, tmp_path):
         "--step", 10, "--per-slice", 2, "--sd", 5, "--span", "-100:-50", "--out", out,
     )
     assert code == 0
-    assert len(fd.read_table(out).records) == 12
+    assert len(fd.read_table(out)) == 12
 
 
 def test_ref_gen_combo(curve_file, tmp_path):
@@ -104,7 +105,7 @@ def test_ref_gen_combo(curve_file, tmp_path):
     )
     assert code == 0
     table = fd.read_table(out)
-    assert len(table.records) == 1300 + 650
+    assert len(table) == 1300 + 650
     assert table.label == "Combo"
 
 
@@ -129,9 +130,9 @@ def pipeline(curve_file, tmp_path_factory):
 
 
 def test_simulate_tests_shape(pipeline):
-    datasets = fd.read_tests(pipeline / "tests.csv")
-    assert len(datasets) == 20
-    assert all(len(ds.measurements) == 3 for ds in datasets)
+    series = fd.read_tests(pipeline / "tests.csv")
+    assert len(series) == 20
+    assert (np.diff(series.offsets) == 3).all()
 
 
 def test_evaluate_artifacts(pipeline):
@@ -156,7 +157,8 @@ def test_evaluate_artifacts(pipeline):
 def test_finedate_report(pipeline, capsys):
     ref = pipeline / "ref.csv"
     table = fd.read_table(ref)
-    ages = sorted({r.age for r in table.records if -160 <= r.base_date <= -120})[:3]
+    in_range = (-160 <= table.base_date) & (table.base_date <= -120)
+    ages = sorted(set(table.age[in_range].tolist()))[:3]
     out = pipeline / "report"
     code = run("finedate", "--ref", ref, "--ages", ",".join(map(str, ages)), "--sd", 20, "--out", out)
     assert code == 0
@@ -166,7 +168,7 @@ def test_finedate_report(pipeline, capsys):
 
 def test_finedate_ages_file(pipeline, tmp_path):
     table = fd.read_table(pipeline / "ref.csv")
-    ages = sorted({r.age for r in table.records})[:3]
+    ages = sorted(set(table.age.tolist()))[:3]
     src = tmp_path / "meas.csv"
     src.write_text("age,sd\n" + "\n".join(f"{a},20" for a in ages) + "\n")
     out = tmp_path / "filed"
@@ -192,7 +194,7 @@ def test_lookup_build_and_query(pipeline, capsys):
     table_path = pipeline / "lookup.csv"
     assert run("lookup", "build", "--eval", eval_long, "--out", table_path) == 0
     rows = __import__("finedating").evaluate.read_eval_rows(eval_long)
-    value = next(r.value for r in rows if r.indicator == "CalDate_Median" and r.value is not None)
+    value = rows.value[(rows.indicator == "CalDate_Median") & ~np.isnan(rows.value)][0]
     capsys.readouterr()
     assert run("lookup", "query", "--table", table_path, "--indicator", "CalDateMedian",
                "--value", value) == 0
@@ -257,9 +259,9 @@ def test_convert_groups_and_flags_leftovers(pipeline, tmp_path, capsys):
     assert run("simulate", "convert", "--in", src, "--group", 3, "--out", out) == 0
     err = capsys.readouterr().err
     assert "leftover" in err
-    datasets = fd.read_tests(out)
-    assert len(datasets) == 4  # 2 + 2 full groups, 1 leftover row dropped
-    assert sum(len(d.records) for d in datasets) == 12
+    series = fd.read_tests(out)
+    assert len(series) == 4  # 2 + 2 full groups, 1 leftover row dropped
+    assert series.age.size == 12
 
 
 def test_config_file_supplies_defaults(curve_file, tmp_path):
@@ -267,7 +269,7 @@ def test_config_file_supplies_defaults(curve_file, tmp_path):
     config.write_text(f"curve = {curve_file}\nlabel = 5_10_20\nseed = 4\n")
     out = tmp_path / "ref.csv"
     assert run("--config", config, "ref-gen", "--out", out) == 0
-    assert len(fd.read_table(out).records) == 650
+    assert len(fd.read_table(out)) == 650
 
 
 def test_flags_override_config(curve_file, tmp_path):
@@ -275,7 +277,7 @@ def test_flags_override_config(curve_file, tmp_path):
     config.write_text(f"curve = {curve_file}\nlabel = 5_10_20\n")
     out = tmp_path / "ref.csv"
     assert run("--config", config, "ref-gen", "--label", "5_20_5", "--out", out) == 0
-    assert len(fd.read_table(out).records) == 1300
+    assert len(fd.read_table(out)) == 1300
 
 
 def test_same_seed_produces_byte_identical_csvs(curve_file, tmp_path):
@@ -367,3 +369,42 @@ def test_corrupt_lookup_is_data_error(pipeline, tmp_path, capsys, damage):
     assert run("lookup", "query", "--table", bad, "--indicator", "CalDate_Median",
                "--value", value) == 4
     assert "corrupt lookup:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["dates-inf", "dates-nan", "ages-inf", "width-nan", "width-inf",
+                                  "span-inf"])
+def test_non_finite_number_names_flag_and_rule(pipeline, curve_file, tmp_path, capsys, case):
+    argv, message = {
+        "dates-inf": (["simulate", "tests", "--curve", curve_file, "--dates", "-300:inf:5",
+                       "--per-date", 1, "--sd", 20, "--out", tmp_path / "tests.csv"],
+                      "--dates START:END:STEP must be finite numbers, got '-300:inf:5'"),
+        "dates-nan": (["simulate", "tests", "--curve", curve_file, "--dates", "-300:0:nan",
+                       "--per-date", 1, "--sd", 20, "--out", tmp_path / "tests.csv"],
+                      "--dates START:END:STEP must be finite numbers, got '-300:0:nan'"),
+        "ages-inf": (["finedate", "--ref", pipeline / "ref.csv", "--ages", "2000,inf", "--sd", 20,
+                      "--out", tmp_path / "report"],
+                     "--ages must be an integer, got 'inf'"),
+        "width-nan": (["lookup", "build", "--eval", pipeline / "eval" / "eval_long.csv",
+                       "--bucket-width", "nan", "--out", tmp_path / "lookup.csv"],
+                      "--bucket-width must be a finite number, got nan"),
+        "width-inf": (["lookup", "build", "--eval", pipeline / "eval" / "eval_long.csv",
+                       "--bucket-width", "inf", "--out", tmp_path / "lookup.csv"],
+                      "--bucket-width must be a finite number, got inf"),
+        "span-inf": (["ref-gen", "--curve", curve_file, "--label", "x", "--step", 5,
+                      "--per-slice", 1, "--sd", 5, "--span", "-100:inf", "--out", tmp_path / "r.csv"],
+                     "--span OLD:YOUNG must be finite years, got '-100:inf'"),
+    }[case]
+    capsys.readouterr()
+    assert run(*argv) == 4
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_table_without_checksum_is_data_error(pipeline, tmp_path, capsys):
+    bad = tmp_path / "ref.csv"
+    lines = (pipeline / "ref.csv").read_text().splitlines()
+    bad.write_text("".join(line + "\n" for line in lines if not line.startswith("# checksum=")))
+    capsys.readouterr()
+    assert run("finedate", "--ref", bad, "--ages", 2000, "--sd", 20,
+               "--out", tmp_path / "report") == 4
+    assert "has no checksum header" in capsys.readouterr().err

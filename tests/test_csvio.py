@@ -47,9 +47,9 @@ def test_fmt_infinities_round_trip(value, cell):
     assert csvio.parse_float(cell) == value
 
 
-def test_parse_float_blank_is_none():
-    assert csvio.parse_float("") is None
-    assert csvio.parse_float("  ") is None
+def test_parse_float_blank_is_nan():
+    assert math.isnan(csvio.parse_float(""))
+    assert math.isnan(csvio.parse_float("  "))
     assert csvio.parse_float("2.5") == 2.5
 
 
@@ -98,7 +98,11 @@ def test_read_parses_schema_and_repeated_lines(tmp_path):
     meta, columns, back = csvio.read_commented_csv(path, "demo", schema, extra=("spec",))
     assert meta["spec"] == [["a", "5"]]
     assert columns == list(schema)
-    assert back == rows
+    assert list(back) == list(schema)
+    assert back["id"].dtype == np.int64 and back["id"].tolist() == [1, 2]
+    assert back["x"].dtype == float and back["x"].tolist() == [-50.0, 0.125]
+    assert back["name"].dtype == object and back["name"].tolist() == ["p", "q"]
+    assert np.isnan(back["y"][0]) and back["y"][1] == 3.5
 
 
 def test_read_checks_format_columns_and_checksum(tmp_path):

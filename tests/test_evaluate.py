@@ -17,6 +17,7 @@ from finedating.evaluate import (
     read_eval_rows,
     write_eval_rows,
 )
+from conftest import eval_columns, make_series, same_eval, take_datasets
 from test_finedate import tiny_table
 
 
@@ -97,20 +98,18 @@ def test_matched_set_monotone_in_tolerance():
 
 
 def test_mpd_deterministic(eval_rows):
-    sample = [r for r in eval_rows if r.value is not None][:50]
-    pool = [r.value for r in sample]
-    a = [fd.mpd_search(pool, r.value) for r in sample]
-    b = [fd.mpd_search(pool, r.value) for r in sample]
+    pool = eval_rows.value[~np.isnan(eval_rows.value)][:50].tolist()
+    a = [fd.mpd_search(pool, value) for value in pool]
+    b = [fd.mpd_search(pool, value) for value in pool]
     assert a == b
 
 
 # --- overall aggregation ----------------------------------------------------
 
 def test_overall_aggregate_examples():
-    mk = lambda m: fd.MPDResult("i", 0.0, 1.0, 5, m, 0.0, False)
-    assert fd.overall_aggregate([mk(-100), mk(-100)]) == (-100.0, -100.0)
-    assert fd.overall_aggregate([mk(-110), mk(-100), mk(-90)]) == (-100.0, -100.0)
-    mean, median = fd.overall_aggregate([mk(-110), mk(-100), mk(-95), mk(-90)])
+    assert fd.overall_aggregate([-100, -100]) == (-100.0, -100.0)
+    assert fd.overall_aggregate(np.array([-110.0, -100.0, -90.0])) == (-100.0, -100.0)
+    mean, median = fd.overall_aggregate([-110, -100, -95, -90])
     assert mean == pytest.approx(-98.75)
     assert median == pytest.approx(-97.5)
     with pytest.raises(ValueError):
@@ -121,47 +120,32 @@ def test_overall_aggregate_examples():
 
 def test_degenerate_single_record_table():
     table = tiny_table([(1, -120, 2000, -118.0, -119.0)])
-    ds = fd.TestDataset(
-        data_id=1,
-        original_date=-110.0,
-        sd=0.0,
-        records=tuple(
-            fd.SimRecord(i + 1, -110.0, 2000, 0.0, math.nan, math.nan, math.nan)
-            for i in range(3)
-        ),
-    )
-    rows = fd.evaluate_test_series(table, [ds])
+    series = make_series([(1, -110.0, [(2000, 0.0)] * 3)])
+    rows = fd.evaluate_test_series(table, series)
     assert len(rows) == 12
-    by_name = {r.indicator: r for r in rows}
+    by_name = dict(zip(rows.indicator.tolist(), rows.delta.tolist()))
     for name in fd.FAMILIES["CalDate"]:
-        assert by_name[name].delta == pytest.approx(-120.0 - (-110.0))
+        assert by_name[name] == pytest.approx(-120.0 - (-110.0))
     for name in fd.FAMILIES["Mean"]:
-        assert by_name[name].delta == pytest.approx(-118.0 - (-110.0))
+        assert by_name[name] == pytest.approx(-118.0 - (-110.0))
     for name in fd.FAMILIES["Median"]:
-        assert by_name[name].delta == pytest.approx(-119.0 - (-110.0))
+        assert by_name[name] == pytest.approx(-119.0 - (-110.0))
 
 
 def test_unmatched_dataset_yields_flagged_rows():
     table = tiny_table([(1, -120, 2000)])
-    ds = fd.TestDataset(
-        data_id=7,
-        original_date=-110.0,
-        sd=0.0,
-        records=(fd.SimRecord(1, -110.0, 1700, 0.0, math.nan, math.nan, math.nan),),
-    )
-    rows = fd.evaluate_test_series(table, [ds])
+    rows = fd.evaluate_test_series(table, make_series([(7, -110.0, [(1700, 0.0)])]))
     assert len(rows) == 12
-    assert all(r.category == NO_MATCH and r.value is None for r in rows)
+    assert (rows.category == NO_MATCH).all() and np.isnan(rows.value).all()
+    assert (rows.data_id == 7).all() and (rows.n_matches == 0).all()
 
 
 def test_dataset_with_a_rejected_measurement_is_flagged():
     table = tiny_table([(1, -120, 2000)])
-    good = fd.SimRecord(1, -110.0, 2000, 20.0, math.nan, math.nan, math.nan)
-    bad = fd.SimRecord(2, -110.0, 2000, math.nan, math.nan, math.nan, math.nan)
-    datasets = [fd.TestDataset(1, -110.0, 20.0, (good,)),
-                fd.TestDataset(2, -110.0, 20.0, (good, bad))]
+    good, bad = (2000, 20.0), (2000, math.nan)
+    datasets = make_series([(1, -110.0, [good]), (2, -110.0, [good, bad])])
     rows = fd.evaluate_test_series(table, datasets)
-    assert [r.category == NO_MATCH for r in rows] == [False] * 12 + [True] * 12
+    assert (rows.category == NO_MATCH).tolist() == [False] * 12 + [True] * 12
     with pytest.raises(ValueError, match="dataset 2"):
         interval_normality(table, datasets)
 
@@ -169,50 +153,43 @@ def test_dataset_with_a_rejected_measurement_is_flagged():
 def test_full_scale_eval_shape(eval_rows):
     assert len(eval_rows) == 6100 * 12
     per_indicator = {}
-    for r in eval_rows:
-        per_indicator[r.indicator] = per_indicator.get(r.indicator, 0) + 1
+    for name in eval_rows.indicator.tolist():
+        per_indicator[name] = per_indicator.get(name, 0) + 1
     assert set(per_indicator) == set(fd.INDICATOR_NAMES)
     assert all(count == 6100 for count in per_indicator.values())
 
 
 def test_category_counts_partition_matched_datasets(eval_rows):
-    matched_datasets = {r.data_id for r in eval_rows if r.category != NO_MATCH}
+    matched = eval_rows.category != NO_MATCH
+    matched_datasets = set(eval_rows.data_id[matched].tolist())
     for name in fd.INDICATOR_NAMES:
-        rows = [r for r in eval_rows if r.indicator == name and r.category != NO_MATCH]
         by_cat = {}
-        for r in rows:
-            by_cat[r.category] = by_cat.get(r.category, 0) + 1
+        for category in eval_rows.category[matched & (eval_rows.indicator == name)].tolist():
+            by_cat[category] = by_cat.get(category, 0) + 1
         assert sum(by_cat.values()) == len(matched_datasets)
         assert set(by_cat) <= {c.value for c in fd.DeltaCategory}
 
 
 def test_pipeline_consistency_against_report_files(tmp_path, table_5_20_5, ts3_datasets):
     # the eval row delta must be recomputable from the report files alone
-    ds = ts3_datasets[150]
-    ms = fd.match_measurements(table_5_20_5, list(ds.measurements))
+    ds = take_datasets(ts3_datasets, [150])
+    measurements = [fd.Measurement(age, sd) for age, sd in zip(ds.age.tolist(), ds.sd.tolist())]
+    ms = fd.match_measurements(table_5_20_5, measurements)
     ind = fd.compute_indicators(ms)
     _, summary = fd.write_report(ms, ind, tmp_path / "ds")
     from finedating.finedate import read_summary
 
     values = read_summary(summary)
-    rows = fd.evaluate_test_series(table_5_20_5, [ds])
-    for row in rows:
-        assert row.delta == pytest.approx(
-            values[row.indicator] - ds.original_date, abs=1e-9
-        )
+    rows = fd.evaluate_test_series(table_5_20_5, ds)
+    for name, delta in zip(rows.indicator.tolist(), rows.delta.tolist()):
+        assert delta == pytest.approx(values[name] - ds.original_date[0], abs=1e-9)
 
 
 # --- performance curves -----------------------------------------------------
 
 def test_performance_all_perfect():
     table = tiny_table([(1, -120, 2000, -120.0, -120.0)])
-    ds = fd.TestDataset(
-        data_id=1,
-        original_date=-120.0,
-        sd=0.0,
-        records=(fd.SimRecord(1, -120.0, 2000, 0.0, math.nan, math.nan, math.nan),),
-    )
-    rows = fd.evaluate_test_series(table, [ds])
+    rows = fd.evaluate_test_series(table, make_series([(1, -120.0, [(2000, 0.0)])]))
     for _, _, frac in fd.performance_curves(rows, 25):
         assert frac == 1.0
 
@@ -222,17 +199,9 @@ def test_performance_half_success():
     for data_id, delta in ((1, 5.0), (2, 100.0)):
         for name in fd.INDICATOR_NAMES:
             rows.append(
-                fd.EvalRow(
-                    data_id=data_id,
-                    original_date=-100.0,
-                    indicator=name,
-                    value=-100.0 + delta,
-                    delta=delta,
-                    category=fd.classify_delta(delta).value,
-                    n_matches=5,
-                )
+                (data_id, -100.0, name, -100.0 + delta, delta, fd.classify_delta(delta).value, 5)
             )
-    out = fd.performance_curves(rows, 25)
+    out = fd.performance_curves(eval_columns(rows), 25)
     assert [(d, f, frac) for d, f, frac in out] == [
         (-100.0, "CalDate", 0.5),
         (-100.0, "Mean", 0.5),
@@ -257,10 +226,10 @@ def test_performance_monotone_in_threshold(eval_rows):
 # --- average deviation ------------------------------------------------------
 
 def test_average_deviation_cancels_symmetric_deltas():
-    rows = [
-        fd.EvalRow(1, -100.0, "CalDate_Mean", -98.0, 2.0, "excellent", 5),
-        fd.EvalRow(2, -100.0, "CalDate_Mean", -102.0, -2.0, "excellent", 5),
-    ]
+    rows = eval_columns([
+        (1, -100.0, "CalDate_Mean", -98.0, 2.0, "excellent", 5),
+        (2, -100.0, "CalDate_Mean", -102.0, -2.0, "excellent", 5),
+    ])
     per_date, full = average_deviation_analysis(rows)
     assert per_date[(-100.0, "CalDate_Mean")] == 0.0
     assert full["CalDate_Mean"] == 0.0
@@ -365,7 +334,8 @@ def test_histogram_counts_conserved():
 # --- interval normality and eval csv ----------------------------------------
 
 def test_interval_normality_rows(table_5_20_5, ts3_datasets):
-    subset = [ds for ds in ts3_datasets if ds.original_date in (-150.0, -145.0)]
+    picks = np.flatnonzero(np.isin(ts3_datasets.original_date, (-150.0, -145.0)))
+    subset = take_datasets(ts3_datasets, picks)
     rows = interval_normality(table_5_20_5, subset)
     assert [r.original_date for r in rows] == [-150.0, -145.0]
     for r in rows:
@@ -379,16 +349,15 @@ def test_eval_rows_csv_roundtrip(tmp_path, eval_rows):
     path = tmp_path / "eval.csv"
     write_eval_rows(subset, path)
     back = read_eval_rows(path)
-    assert back == subset
+    assert same_eval(back, subset)
 
 
 def test_mpd_report_skips_valueless_rows(eval_rows):
     subset = eval_rows[: 12 * 50]
-    results = mpd_report(subset)
-    assert len(results) == sum(1 for r in subset if r.value is not None)
-    for res in results:
-        assert res.match_count >= 1
-        assert res.value_range >= 0
+    report = mpd_report(subset)
+    assert len(report["mpd"]) == np.count_nonzero(~np.isnan(subset.value))
+    assert (report["match_count"] >= 1).all()
+    assert (report["range"] >= 0).all()
 
 
 def test_category_fractions_sum_to_one(eval_rows):

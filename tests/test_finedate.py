@@ -2,32 +2,19 @@ import numpy as np
 import pytest
 
 import finedating as fd
-from conftest import brute_indicators, random_matchset
+from conftest import brute_indicators, make_table, random_matchset
 from finedating.finedate import read_summary
 
 
 def tiny_table(entries, label="tiny", sd=5.0):
     """Reference table from (id, date, age[, cal_mean, cal_median]) rows."""
-    records = []
+    rows = []
     for entry in entries:
         rid, date, age = entry[:3]
         cal_mean = entry[3] if len(entry) > 3 else date - 2.0
         cal_median = entry[4] if len(entry) > 4 else date - 1.0
-        records.append(
-            fd.SimRecord(
-                sim_id=rid,
-                base_date=float(date),
-                age=int(age),
-                sd=sd,
-                cal_mean=float(cal_mean),
-                cal_median=float(cal_median),
-                cal_sigma=8.0,
-            )
-        )
-    spec = fd.RefTableSpec(
-        label=label, year_interval=5, per_slice=1, sd=sd, span=(-100.0, 0.0), seed=0
-    )
-    return fd.RefTable(label=label, curve_name="none", specs=(spec,), records=tuple(records))
+        rows.append((rid, date, age, sd, cal_mean, cal_median, 8.0))
+    return make_table(rows, label=label, span=(-100.0, 0.0), sd=sd)
 
 
 def test_single_hit():
@@ -158,10 +145,12 @@ def test_matches_brute_force_reimplementation():
 
 def test_empty_matchset_rejected():
     ms = fd.MatchSet(
+        table=tiny_table([(1, -50, 1990)]),
         measurements=(fd.Measurement(2000, 10),),
-        per_measurement=((),),
-        unmatched=(2000,),
+        positions=np.array([], dtype=np.int64),
+        counts=np.array([0]),
     )
+    assert ms.unmatched == (2000,)
     with pytest.raises(ValueError, match="nothing to aggregate"):
         fd.compute_indicators(ms)
 

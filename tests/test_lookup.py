@@ -3,19 +3,16 @@ import pytest
 
 import finedating as fd
 from finedating.evaluate import NO_MATCH
+from conftest import eval_columns
 from finedating.lookup import bucket_left, build_lookup, read_lookup, write_lookup
 
 
 def row(data_id, indicator, value, delta, date=-100.0):
-    return fd.EvalRow(
-        data_id=data_id,
-        original_date=date,
-        indicator=indicator,
-        value=value,
-        delta=delta,
-        category=fd.classify_delta(delta).value,
-        n_matches=5,
-    )
+    return (data_id, date, indicator, value, delta, fd.classify_delta(delta).value, 5)
+
+
+def build(rows, **kwargs):
+    return build_lookup(eval_columns(rows), **kwargs)
 
 
 def test_bucket_left_examples():
@@ -31,7 +28,7 @@ def test_same_record_lands_in_different_buckets_per_indicator():
         row(1, "CalDate_Median", -251.0, 4.0),
         row(1, "CalDate_Mean", -242.0, 13.0),
     ]
-    table = build_lookup(rows)
+    table = build(rows)
     left, count, *_ = fd.query_lookup(table, "CalDate_Median", -251.0)
     assert (left, count) == (-255.0, 1)
     left, count, *_ = fd.query_lookup(table, "CalDate_Mean", -242.0)
@@ -44,7 +41,7 @@ def test_fraction_counting():
         row(i + 1, "CalDate_Mean", -102.0 - i, d)
         for i, d in enumerate((0.0, 5.0, -20.0, 30.0))
     ]
-    table = build_lookup(rows)
+    table = build(rows)
     left, count, frac12, frac25 = fd.query_lookup(table, "CalDate_Mean", -103.0)
     assert (left, count) == (-105.0, 4)
     assert frac12 == 50.0
@@ -61,9 +58,8 @@ def test_fractions_monotone_in_tolerance(eval_rows):
 def test_counts_sum_to_matched_dataset_count(eval_rows):
     table = build_lookup(eval_rows)
     matched = {}
-    for r in eval_rows:
-        if r.category != NO_MATCH:
-            matched[r.indicator] = matched.get(r.indicator, 0) + 1
+    for name in eval_rows.indicator[eval_rows.category != NO_MATCH].tolist():
+        matched[name] = matched.get(name, 0) + 1
     for name in fd.INDICATOR_NAMES:
         total = sum(
             table.cells[(left, name)].total_count for left in table.bucket_lefts
@@ -76,7 +72,7 @@ def test_empty_buckets_emitted_blank():
         row(1, "CalDate_Mean", -250.0, 2.0),
         row(2, "CalDate_Mean", -100.0, 2.0),
     ]
-    table = build_lookup(rows)
+    table = build(rows)
     assert len(table.bucket_lefts) == (250 - 100) // 5 + 1
     left, count, frac12, frac25 = fd.query_lookup(table, "CalDate_Mean", -200.0)
     assert (count, frac12, frac25) == (0, None, None)
@@ -84,7 +80,7 @@ def test_empty_buckets_emitted_blank():
 
 def test_query_boundary_and_range_errors():
     rows = [row(1, "CalDate_Mean", -250.0, 2.0)]
-    table = build_lookup(rows)
+    table = build(rows)
     left, *_ = fd.query_lookup(table, "CalDate_Mean", -250.0)
     assert left == -250.0
     # covered range is [-250, -245): the right edge is outside
@@ -100,16 +96,16 @@ def test_build_rejects_bad_width_and_empty(eval_rows):
     with pytest.raises(ValueError, match="bucket_width"):
         build_lookup(eval_rows, bucket_width=0)
     with pytest.raises(ValueError, match="no matched"):
-        build_lookup([])
+        build([])
+    with pytest.raises(ValueError, match="bucket_width"):
+        build_lookup(eval_rows, bucket_width=float("nan"))
 
 
 def test_rebuild_is_order_independent(eval_rows):
-    subset = [r for r in eval_rows if r.value is not None][: 12 * 300]
+    subset = eval_rows[~np.isnan(eval_rows.value)][: 12 * 300]
     a = build_lookup(subset)
     rng = np.random.default_rng(8)
-    shuffled = list(subset)
-    rng.shuffle(shuffled)
-    b = build_lookup(shuffled)
+    b = build_lookup(subset[rng.permutation(len(subset))])
     assert a.bucket_lefts == b.bucket_lefts
     assert a.cells == b.cells
 
@@ -131,7 +127,8 @@ def test_query_from_written_table_normalizes_names(tmp_path, eval_rows):
     path = tmp_path / "lookup.csv"
     write_lookup(table, path)
     back = read_lookup(path)
-    value = next(r.value for r in eval_rows if r.indicator == "CalDate_Median" and r.value)
+    value = eval_rows.value[(eval_rows.indicator == "CalDate_Median") & (eval_rows.value != 0)
+                            & ~np.isnan(eval_rows.value)][0]
     a = fd.query_lookup(back, "CalDateMedian", value)
     b = fd.query_lookup(back, "CalDate_Median", value)
     assert a == b

@@ -11,6 +11,7 @@ walks of the evaluation rows.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finedating as fd
+from conftest import eval_columns, make_series, make_table, take_datasets
 from finedating.evaluate import mpd_searches
 from finedating.finedate import batch_indicators
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# file round trips are slower per example
+FILES = settings(PROPERTY, max_examples=40)
 
 # Values on a coarse grid repeat often; arbitrary floats make sums order-sensitive.
 VALUES = st.one_of(
@@ -38,35 +42,24 @@ def same(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
 
 
-def make_table(entries) -> fd.RefTable:
-    records = tuple(
-        fd.SimRecord(i + 1, date, age, 5.0, mean, median, 8.0)
-        for i, (age, date, mean, median) in enumerate(entries)
-    )
-    spec = fd.RefTableSpec(label="p", year_interval=5, per_slice=1, sd=5.0,
-                           span=(-400.0, 100.0), seed=0)
-    return fd.RefTable(label="p", curve_name="none", specs=(spec,), records=records)
+def table_of(entries) -> fd.RefTable:
+    return make_table([(i + 1, date, age, 5.0, mean, median, 8.0)
+                       for i, (age, date, mean, median) in enumerate(entries)], label="p")
 
 
-def make_datasets(groups) -> list[fd.TestDataset]:
-    datasets, sim_id = [], 0
-    for data_id, ages in enumerate(groups, 1):
-        records = []
-        for age in ages:
-            sim_id += 1
-            records.append(fd.SimRecord(sim_id, -100.0, age, 20.0, math.nan, math.nan, math.nan))
-        datasets.append(fd.TestDataset(data_id, -100.0 - data_id, 20.0, tuple(records)))
-    return datasets
+def series_of(groups) -> fd.TestSeries:
+    return make_series([(data_id, -100.0 - data_id, [(age, 20.0) for age in ages])
+                        for data_id, ages in enumerate(groups, 1)])
 
 
 def reference_indicators(table: fd.RefTable, ages) -> list[float] | None:
     """The twelve indicators of one dataset from the pooled Python lists."""
-    pooled = [rec for age in ages for rec in table.records if rec.age == age]
+    pooled = [i for age in ages for i, row_age in enumerate(table.age.tolist()) if row_age == age]
     if not pooled:
         return None
     out = []
-    for family in ("base_date", "cal_mean", "cal_median"):
-        values = [getattr(rec, family) for rec in pooled]
+    for column in (table.base_date, table.cal_mean, table.cal_median):
+        values = [column.tolist()[i] for i in pooled]
         unique = sorted(set(values))
         out += [float(np.mean(values)), float(np.median(values)),
                 float(np.mean(unique)), float(np.median(unique))]
@@ -83,31 +76,33 @@ GROUPS = st.lists(st.lists(AGES, max_size=9), min_size=1, max_size=6)
 @PROPERTY
 @given(entries=ENTRIES, groups=GROUPS)
 def test_batched_indicators_equal_pooled_list_reference(entries, groups):
-    table = make_table(entries)
-    datasets = make_datasets(groups)
-    rows = fd.evaluate_test_series(table, datasets)
-    assert len(rows) == 12 * len(datasets)
-    for ds, start in zip(datasets, range(0, len(rows), 12)):
-        got = rows[start : start + 12]
-        expected = reference_indicators(table, [r.age for r in ds.records])
+    table = table_of(entries)
+    rows = fd.evaluate_test_series(table, series_of(groups))
+    assert len(rows) == 12 * len(groups)
+    for data_id, ages in enumerate(groups, 1):
+        got = rows[12 * (data_id - 1) : 12 * data_id]
+        assert (got.data_id == data_id).all() and (got.original_date == -100.0 - data_id).all()
+        expected = reference_indicators(table, ages)
         if expected is None:
-            assert all(r.category == fd.evaluate.NO_MATCH and r.value is None for r in got)
+            assert (got.category == fd.evaluate.NO_MATCH).all() and np.isnan(got.value).all()
             continue
-        assert [r.indicator for r in got] == list(fd.INDICATOR_NAMES)
-        assert all(same(r.value, e) for r, e in zip(got, expected)), (got, expected)
-        assert all(same(r.delta, e - ds.original_date) for r, e in zip(got, expected))
-        ind = fd.compute_indicators(fd.match_measurements(table, list(ds.measurements)))
+        assert got.indicator.tolist() == list(fd.INDICATOR_NAMES)
+        assert all(same(v, e) for v, e in zip(got.value.tolist(), expected)), (got, expected)
+        assert all(same(d, e - (-100.0 - data_id)) for d, e in zip(got.delta.tolist(), expected))
+        ind = fd.compute_indicators(
+            fd.match_measurements(table, [fd.Measurement(age, 20.0) for age in ages])
+        )
         assert all(same(ind.values[name], e) for name, e in zip(fd.INDICATOR_NAMES, expected))
-        assert got[0].n_matches == ind.n_used("CalDate_Mean")
+        assert got.n_matches[0] == ind.n_used("CalDate_Mean")
 
 
 @PROPERTY
 @given(entries=ENTRIES, groups=GROUPS)
 def test_unique_counts_equal_distinct_values(entries, groups):
-    table = make_table([(a, d, m if m == m else 0.0, med) for a, d, m, med in entries])
-    for ds in make_datasets(groups):
+    table = table_of([(a, d, m if m == m else 0.0, med) for a, d, m, med in entries])
+    for ages in groups:
         try:
-            ms = fd.match_measurements(table, list(ds.measurements))
+            ms = fd.match_measurements(table, [fd.Measurement(age, 20.0) for age in ages])
         except ValueError:
             continue
         ind = fd.compute_indicators(ms)
@@ -118,12 +113,13 @@ def test_unique_counts_equal_distinct_values(entries, groups):
 
 
 def test_batch_of_sets_equals_one_set_at_a_time(table_5_20_5, ts3_datasets):
-    sample = ts3_datasets[::97]
-    ages = np.array([r.age for ds in sample for r in ds.records], dtype=np.int64)
-    values, n_prime = batch_indicators(table_5_20_5, ages, np.full(len(sample), 3))
+    sample = take_datasets(ts3_datasets, range(0, len(ts3_datasets), 97))
+    values, n_prime = batch_indicators(table_5_20_5, sample.age, np.full(len(sample), 3))
     assert (n_prime > 0).all()
-    for row, ds in zip(values, sample):
-        ind = fd.compute_indicators(fd.match_measurements(table_5_20_5, list(ds.measurements)))
+    for row, ages in zip(values, sample.age.reshape(-1, 3).tolist()):
+        ind = fd.compute_indicators(
+            fd.match_measurements(table_5_20_5, [fd.Measurement(age, 20.0) for age in ages])
+        )
         assert row.tolist() == [ind.values[name] for name in fd.INDICATOR_NAMES]
 
 
@@ -192,6 +188,13 @@ def test_one_pass_mpd_equals_per_query_search(pool, queries, search):
 
 # --- aggregations over evaluation rows ----------------------------------------
 
+class Row(NamedTuple):
+    data_id: int
+    original_date: float
+    indicator: str
+    delta: float | None
+
+
 def reference_performance(rows, threshold):
     by_dataset, date_of = {}, {}
     for row in rows:
@@ -235,14 +238,16 @@ EVAL_ROWS = st.lists(
 @PROPERTY
 @given(cells=EVAL_ROWS, threshold=st.sampled_from([25, 35]))
 def test_array_aggregations_equal_row_walks(cells, threshold):
-    rows = [fd.EvalRow(i, date, name, None if d is None else date + d, d,
-                       "no_match" if d is None else fd.classify_delta(d).value, 3)
-            for i, date, name, d in cells]
-    got = fd.performance_curves(rows, threshold)
+    # in columns a missing delta is NaN, so the references read NaN as None
+    rows = [Row(i, date, name, None if d is None or d != d else d) for i, date, name, d in cells]
+    columns = eval_columns([(i, date, name, None if d is None else date + d, d,
+                             "no_match" if d is None else fd.classify_delta(d).value, 3)
+                            for i, date, name, d in cells])
+    got = fd.performance_curves(columns, threshold)
     expected = reference_performance(rows, threshold)
     assert [g[:2] for g in got] == [e[:2] for e in expected]
     assert all(same(g[2], e[2]) for g, e in zip(got, expected))
-    per_date, full = fd.average_deviation_analysis(rows)
+    per_date, full = fd.average_deviation_analysis(columns)
     ref_per_date, ref_full = reference_deviation(rows)
     assert list(per_date) == list(ref_per_date)
     assert all(same(per_date[k], ref_per_date[k]) for k in per_date)
@@ -256,3 +261,139 @@ def test_vectorized_categories_equal_classify_delta(delta):
     from finedating.evaluate import _category_names
 
     assert _category_names(np.array([delta]))[0] == fd.classify_delta(delta).value
+
+
+# --- column readers: write -> read -> write ------------------------------------
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False),  # negatives, huge values, -0.0 and +-inf included
+    st.integers(-10**6, 10**6).map(float),
+)
+NAN_FLOATS = st.one_of(FLOATS, st.just(math.nan))
+INTS = st.integers(-2**63, 2**63 - 1)
+NAMES = st.text(alphabet="abcdefgh_XYZ", max_size=12)
+
+
+def same_columns(written, read) -> bool:
+    """Equal column by column, NaN equal to NaN (the format writes -0.0
+    as 0, which compares equal)."""
+    return all(
+        a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype == float)
+        for a, b in zip(written, read)
+    )
+
+
+def rewrite_is_identical(tmp_path, write, read, value) -> tuple:
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write(value, first)
+    back = read(first)
+    write(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    return back
+
+
+@FILES
+@given(rows=st.lists(st.tuples(st.floats(-5000.0, -4999.0), INTS, FLOATS, FLOATS, FLOATS,
+                               FLOATS), min_size=2, max_size=40))
+def test_table_columns_round_trip(tmp_path_factory, rows):
+    n = len(rows)
+    date, age, sd, mean, median, sigma = (np.array(c) for c in zip(*rows))
+    spec = fd.RefTableSpec(label="rt", year_interval=1, per_slice=1, sd=5.0,
+                           span=(-5000.0, -5000.0 + n - 1), seed=3)
+    table = fd.RefTable("rt", "none", (spec,), np.arange(1, n + 1), date,
+                        age.astype(np.int64), sd, mean, median, sigma)
+    back = rewrite_is_identical(tmp_path_factory.mktemp("t"), fd.write_table, fd.read_table,
+                                table)
+    assert same_columns(table.columns(), back.columns())
+    assert back.specs == table.specs
+
+
+@FILES
+@given(datasets=st.lists(
+    st.tuples(FLOATS, st.one_of(FLOATS.filter(lambda sd: sd == sd)),
+              st.lists(st.tuples(INTS, NAN_FLOATS, NAN_FLOATS, NAN_FLOATS), min_size=1,
+                       max_size=4)),
+    max_size=8,
+), ids=st.data())
+def test_test_series_columns_round_trip(tmp_path_factory, datasets, ids):
+    data_id = ids.draw(st.lists(INTS, min_size=len(datasets), max_size=len(datasets),
+                                unique=True))
+    rows = [row for _, _, rows in datasets for row in rows]
+    age, mean, median, sigma = (np.array(c) for c in zip(*rows)) if rows else [np.empty(0)] * 4
+    sizes = [len(rows) for _, _, rows in datasets]
+    series = fd.TestSeries(
+        np.array(data_id, dtype=np.int64), np.array([d for d, _, _ in datasets], dtype=float),
+        age.astype(np.int64), np.repeat([sd for _, sd, _ in datasets], sizes).astype(float),
+        mean.astype(float), median.astype(float), sigma.astype(float),
+        np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+    )
+    back = rewrite_is_identical(tmp_path_factory.mktemp("s"), fd.write_tests, fd.read_tests,
+                                series)
+    assert same_columns(series.columns(), back.columns())
+    assert same_columns([series.data_id, series.original_date, series.offsets],
+                        [back.data_id, back.original_date, back.offsets])
+
+
+@FILES
+@given(rows=st.lists(st.tuples(INTS, FLOATS, NAMES, NAN_FLOATS, NAN_FLOATS, NAMES, INTS),
+                     max_size=40))
+def test_eval_columns_round_trip(tmp_path_factory, rows):
+    from finedating.evaluate import read_eval_rows, write_eval_rows
+
+    columns = eval_columns(rows)
+    back = rewrite_is_identical(tmp_path_factory.mktemp("e"), write_eval_rows, read_eval_rows,
+                                columns)
+    assert same_columns(columns.columns(), back.columns())
+
+
+CELLS = st.one_of(
+    st.tuples(st.just(0), st.none(), st.none()),
+    st.tuples(INTS, FLOATS, FLOATS),
+)
+
+
+@FILES
+@given(width=st.sampled_from([1.0, 2.5, 5.0]), first=st.integers(-10**6, 10**6),
+       tolerances=st.tuples(FLOATS, FLOATS),
+       buckets=st.lists(st.lists(CELLS, min_size=12, max_size=12), min_size=1, max_size=6))
+def test_lookup_round_trip(tmp_path_factory, width, first, tolerances, buckets):
+    from finedating.lookup import BucketStats, LookupTable, read_lookup, write_lookup
+
+    lefts = tuple((first + i) * width for i in range(len(buckets)))
+    table = LookupTable(
+        width, tuple(sorted(tolerances)), lefts, fd.INDICATOR_NAMES,
+        {(left, name): BucketStats(*cell) for left, cells in zip(lefts, buckets)
+         for name, cell in zip(fd.INDICATOR_NAMES, cells)},
+    )
+    back = rewrite_is_identical(tmp_path_factory.mktemp("l"), write_lookup, read_lookup, table)
+    assert back == table
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("age_bp", "3.0"), ("age_bp", "abc"), ("age_bp", ""), ("age_bp", str(2**63)),
+    ("sd", "abc"), ("sd", ""), ("data_id", "1e3"),
+])
+def test_tests_reader_rejects_bad_cells(tmp_path, column, cell):
+    header = list(fd.simulate.TEST_SCHEMA)
+    row = dict(zip(header, ["1", "-100", "2000", "20", "", "", ""]))
+    row[column] = cell
+    path = tmp_path / "tests.csv"
+    path.write_text("# format=finedating-tests\n" + ",".join(header) + "\n"
+                    + ",".join(row.values()) + "\n")
+    with pytest.raises(ValueError):
+        fd.read_tests(path)
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("n_matches", "3.0"), ("data_id", "x"), ("original_cal_date", "abc"), ("value", "abc"),
+])
+def test_eval_reader_rejects_bad_cells(tmp_path, column, cell):
+    from finedating.evaluate import EVAL_SCHEMA, read_eval_rows
+
+    row = dict(zip(EVAL_SCHEMA, ["1", "-100", "CalDate_Mean", "-99", "1", "excellent", "3"]))
+    row[column] = cell
+    path = tmp_path / "eval.csv"
+    path.write_text("# format=finedating-eval\n" + ",".join(EVAL_SCHEMA) + "\n"
+                    + ",".join(row.values()) + "\n")
+    with pytest.raises(ValueError):
+        read_eval_rows(path)

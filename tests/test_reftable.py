@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 import finedating as fd
+from finedating import csvio
 from finedating.reftable import (
     COMBO_COMPONENTS,
     STANDARD_SPECS,
     edge_warnings,
-    records_by_slice,
 )
+
+
+def same_columns(a: fd.RefTable, b: fd.RefTable) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a.columns(), b.columns()))
 
 
 def test_spec_slice_arithmetic():
@@ -45,10 +49,10 @@ def test_standard_specs_cover_expected_totals():
 
 
 def test_build_shape_and_grid(table_5_20_5):
-    assert len(table_5_20_5.records) == 1300
-    dates = {rec.base_date for rec in table_5_20_5.records}
+    assert len(table_5_20_5) == 1300
+    dates = set(table_5_20_5.base_date.tolist())
     assert dates == set(fd.standard_spec("5_20_5", 0).slice_dates())
-    assert [r.sim_id for r in table_5_20_5.records] == list(range(1, 1301))
+    assert table_5_20_5.id.tolist() == list(range(1, 1301))
 
 
 def test_build_rejects_span_outside_domain(flat_curve):
@@ -63,11 +67,11 @@ def test_combo_concatenates_components(study_curve):
     )
     single = fd.build_combo_table(study_curve, [spec])
     direct = fd.build_reference_table(study_curve, spec)
-    assert single.records == direct.records
+    assert same_columns(single, direct)
 
     double = fd.build_combo_table(study_curve, [spec, spec])
-    assert len(double.records) == 2 * len(direct.records)
-    assert [r.sim_id for r in double.records] == list(range(1, 2 * len(direct.records) + 1))
+    assert len(double) == 2 * len(direct)
+    assert double.id.tolist() == list(range(1, 2 * len(direct) + 1))
 
 
 def test_combo_rejects_mismatched_spans(study_curve):
@@ -87,7 +91,7 @@ def test_write_read_roundtrip(tmp_path, study_curve):
     path = tmp_path / "rt.csv"
     fd.write_table(table, path)
     back = fd.read_table(path)
-    assert back.records == table.records
+    assert same_columns(back, table)
     assert back.specs == table.specs
     assert back.label == table.label
 
@@ -116,24 +120,35 @@ def test_read_rejects_tampered_data(tmp_path, study_curve):
         fd.read_table(tmp_path / "t2.csv")
 
 
-def test_read_hand_built_file(tmp_path):
-    text = (
+HAND_ROWS = ["1,-55,2005,5,-56.5,-57,9.25", "2,-50,2001,5,-51,-50.5,8.5"]
+
+
+def hand_built_text(checksum: bool = True) -> str:
+    return (
         "# format=finedating-reftable\n"
         "# label=hand\n"
         "# curve=none\n"
         "# seed=1\n"
         "# records=2\n"
-        "# spec=hand,5,1,5,-55,-50,1\n"
+        + (f"# checksum={csvio.rows_checksum(HAND_ROWS)}\n" if checksum else "")
+        + "# spec=hand,5,1,5,-55,-50,1\n"
         "id,cal_date,age_bp,sd,cal_mean,cal_median,cal_sigma\n"
-        "1,-55,2005,5,-56.5,-57,9.25\n"
-        "2,-50,2001,5,-51,-50.5,8.5\n"
+        + "".join(row + "\n" for row in HAND_ROWS)
     )
-    (tmp_path / "hand.csv").write_text(text)
+
+
+def test_read_hand_built_file(tmp_path):
+    (tmp_path / "hand.csv").write_text(hand_built_text())
     table = fd.read_table(tmp_path / "hand.csv")
-    assert len(table.records) == 2
-    rec = table.records[0]
-    assert (rec.sim_id, rec.base_date, rec.age, rec.sd) == (1, -55.0, 2005, 5.0)
-    assert (rec.cal_mean, rec.cal_median, rec.cal_sigma) == (-56.5, -57.0, 9.25)
+    assert len(table) == 2
+    assert (table.id[0], table.base_date[0], table.age[0], table.sd[0]) == (1, -55.0, 2005, 5.0)
+    assert (table.cal_mean[0], table.cal_median[0], table.cal_sigma[0]) == (-56.5, -57.0, 9.25)
+
+
+def test_read_requires_checksum_header(tmp_path):
+    (tmp_path / "hand.csv").write_text(hand_built_text(checksum=False))
+    with pytest.raises(ValueError, match="corrupt table: .* has no checksum header"):
+        fd.read_table(tmp_path / "hand.csv")
 
 
 def test_rebuild_is_byte_identical(tmp_path, study_curve):
@@ -146,16 +161,16 @@ def test_rebuild_is_byte_identical(tmp_path, study_curve):
 
 
 def test_per_slice_mean_tracks_curve(table_5_50_5, study_curve):
-    for date, recs in records_by_slice(table_5_50_5).items():
+    for date in np.unique(table_5_50_5.base_date).tolist():
+        ages = table_5_50_5.age[table_5_50_5.base_date == date]
         mu, sig = fd.curve_at(study_curve, date)
-        tol = 4.0 * np.sqrt(5.0**2 + sig**2) / np.sqrt(len(recs))
-        assert abs(np.mean([r.age for r in recs]) - mu) <= tol
+        tol = 4.0 * np.sqrt(5.0**2 + sig**2) / np.sqrt(ages.size)
+        assert abs(np.mean(ages) - mu) <= tol
 
 
 def test_scatter_tracks_curve(table_5_50_5, study_curve):
-    ages = np.array([r.age for r in table_5_50_5.records], dtype=float)
-    mus = np.array([fd.curve_at(study_curve, r.base_date)[0] for r in table_5_50_5.records])
-    assert np.corrcoef(ages, mus)[0, 1] > 0.99
+    mus = np.array([fd.curve_at(study_curve, date)[0] for date in table_5_50_5.base_date])
+    assert np.corrcoef(table_5_50_5.age, mus)[0, 1] > 0.99
 
 
 def test_edge_warnings_fire_near_span_edges(table_5_20_5, study_curve):
