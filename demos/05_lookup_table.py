@@ -1,8 +1,9 @@
 """The quality lookup: judging a dating result without knowing the truth.
 
 Evaluated datasets are bucketed by indicator value into half-open
-5-year intervals; each (bucket, indicator) cell stores how often that
-indicator landed within 12 and within 25 years of the true date.  Given
+intervals of a chosen width (5 years here, the default); each (bucket,
+indicator) cell stores how often that indicator landed within the fixed
+tolerances of 12 and 25 years of the true date.  Given
 a fresh dating result, consulting the bucket of each indicator value
 tells which indicator deserves trust at that position on the time axis.
 
@@ -28,13 +29,13 @@ def main() -> None:
     lookup = build_lookup(rows)
     write_lookup(lookup, OUT / "lookup.csv")
     lo, hi = lookup.covered_range()
-    print(f"lookup table: {len(lookup.bucket_lefts)} buckets of {lookup.bucket_width:g} y "
+    print(f"lookup table: {len(lookup)} buckets of {lookup.bucket_width:g} y "
           f"covering [{lo:g}, {hi:g})")
 
     # bucket membership is half-open: -251 belongs to [-255, -250)
     for value in (-251.0, -250.0):
         left, count, frac12, frac25 = fd.query_lookup(lookup, "CalDate_Median", value)
-        print(f"  value {value:6g} -> bucket [{left:g}, {left + 5:g}), "
+        print(f"  value {value:6g} -> bucket [{left:g}, {left + lookup.bucket_width:g}), "
               f"count {count}, within 12/25 y: {frac12}/{frac25} %")
 
     print("\nnow date a fresh object (true date -135) and consult the table:")
@@ -50,7 +51,7 @@ def main() -> None:
             continue
         f12 = "-" if frac12 is None else f"{frac12:.0f}%"
         f25 = "-" if frac25 is None else f"{frac25:.0f}%"
-        print(f"  {name:28s} {value:9.2f} [{left:6g},{left + 5:6g}) {count:5d} {f12:>6s} {f25:>6s}")
+        print(f"  {name:28s} {value:9.2f} [{left:6g},{left + lookup.bucket_width:6g}) {count:5d} {f12:>6s} {f25:>6s}")
 
     print("\nhigh within-25 percentages mark the indicators to trust here.")
 

@@ -164,7 +164,7 @@ class CalibrationResult:
     hpd95: tuple[tuple[float, float, float], ...]
 
 
-def load_curve(source, fmt: str = "14c", name: str | None = None) -> CalCurve:
+def load_curve(source, name: str | None = None) -> CalCurve:
     """Read a calibration curve from a ``#``-commented delimited text file.
 
     ``source`` may be a path or an open text/byte stream.  Data rows are
@@ -173,8 +173,6 @@ def load_curve(source, fmt: str = "14c", name: str | None = None) -> CalCurve:
     accepted and normalized to ascending cal BP; non-monotonic input is
     rejected.
     """
-    if fmt not in ("14c", "intcal"):
-        raise ValueError(f"unknown curve format {fmt!r}")
     if hasattr(source, "read"):
         raw = source.read()
         src_name = getattr(source, "name", "<stream>")

@@ -409,9 +409,9 @@ def _cmd_simulate(args, config, seed: int) -> int:
             },
         )
         write_tests(series, out, extra_header=prov)
-        for date, count in leftovers:
+        for date, sd, count in leftovers:
             print(
-                f"warning: {count} leftover row(s) at date {date:g} did not fill a "
+                f"warning: {count} leftover row(s) at date {date:g} sd {sd:g} did not fill a "
                 f"group of {group} and were excluded",
                 file=sys.stderr,
             )
@@ -504,10 +504,10 @@ def _cmd_lookup(args, config) -> int:
         prov = _write_manifest(
             out,
             "lookup-build",
-            {"bucket_width": width, "buckets": len(table.bucket_lefts), "out": out.name},
+            {"bucket_width": width, "buckets": len(table), "out": out.name},
         )
         write_lookup(table, out, extra_header=prov)
-        print(f"wrote {out} ({len(table.bucket_lefts)} buckets)")
+        print(f"wrote {out} ({len(table)} buckets)")
         return 0
     if action == "query":
         table = read_lookup(_require(_effective(args, config, "table"), "table"))

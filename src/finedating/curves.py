@@ -27,11 +27,12 @@ def flat_curve(
     level: float = 2000.0,
     error: float = 5.0,
     span: tuple[float, float] = (-300.0, 0.0),
-    knot_step: float = 50.0,
     name: str = "flat-synthetic",
 ) -> CalCurve:
-    """Constant curve mean and error; calibrations are uniform."""
+    """Constant curve mean and error, with knots every 50 years;
+    calibrations are uniform."""
     oldest, youngest = span
+    knot_step = 50.0
     bp = np.arange(1950.0 - youngest, 1950.0 - oldest + knot_step / 2, knot_step)
     return CalCurve(
         name=name,
@@ -44,12 +45,12 @@ def flat_curve(
 def linear_curve(
     span: tuple[float, float] = (-1000.0, 500.0),
     error: float = 0.01,
-    knot_step: float = 50.0,
     name: str = "linear-synthetic",
 ) -> CalCurve:
-    """Identity curve: the 14C age equals cal BP, so posteriors are
-    Gaussian and closed-form comparable."""
+    """Identity curve with knots every 50 years: the 14C age equals cal
+    BP, so posteriors are Gaussian and closed-form comparable."""
     oldest, youngest = span
+    knot_step = 50.0
     bp = np.arange(1950.0 - youngest, 1950.0 - oldest + knot_step / 2, knot_step)
     return CalCurve(
         name=name,
@@ -67,10 +68,10 @@ _SPIKE = (2085.0, 2100.0)
 
 def synthetic_study_curve(
     span: tuple[float, float] = (-420.0, 120.0),
-    knot_step: float = 5.0,
     name: str = "synthetic-study",
 ) -> CalCurve:
-    """Wiggly curve over the study period with plateaus and a spike.
+    """Wiggly curve over the study period, knots every 5 years, with
+    plateaus and a spike.
 
     Built by integrating a deterministic slope profile, so every call
     returns the same knots.  Slope stays positive (no age reversals);
@@ -86,6 +87,7 @@ def synthetic_study_curve(
         return 1.0 + 0.45 * math.sin(2.0 * math.pi * (bp - 1830.0) / 173.0)
 
     oldest, youngest = span
+    knot_step = 5.0
     bp = np.arange(1950.0 - youngest, 1950.0 - oldest + knot_step / 2, knot_step)
     mu = np.empty_like(bp)
     mu[0] = bp[0] - 15.0
@@ -108,7 +110,7 @@ def write_curve(curve: CalCurve, path) -> None:
     csvio.write_lines(path, lines)
 
 
-def locate_intcal20(extra_dirs: list | None = None) -> Path | None:
+def locate_intcal20() -> Path | None:
     """Find a locally provided intcal20.14c, or None.
 
     Looked up, in order: the INTCAL20_PATH environment variable, then
@@ -124,8 +126,6 @@ def locate_intcal20(extra_dirs: list | None = None) -> Path | None:
     for base in [cwd, *cwd.parents[:3]]:
         candidates.append(base / "data" / INTCAL20_FILENAME)
     candidates.append(Path(__file__).parent / "data" / INTCAL20_FILENAME)
-    for base in extra_dirs or []:
-        candidates.append(Path(base) / INTCAL20_FILENAME)
     for path in candidates:
         if path.is_file():
             return path

@@ -51,6 +51,10 @@ def _category_names(deltas: np.ndarray) -> np.ndarray:
     return names[np.searchsorted(_DELTA_BOUNDS, np.abs(deltas))]
 
 
+# Matches the tolerance search grows to before it reports a mode.
+M_MIN = 5
+
+
 class MPDResult(NamedTuple):
     """Outcome of one tolerance-grown mode search."""
 
@@ -76,7 +80,7 @@ def mpd_search(
     t0: float = 1.0,
     dt: float = 1.0,
     t_max: float = 10.0,
-    m_min: int = 5,
+    m_min: int = M_MIN,
     indicator: str = "",
     original_date: float | None = None,
 ) -> MPDResult:
@@ -112,7 +116,7 @@ def mpd_searches(
     t0: float = 1.0,
     dt: float = 1.0,
     t_max: float = 10.0,
-    m_min: int = 5,
+    m_min: int = M_MIN,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The tolerance-grown mode search of :func:`mpd_search` for every
     query against one non-empty pool, in one pass.
@@ -448,17 +452,13 @@ def histogram(sample, bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
-def mpd_report(
-    rows: EvalColumns,
-    t0: float = 1.0,
-    dt: float = 1.0,
-    t_max: float = 10.0,
-    m_min: int = 5,
-) -> dict[str, np.ndarray]:
+def mpd_report(rows: EvalColumns) -> dict[str, np.ndarray]:
     """Run the tolerance search for every evaluated indicator value,
     using the same indicator's values over all datasets as the
     reference pool.  Rows without a value are skipped.  Each pool is
-    searched in one pass (:func:`mpd_searches`).
+    searched in one pass, with the default tolerances of
+    :func:`mpd_searches`: from 1 to 10 years in steps of 1, until
+    ``M_MIN`` values match.
 
     Returns the columns of ``mpd_report.csv`` by name, one entry per
     searched row, in row order.
@@ -474,9 +474,7 @@ def mpd_report(
     for k in range(len(codes)):
         members = np.flatnonzero(pool_of == k)
         pool = searched.value[members]
-        tol[members], count[members], mpd[members], value_range[members] = mpd_searches(
-            pool, pool, t0, dt, t_max, m_min
-        )
+        tol[members], count[members], mpd[members], value_range[members] = mpd_searches(pool, pool)
     return {
         "data_id": searched.data_id,
         "original_cal_date": searched.original_date,
@@ -484,7 +482,7 @@ def mpd_report(
         "value": searched.value,
         "tolerance": tol,
         "match_count": count,
-        "under_min": count < m_min,
+        "under_min": count < M_MIN,
         "mpd": mpd,
         "range": value_range,
         "delta": mpd - searched.original_date,

@@ -2,18 +2,20 @@
 landed near the true date.
 
 Evaluated datasets are bucketed by indicator value into half-open
-5-year intervals [left, left + width); a record can land in different
-buckets under different indicators.  For every (bucket, indicator) the
-table stores the record count and the percentage of records whose
-absolute deviation stayed within 12 and within 25 years.  Consulting
-the bucket of a fresh dating result then tells which indicator tends to
-be reliable at that value, without knowing the true date.
+intervals [left, left + width); the width is a parameter (default 5
+years), and a record can land in different buckets under different
+indicators.  For every (bucket, indicator) the table stores the record
+count and the percentage of records whose absolute deviation stayed
+within 12 and within 25 years; these two tolerances are fixed.
+Consulting the bucket of a fresh dating result then tells which
+indicator tends to be reliable at that value, without knowing the true
+date.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,115 +23,124 @@ from . import csvio
 from .evaluate import NO_MATCH, EvalColumns
 from .finedate import INDICATOR_NAMES, normalize_indicator
 
-
-@dataclass(frozen=True)
-class BucketStats:
-    total_count: int
-    frac12: float | None
-    frac25: float | None
+# Deviation tolerances in years of the Frac12 and Frac25 columns.
+TOLERANCES = (12, 25)
+_TOLERANCES_HEADER = ";".join(map(str, TOLERANCES))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LookupTable:
+    """The lookup as matrices of ``(buckets, 12)`` cells, one column per
+    indicator in ``INDICATOR_NAMES`` order.
+
+    Bucket i covers ``[(first + i) * bucket_width, (first + i + 1) *
+    bucket_width)``.  ``count`` is int64; ``frac12`` and ``frac25`` are
+    percentages, NaN where the count is 0.
+    """
+
     bucket_width: float
-    tolerances: tuple[float, float]
-    bucket_lefts: tuple[float, ...]
-    indicators: tuple[str, ...]
-    cells: dict[tuple[float, str], BucketStats]
+    first: int
+    count: np.ndarray
+    frac12: np.ndarray
+    frac25: np.ndarray
+
+    def __len__(self) -> int:
+        """The number of buckets."""
+        return self.count.shape[0]
+
+    @property
+    def bucket_lefts(self) -> np.ndarray:
+        return (self.first + np.arange(len(self))) * self.bucket_width
 
     def covered_range(self) -> tuple[float, float]:
-        return self.bucket_lefts[0], self.bucket_lefts[-1] + self.bucket_width
+        return self.first * self.bucket_width, (self.first + len(self)) * self.bucket_width
+
+
+def bucket_index(value, width: float):
+    """Index i of the half-open bucket ``[i * width, (i + 1) * width)``
+    holding value (a float or an array of them), with the edges as
+    computed in floating point, so that a value on an edge belongs to the
+    bucket starting there.
+
+    ``floor(value / width)`` can be one off when width is not an exact
+    binary fraction (0.1, 0.3); one step against the edges corrects it.
+    """
+    i = np.floor(np.divide(value, width))
+    i = i - (i * width > value)
+    i = i + ((i + 1) * width <= value)
+    return i.astype(np.int64)
 
 
 def bucket_left(value: float, width: float) -> float:
-    """Left edge of the half-open bucket containing value; a value on an
-    edge belongs to the bucket starting there."""
-    return math.floor(value / width) * width
+    """Left edge of the half-open bucket containing value."""
+    return int(bucket_index(value, width)) * width
 
 
-def build_lookup(
-    rows: EvalColumns,
-    bucket_width: float = 5.0,
-    tolerances: tuple[float, float] = (12.0, 25.0),
-) -> LookupTable:
+def build_lookup(rows: EvalColumns, bucket_width: float = 5.0) -> LookupTable:
     """Bucket every indicator independently by its own value and count
     the deviations within the two tolerances.
 
     Fractions are percentages at 0.01% resolution; empty (bucket,
-    indicator) cells carry count 0 and blank fractions.  Buckets span
-    the observed value range snapped outward to multiples of the width.
+    indicator) cells carry count 0 and NaN fractions.  Buckets run from
+    the lowest to the highest bucket holding a value.
     """
     if not 0 < bucket_width < math.inf:
         raise ValueError(f"bucket_width must be finite and > 0, got {bucket_width}")
-    tol_lo, tol_hi = sorted(tolerances)
     usable = rows[(rows.category != NO_MATCH) & ~np.isnan(rows.value)]
     if not len(usable):
         raise ValueError("no matched evaluation rows to bucket")
+    infinite = np.flatnonzero(np.isinf(usable.value))
+    if infinite.size:
+        raise ValueError(f"indicator value {usable.value[infinite[0]]} is not finite")
+    codes = {name: j for j, name in enumerate(INDICATOR_NAMES)}
+    indicator = np.fromiter((codes.get(name, -1) for name in usable.indicator.tolist()),
+                            dtype=np.int64, count=len(usable))
+    if (indicator < 0).any():
+        raise ValueError(f"unknown indicator {usable.indicator[np.argmin(indicator)]!r}")
 
-    # bucket_left of every value: np.floor equals math.floor as a float
-    row_left = np.floor(usable.value / bucket_width) * bucket_width
+    index = bucket_index(usable.value, bucket_width)
+    first = int(index.min())
+    shape = (int(index.max()) - first + 1, len(INDICATOR_NAMES))
+    cell = (index - first) * shape[1] + indicator
     deviation = np.abs(usable.delta)
-    counts: dict[tuple[float, str], tuple[int, int, int]] = {}
-    for name in INDICATOR_NAMES:
-        mine = usable.indicator == name
-        keys, bucket = np.unique(row_left[mine], return_inverse=True)
-        near = deviation[mine]
-        tallies = (np.bincount(bucket[within], minlength=keys.size).tolist()
-                   for within in (slice(None), near <= tol_lo, near <= tol_hi))
-        counts.update(((key, name), cell) for key, *cell in zip(keys.tolist(), *tallies))
+    count, k12, k25 = (np.bincount(cell[within], minlength=shape[0] * shape[1]).reshape(shape)
+                       for within in (slice(None), deviation <= TOLERANCES[0],
+                                      deviation <= TOLERANCES[1]))
+    return LookupTable(float(bucket_width), first, count,
+                       _percent(k12, count), _percent(k25, count))
 
-    lo, hi = float(row_left.min()), float(row_left.max())
-    n_buckets = int(round((hi - lo) / bucket_width)) + 1
-    lefts = tuple(lo + i * bucket_width for i in range(n_buckets))
-    cells: dict[tuple[float, str], BucketStats] = {}
-    for left in lefts:
-        for name in INDICATOR_NAMES:
-            raw = counts.get((left, name))
-            if raw is None:
-                cells[(left, name)] = BucketStats(0, None, None)
-            else:
-                total, k12, k25 = raw
-                cells[(left, name)] = BucketStats(
-                    total_count=total,
-                    frac12=round(100.0 * k12 / total, 2),
-                    frac25=round(100.0 * k25 / total, 2),
-                )
-    return LookupTable(
-        bucket_width=float(bucket_width),
-        tolerances=(float(tol_lo), float(tol_hi)),
-        bucket_lefts=lefts,
-        indicators=INDICATOR_NAMES,
-        cells=cells,
-    )
+
+def _percent(hits: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``round(100 * hits / total, 2)``, NaN where total is 0.  Python's
+    ``round`` rounds the float's exact value, which ``np.round`` (a scale,
+    rint and unscale) does not."""
+    pct = np.full(total.shape, math.nan)
+    filled = total > 0
+    pct[filled] = [round(p, 2) for p in (100.0 * hits[filled] / total[filled]).tolist()]
+    return pct
 
 
 def query_lookup(
     table: LookupTable, indicator: str, value: float
 ) -> tuple[float, int, float | None, float | None]:
     """(bucket left, count, frac12, frac25) for the bucket holding value."""
-    name = normalize_indicator(indicator)
-    lo, hi = table.covered_range()
-    if not (lo <= value < hi):
-        raise ValueError(
-            f"outside lookup range: {value:g} not in [{lo:g}, {hi:g})"
-        )
-    left = bucket_left(value, table.bucket_width)
-    stats = table.cells[(left, name)]
-    return left, stats.total_count, stats.frac12, stats.frac25
+    j = INDICATOR_NAMES.index(normalize_indicator(indicator))
+    i = int(bucket_index(value, table.bucket_width)) - table.first if math.isfinite(value) else -1
+    if not 0 <= i < len(table):
+        lo, hi = table.covered_range()
+        raise ValueError(f"outside lookup range: {value:g} not in [{lo:g}, {hi:g})")
+    frac12, frac25 = (None if f != f else f for f in (table.frac12[i, j].item(),
+                                                      table.frac25[i, j].item()))
+    return (table.first + i) * table.bucket_width, int(table.count[i, j]), frac12, frac25
 
 
-def _lookup_schema(indicators) -> dict:
-    """Column name -> cell parser: ``BucketLeft``, then per indicator
-    ``<Ind>_TotalCount, <Ind>_Frac12, <Ind>_Frac25``."""
-    columns = {"BucketLeft": float}
-    for name in indicators:
-        columns[f"{name}_TotalCount"] = int
-        columns[f"{name}_Frac12"] = csvio.parse_float
-        columns[f"{name}_Frac25"] = csvio.parse_float
-    return columns
+# The three cells of each indicator, in column order, with their parsers.
+_CELLS = (("TotalCount", int), ("Frac12", csvio.parse_float), ("Frac25", csvio.parse_float))
 
-
-LOOKUP_SCHEMA = _lookup_schema(INDICATOR_NAMES)
+# ``BucketLeft``, then per indicator ``<Ind>_TotalCount, <Ind>_Frac12, <Ind>_Frac25``.
+LOOKUP_SCHEMA = {"BucketLeft": float} | {
+    f"{name}_{kind}": parse for name in INDICATOR_NAMES for kind, parse in _CELLS
+}
 
 
 def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> None:
@@ -138,55 +149,46 @@ def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> 
     header = {
         "format": "finedating-lookup",
         "bucket_width": table.bucket_width,
-        "tolerances": ";".join(map(csvio.fmt, table.tolerances)),
+        "tolerances": _TOLERANCES_HEADER,
     }
     if extra_header:
         header.update(extra_header)
-    rows = (
-        (left, *(v for name in table.indicators for v in astuple(table.cells[(left, name)])))
-        for left in table.bucket_lefts
-    )
-    csvio.write_artifact(path, header, _lookup_schema(table.indicators), rows)
+    cells = (matrix[:, j] for j in range(len(INDICATOR_NAMES))
+             for matrix in (table.count, table.frac12, table.frac25))
+    csvio.write_artifact(path, header, LOOKUP_SCHEMA,
+                         csvio.column_rows(table.bucket_lefts, *cells))
 
 
 def read_lookup(path) -> LookupTable:
     """Read a table written by :func:`write_lookup`.
 
-    The bucket lefts must be the contiguous multiples of the bucket width
-    that :func:`build_lookup` emits, so that :func:`query_lookup` finds
-    the bucket of every value in the covered range.
+    The bucket lefts must be the contiguous bucket edges that
+    :func:`build_lookup` emits, so that :func:`query_lookup` finds the
+    bucket of every value in the covered range.
     """
     meta, _, columns = csvio.read_commented_csv(path, "finedating-lookup", LOOKUP_SCHEMA)
     try:
         width = float(meta["bucket_width"])
-        tol = tuple(float(t) for t in meta["tolerances"].split(";"))
+        tolerances = meta["tolerances"]
     except KeyError as exc:
         raise ValueError(f"corrupt lookup: {path} has no {exc.args[0]} header") from None
-    if not 0 < width < math.inf or len(tol) != 2:
+    if not 0 < width < math.inf or tolerances != _TOLERANCES_HEADER:
         raise ValueError(
-            f"corrupt lookup: bad bucket_width or tolerances header in {path}"
+            f"corrupt lookup: bad bucket_width or tolerances header in {path} "
+            f"(tolerances must be {_TOLERANCES_HEADER})"
         )
-    lefts = tuple(columns["BucketLeft"].tolist())
-    if not lefts:
+    lefts = columns["BucketLeft"]
+    if not lefts.size:
         raise ValueError(f"corrupt lookup: {path} has no buckets")
-    for i, left in enumerate(lefts):
-        if left != lefts[0] + i * width or bucket_left(left, width) != left:
-            raise ValueError(
-                f"corrupt lookup: bucket lefts in {path} must step by bucket_width "
-                f"{width:g} from a multiple of it; bucket {left:g} does not"
-            )
-    cells: dict[tuple[float, str], BucketStats] = {}
-    for name in INDICATOR_NAMES:
-        stats = zip(
-            columns[f"{name}_TotalCount"].tolist(),
-            *([None if f != f else f for f in columns[f"{name}_{frac}"].tolist()]
-              for frac in ("Frac12", "Frac25")),
+    first = int(bucket_index(lefts[0], width)) if math.isfinite(lefts[0]) else 0
+    off_grid = np.flatnonzero(lefts != (first + np.arange(lefts.size)) * width)
+    if off_grid.size:
+        raise ValueError(
+            f"corrupt lookup: bucket lefts in {path} must step by bucket_width "
+            f"{width:g} from a multiple of it; bucket {lefts[off_grid[0]]:g} does not"
         )
-        cells.update(((left, name), BucketStats(*cell)) for left, cell in zip(lefts, stats))
-    return LookupTable(
-        bucket_width=width,
-        tolerances=(tol[0], tol[1]),
-        bucket_lefts=lefts,
-        indicators=INDICATOR_NAMES,
-        cells=cells,
+    count, frac12, frac25 = (
+        np.stack([columns[f"{name}_{kind}"] for name in INDICATOR_NAMES], axis=1)
+        for kind, _ in _CELLS
     )
+    return LookupTable(width, first, count, frac12, frac25)

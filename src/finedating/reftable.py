@@ -164,11 +164,7 @@ class RefTable:
         return self._age_index
 
 
-def build_reference_table(
-    curve: CalCurve,
-    spec: RefTableSpec,
-    grid_step: float = 1.0,
-) -> RefTable:
+def build_reference_table(curve: CalCurve, spec: RefTableSpec) -> RefTable:
     """Simulate ``per_slice`` measurements at every grid date of the spec.
 
     Each slice is drawn from the substream keyed by its index, so
@@ -182,7 +178,7 @@ def build_reference_table(
         )
     dates = spec.slice_dates()
     slices = [
-        simulate_date(curve, date, spec.sd, [substream(spec.seed, si)], spec.per_slice, grid_step)
+        simulate_date(curve, date, spec.sd, [substream(spec.seed, si)], spec.per_slice)
         for si, date in enumerate(dates)
     ]
     age, cal_mean, cal_median, cal_sigma = map(np.concatenate, zip(*slices))
@@ -195,10 +191,7 @@ def build_reference_table(
 
 
 def build_combo_table(
-    curve: CalCurve,
-    specs: list[RefTableSpec],
-    label: str = "Combo",
-    grid_step: float = 1.0,
+    curve: CalCurve, specs: list[RefTableSpec], label: str = "Combo"
 ) -> RefTable:
     """Concatenate component tables, re-assigning dense record ids."""
     if not specs:
@@ -209,7 +202,7 @@ def build_combo_table(
         raise ValueError(
             f"incompatible specs: combo components must share span and step, got spans {sorted(spans)} steps {sorted(steps)}"
         )
-    parts = [build_reference_table(curve, spec, grid_step=grid_step) for spec in specs]
+    parts = [build_reference_table(curve, spec) for spec in specs]
     columns = [np.concatenate(c) for c in zip(*(part.columns()[1:] for part in parts))]
     return RefTable(
         label, curve.name, tuple(specs), np.arange(1, columns[0].size + 1), *columns

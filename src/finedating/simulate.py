@@ -83,12 +83,7 @@ def draw_age(curve: CalCurve, date: float, sd: float, rng: np.random.Generator) 
 
 
 def simulate_date(
-    curve: CalCurve,
-    date: float,
-    sd: float,
-    rngs: list[np.random.Generator],
-    n: int,
-    grid_step: float = 1.0,
+    curve: CalCurve, date: float, sd: float, rngs: list[np.random.Generator], n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``n`` simulated measurements of one calendar date from each
     generator in turn, as the columns (age, cal_mean, cal_median,
@@ -99,7 +94,7 @@ def simulate_date(
     """
     ages = draw_ages(curve, date, sd, rngs, n)
     sd = float(sd)
-    summaries = np.array([posterior_summary(curve, age, sd, grid_step) for age in ages],
+    summaries = np.array([posterior_summary(curve, age, sd) for age in ages],
                          dtype=float).reshape(-1, 3)
     return (np.array(ages, dtype=np.int64), *summaries.T)
 
@@ -123,7 +118,6 @@ def generate_test_datasets(
     sd: float,
     seed: int,
     group_size: int = 3,
-    grid_step: float = 1.0,
 ) -> TestSeries:
     """Clusters of simulated measurements for every requested date.
 
@@ -141,7 +135,7 @@ def generate_test_datasets(
 
     per_date = [
         simulate_date(curve, date, sd, [substream(seed, di, ri) for ri in range(datasets_per_date)],
-                      group_size, grid_step)
+                      group_size)
         for di, date in enumerate(dates)
     ]
     age, cal_mean, cal_median, cal_sigma = map(np.concatenate, zip(*per_date))
@@ -196,11 +190,15 @@ _EXPORT_ALIASES = {
 }
 
 
-def convert_rsim_to_tests(path, group_size: int = 3) -> tuple[TestSeries, list[tuple[float, int]]]:
+def convert_rsim_to_tests(
+    path, group_size: int = 3
+) -> tuple[TestSeries, list[tuple[float, float, int]]]:
     """Group exported simulation rows (cal_date, age, sd) into
-    consecutive clusters of ``group_size`` sharing one calendar date.
+    consecutive clusters of ``group_size`` sharing one calendar date and
+    one sd, as :func:`read_tests` requires of a dataset.  The (date, sd)
+    groups keep the order of their first row.
 
-    Returns (series, leftovers) where leftovers lists (date, count)
+    Returns (series, leftovers) where leftovers lists (date, sd, count)
     of trailing rows that did not fill a full group.
     """
     if group_size < 1:
@@ -215,30 +213,32 @@ def convert_rsim_to_tests(path, group_size: int = 3) -> tuple[TestSeries, list[t
         raise ValueError(f"cannot find a {kind} column in {path}; columns are {columns}")
 
     ci, ai, si = find("cal_date"), find("age"), find("sd")
-    by_date: dict[float, list[tuple[int, float]]] = {}
+    by_key: dict[tuple[float, float], list[int]] = {}
     for lineno, cells in enumerate(rows, start=1):
         try:
             date = parse_date(cells[ci])
             age = int(round(float(cells[ai])))
             sd = float(cells[si])
-        except ValueError:
+            check_sd(sd)
+        except (ValueError, OverflowError):
             raise ValueError(f"malformed row {lineno} in {path}: {cells}") from None
-        by_date.setdefault(date, []).append((age, sd))
+        by_key.setdefault((date, sd), []).append(age)
 
     dates: list[float] = []
-    kept: list[tuple[int, float]] = []
-    leftovers: list[tuple[float, int]] = []
-    for date, entries in by_date.items():
+    ages: list[int] = []
+    sds: list[float] = []
+    leftovers: list[tuple[float, float, int]] = []
+    for (date, sd), entries in by_key.items():
         n_full, rest = divmod(len(entries), group_size)
         dates += [date] * n_full
-        kept += entries[: len(entries) - rest]
+        ages += entries[: len(entries) - rest]
+        sds += [sd] * (n_full * group_size)
         if rest:
-            leftovers.append((date, rest))
-    ages, sds = zip(*kept) if kept else ((), ())
-    nan = np.full(len(kept), math.nan)
+            leftovers.append((date, sd, rest))
+    nan = np.full(len(ages), math.nan)
     series = TestSeries(
         np.arange(1, len(dates) + 1), np.array(dates, dtype=float),
         np.array(ages, dtype=np.int64), np.array(sds, dtype=float), nan, nan, nan,
-        np.arange(0, len(kept) + 1, group_size),
+        np.arange(0, len(ages) + 1, group_size),
     )
     return series, leftovers

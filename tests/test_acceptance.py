@@ -296,13 +296,10 @@ def test_criterion_12_lookup_correctness(eval_rows):
     matched = {}
     for name in eval_rows.indicator[eval_rows.category != "no_match"].tolist():
         matched[name] = matched.get(name, 0) + 1
-    for name in fd.INDICATOR_NAMES:
-        total = sum(table.cells[(left, name)].total_count for left in table.bucket_lefts)
-        assert total == matched[name]
-        for left in table.bucket_lefts:
-            stats = table.cells[(left, name)]
-            if stats.total_count:
-                assert stats.frac12 <= stats.frac25
+    for j, name in enumerate(fd.INDICATOR_NAMES):
+        count, frac12, frac25 = table.count[:, j], table.frac12[:, j], table.frac25[:, j]
+        assert count.sum() == matched[name]
+        assert (frac12[count > 0] <= frac25[count > 0]).all()
     report(12, f"bucket rule and count conservation over {len(table.bucket_lefts)} buckets")
 
 

@@ -202,6 +202,24 @@ def test_lookup_build_and_query(pipeline, capsys):
     assert "bucket: [" in out and "total_count:" in out
 
 
+@pytest.mark.parametrize("width", ["0.1", "0.3"])
+def test_lookup_with_inexact_width_can_be_queried(pipeline, tmp_path, capsys, width):
+    eval_long = pipeline / "eval" / "eval_long.csv"
+    table_path = tmp_path / "lookup.csv"
+    assert run("lookup", "build", "--eval", eval_long, "--bucket-width", width,
+               "--out", table_path) == 0
+    rows = fd.evaluate.read_eval_rows(eval_long)
+    values = rows.value[(rows.indicator == "CalDate_Median") & ~np.isnan(rows.value)]
+    for value in (values.min(), values[0], values.max()):
+        capsys.readouterr()
+        assert run("lookup", "query", "--table", table_path, "--indicator", "CalDate_Median",
+                   "--value", repr(float(value))) == 0
+        out = capsys.readouterr().out
+        left, right = map(float, out.split("bucket: [", 1)[1].split(")", 1)[0].split(", "))
+        assert left - 1e-9 <= value < right + 1e-9
+        assert "total_count: 0" not in out
+
+
 def test_lookup_query_outside_range(pipeline, capsys):
     table_path = pipeline / "lookup.csv"
     assert run("lookup", "query", "--table", table_path, "--indicator", "CalDate_Median",
@@ -262,6 +280,27 @@ def test_convert_groups_and_flags_leftovers(pipeline, tmp_path, capsys):
     series = fd.read_tests(out)
     assert len(series) == 4  # 2 + 2 full groups, 1 leftover row dropped
     assert series.age.size == 12
+
+
+def test_convert_splits_a_date_by_sd_so_evaluate_accepts_it(pipeline, tmp_path, capsys):
+    src = tmp_path / "rsim.csv"
+    src.write_text("cal_date,age,sd\n-100,2060,15\n-100,2070,20\n-100,2075,20\n")
+    out = tmp_path / "tests.csv"
+    assert run("simulate", "convert", "--in", src, "--group", 2, "--out", out) == 0
+    assert "1 leftover row(s) at date -100 sd 15" in capsys.readouterr().err
+    series = fd.read_tests(out)
+    assert series.sd.tolist() == [20.0, 20.0]
+    assert run("evaluate", "--ref", pipeline / "ref.csv", "--tests", out,
+               "--out", tmp_path / "eval") == 0
+
+
+@pytest.mark.parametrize("row", ["-100,inf,20", "-100,2060,nan", "-100,2060,-1"])
+def test_convert_rejects_bad_cells(tmp_path, capsys, row):
+    src = tmp_path / "rsim.csv"
+    src.write_text(f"cal_date,age,sd\n-100,2050,20\n{row}\n")
+    assert run("simulate", "convert", "--in", src, "--group", 1,
+               "--out", tmp_path / "tests.csv") == 4
+    assert f"malformed row 2 in {src}" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(curve_file, tmp_path):
@@ -345,7 +384,7 @@ def test_ragged_row_is_data_error(pipeline, tmp_path, capsys, artifact):
     assert f"ragged row in {bad} at line {lineno}" in err
 
 
-@pytest.mark.parametrize("damage", ["shifted", "gap", "no-width"])
+@pytest.mark.parametrize("damage", ["shifted", "gap", "no-width", "tolerances"])
 def test_corrupt_lookup_is_data_error(pipeline, tmp_path, capsys, damage):
     built, bad = tmp_path / "lookup.csv", tmp_path / "bad.csv"
     assert run("lookup", "build", "--eval", pipeline / "eval" / "eval_long.csv",
@@ -362,8 +401,10 @@ def test_corrupt_lookup_is_data_error(pipeline, tmp_path, capsys, damage):
         value = lefts[1] + 3.0
     elif damage == "gap":
         del lines[first + 1]
-    else:
+    elif damage == "no-width":
         lines.remove("# bucket_width=5")
+    else:
+        lines[lines.index("# tolerances=12;25")] = "# tolerances=10;25"
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run("lookup", "query", "--table", bad, "--indicator", "CalDate_Median",

@@ -15,6 +15,15 @@ def build(rows, **kwargs):
     return build_lookup(eval_columns(rows), **kwargs)
 
 
+def assert_same_lookup(a, b):
+    assert (a.bucket_width, a.first) == (b.bucket_width, b.first)
+    assert np.array_equal(a.bucket_lefts, b.bucket_lefts)
+    assert a.count.dtype == b.count.dtype == np.int64
+    assert np.array_equal(a.count, b.count)
+    assert np.array_equal(a.frac12, b.frac12, equal_nan=True)
+    assert np.array_equal(a.frac25, b.frac25, equal_nan=True)
+
+
 def test_bucket_left_examples():
     assert bucket_left(-251.0, 5.0) == -255.0
     assert bucket_left(-242.0, 5.0) == -245.0
@@ -50,9 +59,10 @@ def test_fraction_counting():
 
 def test_fractions_monotone_in_tolerance(eval_rows):
     table = build_lookup(eval_rows)
-    for (left, name), stats in table.cells.items():
-        if stats.total_count:
-            assert 0.0 <= stats.frac12 <= stats.frac25 <= 100.0
+    filled = table.count > 0
+    frac12, frac25 = table.frac12[filled], table.frac25[filled]
+    assert ((0.0 <= frac12) & (frac12 <= frac25) & (frac25 <= 100.0)).all()
+    assert np.isnan(table.frac12[~filled]).all() and np.isnan(table.frac25[~filled]).all()
 
 
 def test_counts_sum_to_matched_dataset_count(eval_rows):
@@ -60,11 +70,9 @@ def test_counts_sum_to_matched_dataset_count(eval_rows):
     matched = {}
     for name in eval_rows.indicator[eval_rows.category != NO_MATCH].tolist():
         matched[name] = matched.get(name, 0) + 1
-    for name in fd.INDICATOR_NAMES:
-        total = sum(
-            table.cells[(left, name)].total_count for left in table.bucket_lefts
-        )
-        assert total == matched[name]
+    assert table.count.shape == (len(table.bucket_lefts), len(fd.INDICATOR_NAMES))
+    for j, name in enumerate(fd.INDICATOR_NAMES):
+        assert table.count[:, j].sum() == matched[name]
 
 
 def test_empty_buckets_emitted_blank():
@@ -101,13 +109,19 @@ def test_build_rejects_bad_width_and_empty(eval_rows):
         build_lookup(eval_rows, bucket_width=float("nan"))
 
 
+def test_build_rejects_infinite_value_and_unknown_indicator():
+    with pytest.raises(ValueError, match="not finite"):
+        build([row(1, "CalDate_Mean", -250.0, 2.0), row(2, "CalDate_Mean", float("inf"), 2.0)])
+    with pytest.raises(ValueError, match="unknown indicator 'NoSuch'"):
+        build([row(1, "CalDate_Mean", -250.0, 2.0), row(2, "NoSuch", -250.0, 2.0)])
+
+
 def test_rebuild_is_order_independent(eval_rows):
     subset = eval_rows[~np.isnan(eval_rows.value)][: 12 * 300]
     a = build_lookup(subset)
     rng = np.random.default_rng(8)
     b = build_lookup(subset[rng.permutation(len(subset))])
-    assert a.bucket_lefts == b.bucket_lefts
-    assert a.cells == b.cells
+    assert_same_lookup(a, b)
 
 
 def test_lookup_csv_roundtrip(tmp_path, eval_rows):
@@ -115,11 +129,7 @@ def test_lookup_csv_roundtrip(tmp_path, eval_rows):
     path = tmp_path / "lookup.csv"
     write_lookup(table, path)
     back = read_lookup(path)
-    assert back.bucket_width == table.bucket_width
-    assert back.tolerances == table.tolerances
-    assert back.bucket_lefts == table.bucket_lefts
-    assert back.indicators == table.indicators
-    assert back.cells == table.cells
+    assert_same_lookup(back, table)
 
 
 def test_query_from_written_table_normalizes_names(tmp_path, eval_rows):

@@ -347,26 +347,65 @@ def test_eval_columns_round_trip(tmp_path_factory, rows):
 
 
 CELLS = st.one_of(
-    st.tuples(st.just(0), st.none(), st.none()),
+    st.tuples(st.just(0), st.just(math.nan), st.just(math.nan)),
     st.tuples(INTS, FLOATS, FLOATS),
 )
+WIDTHS = st.sampled_from([0.1, 0.3, 1.0, 2.5, 5.0])
+
+
+def same_lookup(a, b) -> bool:
+    return (a.bucket_width, a.first) == (b.bucket_width, b.first) and same_columns(
+        (a.count, a.frac12, a.frac25), (b.count, b.frac12, b.frac25))
 
 
 @FILES
-@given(width=st.sampled_from([1.0, 2.5, 5.0]), first=st.integers(-10**6, 10**6),
-       tolerances=st.tuples(FLOATS, FLOATS),
+@given(width=WIDTHS, first=st.integers(-10**6, 10**6),
        buckets=st.lists(st.lists(CELLS, min_size=12, max_size=12), min_size=1, max_size=6))
-def test_lookup_round_trip(tmp_path_factory, width, first, tolerances, buckets):
-    from finedating.lookup import BucketStats, LookupTable, read_lookup, write_lookup
+def test_lookup_round_trip(tmp_path_factory, width, first, buckets):
+    from finedating.lookup import LookupTable, read_lookup, write_lookup
 
-    lefts = tuple((first + i) * width for i in range(len(buckets)))
-    table = LookupTable(
-        width, tuple(sorted(tolerances)), lefts, fd.INDICATOR_NAMES,
-        {(left, name): BucketStats(*cell) for left, cells in zip(lefts, buckets)
-         for name, cell in zip(fd.INDICATOR_NAMES, cells)},
-    )
+    cells = np.array(buckets, dtype=object)
+    table = LookupTable(width, first, cells[..., 0].astype(np.int64),
+                        cells[..., 1].astype(float), cells[..., 2].astype(float))
     back = rewrite_is_identical(tmp_path_factory.mktemp("l"), write_lookup, read_lookup, table)
-    assert back == table
+    assert same_lookup(back, table)
+
+
+@FILES
+@given(width=WIDTHS, rows=st.lists(
+    st.tuples(st.sampled_from(fd.INDICATOR_NAMES),
+              st.one_of(VALUES, st.just(math.nan), st.integers(-3000, 1000)),
+              st.one_of(st.floats(-40.0, 40.0), st.sampled_from([12.0, -25.0, math.nan])),
+              st.booleans()),
+    min_size=1, max_size=60,
+))
+def test_lookup_counts_partition_usable_rows(tmp_path_factory, width, rows):
+    """An integer k stands for the value k * width, a bucket edge, which
+    belongs to the bucket starting there."""
+    from finedating.evaluate import NO_MATCH
+    from finedating.lookup import build_lookup, read_lookup, write_lookup
+
+    rows = [(name, k * width if isinstance(k, int) else k, isinstance(k, int), delta, no_match)
+            for name, k, delta, no_match in rows]
+    columns = eval_columns([(i, -100.0, name, value, delta, NO_MATCH if no_match else "high", 1)
+                            for i, (name, value, _, delta, no_match) in enumerate(rows)])
+    usable = [(name, value, edge) for name, value, edge, _, no_match in rows
+              if not no_match and value == value]
+    if not usable:
+        with pytest.raises(ValueError, match="no matched"):
+            build_lookup(columns, width)
+        return
+    table = build_lookup(columns, width)
+    for j, name in enumerate(fd.INDICATOR_NAMES):
+        assert table.count[:, j].sum() == sum(1 for n, _, _ in usable if n == name)
+    for name, value, edge in usable:
+        left, count, _, _ = fd.query_lookup(table, name, value)
+        assert count >= 1 and left <= value
+        assert left == value or not edge
+    for left in table.bucket_lefts.tolist():
+        assert fd.query_lookup(table, "CalDate_Mean", left)[0] == left
+    back = rewrite_is_identical(tmp_path_factory.mktemp("p"), write_lookup, read_lookup, table)
+    assert same_lookup(back, table)
 
 
 @pytest.mark.parametrize("column, cell", [
