@@ -404,7 +404,7 @@ def _cmd_simulate(args, config, seed: int) -> int:
                 "in": Path(str(infile)).name,
                 "group": group,
                 "datasets": len(series),
-                "leftover_rows": len(leftovers),
+                "leftover_rows": sum(count for _, _, count in leftovers),
                 "out": out.name,
             },
         )
@@ -572,8 +572,7 @@ def _cmd_hist(args, config) -> int:
     csvio.write_artifact(
         out,
         {**prov, "n": len(values)},
-        ["bin_left", "bin_right", "count"],
-        ((edges[i], edges[i + 1], int(count)) for i, count in enumerate(counts)),
+        {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts},
     )
     print(f"wrote {out} ({len(counts)} bins, n={len(values)})")
     return 0
@@ -584,6 +583,8 @@ def _cmd_scatter(args, config) -> int:
     xcol = str(_require(_effective(args, config, "x", attr="xcol"), "x"))
     ycol = str(_require(_effective(args, config, "y", attr="ycol"), "y"))
     out = Path(_require(_effective(args, config, "out"), "out"))
+    if xcol == ycol:  # the output has one column per axis, each named for its column
+        raise CliError(EXIT_USAGE, f"usage: --x and --y name the same column {xcol!r}")
     art = csvio.read_commented_csv(infile)
     xs = _select_values(infile, art, xcol, paired=ycol)
     ys = _select_values(infile, art, ycol, paired=xcol)
@@ -592,7 +593,7 @@ def _cmd_scatter(args, config) -> int:
     prov = _write_manifest(
         out, "scatter", {"in": Path(str(infile)).name, "x": xcol, "y": ycol, "points": len(xs)}
     )
-    csvio.write_artifact(out, prov, [xcol, ycol], zip(xs, ys))
+    csvio.write_artifact(out, prov, {xcol: xs, ycol: ys})
     print(f"wrote {out} ({len(xs)} points)")
     return 0
 

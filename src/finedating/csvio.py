@@ -75,18 +75,19 @@ def write_lines(path, lines: Iterable[str]) -> None:
             fh.write("\n")
 
 
-def write_artifact(path, header: dict, columns, rows, extra: dict | None = None) -> None:
-    """Write one artifact: header, extra lines, column line and rows.
+def write_artifact(path, header: dict, columns: dict, extra: dict | None = None) -> None:
+    """Write one artifact: header, extra lines, column line and data rows.
 
-    ``rows`` yields one tuple of cells per data row; ``extra`` maps a key
-    to the cell tuples of its repeated ``# key=`` lines.  A ``checksum``
-    key in ``header`` is written, at its place, as the crc32 of the data
-    lines, whatever value it holds.  Without that key the rows are
-    formatted as they are written, so no artifact is held in memory whole.
+    ``columns`` maps each column name, in file order, to a 1-D column of
+    equal length; ``extra`` maps a key to the cell tuples of its repeated
+    ``# key=`` lines.  A ``checksum`` key in ``header`` is written, at its
+    place, as the crc32 of the data lines, whatever value it holds.  The
+    rows are formatted a chunk at a time (:func:`format_chunks`); only a
+    checksummed artifact holds its chunk strings until the header is known.
     """
-    data: Iterable[str] = (",".join(map(fmt, row)) for row in rows)
+    data: Iterable[str] = format_chunks(list(columns.values()))
     if "checksum" in header:
-        data = list(data)
+        data = list(data)  # a chunk is its lines joined by "\n", so this is their checksum
         header = {**header, "checksum": rows_checksum(data)}
     lines = [f"# {key}={fmt(val)}" for key, val in header.items()]
     for key, entries in (extra or {}).items():
@@ -95,11 +96,32 @@ def write_artifact(path, header: dict, columns, rows, extra: dict | None = None)
     write_lines(path, chain(lines, data))
 
 
-def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
-    """Row tuples of equal-length numpy columns, as the Python values they
-    hold, converted a chunk at a time."""
-    for start in range(0, len(columns[0]), _CHUNK):
-        yield from zip(*(column[start : start + _CHUNK].tolist() for column in columns))
+def format_chunks(columns: list) -> Iterator[str]:
+    """The data lines of equal-length columns, ``\\n``-joined, one string
+    per chunk of up to ``_CHUNK`` rows.
+
+    Each cell is :func:`fmt` of its value.  A numeric or bool numpy column
+    runs ``fmt`` once per distinct value of the chunk (NaNs are one value,
+    as are -0.0 and 0.0, and ``fmt`` writes each alike) and gathers the
+    strings.  An object array, or a column given as a list or tuple, runs
+    it cell by cell on the values as given.
+    """
+    columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in columns]
+    if len({column.shape for column in columns}) > 1:
+        raise ValueError(f"columns differ in shape: {[column.shape for column in columns]}")
+    n = len(columns[0]) if columns else 0
+    return (_format_rows([c[i : i + _CHUNK] for c in columns]) for i in range(0, n, _CHUNK))
+
+
+def _format_rows(columns: list[np.ndarray]) -> str:
+    return "\n".join(map(",".join, zip(*map(_format_column, columns))))
+
+
+def _format_column(column: np.ndarray) -> list[str]:
+    if column.dtype == object:
+        return list(map(fmt, column.tolist()))
+    values, inverse = np.unique(column, return_inverse=True)
+    return np.array(list(map(fmt, values.tolist())), dtype=object)[inverse].tolist()
 
 
 class Artifact(NamedTuple):
@@ -183,7 +205,9 @@ def _parse_cells(cells: list[str], parse) -> np.ndarray:
 
 
 def rows_checksum(lines: list[str]) -> int:
-    """crc32 over the data lines of a table, header excluded."""
+    """crc32 over the data lines of a table, header excluded; each line
+    is followed by ``\\n``, so chunks of lines joined by ``\\n`` give the
+    same crc."""
     crc = 0
     for line in lines:
         crc = zlib.crc32(line.encode("utf-8"), crc)

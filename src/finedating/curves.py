@@ -101,13 +101,11 @@ def synthetic_study_curve(
 def write_curve(curve: CalCurve, path) -> None:
     """Write a curve in the comment-prefixed delimited text format read
     by :func:`finedating.calcurve.load_curve`."""
-    lines = [
+    csvio.write_lines(path, [
         f"# {curve.name}",
         "# cal_bp, c14_age, error",
-    ]
-    for bp, age, err in zip(curve.cal_bp, curve.c14_age, curve.error):
-        lines.append(f"{csvio.fmt(bp)},{csvio.fmt(age)},{csvio.fmt(err)}")
-    csvio.write_lines(path, lines)
+        *csvio.format_chunks([curve.cal_bp, curve.c14_age, curve.error]),
+    ])
 
 
 def locate_intcal20() -> Path | None:

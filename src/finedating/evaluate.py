@@ -12,7 +12,7 @@ here draws.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
@@ -504,7 +504,7 @@ def write_eval_rows(rows: EvalColumns, path, extra_header: dict | None = None) -
     header = {"format": "finedating-eval", "rows": len(rows)}
     if extra_header:
         header.update(extra_header)
-    csvio.write_artifact(path, header, EVAL_SCHEMA, csvio.column_rows(*rows.columns()))
+    csvio.write_artifact(path, header, dict(zip(EVAL_SCHEMA, rows.columns())))
 
 
 def read_eval_rows(path) -> EvalColumns:
@@ -592,34 +592,34 @@ def write_evaluation(
         by_date: dict[float, dict[str, float]] = {}
         for date, family, frac in performance_curves(rows, threshold):
             by_date.setdefault(date, {})[family] = frac
+        dates = sorted(by_date)
         csvio.write_artifact(
             out_dir / f"performance_{threshold}.csv",
             {**header, "threshold": threshold},
-            ["original_cal_date", *FAMILIES],
-            ((date, *fracs.values()) for date, fracs in sorted(by_date.items())),
+            {"original_cal_date": dates}
+            | {family: [by_date[date][family] for date in dates] for family in FAMILIES},
         )
 
     per_date, full_span = average_deviation_analysis(rows)
-    deviations = [
-        (date, *(per_date.get((date, name)) for name in INDICATOR_NAMES))
-        for date in sorted({date for date, _ in per_date})
-    ]
-    deviations.append(("full_span", *(full_span[name] for name in INDICATOR_NAMES)))
+    dates = sorted({date for date, _ in per_date})
     csvio.write_artifact(
-        out_dir / "avg_deviation.csv", header, ["original_cal_date", *INDICATOR_NAMES], deviations
+        out_dir / "avg_deviation.csv",
+        header,
+        {"original_cal_date": [*dates, "full_span"]}
+        | {name: [*(per_date.get((date, name)) for date in dates), full_span[name]]
+           for name in INDICATOR_NAMES},
     )
 
+    normality = interval_normality(table, series)
     csvio.write_artifact(
         out_dir / "normality_by_interval.csv",
         header,
-        NORMALITY_COLUMNS,
-        map(astuple, interval_normality(table, series)),
+        {name: [getattr(result, f.name) for result in normality]
+         for name, f in zip(NORMALITY_COLUMNS, fields(IntervalNormality))},
     )
 
     report = mpd_report(rows)
     mpd_header = dict(header)
     if report["mpd"].size:
         mpd_header["overall_mean"], mpd_header["overall_median"] = overall_aggregate(report["mpd"])
-    csvio.write_artifact(
-        out_dir / "mpd_report.csv", mpd_header, report, csvio.column_rows(*report.values())
-    )
+    csvio.write_artifact(out_dir / "mpd_report.csv", mpd_header, report)

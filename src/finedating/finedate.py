@@ -268,14 +268,14 @@ def write_report(
     table, positions = matches.table, matches.positions
     index = np.repeat(np.arange(len(matches.measurements)), matches.counts)
     ages = np.array([m.age for m in matches.measurements], dtype=np.int64)
+    columns = (
+        index, ages[index], table.id[positions], table.base_date[positions],
+        table.cal_mean[positions], table.cal_median[positions], table.cal_sigma[positions],
+    )
     csvio.write_artifact(
         overview_path,
         {"format": "finedating-overview", **header},
-        OVERVIEW_COLUMNS,
-        csvio.column_rows(
-            index, ages[index], table.id[positions], table.base_date[positions],
-            table.cal_mean[positions], table.cal_median[positions], table.cal_sigma[positions],
-        ),
+        dict(zip(OVERVIEW_COLUMNS, columns)),
     )
 
     summary_path = prefix + "_summary.csv"
@@ -286,7 +286,8 @@ def write_report(
     )
     rows.extend(("unmatched_age", age, 0) for age in matches.unmatched)
     csvio.write_artifact(
-        summary_path, {"format": "finedating-summary", **header}, SUMMARY_SCHEMA, rows
+        summary_path, {"format": "finedating-summary", **header},
+        dict(zip(SUMMARY_SCHEMA, zip(*rows))),
     )
     return overview_path, summary_path
 

@@ -27,6 +27,10 @@ from .finedate import INDICATOR_NAMES, normalize_indicator
 TOLERANCES = (12, 25)
 _TOLERANCES_HEADER = ";".join(map(str, TOLERANCES))
 
+# The most buckets a table may span; the matrices are dense, so a finer
+# width is rejected before they are allocated.
+MAX_BUCKETS = 1_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class LookupTable:
@@ -65,10 +69,14 @@ def bucket_index(value, width: float):
     ``floor(value / width)`` can be one off when width is not an exact
     binary fraction (0.1, 0.3); one step against the edges corrects it.
     """
+    return _bucket_floor(value, width).astype(np.int64)
+
+
+def _bucket_floor(value, width: float):
+    """:func:`bucket_index` as a float, which cannot overflow."""
     i = np.floor(np.divide(value, width))
     i = i - (i * width > value)
-    i = i + ((i + 1) * width <= value)
-    return i.astype(np.int64)
+    return i + ((i + 1) * width <= value)
 
 
 def bucket_left(value: float, width: float) -> float:
@@ -82,7 +90,8 @@ def build_lookup(rows: EvalColumns, bucket_width: float = 5.0) -> LookupTable:
 
     Fractions are percentages at 0.01% resolution; empty (bucket,
     indicator) cells carry count 0 and NaN fractions.  Buckets run from
-    the lowest to the highest bucket holding a value.
+    the lowest to the highest bucket holding a value, at most
+    ``MAX_BUCKETS`` of them.
     """
     if not 0 < bucket_width < math.inf:
         raise ValueError(f"bucket_width must be finite and > 0, got {bucket_width}")
@@ -98,9 +107,17 @@ def build_lookup(rows: EvalColumns, bucket_width: float = 5.0) -> LookupTable:
     if (indicator < 0).any():
         raise ValueError(f"unknown indicator {usable.indicator[np.argmin(indicator)]!r}")
 
-    index = bucket_index(usable.value, bucket_width)
-    first = int(index.min())
-    shape = (int(index.max()) - first + 1, len(INDICATOR_NAMES))
+    index = _bucket_floor(usable.value, bucket_width)
+    first, last = index.min(), index.max()
+    if last - first >= MAX_BUCKETS:
+        raise ValueError(f"bucket width {bucket_width:g} gives {last - first + 1:.0f} buckets, "
+                         f"more than the {MAX_BUCKETS} allowed")
+    if max(-first, last) >= 2.0**53:
+        raise ValueError(f"bucket width {bucket_width:g} is too fine for the value "
+                         f"{usable.value[np.argmax(np.abs(index))]:g}")
+    index = index.astype(np.int64)
+    first = int(first)
+    shape = (int(last) - first + 1, len(INDICATOR_NAMES))
     cell = (index - first) * shape[1] + indicator
     deviation = np.abs(usable.delta)
     count, k12, k25 = (np.bincount(cell[within], minlength=shape[0] * shape[1]).reshape(shape)
@@ -155,8 +172,7 @@ def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> 
         header.update(extra_header)
     cells = (matrix[:, j] for j in range(len(INDICATOR_NAMES))
              for matrix in (table.count, table.frac12, table.frac25))
-    csvio.write_artifact(path, header, LOOKUP_SCHEMA,
-                         csvio.column_rows(table.bucket_lefts, *cells))
+    csvio.write_artifact(path, header, dict(zip(LOOKUP_SCHEMA, (table.bucket_lefts, *cells))))
 
 
 def read_lookup(path) -> LookupTable:

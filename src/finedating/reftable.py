@@ -231,7 +231,7 @@ def write_table(table: RefTable, path, extra_header: dict | None = None) -> None
         for s in table.specs
     ]
     csvio.write_artifact(
-        path, header, TABLE_SCHEMA, csvio.column_rows(*table.columns()), extra={"spec": specs}
+        path, header, dict(zip(TABLE_SCHEMA, table.columns())), extra={"spec": specs}
     )
 
 

@@ -158,7 +158,7 @@ def write_tests(series: TestSeries, path, extra_header: dict | None = None) -> N
     header = {"format": "finedating-tests", "datasets": len(series)}
     if extra_header:
         header.update(extra_header)
-    csvio.write_artifact(path, header, TEST_SCHEMA, csvio.column_rows(*series.columns()))
+    csvio.write_artifact(path, header, dict(zip(TEST_SCHEMA, series.columns())))
 
 
 def read_tests(path) -> TestSeries:

@@ -220,6 +220,15 @@ def test_lookup_with_inexact_width_can_be_queried(pipeline, tmp_path, capsys, wi
         assert "total_count: 0" not in out
 
 
+def test_lookup_build_rejects_too_many_buckets(pipeline, tmp_path, capsys):
+    out = tmp_path / "lookup.csv"
+    assert run("lookup", "build", "--eval", pipeline / "eval" / "eval_long.csv",
+               "--bucket-width", "1e-6", "--out", out) == 4
+    err = capsys.readouterr().err
+    assert "bucket width 1e-06 gives " in err and "more than the 1000000 allowed" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lookup_query_outside_range(pipeline, capsys):
     table_path = pipeline / "lookup.csv"
     assert run("lookup", "query", "--table", table_path, "--indicator", "CalDate_Median",
@@ -253,6 +262,14 @@ def test_scatter_indicator_vs_original(pipeline):
                "--x", "original_cal_date", "--y", "caldate_median", "--out", out) == 0
     lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert len(lines) - 1 == 20  # one point per dataset
+
+
+def test_scatter_of_one_column_against_itself_is_usage_error(pipeline, tmp_path, capsys):
+    out = tmp_path / "scatter.csv"
+    assert run("scatter", "--in", pipeline / "tests.csv", "--x", "age_bp", "--y", "age_bp",
+               "--out", out) == 2
+    assert "--x and --y name the same column 'age_bp'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_curve_flag_sharpens_buffer_warning(pipeline, curve_file, tmp_path, capsys):
@@ -292,6 +309,24 @@ def test_convert_splits_a_date_by_sd_so_evaluate_accepts_it(pipeline, tmp_path, 
     assert series.sd.tolist() == [20.0, 20.0]
     assert run("evaluate", "--ref", pipeline / "ref.csv", "--tests", out,
                "--out", tmp_path / "eval") == 0
+
+
+def test_convert_manifest_counts_leftover_rows(tmp_path, capsys):
+    src = tmp_path / "rsim.csv"
+    rows = ["cal_date,age,sd"]
+    for date, n in ((-100, 2), (-50, 2), (-20, 3)):
+        rows += [f"{date},{2000 + i},20" for i in range(n)]
+    src.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "tests.csv"
+    assert run("simulate", "convert", "--in", src, "--group", 3, "--out", out) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "leftover" in line]
+    assert warnings == [
+        f"warning: 2 leftover row(s) at date {date} sd 20 did not fill a group of 3 "
+        "and were excluded" for date in (-100, -50)
+    ]
+    manifest = (tmp_path / "tests_manifest.txt").read_text().splitlines()
+    assert "leftover_rows = 4" in manifest
+    assert "datasets = 1" in manifest
 
 
 @pytest.mark.parametrize("row", ["-100,inf,20", "-100,2060,nan", "-100,2060,-1"])

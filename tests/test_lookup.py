@@ -109,6 +109,17 @@ def test_build_rejects_bad_width_and_empty(eval_rows):
         build_lookup(eval_rows, bucket_width=float("nan"))
 
 
+def test_build_bounds_the_bucket_count():
+    rows = [row(1, "CalDate_Mean", -250.0, 2.0), row(2, "CalDate_Mean", -150.0, 2.0)]
+    # 100 years in buckets of 1e-4: exactly MAX_BUCKETS + 1 buckets
+    with pytest.raises(ValueError, match=r"bucket width 0\.0001 gives 1000001 buckets, "
+                                         r"more than the 1000000 allowed"):
+        build(rows, bucket_width=1e-4)
+    assert len(build(rows, bucket_width=100 / (fd.lookup.MAX_BUCKETS - 1))) == fd.lookup.MAX_BUCKETS
+    with pytest.raises(ValueError, match="bucket width 1e-300 is too fine for the value -250"):
+        build(rows[:1], bucket_width=1e-300)
+
+
 def test_build_rejects_infinite_value_and_unknown_indicator():
     with pytest.raises(ValueError, match="not finite"):
         build([row(1, "CalDate_Mean", -250.0, 2.0), row(2, "CalDate_Mean", float("inf"), 2.0)])

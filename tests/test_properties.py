@@ -112,6 +112,36 @@ def test_unique_counts_equal_distinct_values(entries, groups):
             assert ind.n_used(f"unique_{family}_Median") == len(set(pooled))
 
 
+@PROPERTY
+@given(entries=ENTRIES, groups=GROUPS, data=st.data())
+def test_indicators_under_permuted_measurements(entries, groups, data):
+    """Permuting the measurements of each set permutes its pools: the
+    medians and the distinct-value means (taken over sorted values) stay
+    bit-identical.  The pooled means are summed in pool order, so they
+    may move by rounding: for a pool of n values of magnitude at most M,
+    two summation orders differ by at most 2(n - 1) u M (u = 2**-53, and
+    u M <= ulp(M)), and the division adds at most one ulp(M) more, so
+    the bound is (2n - 1) ulp(M)."""
+    table = table_of(entries)
+    permuted = [data.draw(st.permutations(ages)) for ages in groups]
+    n_measured = np.array([len(ages) for ages in groups])
+    values, n_prime = batch_indicators(table, np.array(sum(groups, []), dtype=np.int64), n_measured)
+    again, n_again = batch_indicators(table, np.array(sum(permuted, []), dtype=np.int64),
+                                      n_measured)
+    assert np.array_equal(n_prime, n_again)
+    columns = (table.base_date, table.cal_mean, table.cal_median)
+    for row, other, n in zip(values.tolist(), again.tolist(), n_prime[n_prime > 0].tolist()):
+        for f, column in enumerate(columns):
+            mean, median, unique_mean, unique_median = row[4 * f : 4 * f + 4]
+            assert same(median, other[4 * f + 1]) and same(unique_median, other[4 * f + 3])
+            assert same(unique_mean, other[4 * f + 2])
+            magnitude = np.abs(column[~np.isnan(column)]).max(initial=0.0)
+            if math.isnan(mean):
+                assert math.isnan(other[4 * f])
+            else:
+                assert abs(mean - other[4 * f]) <= (2 * n - 1) * np.spacing(magnitude)
+
+
 def test_batch_of_sets_equals_one_set_at_a_time(table_5_20_5, ts3_datasets):
     sample = take_datasets(ts3_datasets, range(0, len(ts3_datasets), 97))
     values, n_prime = batch_indicators(table_5_20_5, sample.age, np.full(len(sample), 3))
