@@ -72,15 +72,22 @@ def parse_date_range(text: str) -> list[float]:
 
 
 def _parse_number(text, flag: str, kind=float):
-    """The finite ``kind`` (int or float) given as ``--flag``."""
+    """The finite ``kind`` (int or float) given as ``--flag``; an int
+    must fit in int64, as the table columns it is matched against do."""
     try:
         value = kind(text)
     except ValueError:
         value = math.nan
+    if isinstance(value, int) and not _fits_int64(value):
+        raise ValueError(f"--{flag} must fit in a 64-bit integer, got {text!r}")
     if not math.isfinite(value):
         noun = "an integer" if kind is int else "a finite number"
         raise ValueError(f"--{flag} must be {noun}, got {text!r}")
     return value
+
+
+def _fits_int64(value: int) -> bool:
+    return -(2**63) <= value < 2**63
 
 
 def load_config(path) -> dict[str, str]:
@@ -428,7 +435,8 @@ def _parse_measurements(args, config) -> list[Measurement]:
         if "age" not in cols or "sd" not in cols:
             raise ValueError(f"ages file {ages_file} needs 'age' and 'sd' columns")
         ai, si = cols.index("age"), cols.index("sd")
-        return [Measurement(age=int(r[ai]), sd=float(r[si])) for r in rows]
+        return [Measurement(age=_file_age(r[ai], ages_file, i), sd=float(r[si]))
+                for i, r in enumerate(rows, start=1)]
     ages_text = _require(_effective(args, config, "ages"), "ages")
     ages = [_parse_number(t, "ages", int) for t in str(ages_text).split(",") if t.strip()]
     sd_text = str(_require(_effective(args, config, "sd"), "sd"))
@@ -438,6 +446,19 @@ def _parse_measurements(args, config) -> list[Measurement]:
     if len(sds) != len(ages):
         raise ValueError(f"{len(ages)} ages but {len(sds)} sd values")
     return [Measurement(age=a, sd=s) for a, s in zip(ages, sds)]
+
+
+def _file_age(cell: str, path, row: int) -> int:
+    try:
+        age = int(cell)
+    except ValueError:
+        age = None
+    if age is None or not _fits_int64(age):
+        raise ValueError(
+            f"ages file {path} row {row}: age must be an integer that fits in 64 bits, "
+            f"got {cell!r}"
+        )
+    return age
 
 
 def _cmd_finedate(args, config) -> int:

@@ -23,10 +23,22 @@ a data line, spaces included, is rejected.  A file without the header is
 not checked here; reference tables must carry one.  The reader also
 rejects any data row whose cell count differs from the column line,
 naming the file and the line number.
+
+A read with a schema (every artifact that has a reader) parses the
+header lines one by one, streams the data block once in 1 MiB reads for
+its crc32 and for anything a block parse would read otherwise (blank or
+``#`` lines, whitespace, ``\\r``, non-ASCII bytes, no final newline), and
+parses the block with one ``np.loadtxt`` into the schema's dtypes.  Only
+a file that check or that parse refuses goes through the line reader,
+which accepts what it always did and names what is wrong; no artifact
+the package writes for one of its readers takes that path.  Reads
+without a schema (``hist``, ``scatter``, ``--ages-file``, ``simulate
+convert``) use the line reader.
 """
 
 from __future__ import annotations
 
+import warnings
 import zlib
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -142,7 +154,19 @@ def read_commented_csv(
     object for ``str.strip``).  Without a schema, the body is one list
     of stripped strings per row.  Keys listed in ``extra`` may repeat;
     each maps to the list of its lines' cells.
+
+    A schema'd file is read in one block pass (:func:`_read_block`); only
+    a file that pass refuses, and every schema-less file, goes through
+    the line reader, which names what is wrong.
     """
+    if schema is not None:
+        artifact = _read_block(path, kind, schema, extra)
+        if artifact is not None:
+            return artifact
+    return _read_lines(path, kind, schema, extra)
+
+
+def _read_lines(path, kind, schema, extra) -> Artifact:
     meta: dict = {key: [] for key in extra}
     columns: list[str] = []
     data: list[str] = []
@@ -153,12 +177,7 @@ def read_commented_csv(
             if not line.strip():
                 continue
             if line.startswith("#"):
-                key, eq, val = line[1:].partition("=")
-                key, val = key.strip(), val.strip()
-                if key in extra:
-                    meta[key].append([cell.strip() for cell in val.split(",")])
-                elif eq:
-                    meta[key] = val
+                _meta_line(meta, line, extra)
             elif columns:
                 if line.count(",") != commas:
                     raise ValueError(
@@ -183,6 +202,94 @@ def read_commented_csv(
         return Artifact(meta, columns, _parse_body(data, schema))
     except OverflowError:
         raise ValueError(f"integer cell out of range in {path}") from None
+
+
+def _meta_line(meta: dict, line: str, extra) -> None:
+    key, eq, val = line[1:].partition("=")
+    key, val = key.strip(), val.strip()
+    if key in extra:
+        meta[key].append([cell.strip() for cell in val.split(",")])
+    elif eq:
+        meta[key] = val
+
+
+# Bytes read per step of the block check.
+_BLOCK = 1 << 20
+# The bytes a data block may hold: printable ASCII but the space, and the
+# newline.  A file with any other byte (\r, tab, space, non-ASCII) is left
+# to the line reader.
+_BLOCK_BYTES = bytes(range(0x21, 0x7F)) + b"\n"
+_DTYPES = {int: np.int64, float: np.float64, parse_float: np.float64, str.strip: object}
+
+
+def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
+    """The artifact with its body parsed by one ``np.loadtxt``, or None
+    where the line reader is needed to read or reject it.
+
+    The header is parsed line by line as the line reader does.  The data
+    block is streamed once for a running crc32, which equals
+    :func:`rows_checksum` when every line ends in ``\\n`` and none is
+    blank, and for the bytes the block parse cannot read as the line
+    reader does: blank lines, ``#`` lines, whitespace, ``\\r``, non-ASCII
+    bytes, or no final newline.  Then one ``loadtxt`` parses the block
+    into the schema's dtypes.
+    """
+    meta: dict = {key: [] for key in extra}
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            if "\r" in line:
+                return None
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            if not line.startswith("#"):
+                break
+            _meta_line(meta, line, extra)
+        else:
+            return None
+        columns = [cell.strip() for cell in line.split(",")]
+        if columns != list(schema) or (kind is not None and meta.get("format") != kind):
+            return None
+        start, crc, tail = fh.tell(), 0, b"\n"
+        while chunk := fh.read(_BLOCK):
+            if (chunk.translate(None, _BLOCK_BYTES) or b"\n\n" in chunk or b"\n#" in chunk
+                    or (tail == b"\n" and chunk[:1] in (b"\n", b"#"))):
+                return None
+            crc = zlib.crc32(chunk, crc)
+            tail = chunk[-1:]
+        if tail != b"\n" or ("checksum" in meta and meta["checksum"] != str(crc)):
+            return None
+        if fh.tell() == start:
+            body = {name: np.empty(0, _DTYPES[parse]) for name, parse in schema.items()}
+        else:
+            body = _load_block(fh, start, schema)
+    return None if body is None else Artifact(meta, columns, body)
+
+
+def _load_block(fh, start: int, schema: dict) -> dict[str, np.ndarray] | None:
+    # Blank parse_float cells are NaN, which loadtxt has no option for: a
+    # block the plain parse refuses is parsed again with parse_float as
+    # the converter of those columns.  Warnings are errors, as numpy 1.24
+    # only warns when it reads an int cell such as 3.0 through float.
+    dtype = np.dtype([(name, _DTYPES[parse]) for name, parse in schema.items()])
+    blanks = {i: parse for i, parse in enumerate(schema.values()) if parse is parse_float}
+    for converters in (None, blanks) if blanks else (None,):
+        fh.seek(start)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    fh, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1,
+                    encoding="utf-8", converters=converters,
+                )
+        except (ValueError, OverflowError, Warning):
+            continue
+        return {name: np.ascontiguousarray(table[name]) for name in schema}
+    return None
 
 
 def _parse_body(lines: list[str], schema: dict) -> dict[str, np.ndarray]:

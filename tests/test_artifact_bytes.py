@@ -15,6 +15,7 @@ import finedating as fd
 from finedating import csvio
 from finedating.cli import main
 from finedating.evaluate import read_eval_rows, write_eval_rows
+from finedating.finedate import read_summary
 
 # Ages of the finedate step: three that match the 5_10_20 table at seed 11
 # and one (1000 BP) that matches nothing.
@@ -119,3 +120,23 @@ def test_read_then_rewrite_is_byte_identical(work, tmp_path, name, read, write):
     copy = tmp_path / "copy.csv"
     write(read(source), copy, extra_header=header_of(source))
     assert copy.read_bytes() == source.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, read",
+    [
+        ("ref.csv", fd.read_table),
+        ("combo.csv", fd.read_table),
+        ("tests.csv", fd.read_tests),
+        ("conv.csv", fd.read_tests),
+        ("eval/eval_long.csv", read_eval_rows),
+        ("lookup.csv", fd.read_lookup),
+        ("report_summary.csv", read_summary),
+    ],
+)
+def test_written_artifacts_never_reach_the_line_reader(work, monkeypatch, name, read):
+    def line_reader(path, *args):
+        raise AssertionError(f"{path} went through the line reader")
+
+    monkeypatch.setattr(csvio, "_read_lines", line_reader)
+    read(work / name)

@@ -189,6 +189,38 @@ def test_finedate_no_matches_is_data_error(pipeline, capsys):
     assert "no matches" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("age", ["99999999999999999999", "-9223372036854775809"])
+def test_finedate_age_beyond_int64_names_the_flag(pipeline, tmp_path, capsys, age):
+    capsys.readouterr()
+    assert run("finedate", "--ref", pipeline / "ref.csv", "--ages", f"2000,{age}", "--sd", 20,
+               "--out", tmp_path / "report") == 4
+    err = capsys.readouterr().err
+    assert f"--ages must fit in a 64-bit integer, got '{age}'" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_finedate_age_beyond_int64_in_file_names_file_and_row(pipeline, tmp_path, capsys):
+    src = tmp_path / "meas.csv"
+    src.write_text("age,sd\n2000,20\n99999999999999999999,20\n")
+    capsys.readouterr()
+    assert run("finedate", "--ref", pipeline / "ref.csv", "--ages-file", src,
+               "--out", tmp_path / "report") == 4
+    err = capsys.readouterr().err
+    assert (f"ages file {src} row 2: age must be an integer that fits in 64 bits, "
+            "got '99999999999999999999'") in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
+def test_finedate_int64_extreme_ages_are_accepted(pipeline, tmp_path, capsys):
+    # the bounds themselves fit: they reach matching and simply match nothing
+    capsys.readouterr()
+    assert run("finedate", "--ref", pipeline / "ref.csv",
+               "--ages", f"{2**63 - 1},{-2**63}", "--sd", 20, "--out", tmp_path / "report") == 4
+    assert "no matches" in capsys.readouterr().err
+
+
 def test_lookup_build_and_query(pipeline, capsys):
     eval_long = pipeline / "eval" / "eval_long.csv"
     table_path = pipeline / "lookup.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finedating import csvio
+from finedating.evaluate import EVAL_SCHEMA
+from finedating.finedate import SUMMARY_SCHEMA
+from finedating.lookup import LOOKUP_SCHEMA
+from finedating.reftable import TABLE_SCHEMA
+from finedating.simulate import TEST_SCHEMA
 
 
 def test_fmt_round_trips_floats():
@@ -231,3 +237,149 @@ def test_column_writer_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="columns differ in shape"):
         csvio.write_artifact(tmp_path / "a.csv", {}, {"a": np.zeros(2), "b": np.zeros(3)})
     assert not (tmp_path / "a.csv").exists()
+
+
+# --- the block reader against the line reader --------------------------------
+
+SCHEMAS = {
+    "finedating-reftable": TABLE_SCHEMA,
+    "finedating-tests": TEST_SCHEMA,
+    "finedating-eval": EVAL_SCHEMA,
+    "finedating-lookup": LOOKUP_SCHEMA,
+    "finedating-summary": SUMMARY_SCHEMA,
+}
+SPECS = [("5_10_20", 5, 10, 20.0, -300, 20, 1), ("5_20_5", 5, 20, 5.0, -300, 20, 2)]
+# What each parser's column may hold in a file the writer wrote and the
+# line reader accepts: ``float`` cells are never blank, so never NaN.
+PARSER_CELLS = {
+    int: (INT_CELLS, np.int64),
+    float: (st.one_of(st.sampled_from([x for x in SPECIAL_FLOATS if x == x]),
+                      st.floats(allow_nan=False)), float),
+    csvio.parse_float: (FLOAT_CELLS, float),
+    str.strip: (st.text(alphabet="ab_XY-.09", max_size=6), object),
+}
+# Data-block step sizes, so that blank and ``#`` lines fall on step edges.
+BLOCKS = st.sampled_from([1, 2, 7, 64, csvio._BLOCK])
+
+
+@st.composite
+def schema_files(draw, min_rows=0):
+    """A schema, a header and its columns, as the writer takes them."""
+    kind = draw(st.sampled_from(list(SCHEMAS)))
+    schema = SCHEMAS[kind]
+    n = draw(st.one_of(st.sampled_from([0, 1, csvio._CHUNK, csvio._CHUNK + 1]),
+                       st.integers(0, 40)).filter(lambda k: k >= min_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name, parse in schema.items():
+        cells, dtype = PARSER_CELLS[parse]
+        pool = draw(st.lists(cells, min_size=1, max_size=6))
+        columns[name] = np.array([pool[i] for i in rng.integers(0, len(pool), n).tolist()],
+                                 dtype=dtype)
+    header = {"format": kind, **({"checksum": None} if draw(st.booleans()) else {}), "n": n}
+    return kind, header, columns
+
+
+def write_schema_file(path, kind, header, columns) -> tuple:
+    """Write the file; the reader arguments that read it back."""
+    spec = kind == "finedating-reftable"
+    csvio.write_artifact(path, header, columns, extra={"spec": SPECS} if spec else None)
+    return path, kind, SCHEMAS[kind], ("spec",) if spec else ()
+
+
+def outcome(read, *args):
+    """What a reader gives: the header, column names and each column's
+    dtype and contents (the bytes of a numeric column), or the type and
+    message of its ValueError."""
+    try:
+        meta, names, body = read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return meta, names, {
+        name: (col.dtype.str, col.flags.c_contiguous,
+               col.tolist() if col.dtype == object else col.tobytes())
+        for name, col in body.items()
+    }
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(drawn=schema_files(), block=BLOCKS)
+def test_block_reader_equals_line_reader_on_written_files(tmp_path_factory, drawn, block):
+    args = write_schema_file(tmp_path_factory.mktemp("b") / "a.csv", *drawn)
+    with mock.patch.object(csvio, "_BLOCK", block):
+        fast = csvio._read_block(*args)
+    assert fast is not None  # no written file is left to the line reader
+    assert outcome(lambda: fast) == outcome(csvio._read_lines, *args)
+    assert all(type(cell) is str for col in fast.body.values() if col.dtype == object
+               for cell in col.tolist())
+
+
+def _column_of(schema, parser, rng) -> int:
+    return int(rng.choice([i for i, parse in enumerate(schema.values()) if parse is parser]))
+
+
+DAMAGES = ["ragged row", "blank line", "crlf", "space after comma", "comment line",
+           "3.0 in int cell", "blank float cell", "int beyond int64", "non-utf-8 byte",
+           "no final newline"]
+
+
+def damaged(data: bytes, name: str, schema: dict, rng) -> bytes:
+    """The written file ``data`` with damage ``name`` done to one data row
+    (or, for crlf and the final newline, to the whole file)."""
+    lines = data.split(b"\n")[:-1]
+    first = next(i for i, line in enumerate(lines) if not line.startswith(b"#")) + 1
+    row = int(rng.integers(first, len(lines)))
+    cells = lines[row].split(b",")
+    if name == "ragged row":
+        cells.append(b"1")
+    elif name == "blank line":
+        lines.insert(row, b"")
+        row += 1
+    elif name == "space after comma":
+        j = int(rng.integers(1, len(cells)))
+        cells[j] = b" " + cells[j]
+    elif name == "comment line":  # cells the schema would parse, were it data
+        lines.insert(row, b"#note=" + lines[row])
+        row += 1
+    elif name == "3.0 in int cell":
+        cells[_column_of(schema, int, rng)] = b"3.0"
+    elif name == "blank float cell":
+        cells[_column_of(schema, float, rng)] = b""
+    elif name == "int beyond int64":
+        cells[_column_of(schema, int, rng)] = b"9223372036854775808"
+    elif name == "non-utf-8 byte":
+        cells[-1] += b"\xff"
+    lines[row] = b",".join(cells)
+    text = b"".join(line + b"\n" for line in lines)
+    if name == "crlf":
+        return text.replace(b"\n", b"\r\n")
+    return text[:-1] if name == "no final newline" else text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=schema_files(min_rows=1), name=st.sampled_from(DAMAGES),
+       seed=st.integers(0, 2**32 - 1), block=BLOCKS)
+def test_damaged_file_reads_as_the_line_reader_reads_it(tmp_path_factory, drawn, name, seed,
+                                                        block):
+    args = write_schema_file(tmp_path_factory.mktemp("d") / "a.csv", *drawn)
+    path, _, schema, _ = args
+    path.write_bytes(damaged(path.read_bytes(), name, schema, np.random.default_rng(seed)))
+    with mock.patch.object(csvio, "_BLOCK", block):
+        assert csvio._read_block(*args) is None
+        assert outcome(csvio.read_commented_csv, *args) == outcome(csvio._read_lines, *args)
+
+
+@pytest.mark.parametrize("kind", list(SCHEMAS))
+def test_empty_body_reads_without_loadtxt_or_warning(tmp_path, kind):
+    schema = SCHEMAS[kind]
+    args = write_schema_file(tmp_path / "e.csv", kind, {"format": kind, "checksum": None},
+                             {name: [] for name in schema})
+    dtypes = {int: np.int64, float: np.float64, csvio.parse_float: np.float64, str.strip: object}
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, names, body = csvio.read_commented_csv(*args)
+    assert names == list(schema)
+    assert {name: (col.dtype, col.shape) for name, col in body.items()} == {
+        name: (np.dtype(dtypes[parse]), (0,)) for name, parse in schema.items()
+    }
