@@ -6,10 +6,22 @@ curve is a piecewise-linear table of (cal BP, 14C age BP, 1-sigma curve
 error) knots; calibration of an integer radiocarbon age produces a
 normalized probability mass over a uniform calendar-date grid together
 with its mean, median, sigma and highest-posterior-density intervals.
+
+Calibration cost follows the posterior, not the grid.  The log weight
+``-(age - mu)^2 / (2 var)`` is computed over every cell (the variance
+``sd^2 + sigma_curve^2`` is cached per grid step and sd), and its peak
+taken; ``exp`` and everything after it run only over the window of
+cells whose log weight exceeds ``peak + log(1e-14) - 1``.  Cells at or
+below that bound weigh less than 1e-14 of the peak, so none of them is
+retained, and every output is bit for bit that of a full-grid pass.
+When the window's mass is within a factor 1e20 of the 1e-300 support
+floor, the full grid is exponentiated instead, so the no-support error
+is raised for exactly the ages a full-grid pass rejects.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -28,6 +40,16 @@ _SUPPORT_EPS = 1e-14
 
 # log of the smallest unnormalized mass still considered calibratable
 _LOG_FLOOR = math.log(1e-300)
+
+# Cells with log weight at or below peak + _LOG_WINDOW are never retained:
+# the margin of 1 dwarfs any rounding of exp, so calibration exponentiates
+# only the window above it.
+_LOG_WINDOW = math.log(_SUPPORT_EPS) - 1.0
+
+# Near the 1e-300 floor the mass outside the window, or rounding, could
+# put the window's sum and the grid's on opposite sides of it: below this
+# window sum the full grid is exponentiated and summed instead.
+_WINDOW_SUM_FLOOR = 1e-280
 
 
 def to_cal_bp(date: float) -> float:
@@ -87,8 +109,9 @@ class CalCurve:
     ``cal_bp`` is strictly ascending; ``c14_age`` and ``error`` are the
     curve mean and 1-sigma curve error at each knot, all finite.  The knot
     arrays are read-only copies, so the lazily built caches cannot go
-    stale: per-grid interpolations keyed by grid step, and posterior
-    summaries keyed by (age, sd, grid step).
+    stale: per-grid interpolations keyed by grid step, calibration
+    variances keyed by (grid step, sd), and posterior summaries keyed by
+    (age, sd, grid step).
     """
 
     name: str
@@ -96,6 +119,7 @@ class CalCurve:
     c14_age: np.ndarray
     error: np.ndarray
     _grids: dict = field(default_factory=dict, repr=False)
+    _variances: dict = field(default_factory=dict, repr=False)
     _summaries: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -144,6 +168,17 @@ class CalCurve:
             self._grids[key] = (dates, mu, sig)
         return self._grids[key]
 
+    def variance(self, step: float, sd: float) -> np.ndarray:
+        """``sd^2 + sigma_curve^2`` over the grid of ``step``, cached per
+        (step, sd).  Computed from ``sd`` as given: an int sd and the float
+        equal to it give the same bits."""
+        key = (float(step), sd)
+        var = self._variances.get(key)
+        if var is None:
+            sig = self.grid(step)[2]
+            var = self._variances[key] = sd * sd + sig * sig
+        return var
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -171,7 +206,9 @@ def load_curve(source, name: str | None = None) -> CalCurve:
     ``cal_bp, c14_age, error`` (comma or whitespace delimited, detected
     per row; extra columns ignored).  Knots listed youngest-first are
     accepted and normalized to ascending cal BP; non-monotonic input is
-    rejected.
+    rejected.  A file of leading ``#`` lines and a comma-delimited body
+    is parsed by one ``np.loadtxt``; any other file, and any file that
+    parse refuses, row by row, which names the line of a bad row.
     """
     if hasattr(source, "read"):
         raw = source.read()
@@ -183,6 +220,54 @@ def load_curve(source, name: str | None = None) -> CalCurve:
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8", errors="replace")
 
+    knots = _load_knots(raw) if raw.isascii() else None
+    if knots is None:
+        knots = _parse_knot_rows(raw)
+    bp, age, err = knots
+    if bp.size >= 2 and (np.diff(bp) < 0).all():
+        bp, age, err = bp[::-1], age[::-1], err[::-1]
+    return CalCurve(
+        name=name if name is not None else src_name,
+        cal_bp=bp,
+        c14_age=age,
+        error=err,
+    )
+
+
+# What the one-parse path reads: header lines of printable ASCII and tabs,
+# a body of comma-delimited decimal numbers, and \n or \r\n line ends.
+# Every other byte (a lone \r, \f, a '#' or letter in the body) could
+# split, skip or parse a line otherwise than the row parser does.
+_HEADER_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
+_BODY_BYTES = b"0123456789.,+-eE \r\n"
+
+
+def _load_knots(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The knot columns parsed by one ``np.loadtxt``, or None where the
+    row parser must read or reject the file."""
+    raw = text.encode("ascii")
+    start = 0
+    while True:  # skip the leading blank and '#' lines
+        end = raw.find(b"\n", start)
+        line = raw[start:] if end < 0 else raw[start:end]
+        if line.strip() and not line.lstrip().startswith(b"#"):
+            break
+        if end < 0:
+            return None
+        start = end + 1
+    if (raw[:start].translate(None, _HEADER_BYTES) or raw[start:].translate(None, _BODY_BYTES)
+            or raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(text[start:]), delimiter=",", usecols=(0, 1, 2),
+                           comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return tuple(np.ascontiguousarray(column) for column in table.T)
+
+
+def _parse_knot_rows(raw: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The knot columns parsed row by row, naming the line of a bad row."""
     bp, age, err = [], [], []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         text = line.strip()
@@ -197,18 +282,9 @@ def load_curve(source, name: str | None = None) -> CalCurve:
             err.append(float(parts[2]))
         except ValueError:
             raise ValueError(f"unparsable curve row at line {lineno}: {line!r}") from None
-
     if not bp:
         raise ValueError("no knots")
-    bp_arr = np.array(bp)
-    if bp_arr.size >= 2 and (np.diff(bp_arr) < 0).all():
-        bp, age, err = bp[::-1], age[::-1], err[::-1]
-    return CalCurve(
-        name=name if name is not None else src_name,
-        cal_bp=np.array(bp),
-        c14_age=np.array(age),
-        error=np.array(err),
-    )
+    return np.array(bp), np.array(age), np.array(err)
 
 
 def curve_at(curve: CalCurve, date: float) -> tuple[float, float]:
@@ -269,30 +345,39 @@ def posterior_summary(
 def _posterior(
     curve: CalCurve, age: int, sd: float, grid_step: float
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """Retained grid, cell masses, mean, median and sigma of one calibration."""
+    """Retained grid, cell masses, mean, median and sigma of one
+    calibration, computed from ``exp`` on over the window of the peak
+    (see the module docstring)."""
     if grid_step <= 0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
-    dates, mu, sig = curve.grid(grid_step)
+    dates, mu, _ = curve.grid(grid_step)
     # -0.5 (age - mu)^2 / var, computed in one buffer: a fresh temporary
     # per step costs page faults on every call when the heap is small
     logw = age - mu
     np.square(logw, out=logw)
     logw *= -0.5
-    logw /= sd * sd + sig * sig
+    logw /= curve.variance(grid_step, sd)
     peak = float(logw.max())
     if peak < _LOG_FLOOR:
         raise ValueError(
             f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
         )
-    w = np.exp(logw, out=logw)
-    if float(w.sum()) < 1e-300:
+    window = np.flatnonzero(logw > peak + _LOG_WINDOW)
+    lo_w, hi_w = int(window[0]), int(window[-1]) + 1
+    w = np.exp(logw[lo_w:hi_w])
+    total = float(w.sum())
+    if total < _WINDOW_SUM_FLOOR:
+        lo_w = 0
+        w = np.exp(logw)
+        total = float(w.sum())
+    if total < 1e-300:
         raise ValueError(
             f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
         )
 
     keep = np.nonzero(w > w.max() * _SUPPORT_EPS)[0]
     lo_i, hi_i = int(keep[0]), int(keep[-1])
-    dates = dates[lo_i : hi_i + 1]
+    dates = dates[lo_w + lo_i : lo_w + hi_i + 1]
     pdf = w[lo_i : hi_i + 1]
     pdf = pdf / pdf.sum()
 

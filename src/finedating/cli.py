@@ -33,7 +33,13 @@ from .reftable import (
     standard_spec,
     write_table,
 )
-from .simulate import convert_rsim_to_tests, generate_test_datasets, read_tests, write_tests
+from .simulate import (
+    MAX_RECORDS,
+    convert_rsim_to_tests,
+    generate_test_datasets,
+    read_tests,
+    write_tests,
+)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -61,6 +67,8 @@ def parse_date_range(text: str) -> list[float]:
         raise ValueError(f"--dates START:END:STEP must be finite numbers, got {text!r}")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
+    if (end - start) / step > MAX_RECORDS:
+        raise ValueError(f"--dates {text!r} gives more than {MAX_RECORDS} dates")
     dates = []
     d = start
     while d <= end + 1e-9:
@@ -263,6 +271,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    if any(isinstance(value, list) for value in vars(args).values()):
+        # argparse drops an attached value of '--' (as in --sd=--) and keeps []
+        print("error: usage: '--' is not an option value", file=sys.stderr)
+        return EXIT_USAGE
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

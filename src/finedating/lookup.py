@@ -142,10 +142,12 @@ def query_lookup(
 ) -> tuple[float, int, float | None, float | None]:
     """(bucket left, count, frac12, frac25) for the bucket holding value."""
     j = INDICATOR_NAMES.index(normalize_indicator(indicator))
-    i = int(bucket_index(value, table.bucket_width)) - table.first if math.isfinite(value) else -1
+    # as a float, so that a value far outside the table cannot overflow int64
+    i = _bucket_floor(value, table.bucket_width) - table.first if math.isfinite(value) else -1
     if not 0 <= i < len(table):
         lo, hi = table.covered_range()
         raise ValueError(f"outside lookup range: {value:g} not in [{lo:g}, {hi:g})")
+    i = int(i)
     frac12, frac25 = (None if f != f else f for f in (table.frac12[i, j].item(),
                                                       table.frac25[i, j].item()))
     return (table.first + i) * table.bucket_width, int(table.count[i, j]), frac12, frac25
@@ -196,7 +198,8 @@ def read_lookup(path) -> LookupTable:
     lefts = columns["BucketLeft"]
     if not lefts.size:
         raise ValueError(f"corrupt lookup: {path} has no buckets")
-    first = int(bucket_index(lefts[0], width)) if math.isfinite(lefts[0]) else 0
+    first = _bucket_floor(lefts[0], width)
+    first = int(first) if abs(first) < 2.0**53 else 0  # a far or non-finite left is off grid
     off_grid = np.flatnonzero(lefts != (first + np.arange(lefts.size)) * width)
     if off_grid.size:
         raise ValueError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import csvio
 from .calcurve import CalCurve, check_sd, curve_at
-from .simulate import simulate_date, substream
+from .simulate import MAX_RECORDS, simulate_date, substream
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,14 @@ class RefTableSpec:
         if not oldest < youngest:
             raise ValueError(f"span oldest must precede youngest, got {self.span}")
         n = (youngest - oldest) / self.year_interval
-        if abs(n - round(n)) > 1e-9:
+        if round(n) < 1 or abs(n - round(n)) > 1e-9:
             raise ValueError(
                 f"span {self.span} is not a whole number of {self.year_interval}-year steps"
+            )
+        if self.n_records > MAX_RECORDS:
+            raise ValueError(
+                f"spec {self.label!r} gives {self.n_records} records, "
+                f"more than the {MAX_RECORDS} allowed"
             )
 
     @property

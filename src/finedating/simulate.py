@@ -20,6 +20,11 @@ import numpy as np
 from . import csvio
 from .calcurve import CalCurve, Measurement, check_sd, curve_at, parse_date, posterior_summary
 
+# The most simulated measurements one reference table or test series may
+# hold, checked before anything is drawn: larger requests would exhaust
+# memory long before they finished.
+MAX_RECORDS = 10_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class TestSeries:
@@ -69,12 +74,21 @@ def draw_ages(
 
     Each generator gives one ``normal(size=n)`` array, the same values as
     ``n`` scalar draws; rounding is :func:`round_half_away` on the array.
+    An sd whose draw scale overflows, or whose rounded draws leave int64,
+    is rejected before anything is returned.
     """
     check_sd(sd)
     mu, sig = curve_at(curve, date)
     scale = math.sqrt(sd * sd + sig * sig)
     g = np.concatenate([rng.normal(mu, scale, size=n) for rng in rngs])
-    return np.copysign(np.floor(np.abs(g) + 0.5), g).astype(np.int64).tolist()
+    rounded = np.copysign(np.floor(np.abs(g) + 0.5), g)
+    # an infinite scale draws inf or NaN, which fail the bounds too
+    if not ((rounded >= -(2.0**63)) & (rounded < 2.0**63)).all():
+        raise ValueError(
+            f"sd {sd!r} is too large to simulate: the draw scale sqrt(sd^2 + curve error^2) "
+            f"must be finite and every rounded draw must fit in a 64-bit integer"
+        )
+    return rounded.astype(np.int64).tolist()
 
 
 def draw_age(curve: CalCurve, date: float, sd: float, rng: np.random.Generator) -> int:
@@ -132,6 +146,12 @@ def generate_test_datasets(
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     check_sd(sd)
+    n_records = len(dates) * datasets_per_date * group_size
+    if n_records > MAX_RECORDS:
+        raise ValueError(
+            f"{len(dates)} dates x {datasets_per_date} datasets x {group_size} measurements "
+            f"give {n_records} records, more than the {MAX_RECORDS} allowed"
+        )
 
     per_date = [
         simulate_date(curve, date, sd, [substream(seed, di, ri) for ri in range(datasets_per_date)],

@@ -1,10 +1,17 @@
 import io
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finedating as fd
+from finedating import calcurve
 from finedating.calcurve import curve_checksum
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def make_curve(rows, name="inline"):
@@ -259,3 +266,274 @@ def test_posterior_summary_keeps_no_failure():
     with pytest.raises(ValueError, match="integer BP"):
         fd.posterior_summary(curve, 2000.5, 10.0)
     assert curve._summaries == {}
+
+
+# --- the posterior's window against the full grid ----------------------------
+
+
+def full_grid_posterior(curve, age, sd, grid_step):
+    """The posterior computed over every grid cell: the reference the
+    windowed ``_posterior`` must equal bit for bit."""
+    if grid_step <= 0:
+        raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    dates, mu, sig = curve.grid(grid_step)
+    logw = age - mu
+    np.square(logw, out=logw)
+    logw *= -0.5
+    logw /= sd * sd + sig * sig
+    peak = float(logw.max())
+    if peak < math.log(1e-300):
+        raise ValueError(
+            f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
+        )
+    w = np.exp(logw, out=logw)
+    if float(w.sum()) < 1e-300:
+        raise ValueError(
+            f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
+        )
+    keep = np.nonzero(w > w.max() * 1e-14)[0]
+    lo_i, hi_i = int(keep[0]), int(keep[-1])
+    dates = dates[lo_i : hi_i + 1]
+    pdf = w[lo_i : hi_i + 1]
+    pdf = pdf / pdf.sum()
+    mean = float(np.dot(pdf, dates))
+    sigma = float(math.sqrt(max(np.dot(pdf, (dates - mean) ** 2), 0.0)))
+    cum = np.cumsum(pdf)
+    i = int(np.searchsorted(cum, 0.5))
+    prev = float(cum[i - 1]) if i > 0 else 0.0
+    median = float(dates[i] - grid_step / 2 + grid_step * (0.5 - prev) / float(pdf[i]))
+    return dates, pdf, mean, median, sigma
+
+
+def posterior_bits(result):
+    dates, pdf, *summary = result
+    return dates.tobytes(), pdf.tobytes(), [float(v).hex() for v in summary]
+
+
+def posterior_outcome(posterior, curve, age, sd, step):
+    """The bytes of every output, or the type and message of the error."""
+    try:
+        return posterior_bits(posterior(curve, age, sd, step))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def drawn_curves(draw):
+    """A curve of 2-60 knots, 1-40 years apart: monotone (the 14C age
+    rises with cal BP) or wiggly (it may fall), with errors of 0.5-40."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bp = draw(st.integers(-100, 5000)) + np.cumsum(rng.integers(1, 41, n)).astype(float)
+    slope = rng.uniform(0.0, 2.5, n - 1)
+    if draw(st.booleans()):  # wiggly
+        slope = slope * rng.choice([-1.0, 1.0], n - 1)
+    c14 = bp[0] + draw(st.integers(-300, 300)) + np.concatenate(([0.0], np.cumsum(np.diff(bp) * slope)))
+    err = rng.uniform(0.5, 40.0, n)
+    return fd.CalCurve(name="drawn", cal_bp=bp, c14_age=c14, error=err)
+
+
+SDS = st.one_of(st.just(0), st.just(0.0), st.floats(0.01, 5.0), st.floats(5.0, 5000.0),
+                st.sampled_from([20, 137.5, 1e200]))
+
+
+@PROPERTY
+@given(curve=drawn_curves(), step=st.sampled_from([1.0, 2.0]), sd=SDS,
+       where=st.sampled_from(["on", "near", "off", "far"]), data=st.data())
+def test_windowed_posterior_equals_full_grid_bit_for_bit(curve, step, sd, where, data):
+    dates, mu, sig = curve.grid(step)
+    k = data.draw(st.integers(0, mu.size - 1))
+    spread = math.sqrt(sd * sd + float(sig[k]) ** 2) if sd < 1e100 else 1.0
+    # off: 35-38 spreads beyond the curve, where the peak weight nears
+    # the 1e-300 floor and the error or the full-grid fallback decides
+    offset = {"on": 0.0, "near": data.draw(st.floats(-4.0, 4.0)) * spread,
+              "off": data.draw(st.floats(35.0, 38.0)) * spread,
+              "far": data.draw(st.floats(50.0, 1e4)) * spread}[where]
+    edge = float(mu.max()) if offset >= 0 else float(mu.min())
+    age = int(round((float(mu[k]) if where in ("on", "near") else edge) + offset))
+    for _ in range(2):  # once more with the variance cached
+        window = posterior_outcome(calcurve._posterior, curve, age, sd, step)
+        assert window == posterior_outcome(full_grid_posterior, curve, age, sd, step)
+    if isinstance(window[0], bytes):
+        res = fd.calibrate(curve, fd.Measurement(age, sd), grid_step=step)
+        assert abs(float(res.pdf.sum()) - 1.0) < 1e-9
+        for segments, target in ((res.hpd68, calcurve.HPD68_TARGET),
+                                 (res.hpd95, calcurve.HPD95_TARGET)):
+            assert abs(sum(p for _, _, p in segments) - target) < 1e-9
+
+
+def test_window_falls_back_to_the_full_grid_near_the_floor():
+    # ages 25 to 45 spreads below the curve: their peaks cross both the
+    # window-sum bound (log 1e-280) and the floor (log 1e-300)
+    curve = fd.synthetic_study_curve()
+    spread = float(curve.error[0])
+    ages = range(int(curve.c14_age[0] - 45 * spread), int(curve.c14_age[0] - 25 * spread))
+    sizes = []
+    real_exp = np.exp
+    with mock.patch.object(calcurve.np, "exp", lambda x: sizes.append(x.size) or real_exp(x)):
+        outcomes = [posterior_outcome(calcurve._posterior, curve, age, 0, 1.0) for age in ages]
+    assert curve.grid(1.0)[0].size in sizes  # some window sums fell under the bound
+    assert any(isinstance(o[0], bytes) for o in outcomes)
+    assert any(o[0] is ValueError for o in outcomes)
+    assert outcomes == [posterior_outcome(full_grid_posterior, curve, age, 0, 1.0) for age in ages]
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_peak_on_an_end_cell_matches_the_full_grid(linear_curve, end):
+    dates, mu, _ = linear_curve.grid(1.0)
+    age = int(mu[0]) + 30 if end == "first" else int(mu[-1]) - 30
+    window = calcurve._posterior(linear_curve, age, 20.0, 1.0)
+    assert posterior_bits(window) == posterior_outcome(full_grid_posterior, linear_curve, age,
+                                                       20.0, 1.0)
+    cell = 0 if end == "first" else -1
+    assert window[0][cell] == dates[cell]
+    assert int(np.argmax(window[1])) == (0 if end == "first" else window[1].size - 1)
+
+
+def test_flat_curve_keeps_the_whole_grid(flat_curve):
+    window = calcurve._posterior(flat_curve, 2000, 20.0, 1.0)
+    assert window[0].tobytes() == flat_curve.grid(1.0)[0].tobytes()
+    assert posterior_bits(window) == posterior_outcome(full_grid_posterior, flat_curve, 2000,
+                                                       20.0, 1.0)
+
+
+@pytest.mark.parametrize("sd", [0, 0.0])
+def test_sd_zero_matches_the_full_grid(study_curve, sd):
+    for age in (1900, 2050, 2160, 2300):
+        assert posterior_outcome(calcurve._posterior, study_curve, age, sd, 1.0) == \
+            posterior_outcome(full_grid_posterior, study_curve, age, sd, 1.0)
+
+
+def test_no_support_raises_the_full_grid_message(study_curve):
+    for age in (50000, -50000):
+        got = posterior_outcome(calcurve._posterior, study_curve, age, 10.0, 1.0)
+        assert got == posterior_outcome(full_grid_posterior, study_curve, age, 10.0, 1.0)
+        assert got[1] == (f"age outside calibratable range: {age} BP has no support on "
+                          f"curve 'synthetic-study'")
+
+
+def test_variance_is_cached_per_step_and_sd(study_curve):
+    curve = fd.CalCurve("v", study_curve.cal_bp, study_curve.c14_age, study_curve.error)
+    var = curve.variance(1.0, 5)
+    assert curve.variance(1, 5.0) is var
+    assert curve.variance(2.0, 5) is not var
+    assert var.tobytes() == (25.0 + curve.grid(1.0)[2] ** 2).tobytes()
+    first = fd.posterior_summary(curve, 2100, 5, 1.0)
+    assert fd.posterior_summary(curve, 2100, 5.0, 1) is first
+    assert len(curve._variances) == 2
+
+
+# --- curve files: one loadtxt against the row parser --------------------------
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+VARIANTS = ["written", "descending", "extra columns", "spaces", "crlf", "blank lines", "header"]
+
+
+@st.composite
+def curve_files(draw):
+    """The knots of a drawn curve as :func:`fd.write_curve` writes them."""
+    n = draw(st.integers(2, 30))
+    steps = draw(st.lists(st.one_of(st.floats(1e-3, 1e4), st.integers(1, 50).map(float)),
+                          min_size=n, max_size=n))
+    cells = st.lists(st.one_of(FINITE, st.integers(-5000, 5000).map(float)),
+                     min_size=n, max_size=n)
+    return fd.CalCurve("drawn", draw(FINITE) + np.cumsum(steps), draw(cells),
+                       draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+
+
+def variant(data: bytes, name: str) -> bytes:
+    """A written curve file rewritten in one of the forms the one-parse
+    path also takes: rows youngest-first, extra columns, spaces around
+    cells, CRLF line ends, blank body lines, other leading comments."""
+    lines = data.split(b"\n")[:-1]
+    header, body = lines[:2], lines[2:]
+    if name == "descending":
+        body = body[::-1]
+    elif name == "extra columns":
+        body = [line + b",1.5e3,-2," for line in body]
+    elif name == "spaces":
+        body = [b" " + line.replace(b",", b" , ") + b" " for line in body]
+    elif name == "blank lines":
+        body = [line + b"\n" for line in body]
+    elif name == "header":
+        header = [b"##INTCAL-style header", b"", b"  # CAL BP,14C age,Error\t", b"#"]
+    text = b"".join(line + b"\n" for line in header + body)
+    return text.replace(b"\n", b"\r\n") if name == "crlf" else text
+
+
+def row_parsed(raw: bytes):
+    """What ``load_curve`` gives with the one-parse path switched off:
+    the knot bytes, or the type and message of its ValueError."""
+    with mock.patch.object(calcurve, "_load_knots", lambda text: None):
+        return curve_outcome(raw)
+
+
+def curve_outcome(raw: bytes):
+    try:
+        curve = fd.load_curve(io.BytesIO(raw))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return curve.cal_bp.tobytes(), curve.c14_age.tobytes(), curve.error.tobytes()
+
+
+@PROPERTY
+@given(curve=curve_files(), name=st.sampled_from(VARIANTS))
+def test_one_parse_equals_the_row_parser_on_written_curves(tmp_path_factory, curve, name):
+    path = tmp_path_factory.mktemp("c") / "curve.14c"
+    fd.write_curve(curve, path)
+    raw = variant(path.read_bytes(), name)
+    text = raw.decode()
+    fast = calcurve._load_knots(text)
+    assert fast is not None  # no such file is left to the row parser
+    rows = calcurve._parse_knot_rows(text)
+    assert [c.tobytes() for c in fast] == [c.tobytes() for c in rows]
+    assert all(c.flags.c_contiguous for c in fast)
+    assert curve_outcome(raw) == row_parsed(raw)
+    if name != "descending":
+        assert curve_outcome(raw)[0] == curve.cal_bp.tobytes()
+
+
+DAMAGES = {
+    "whitespace row": lambda cells: b" ".join(cells),
+    "tab row": lambda cells: b"\t".join(cells),
+    "two cells": lambda cells: b",".join(cells[:2]),
+    "blank cell": lambda cells: b",".join([cells[0], b"", cells[2]]),
+    "comment in the body": lambda cells: b"# " + b",".join(cells) + b"\n" + b",".join(cells),
+    "trailing comment": lambda cells: b",".join(cells) + b" # note",
+    "letters": lambda cells: b",".join([cells[0], b"abc", cells[2]]),
+    "nan": lambda cells: b",".join([cells[0], b"nan", cells[2]]),
+    "underscore": lambda cells: b",".join([b"1_0" + cells[0].lstrip(b"-"), *cells[1:]]),
+    "non-ascii byte": lambda cells: b",".join(cells) + b"\xff",
+    "utf-8 line separator": lambda cells: b",".join(cells) + "\u2028".encode() + b",".join(cells),
+    "form feed": lambda cells: b",".join(cells) + b"\x0c" + b",".join(cells),
+    "lone carriage return": lambda cells: b",".join(cells) + b"\r" + b",".join(cells),
+}
+
+
+@PROPERTY
+@given(curve=curve_files(), name=st.sampled_from(list(DAMAGES)), data=st.data())
+def test_damaged_curve_reads_as_the_row_parser_reads_it(tmp_path_factory, curve, name, data):
+    path = tmp_path_factory.mktemp("c") / "curve.14c"
+    fd.write_curve(curve, path)
+    lines = path.read_bytes().split(b"\n")[:-1]
+    row = data.draw(st.integers(2, len(lines) - 1))
+    lines[row] = DAMAGES[name](lines[row].split(b","))
+    raw = b"".join(line + b"\n" for line in lines)
+    text = raw.decode("utf-8", errors="replace")
+    assert not text.isascii() or calcurve._load_knots(text) is None
+    assert curve_outcome(raw) == row_parsed(raw)
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\r", "\x85", "\u2028"])
+def test_line_break_inside_a_header_line_is_left_to_the_row_parser(separator):
+    # the row parser splits lines at every break str.splitlines knows, so
+    # the knot after the break is data, not part of the comment
+    raw = f"# header{separator}1000,900,5\n2000,1950,10\n2100,2130,12\n".encode()
+    assert not raw.isascii() or calcurve._load_knots(raw.decode()) is None
+    assert curve_outcome(raw) == row_parsed(raw)
+    assert curve_outcome(raw)[0] == np.array([1000.0, 2000.0, 2100.0]).tobytes()
+
+
+def test_bad_row_names_its_line_after_a_comma_delimited_body():
+    raw = b"# h\n2000,2050,10\n2100,2130,12\n2200 2210\n"
+    assert curve_outcome(raw) == (ValueError, "unparsable curve row at line 4: '2200 2210'")

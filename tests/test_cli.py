@@ -1,5 +1,10 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finedating as fd
 from finedating.cli import main, parse_date, parse_date_range, parse_span
@@ -451,7 +456,7 @@ def test_ragged_row_is_data_error(pipeline, tmp_path, capsys, artifact):
     assert f"ragged row in {bad} at line {lineno}" in err
 
 
-@pytest.mark.parametrize("damage", ["shifted", "gap", "no-width", "tolerances"])
+@pytest.mark.parametrize("damage", ["shifted", "gap", "no-width", "tolerances", "far"])
 def test_corrupt_lookup_is_data_error(pipeline, tmp_path, capsys, damage):
     built, bad = tmp_path / "lookup.csv", tmp_path / "bad.csv"
     assert run("lookup", "build", "--eval", pipeline / "eval" / "eval_long.csv",
@@ -468,6 +473,8 @@ def test_corrupt_lookup_is_data_error(pipeline, tmp_path, capsys, damage):
         value = lefts[1] + 3.0
     elif damage == "gap":
         del lines[first + 1]
+    elif damage == "far":  # a first bucket index past int64, never cast to int
+        lines[first:] = [f"1e300,{line.split(',', 1)[1]}" for line in lines[first:]]
     elif damage == "no-width":
         lines.remove("# bucket_width=5")
     else:
@@ -516,3 +523,139 @@ def test_table_without_checksum_is_data_error(pipeline, tmp_path, capsys):
     assert run("finedate", "--ref", bad, "--ages", 2000, "--sd", 20,
                "--out", tmp_path / "report") == 4
     assert "has no checksum header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sd", ["1e200", "1e19", "1.7e308"])
+@pytest.mark.parametrize("command", ["ref-gen", "simulate-tests"])
+def test_sd_too_large_to_draw_is_data_error(curve_file, tmp_path, capsys, command, sd):
+    # 1e200 overflows the draw scale; 1e19 rounds draws past int64
+    argv = {
+        "ref-gen": ["ref-gen", "--curve", curve_file, "--label", "x", "--step", 5,
+                    "--per-slice", 3, "--sd", sd, "--span", "-50:0", "--out", tmp_path / "r.csv"],
+        "simulate-tests": ["simulate", "tests", "--curve", curve_file, "--dates", "-100:-90:5",
+                           "--per-date", 2, "--sd", sd, "--out", tmp_path / "t.csv"],
+    }[command]
+    assert run(*argv) == 4
+    assert (f"sd {float(sd)!r} is too large to simulate: the draw scale sqrt(sd^2 + curve "
+            f"error^2) must be finite and every rounded draw must fit in a 64-bit integer"
+            ) in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ref-gen", "--step", 10**30], "span (-50.0, 0.0) is not a whole number of"),
+    (["ref-gen", "--per-slice", 10**12], "more than the 10000000 allowed"),
+    (["simulate", "--per-date", 2**63], "more than the 10000000 allowed"),
+    (["simulate", "--group", 10**9], "more than the 10000000 allowed"),
+    (["simulate", "--dates", "0:1e18:1"], "--dates '0:1e18:1' gives more than 10000000 dates"),
+])
+def test_record_count_beyond_the_bound_is_data_error(curve_file, tmp_path, capsys, argv,
+                                                      message):
+    command, flag, value = argv
+    flags = {"ref-gen": {"--step": 5, "--per-slice": 2, "--sd": 5, "--span": "-50:0"},
+             "simulate": {"--dates": "-100:-90:5", "--per-date": 2, "--group": 3, "--sd": 20}}
+    base = ["ref-gen", "--label", "x"] if command == "ref-gen" else ["simulate", "tests"]
+    options = {**flags[command], flag: value}
+    assert run(*base, "--curve", curve_file, *[f"{k}={v}" for k, v in options.items()],
+               "--out", tmp_path / "out.csv") == 4
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+# --- fuzzed numeric flags -----------------------------------------------------
+
+NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "1e309"])
+EMPTY = st.sampled_from(["", " "])
+NON_NUMERIC = st.one_of(st.sampled_from(["abc", "5x", "x5", "1e", "--", "0x10", "1.2.3", "e5"]),
+                        st.from_regex(r"[a-df-hj-mo-z]{1,6}", fullmatch=True))
+BEYOND_INT64 = st.one_of(st.integers(2**63, 10**40), st.integers(-(10**40), -(2**63) - 1)).map(str)
+HUGE_FLOAT = st.integers(309, 5000).flatmap(lambda e: st.sampled_from([f"1e{e}", f"-9e{e}"]))
+NEGATIVE_INT = st.integers(-(10**6), -1).map(str)
+NEGATIVE_FLOAT = st.floats(-1e300, -1e-300).map(repr)
+COUNTS = st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, BEYOND_INT64, NEGATIVE_INT,
+                   st.integers(10**7 + 1, 2**63 - 1).map(str), st.just("0"))
+SIM_SD = st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, HUGE_FLOAT, NEGATIVE_FLOAT,
+                   st.floats(1e19, 1e308).map(repr))
+
+
+@st.composite
+def triples(draw, parts: int):
+    """START:END[:STEP] with one part malformed (or a step of zero or
+    below, or a range of more dates than a series may hold)."""
+    good = ["-100", "-90", "5"][:parts]
+    i = draw(st.integers(0, parts - 1))
+    good[i] = draw(st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, HUGE_FLOAT))
+    bad = [":".join(good)]
+    if parts == 3:
+        bad += [f"-100:-90:{draw(st.one_of(st.just('0'), NEGATIVE_FLOAT))}",
+                f"0:{draw(st.floats(1e8, 1e300))!r}:1"]
+    else:
+        bad += [f"-100:{draw(st.floats(1e6, 1e300))!r}", "-90:-100", "-100:-100"]
+    return draw(st.sampled_from(bad + ["-100:-90", "1:2:3:4", "-100"]))
+
+
+# Per command: the other options, and a strategy of malformed values per
+# numeric flag.  Negative values are malformed only where the flag's
+# domain excludes them: ages, dates and lookup values may be negative.
+FUZZED = {
+    "ref-gen": (["ref-gen", "--label", "x"],
+                {"--step": "5", "--per-slice": "2", "--sd": "5", "--span": "-50:0"},
+                {"--step": COUNTS, "--per-slice": COUNTS, "--sd": SIM_SD,
+                 "--span": triples(2), "--seed": st.one_of(NON_FINITE, EMPTY, NON_NUMERIC,
+                                                           NEGATIVE_INT)}),
+    "simulate tests": (["simulate", "tests"],
+                       {"--dates": "-100:-90:5", "--per-date": "2", "--group": "3", "--sd": "20"},
+                       {"--dates": triples(3), "--per-date": COUNTS, "--group": COUNTS,
+                        "--sd": SIM_SD, "--seed": st.one_of(NON_FINITE, EMPTY, NON_NUMERIC,
+                                                            NEGATIVE_INT)}),
+    "finedate": (["finedate"], {"--ages": "2000", "--sd": "20"},
+                 {"--ages": st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, BEYOND_INT64, HUGE_FLOAT,
+                                      st.floats(-1e6, 1e6).filter(lambda x: x != int(x)).map(repr)),
+                  "--sd": st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, HUGE_FLOAT,
+                                    NEGATIVE_FLOAT)}),
+    "lookup build": (["lookup", "build"], {"--bucket-width": "5"},
+                     {"--bucket-width": st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, HUGE_FLOAT,
+                                                  NEGATIVE_FLOAT, st.just("0"),
+                                                  st.floats(1e-300, 1e-5).map(repr))}),
+    "lookup query": (["lookup", "query", "--indicator", "CalDate_Median"], {"--value": "-140"},
+                     {"--value": st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, HUGE_FLOAT,
+                                           st.floats(1e10, 1e308).map(repr),
+                                           st.floats(-1e308, -1e10).map(repr))}),
+}
+
+
+@st.composite
+def fuzzed_calls(draw):
+    command = draw(st.sampled_from(list(FUZZED)))
+    base, options, malformed = FUZZED[command]
+    flag = draw(st.sampled_from(list(malformed)))
+    return command, base, {**options, flag: draw(malformed[flag])}, flag
+
+
+@pytest.fixture(scope="module")
+def lookup_file(pipeline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("lookup") / "lookup.csv"
+    assert run("lookup", "build", "--eval", pipeline / "eval" / "eval_long.csv",
+               "--out", path) == 0
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(call=fuzzed_calls())
+def test_malformed_numeric_flag_exits_cleanly(pipeline, curve_file, lookup_file,
+                                              tmp_path_factory, call):
+    command, base, options, flag = call
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    inputs = {"ref-gen": ["--curve", curve_file], "simulate tests": ["--curve", curve_file],
+              "finedate": ["--ref", pipeline / "ref.csv"],
+              "lookup build": ["--eval", pipeline / "eval" / "eval_long.csv"],
+              "lookup query": ["--table", lookup_file]}[command]
+    outputs = [] if command == "lookup query" else ["--out", out_dir / "out.csv"]
+    seed = ["--seed=" + options.pop("--seed")] if "--seed" in options else []
+    argv = [*seed, *base, *inputs, *[f"{k}={v}" for k, v in options.items()], *outputs]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code in (2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    assert not any(out_dir.iterdir()), argv
