@@ -4,12 +4,13 @@ Calendar dates live on a signed axis: negative years are BC, positive
 years AD, and the conversion to cal BP is exactly ``1950 - date``.  A
 curve is a piecewise-linear table of (cal BP, 14C age BP, 1-sigma curve
 error) knots; calibration of an integer radiocarbon age produces a
-normalized probability mass over a uniform calendar-date grid together
-with its mean, median, sigma and highest-posterior-density intervals.
+normalized probability mass over the curve's grid of one-year calendar
+cells together with its mean, median, sigma and highest-posterior-density
+intervals.
 
 Calibration cost follows the posterior, not the grid.  The log weight
 ``-(age - mu)^2 / (2 var)`` is computed over every cell (the variance
-``sd^2 + sigma_curve^2`` is cached per grid step and sd), and its peak
+``sd^2 + sigma_curve^2`` is cached per sd), and its peak
 taken; ``exp`` and everything after it run only over the window of
 cells whose log weight exceeds ``peak + log(1e-14) - 1``.  Cells at or
 below that bound weigh less than 1e-14 of the peak, so none of them is
@@ -25,6 +26,7 @@ import io
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,16 +111,14 @@ class CalCurve:
     ``cal_bp`` is strictly ascending; ``c14_age`` and ``error`` are the
     curve mean and 1-sigma curve error at each knot, all finite.  The knot
     arrays are read-only copies, so the lazily built caches cannot go
-    stale: per-grid interpolations keyed by grid step, calibration
-    variances keyed by (grid step, sd), and posterior summaries keyed by
-    (age, sd, grid step).
+    stale: the one-year grid, calibration variances keyed by sd, and
+    posterior summaries keyed by (age, sd).
     """
 
     name: str
     cal_bp: np.ndarray
     c14_age: np.ndarray
     error: np.ndarray
-    _grids: dict = field(default_factory=dict, repr=False)
     _variances: dict = field(default_factory=dict, repr=False)
     _summaries: dict = field(default_factory=dict, repr=False)
 
@@ -154,29 +154,25 @@ class CalCurve:
         """(oldest, youngest) calendar date covered by the curve."""
         return (from_cal_bp(float(self.cal_bp[-1])), from_cal_bp(float(self.cal_bp[0])))
 
-    def grid(self, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Uniform calendar-date grid over the domain with interpolated
-        curve mean and error, cached per step."""
-        key = float(step)
-        if key not in self._grids:
-            lo, hi = self.domain
-            n = int(math.floor((hi - lo) / step)) + 1
-            dates = lo + step * np.arange(n)
-            bp = REFERENCE_YEAR - dates
-            mu = np.interp(bp, self.cal_bp, self.c14_age)
-            sig = np.interp(bp, self.cal_bp, self.error)
-            self._grids[key] = (dates, mu, sig)
-        return self._grids[key]
+    @cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Calendar dates one year apart from the oldest end of the
+        domain, with the curve mean and error interpolated at each."""
+        lo, hi = self.domain
+        dates = lo + np.arange(int(math.floor(hi - lo)) + 1)
+        bp = REFERENCE_YEAR - dates
+        mu = np.interp(bp, self.cal_bp, self.c14_age)
+        sig = np.interp(bp, self.cal_bp, self.error)
+        return dates, mu, sig
 
-    def variance(self, step: float, sd: float) -> np.ndarray:
-        """``sd^2 + sigma_curve^2`` over the grid of ``step``, cached per
-        (step, sd).  Computed from ``sd`` as given: an int sd and the float
-        equal to it give the same bits."""
-        key = (float(step), sd)
-        var = self._variances.get(key)
+    def variance(self, sd: float) -> np.ndarray:
+        """``sd^2 + sigma_curve^2`` over the grid, cached per sd.
+        Computed from ``sd`` as given: an int sd and the float equal to it
+        give the same bits."""
+        var = self._variances.get(sd)
         if var is None:
-            sig = self.grid(step)[2]
-            var = self._variances[key] = sd * sd + sig * sig
+            sig = self.grid[2]
+            var = self._variances[sd] = sd * sd + sig * sig
         return var
 
 
@@ -184,14 +180,13 @@ class CalCurve:
 class CalibrationResult:
     """Posterior over calendar dates for one measurement.
 
-    ``grid`` holds the cell centers of the retained support (uniform
-    step); ``pdf`` is the probability mass per cell and sums to 1.
+    ``grid`` holds the centers of the retained one-year cells; ``pdf``
+    is the probability mass per cell and sums to 1.
     HPD intervals are lists of (start, end, probability) segments.
     """
 
     grid: np.ndarray
     pdf: np.ndarray
-    step: float
     mean: float
     median: float
     sigma: float
@@ -300,63 +295,58 @@ def curve_at(curve: CalCurve, date: float) -> tuple[float, float]:
     return mu, sig
 
 
-def calibrate(curve: CalCurve, meas: Measurement, grid_step: float = 1.0) -> CalibrationResult:
+def calibrate(curve: CalCurve, meas: Measurement) -> CalibrationResult:
     """Calibrate a measurement into a calendar-date posterior.
 
     Cell weight is ``exp(-(age - mu(t))^2 / (2 (sd^2 + sigma_curve(t)^2)))``
-    over a uniform grid spanning the curve domain, normalized to unit
+    over the one-year grid spanning the curve domain, normalized to unit
     mass.  The mean and sigma are probability weighted; the median
     interpolates linearly within the crossing cell; HPD intervals are
     built by descending-density inclusion (ties toward older dates),
     taking a fraction of the boundary cell so each interval set carries
     exactly its target mass.
     """
-    dates, pdf, mean, median, sigma = _posterior(curve, meas.age, meas.sd, grid_step)
+    dates, pdf, mean, median, sigma = _posterior(curve, meas.age, meas.sd)
     return CalibrationResult(
         grid=dates,
         pdf=pdf,
-        step=float(grid_step),
         mean=mean,
         median=median,
         sigma=sigma,
-        hpd68=_hpd_segments(dates, pdf, grid_step, HPD68_TARGET),
-        hpd95=_hpd_segments(dates, pdf, grid_step, HPD95_TARGET),
+        hpd68=_hpd_segments(dates, pdf, HPD68_TARGET),
+        hpd95=_hpd_segments(dates, pdf, HPD95_TARGET),
     )
 
 
-def posterior_summary(
-    curve: CalCurve, age: int, sd: float, grid_step: float = 1.0
-) -> tuple[float, float, float]:
+def posterior_summary(curve: CalCurve, age: int, sd: float) -> tuple[float, float, float]:
     """(mean, median, sigma) of the posterior of ``age`` +- ``sd``.
 
     Bit for bit the summaries of :func:`calibrate`, computed once per
-    distinct (age, sd, grid step) and kept on the curve.  An age that
-    cannot be calibrated raises on every call; nothing is kept for it.
+    distinct (age, sd) and kept on the curve.  An age that cannot be
+    calibrated raises on every call; nothing is kept for it.
     """
-    key = (age, float(sd), float(grid_step))
+    key = (age, float(sd))
     summary = curve._summaries.get(key)
     if summary is None:
         meas = Measurement(age, sd)  # rejects a fractional age or a bad sd
-        _, _, *values = _posterior(curve, meas.age, meas.sd, grid_step)
-        summary = curve._summaries[meas.age, key[1], key[2]] = tuple(values)
+        _, _, *values = _posterior(curve, meas.age, meas.sd)
+        summary = curve._summaries[meas.age, key[1]] = tuple(values)
     return summary
 
 
 def _posterior(
-    curve: CalCurve, age: int, sd: float, grid_step: float
+    curve: CalCurve, age: int, sd: float
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """Retained grid, cell masses, mean, median and sigma of one
     calibration, computed from ``exp`` on over the window of the peak
     (see the module docstring)."""
-    if grid_step <= 0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step}")
-    dates, mu, _ = curve.grid(grid_step)
+    dates, mu, _ = curve.grid
     # -0.5 (age - mu)^2 / var, computed in one buffer: a fresh temporary
     # per step costs page faults on every call when the heap is small
     logw = age - mu
     np.square(logw, out=logw)
     logw *= -0.5
-    logw /= curve.variance(grid_step, sd)
+    logw /= curve.variance(sd)
     peak = float(logw.max())
     if peak < _LOG_FLOOR:
         raise ValueError(
@@ -386,12 +376,12 @@ def _posterior(
     cum = np.cumsum(pdf)
     i = int(np.searchsorted(cum, 0.5))
     prev = float(cum[i - 1]) if i > 0 else 0.0
-    median = float(dates[i] - grid_step / 2 + grid_step * (0.5 - prev) / float(pdf[i]))
+    median = float(dates[i] - 0.5 + (0.5 - prev) / float(pdf[i]))
     return dates, pdf, mean, median, sigma
 
 
 def _hpd_segments(
-    dates: np.ndarray, pdf: np.ndarray, step: float, target: float
+    dates: np.ndarray, pdf: np.ndarray, target: float
 ) -> tuple[tuple[float, float, float], ...]:
     # Stable argsort on -pdf: among equal densities the lower index
     # (older date) is taken first.
@@ -419,19 +409,19 @@ def _hpd_segments(
     runs.append((int(run_start), int(prev_i)))
 
     for i0, i1 in runs:
-        start = float(dates[i0]) - step / 2
-        end = float(dates[i1]) + step / 2
+        start = float(dates[i0]) - 0.5
+        end = float(dates[i1]) + 0.5
         prob = float(np.dot(frac[i0 : i1 + 1], pdf[i0 : i1 + 1]))
         # Trim the partially included boundary cell from the outer edge
         # so the segment carries exactly its stated mass.
         if frac[i0] < 1.0 and frac[i1] < 1.0 and i0 == i1:
             c = float(dates[i0])
-            half = float(frac[i0]) * step / 2
+            half = float(frac[i0]) / 2
             start, end = c - half, c + half
         elif frac[i0] < 1.0:
-            start += (1.0 - float(frac[i0])) * step
+            start += 1.0 - float(frac[i0])
         elif frac[i1] < 1.0:
-            end -= (1.0 - float(frac[i1])) * step
+            end -= 1.0 - float(frac[i1])
         segments.append((float(start), float(end), prob))
     return tuple(segments)
 

@@ -507,7 +507,7 @@ def _cmd_evaluate(args, config) -> int:
     curve_path = _effective(args, config, "curve")
     curve = _load_curve_arg(str(curve_path)) if curve_path else None
     for warning in edge_warnings(
-        table, series.original_date.tolist(), curve=curve, sd=float(series.sd.max())
+        table, series.original_date.tolist(), float(series.sd.max()), curve=curve
     ):
         print(f"warning: {warning}", file=sys.stderr)
 

@@ -311,6 +311,13 @@ def _parse_cells(cells: list[str], parse) -> np.ndarray:
     return np.fromiter(map(parse, cells), np.int64 if parse is int else float, len(cells))
 
 
+def check_count(meta: dict, key: str, n: int, path) -> None:
+    """Reject a file whose ``key`` header, where it has one, is not ``n``:
+    the count its writer declared of what the file holds."""
+    if key in meta and meta[key] != str(n):
+        raise ValueError(f"corrupt file: {path} holds {n} {key}, its header says {meta[key]}")
+
+
 def rows_checksum(lines: list[str]) -> int:
     """crc32 over the data lines of a table, header excluded; each line
     is followed by ``\\n``, so chunks of lines joined by ``\\n`` give the

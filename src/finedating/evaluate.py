@@ -51,7 +51,11 @@ def _category_names(deltas: np.ndarray) -> np.ndarray:
     return names[np.searchsorted(_DELTA_BOUNDS, np.abs(deltas))]
 
 
-# Matches the tolerance search grows to before it reports a mode.
+# The tolerance schedule of every MPD search: +-1 to +-10 years in steps
+# of 1, grown until M_MIN pool values match.
+TOL_START = 1.0
+TOL_STEP = 1.0
+TOL_MAX = 10.0
 M_MIN = 5
 
 
@@ -77,26 +81,22 @@ def matches_within(pool: list[float] | np.ndarray, value: float, tol: float) -> 
 def mpd_search(
     pool: list[float] | np.ndarray,
     value: float,
-    t0: float = 1.0,
-    dt: float = 1.0,
-    t_max: float = 10.0,
-    m_min: int = M_MIN,
     indicator: str = "",
     original_date: float | None = None,
 ) -> MPDResult:
-    """Grow the tolerance from t0 by dt until at least m_min pool values
-    fall within it (or t_max is reached), then report the mode.
+    """Grow the tolerance from ``TOL_START`` by ``TOL_STEP`` until at
+    least ``M_MIN`` pool values fall within it (or ``TOL_MAX`` is
+    reached), then report the mode.
 
     Mode ties break toward the value closest to the query, then toward
-    the older date.  One to m_min-1 matches at t_max are returned with
-    ``under_min`` set; zero matches at t_max is an error.  This is
+    the older date.  One to M_MIN-1 matches at TOL_MAX are returned with
+    ``under_min`` set; zero matches at TOL_MAX is an error.  This is
     :func:`mpd_searches` run on one query.
     """
     arr = np.asarray(pool, dtype=float)
     if arr.size == 0:
         raise ValueError("empty reference pool")
-    tol, count, mpd, value_range = mpd_searches(arr, np.array([value], dtype=float),
-                                                t0, dt, t_max, m_min)
+    tol, count, mpd, value_range = mpd_searches(arr, np.array([value], dtype=float))
     mpd = float(mpd[0])
     return MPDResult(
         indicator=indicator,
@@ -105,18 +105,13 @@ def mpd_search(
         match_count=int(count[0]),
         mpd=mpd,
         value_range=float(value_range[0]),
-        under_min=bool(count[0] < m_min),
+        under_min=bool(count[0] < M_MIN),
         delta=None if original_date is None else mpd - original_date,
     )
 
 
 def mpd_searches(
-    pool: np.ndarray,
-    queries: np.ndarray,
-    t0: float = 1.0,
-    dt: float = 1.0,
-    t_max: float = 10.0,
-    m_min: int = M_MIN,
+    pool: np.ndarray, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The tolerance-grown mode search of :func:`mpd_search` for every
     query against one non-empty pool, in one pass.
@@ -124,33 +119,31 @@ def mpd_searches(
     The pool is sorted and run-length encoded once.  A window
     ``[q - tol, q + tol]`` never splits a run of equal values, so it is a
     range of runs, found by ``searchsorted``; the tolerance grows only
-    for the queries still short of ``m_min``.  The mode is the run with
+    for the queries still short of ``M_MIN``.  The mode is the run with
     the highest count, then closest to the query, then older, taken over
     the windows of each width at once.  Returns (tolerance, match count,
     mode, value range) per query.
     """
     runs, counts = np.unique(pool, return_counts=True)
     cum = np.concatenate(([0], np.cumsum(counts)))
-    tol = np.full(queries.size, float(t0))
-    lo = np.searchsorted(runs, queries - t0, side="left")
-    hi = np.searchsorted(runs, queries + t0, side="right")
-    short = np.flatnonzero(cum[hi] - cum[lo] < m_min)
-    step = t0
-    while short.size and step < t_max:
-        if dt <= 0:
-            raise ValueError(f"tolerance cannot grow: dt must be > 0, got {dt!r}")
-        step = min(step + dt, t_max)
+    tol = np.full(queries.size, TOL_START)
+    lo = np.searchsorted(runs, queries - TOL_START, side="left")
+    hi = np.searchsorted(runs, queries + TOL_START, side="right")
+    short = np.flatnonzero(cum[hi] - cum[lo] < M_MIN)
+    step = TOL_START
+    while short.size and step < TOL_MAX:
+        step = min(step + TOL_STEP, TOL_MAX)
         q = queries[short]
         lo[short] = np.searchsorted(runs, q - step, side="left")
         hi[short] = np.searchsorted(runs, q + step, side="right")
         tol[short] = step
-        short = short[cum[hi[short]] - cum[lo[short]] < m_min]
+        short = short[cum[hi[short]] - cum[lo[short]] < M_MIN]
     match_count = cum[hi] - cum[lo]
     empty = np.flatnonzero(match_count == 0)
     if empty.size:
         raise ValueError(
             "no reference values within tolerance: nothing within "
-            f"+-{t_max:g} of {queries[empty[0]]:g}"
+            f"+-{TOL_MAX:g} of {queries[empty[0]]:g}"
         )
     best = lo.copy()
     width = hi - lo
@@ -208,15 +201,6 @@ class EvalColumns:
                 self.category, self.n_matches)
 
 
-def _valid_datasets(series: TestSeries) -> np.ndarray:
-    """Whether every measurement of each dataset is one that
-    :class:`~finedating.calcurve.Measurement` accepts (a finite sd >= 0;
-    ages are integers by type)."""
-    owner = np.repeat(np.arange(len(series)), np.diff(series.offsets))
-    bad = ~((series.sd >= 0) & (series.sd < math.inf))
-    return np.bincount(owner[bad], minlength=len(series)) == 0
-
-
 def evaluate_test_series(table: RefTable, series: TestSeries) -> EvalColumns:
     """Fine-date every dataset against the table and score each of the
     twelve indicators against the known original date.
@@ -224,15 +208,10 @@ def evaluate_test_series(table: RefTable, series: TestSeries) -> EvalColumns:
     All datasets are matched and aggregated in one batch
     (:func:`~finedating.finedate.batch_indicators`); each value is
     that of :func:`~finedating.finedate.compute_indicators` on the
-    dataset alone.  Datasets without any match, or holding a measurement
-    that :class:`~finedating.calcurve.Measurement` rejects, yield flagged
-    rows (category ``no_match``) rather than aborting the run.
+    dataset alone.  A dataset without any match yields rows of category
+    ``no_match`` without a value.
     """
-    n_measured = np.diff(series.offsets)
-    valid = _valid_datasets(series)
-    values, n_prime = batch_indicators(
-        table, series.age[np.repeat(valid, n_measured)], np.where(valid, n_measured, 0)
-    )
+    values, n_prime = batch_indicators(table, series.age, np.diff(series.offsets))
     matched = n_prime > 0
     k = len(INDICATOR_NAMES)
     value = np.full((len(series), k), math.nan)
@@ -456,9 +435,9 @@ def mpd_report(rows: EvalColumns) -> dict[str, np.ndarray]:
     """Run the tolerance search for every evaluated indicator value,
     using the same indicator's values over all datasets as the
     reference pool.  Rows without a value are skipped.  Each pool is
-    searched in one pass, with the default tolerances of
-    :func:`mpd_searches`: from 1 to 10 years in steps of 1, until
-    ``M_MIN`` values match.
+    searched in one pass by :func:`mpd_searches`, on the one tolerance
+    schedule of every MPD search (``TOL_START`` to ``TOL_MAX`` years in
+    steps of ``TOL_STEP``, until ``M_MIN`` values match).
 
     Returns the columns of ``mpd_report.csv`` by name, one entry per
     searched row, in row order.
@@ -508,8 +487,12 @@ def write_eval_rows(rows: EvalColumns, path, extra_header: dict | None = None) -
 
 
 def read_eval_rows(path) -> EvalColumns:
-    columns = csvio.read_commented_csv(path, "finedating-eval", EVAL_SCHEMA).body
-    return EvalColumns(*columns.values())
+    """Read rows written by :func:`write_eval_rows`; a ``rows`` header
+    must count them."""
+    meta, _, columns = csvio.read_commented_csv(path, "finedating-eval", EVAL_SCHEMA)
+    rows = EvalColumns(*columns.values())
+    csvio.check_count(meta, "rows", len(rows), path)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -532,11 +515,6 @@ def interval_normality(table: RefTable, series: TestSeries) -> list[IntervalNorm
     """For each original date: the omnibus test over all simulated ages
     and the Anderson-Darling statistic over the pooled matched calendar
     dates."""
-    valid = _valid_datasets(series)
-    if not valid.all():
-        raise ValueError(
-            f"dataset {series.data_id[np.argmin(valid)]} holds a measurement with a bad sd"
-        )
     dates = np.repeat(series.original_date, np.diff(series.offsets))
     order = np.argsort(dates, kind="stable")  # dataset order, then measurement order
     ages = series.age[order]

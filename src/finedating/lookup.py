@@ -60,20 +60,15 @@ class LookupTable:
         return self.first * self.bucket_width, (self.first + len(self)) * self.bucket_width
 
 
-def bucket_index(value, width: float):
-    """Index i of the half-open bucket ``[i * width, (i + 1) * width)``
-    holding value (a float or an array of them), with the edges as
-    computed in floating point, so that a value on an edge belongs to the
-    bucket starting there.
+def _bucket_floor(value, width: float):
+    """Index i, as a float, of the half-open bucket ``[i * width, (i + 1)
+    * width)`` holding value (a float or an array of them), with the edges
+    as computed in floating point, so that a value on an edge belongs to
+    the bucket starting there.
 
     ``floor(value / width)`` can be one off when width is not an exact
     binary fraction (0.1, 0.3); one step against the edges corrects it.
     """
-    return _bucket_floor(value, width).astype(np.int64)
-
-
-def _bucket_floor(value, width: float):
-    """:func:`bucket_index` as a float, which cannot overflow."""
     i = np.floor(np.divide(value, width))
     i = i - (i * width > value)
     return i + ((i + 1) * width <= value)
@@ -81,7 +76,7 @@ def _bucket_floor(value, width: float):
 
 def bucket_left(value: float, width: float) -> float:
     """Left edge of the half-open bucket containing value."""
-    return int(bucket_index(value, width)) * width
+    return int(_bucket_floor(value, width)) * width
 
 
 def build_lookup(rows: EvalColumns, bucket_width: float = 5.0) -> LookupTable:

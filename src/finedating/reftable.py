@@ -294,37 +294,35 @@ def _validate_table(table: RefTable) -> None:
         )
 
 
-def buffer_margin(table: RefTable, curve: CalCurve | None = None, sd: float | None = None) -> float:
+def buffer_margin(table: RefTable, sd: float, curve: CalCurve | None = None) -> float:
     """Recommended distance between the table span edges and the dates
     under analysis: 3 * (sd + max curve error over the span).
 
     Dispersion pushes simulated ages past the span edges, so analyses
     closer than this to an edge lose matches on one side.
     """
-    sds = [s.sd for s in table.specs]
-    use_sd = max(sds) if sd is None else sd
     if curve is None:
-        return 3.0 * use_sd
+        return 3.0 * sd
     oldest, youngest = table.span
     max_err = max(curve_at(curve, oldest)[1], curve_at(curve, youngest)[1])
     n = 16
     for i in range(n + 1):
         d = oldest + (youngest - oldest) * i / n
         max_err = max(max_err, curve_at(curve, d)[1])
-    return 3.0 * (use_sd + max_err)
+    return 3.0 * (sd + max_err)
 
 
 def edge_warnings(
     table: RefTable,
     analysis_dates: list[float],
+    sd: float,
     curve: CalCurve | None = None,
-    sd: float | None = None,
 ) -> list[str]:
     """Human-readable warnings when analysis dates sit too close to the
     table span edges (insufficient buffer)."""
     if not analysis_dates:
         return []
-    margin = buffer_margin(table, curve, sd)
+    margin = buffer_margin(table, sd, curve)
     oldest, youngest = table.span
     warnings = []
     lo, hi = min(analysis_dates), max(analysis_dates)

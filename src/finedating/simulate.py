@@ -35,8 +35,9 @@ class TestSeries:
     back: dataset i holds rows ``offsets[i]:offsets[i + 1]``.
     ``original_date`` is the control value used later to score the
     dating result; it never feeds the indicator computation itself.
-    ``age`` is int64; the calibration columns are NaN where unknown, as
-    in converted exports.
+    ``age`` is int64; every ``sd`` is finite and >= 0
+    (:func:`~finedating.calcurve.check_sd`); the calibration columns are
+    NaN where unknown, as in converted exports.
     """
 
     __test__ = False  # not a pytest class
@@ -49,6 +50,13 @@ class TestSeries:
     cal_median: np.ndarray
     cal_sigma: np.ndarray
     offsets: np.ndarray
+
+    def __post_init__(self) -> None:
+        bad = np.flatnonzero(~((self.sd >= 0) & (self.sd < math.inf)))
+        if bad.size:
+            dataset = np.searchsorted(self.offsets, bad[0], side="right") - 1
+            raise ValueError(f"dataset {self.data_id[dataset]}: sd must be finite and >= 0, "
+                             f"got {self.sd[bad[0]].item()!r}")
 
     def __len__(self) -> int:
         """The number of datasets."""
@@ -187,20 +195,26 @@ def read_tests(path) -> TestSeries:
 
     The rows of one ``data_id`` form one dataset, in file order; datasets
     are ordered by their first row.  All rows of a dataset must share its
-    original date and sd.
+    original date and sd, every sd must be finite and >= 0, and a
+    ``datasets`` header must count the datasets.
     """
-    columns = csvio.read_commented_csv(path, "finedating-tests", TEST_SCHEMA).body
+    meta, _, columns = csvio.read_commented_csv(path, "finedating-tests", TEST_SCHEMA)
     _, first, dataset = np.unique(columns["data_id"], return_index=True, return_inverse=True)
     dataset = np.argsort(np.argsort(first))[dataset]  # numbered by first appearance
     order = np.argsort(dataset, kind="stable")
     data_id, date, age, sd, *cal = (column[order] for column in columns.values())
     sizes = np.bincount(dataset, minlength=first.size)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
+    csvio.check_count(meta, "datasets", first.size, path)
+    try:
+        series = TestSeries(data_id[offsets[:-1]], date[offsets[:-1]], age, sd, *cal, offsets)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
     lead = np.repeat(offsets[:-1], sizes)  # each row's dataset's first row
     mixed = np.flatnonzero((date != date[lead]) | (sd != sd[lead]))
     if mixed.size:
         raise ValueError(f"dataset {data_id[mixed[0]]} mixes original dates or sds in {path}")
-    return TestSeries(data_id[offsets[:-1]], date[offsets[:-1]], age, sd, *cal, offsets)
+    return series
 
 
 _EXPORT_ALIASES = {
@@ -238,6 +252,8 @@ def convert_rsim_to_tests(
         try:
             date = parse_date(cells[ci])
             age = int(round(float(cells[ai])))
+            if not -(2**63) <= age < 2**63:
+                raise OverflowError
             sd = float(cells[si])
             check_sd(sd)
         except (ValueError, OverflowError):

@@ -132,11 +132,6 @@ def test_calibrate_age_outside_range_errors():
         fd.calibrate(curve, fd.Measurement(50000, 10))
 
 
-def test_calibrate_rejects_bad_grid_step(flat_curve):
-    with pytest.raises(ValueError, match="grid_step"):
-        fd.calibrate(flat_curve, fd.Measurement(2000, 20), grid_step=0)
-
-
 def test_pdf_nonnegative_and_normalized(study_curve):
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -159,14 +154,6 @@ def test_translation_invariance(study_curve):
     assert a.mean == pytest.approx(b.mean, abs=1e-9)
     assert a.median == pytest.approx(b.median, abs=1e-9)
     assert a.sigma == pytest.approx(b.sigma, abs=1e-9)
-
-
-def test_halving_grid_step_moves_summaries_less_than_step(study_curve):
-    for age in (2000, 2100, 2180):
-        coarse = fd.calibrate(study_curve, fd.Measurement(age, 20), grid_step=2.0)
-        fine = fd.calibrate(study_curve, fd.Measurement(age, 20), grid_step=1.0)
-        assert abs(coarse.mean - fine.mean) < 2.0
-        assert abs(coarse.median - fine.median) < 2.0
 
 
 def test_mean_age_calibrates_between_individual_means(linear_curve):
@@ -244,15 +231,14 @@ def _bits(values):
 def test_posterior_summary_is_calibrate_bit_for_bit(curve, ages):
     for age in ages:
         for sd in (0, 5, 20):
-            for step in (1, 2):
-                res = fd.calibrate(curve, fd.Measurement(age, sd), grid_step=step)
-                got = fd.posterior_summary(curve, age, sd, step)
-                assert _bits(got) == _bits((res.mean, res.median, res.sigma)), (age, sd, step)
+            res = fd.calibrate(curve, fd.Measurement(age, sd))
+            got = fd.posterior_summary(curve, age, sd)
+            assert _bits(got) == _bits((res.mean, res.median, res.sigma)), (age, sd)
     cached = len(curve._summaries)
-    assert cached == len(ages) * 6
-    first = curve._summaries[(ages[0], 5.0, 1.0)]
-    assert fd.posterior_summary(curve, ages[0], 5, 1) is first
-    assert fd.posterior_summary(curve, float(ages[0]), 5.0, 1.0) is first
+    assert cached == len(ages) * 3
+    first = curve._summaries[(ages[0], 5.0)]
+    assert fd.posterior_summary(curve, ages[0], 5) is first
+    assert fd.posterior_summary(curve, float(ages[0]), 5.0) is first
     assert len(curve._summaries) == cached
 
 
@@ -271,12 +257,10 @@ def test_posterior_summary_keeps_no_failure():
 # --- the posterior's window against the full grid ----------------------------
 
 
-def full_grid_posterior(curve, age, sd, grid_step):
+def full_grid_posterior(curve, age, sd):
     """The posterior computed over every grid cell: the reference the
     windowed ``_posterior`` must equal bit for bit."""
-    if grid_step <= 0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step}")
-    dates, mu, sig = curve.grid(grid_step)
+    dates, mu, sig = curve.grid
     logw = age - mu
     np.square(logw, out=logw)
     logw *= -0.5
@@ -301,7 +285,7 @@ def full_grid_posterior(curve, age, sd, grid_step):
     cum = np.cumsum(pdf)
     i = int(np.searchsorted(cum, 0.5))
     prev = float(cum[i - 1]) if i > 0 else 0.0
-    median = float(dates[i] - grid_step / 2 + grid_step * (0.5 - prev) / float(pdf[i]))
+    median = float(dates[i] - 0.5 + (0.5 - prev) / float(pdf[i]))
     return dates, pdf, mean, median, sigma
 
 
@@ -310,10 +294,10 @@ def posterior_bits(result):
     return dates.tobytes(), pdf.tobytes(), [float(v).hex() for v in summary]
 
 
-def posterior_outcome(posterior, curve, age, sd, step):
+def posterior_outcome(posterior, curve, age, sd):
     """The bytes of every output, or the type and message of the error."""
     try:
-        return posterior_bits(posterior(curve, age, sd, step))
+        return posterior_bits(posterior(curve, age, sd))
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -338,10 +322,10 @@ SDS = st.one_of(st.just(0), st.just(0.0), st.floats(0.01, 5.0), st.floats(5.0, 5
 
 
 @PROPERTY
-@given(curve=drawn_curves(), step=st.sampled_from([1.0, 2.0]), sd=SDS,
-       where=st.sampled_from(["on", "near", "off", "far"]), data=st.data())
-def test_windowed_posterior_equals_full_grid_bit_for_bit(curve, step, sd, where, data):
-    dates, mu, sig = curve.grid(step)
+@given(curve=drawn_curves(), sd=SDS, where=st.sampled_from(["on", "near", "off", "far"]),
+       data=st.data())
+def test_windowed_posterior_equals_full_grid_bit_for_bit(curve, sd, where, data):
+    dates, mu, sig = curve.grid
     k = data.draw(st.integers(0, mu.size - 1))
     spread = math.sqrt(sd * sd + float(sig[k]) ** 2) if sd < 1e100 else 1.0
     # off: 35-38 spreads beyond the curve, where the peak weight nears
@@ -352,10 +336,10 @@ def test_windowed_posterior_equals_full_grid_bit_for_bit(curve, step, sd, where,
     edge = float(mu.max()) if offset >= 0 else float(mu.min())
     age = int(round((float(mu[k]) if where in ("on", "near") else edge) + offset))
     for _ in range(2):  # once more with the variance cached
-        window = posterior_outcome(calcurve._posterior, curve, age, sd, step)
-        assert window == posterior_outcome(full_grid_posterior, curve, age, sd, step)
+        window = posterior_outcome(calcurve._posterior, curve, age, sd)
+        assert window == posterior_outcome(full_grid_posterior, curve, age, sd)
     if isinstance(window[0], bytes):
-        res = fd.calibrate(curve, fd.Measurement(age, sd), grid_step=step)
+        res = fd.calibrate(curve, fd.Measurement(age, sd))
         assert abs(float(res.pdf.sum()) - 1.0) < 1e-9
         for segments, target in ((res.hpd68, calcurve.HPD68_TARGET),
                                  (res.hpd95, calcurve.HPD95_TARGET)):
@@ -371,55 +355,53 @@ def test_window_falls_back_to_the_full_grid_near_the_floor():
     sizes = []
     real_exp = np.exp
     with mock.patch.object(calcurve.np, "exp", lambda x: sizes.append(x.size) or real_exp(x)):
-        outcomes = [posterior_outcome(calcurve._posterior, curve, age, 0, 1.0) for age in ages]
-    assert curve.grid(1.0)[0].size in sizes  # some window sums fell under the bound
+        outcomes = [posterior_outcome(calcurve._posterior, curve, age, 0) for age in ages]
+    assert curve.grid[0].size in sizes  # some window sums fell under the bound
     assert any(isinstance(o[0], bytes) for o in outcomes)
     assert any(o[0] is ValueError for o in outcomes)
-    assert outcomes == [posterior_outcome(full_grid_posterior, curve, age, 0, 1.0) for age in ages]
+    assert outcomes == [posterior_outcome(full_grid_posterior, curve, age, 0) for age in ages]
 
 
 @pytest.mark.parametrize("end", ["first", "last"])
 def test_peak_on_an_end_cell_matches_the_full_grid(linear_curve, end):
-    dates, mu, _ = linear_curve.grid(1.0)
+    dates, mu, _ = linear_curve.grid
     age = int(mu[0]) + 30 if end == "first" else int(mu[-1]) - 30
-    window = calcurve._posterior(linear_curve, age, 20.0, 1.0)
-    assert posterior_bits(window) == posterior_outcome(full_grid_posterior, linear_curve, age,
-                                                       20.0, 1.0)
+    window = calcurve._posterior(linear_curve, age, 20.0)
+    assert posterior_bits(window) == posterior_outcome(full_grid_posterior, linear_curve, age, 20.0)
     cell = 0 if end == "first" else -1
     assert window[0][cell] == dates[cell]
     assert int(np.argmax(window[1])) == (0 if end == "first" else window[1].size - 1)
 
 
 def test_flat_curve_keeps_the_whole_grid(flat_curve):
-    window = calcurve._posterior(flat_curve, 2000, 20.0, 1.0)
-    assert window[0].tobytes() == flat_curve.grid(1.0)[0].tobytes()
-    assert posterior_bits(window) == posterior_outcome(full_grid_posterior, flat_curve, 2000,
-                                                       20.0, 1.0)
+    window = calcurve._posterior(flat_curve, 2000, 20.0)
+    assert window[0].tobytes() == flat_curve.grid[0].tobytes()
+    assert posterior_bits(window) == posterior_outcome(full_grid_posterior, flat_curve, 2000, 20.0)
 
 
 @pytest.mark.parametrize("sd", [0, 0.0])
 def test_sd_zero_matches_the_full_grid(study_curve, sd):
     for age in (1900, 2050, 2160, 2300):
-        assert posterior_outcome(calcurve._posterior, study_curve, age, sd, 1.0) == \
-            posterior_outcome(full_grid_posterior, study_curve, age, sd, 1.0)
+        assert posterior_outcome(calcurve._posterior, study_curve, age, sd) == \
+            posterior_outcome(full_grid_posterior, study_curve, age, sd)
 
 
 def test_no_support_raises_the_full_grid_message(study_curve):
     for age in (50000, -50000):
-        got = posterior_outcome(calcurve._posterior, study_curve, age, 10.0, 1.0)
-        assert got == posterior_outcome(full_grid_posterior, study_curve, age, 10.0, 1.0)
+        got = posterior_outcome(calcurve._posterior, study_curve, age, 10.0)
+        assert got == posterior_outcome(full_grid_posterior, study_curve, age, 10.0)
         assert got[1] == (f"age outside calibratable range: {age} BP has no support on "
                           f"curve 'synthetic-study'")
 
 
-def test_variance_is_cached_per_step_and_sd(study_curve):
+def test_variance_is_cached_per_sd(study_curve):
     curve = fd.CalCurve("v", study_curve.cal_bp, study_curve.c14_age, study_curve.error)
-    var = curve.variance(1.0, 5)
-    assert curve.variance(1, 5.0) is var
-    assert curve.variance(2.0, 5) is not var
-    assert var.tobytes() == (25.0 + curve.grid(1.0)[2] ** 2).tobytes()
-    first = fd.posterior_summary(curve, 2100, 5, 1.0)
-    assert fd.posterior_summary(curve, 2100, 5.0, 1) is first
+    var = curve.variance(5)
+    assert curve.variance(5.0) is var
+    assert curve.variance(6.0) is not var
+    assert var.tobytes() == (25.0 + curve.grid[2] ** 2).tobytes()
+    first = fd.posterior_summary(curve, 2100, 5)
+    assert fd.posterior_summary(curve, 2100, 5.0) is first
     assert len(curve._variances) == 2
 
 

@@ -1,4 +1,5 @@
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -366,13 +367,14 @@ def test_convert_manifest_counts_leftover_rows(tmp_path, capsys):
     assert "datasets = 1" in manifest
 
 
-@pytest.mark.parametrize("row", ["-100,inf,20", "-100,2060,nan", "-100,2060,-1"])
+@pytest.mark.parametrize("row", ["-100,inf,20", "-100,2060,nan", "-100,2060,-1", "-100,1e300,20"])
 def test_convert_rejects_bad_cells(tmp_path, capsys, row):
     src = tmp_path / "rsim.csv"
     src.write_text(f"cal_date,age,sd\n-100,2050,20\n{row}\n")
     assert run("simulate", "convert", "--in", src, "--group", 1,
                "--out", tmp_path / "tests.csv") == 4
     assert f"malformed row 2 in {src}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rsim.csv"]
 
 
 def test_config_file_supplies_defaults(curve_file, tmp_path):
@@ -426,6 +428,40 @@ def test_bad_sd_is_data_error(pipeline, curve_file, tmp_path, capsys, command):
     assert run(*argv) == 4
     assert "sd must be finite and >= 0" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_evaluate_rejects_a_bad_sd_before_writing(pipeline, tmp_path, capsys):
+    lines = (pipeline / "tests.csv").read_text().splitlines()
+    columns = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    for i in range(columns + 4, columns + 7):  # the rows of the second dataset
+        cells = lines[i].split(",")
+        cells[3] = "-3"
+        lines[i] = ",".join(cells)
+    bad = tmp_path / "tests.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("evaluate", "--ref", pipeline / "ref.csv", "--tests", bad,
+               "--out", tmp_path / "eval") == 4
+    assert f"dataset 2: sd must be finite and >= 0, got -3.0 in {bad}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tests.csv"]
+
+
+@pytest.mark.parametrize("artifact", ["tests", "eval"])
+def test_file_cut_at_a_line_break_is_data_error(pipeline, tmp_path, capsys, artifact):
+    source = pipeline / "tests.csv" if artifact == "tests" else pipeline / "eval" / "eval_long.csv"
+    lines = source.read_text().splitlines()
+    cut = tmp_path / "cut.csv"
+    cut.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+    if artifact == "tests":
+        argv = ("evaluate", "--ref", pipeline / "ref.csv", "--tests", cut, "--out", tmp_path / "ev")
+    else:
+        argv = ("lookup", "build", "--eval", cut, "--out", tmp_path / "lookup.csv")
+    capsys.readouterr()
+    assert run(*argv) == 4
+    key, declared = ("datasets", 20) if artifact == "tests" else ("rows", 240)
+    assert re.search(rf"corrupt file: {re.escape(str(cut))} holds \d+ {key}, "
+                     rf"its header says {declared}$", capsys.readouterr().err, re.M)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.csv"]
 
 
 def cut_last_row(source, target) -> int:

@@ -141,14 +141,11 @@ def test_unmatched_dataset_yields_flagged_rows():
     assert (rows.data_id == 7).all() and (rows.n_matches == 0).all()
 
 
-def test_dataset_with_a_rejected_measurement_is_flagged():
-    table = tiny_table([(1, -120, 2000)])
-    good, bad = (2000, 20.0), (2000, math.nan)
-    datasets = make_series([(1, -110.0, [good]), (2, -110.0, [good, bad])])
-    rows = fd.evaluate_test_series(table, datasets)
-    assert (rows.category == NO_MATCH).tolist() == [False] * 12 + [True] * 12
-    with pytest.raises(ValueError, match="dataset 2"):
-        interval_normality(table, datasets)
+@pytest.mark.parametrize("sd", [-3.0, math.nan, math.inf])
+def test_series_with_a_bad_sd_is_rejected(sd):
+    good, bad = (2000, 20.0), (2000, sd)
+    with pytest.raises(ValueError, match=r"dataset 2: sd must be finite and >= 0, got "):
+        make_series([(1, -110.0, [good]), (2, -110.0, [good, bad]), (3, -110.0, [good])])
 
 
 def test_full_scale_eval_shape(eval_rows):
