@@ -159,9 +159,10 @@ LOOKUP_SCHEMA = {"BucketLeft": float} | {
 
 def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> None:
     """One row per bucket, with the count and both fractions of every
-    indicator."""
+    indicator, under a header that counts the buckets."""
     header = {
         "format": "finedating-lookup",
+        "buckets": len(table),
         "bucket_width": table.bucket_width,
         "tolerances": _TOLERANCES_HEADER,
     }
@@ -177,7 +178,8 @@ def read_lookup(path) -> LookupTable:
 
     The bucket lefts must be the contiguous bucket edges that
     :func:`build_lookup` emits, so that :func:`query_lookup` finds the
-    bucket of every value in the covered range.
+    bucket of every value in the covered range, and a ``buckets`` header
+    must count them.
     """
     meta, _, columns = csvio.read_commented_csv(path, "finedating-lookup", LOOKUP_SCHEMA)
     try:
@@ -201,6 +203,7 @@ def read_lookup(path) -> LookupTable:
             f"corrupt lookup: bucket lefts in {path} must step by bucket_width "
             f"{width:g} from a multiple of it; bucket {lefts[off_grid[0]]:g} does not"
         )
+    csvio.check_count(meta, "buckets", lefts.size, path)
     count, frac12, frac25 = (
         np.stack([columns[f"{name}_{kind}"] for name in INDICATOR_NAMES], axis=1)
         for kind, _ in _CELLS

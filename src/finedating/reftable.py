@@ -17,7 +17,7 @@ import numpy as np
 
 from . import csvio
 from .calcurve import CalCurve, check_sd, curve_at
-from .simulate import MAX_RECORDS, simulate_date, substream
+from .simulate import MAX_RECORDS, simulate_date, substream_from_words, substream_words
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,9 @@ def build_reference_table(curve: CalCurve, spec: RefTableSpec) -> RefTable:
             f"span {spec.span} outside curve domain [{lo}, {hi}] of {curve.name!r}"
         )
     dates = spec.slice_dates()
+    words = substream_words(spec.seed, np.arange(len(dates))[:, None])
     slices = [
-        simulate_date(curve, date, spec.sd, [substream(spec.seed, si)], spec.per_slice)
+        simulate_date(curve, date, spec.sd, [substream_from_words(words[si])], spec.per_slice)
         for si, date in enumerate(dates)
     ]
     age, cal_mean, cal_median, cal_sigma = map(np.concatenate, zip(*slices))

@@ -5,14 +5,23 @@ centered on the curve mean at the given date, with variance
 ``sd^2 + sigma_curve(date)^2``, rounds it to an integer BP (ties away
 from zero) and summarizes the calibrated posterior of the rounded age.
 Even with a nominal sd of zero the draws disperse by the curve error.
-Batch generation derives one RNG substream per slice or dataset and
-draws each as one array, so outputs are reproducible; the summaries of
-each distinct (age, sd) are computed once per curve.
+
+Each slice of a reference table and each test dataset is drawn, as one
+array, from its own substream: a PCG64 generator seeded exactly as
+``np.random.SeedSequence(seed, spawn_key=key)`` would seed it, so a seed
+reproduces every artifact byte for byte.  The seed words of all of a
+request's keys are computed in one vectorized pass
+(:func:`substream_words`), which repeats the spawn-key mixing and state
+generation of numpy's ``SeedSequence`` over every key at once; a test
+compares it with numpy's own.  The summaries of each distinct (age,
+sd) are computed once per curve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,11 +123,15 @@ def simulate_date(
     The calibration summarized for each age uses the same sd as the draw
     (see :func:`~finedating.calcurve.posterior_summary`).
     """
-    ages = draw_ages(curve, date, sd, rngs, n)
+    ages = np.array(draw_ages(curve, date, sd, rngs, n), dtype=np.int64)
     sd = float(sd)
-    summaries = np.array([posterior_summary(curve, age, sd) for age in ages],
+    # each distinct age once, in the order drawn, so that an age that
+    # cannot be calibrated is reported as the per-record loop reports it
+    _, first, distinct = np.unique(ages, return_index=True, return_inverse=True)
+    drawn_first = ages[np.sort(first)].tolist()
+    summaries = np.array([posterior_summary(curve, age, sd) for age in drawn_first],
                          dtype=float).reshape(-1, 3)
-    return (np.array(ages, dtype=np.int64), *summaries.T)
+    return (ages, *summaries[np.argsort(np.argsort(first))[distinct]].T)
 
 
 def r_simulate(
@@ -128,9 +141,102 @@ def r_simulate(
     return Measurement(age=draw_age(curve, date, sd, rng), sd=float(sd))
 
 
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx): the
+# hash that mixes entropy into the pool, the one that expands the pool
+# into state words, and the mix of two words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hash_steps(hash_const: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The constants of ``n`` successive steps of a SeedSequence hash from
+    ``hash_const``: what each step xors in, what it multiplies by, and the
+    constant the next step starts from."""
+    xor, mul = np.empty(n, dtype=np.uint32), np.empty(n, dtype=np.uint32)
+    for i in range(n):
+        xor[i] = hash_const
+        hash_const = hash_const * mult & 0xFFFFFFFF
+        mul[i] = hash_const
+    return xor, mul, hash_const
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix and state output step over uint32 words."""
+    value = (words ^ xor) * mul
+    value ^= value >> 16
+    return value
+
+
+def substream_words(seed: int, keys) -> np.ndarray:
+    """The PCG64 seed words of every spawn key of one seed, in one pass.
+
+    ``keys`` is an ``(n, k)`` array of spawn keys.  Row i of the ``(n, 4)``
+    uint64 result equals ``np.random.SeedSequence(seed,
+    spawn_key=keys[i]).generate_state(4, np.uint64)``.  numpy mixes the
+    seed into the base pool; the spawn-key words are then mixed into a
+    copy of it per key, and the state is drawn from each pool, as numpy
+    does one key at a time.  Every key word must be below 2^32: numpy
+    would split a larger word in two, which the one-word-per-column
+    mixing here does not.
+    """
+    seed = operator.index(seed)
+    keys = np.asarray(keys, dtype=np.int64)
+    if ((keys < 0) | (keys >= 2**32)).any():
+        raise ValueError(f"spawn key words must be in [0, 2^32), got {keys.min()} to {keys.max()}")
+    base = np.random.SeedSequence(seed).pool  # rejects a negative seed
+    # The base pool took 4 hash steps to fill and 12 to mix, then 4 per
+    # seed word past the pool size; the key words continue from there.
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    hash_a = _INIT_A * pow(_MULT_A, 16 + _POOL_SIZE * max(0, seed_words - _POOL_SIZE), 2**32)
+    hash_a &= 0xFFFFFFFF
+    pool = np.tile(base, (keys.shape[0], 1))
+    for column in keys.astype(np.uint32).T:
+        xor, mul, hash_a = _hash_steps(hash_a, _MULT_A, _POOL_SIZE)
+        mixed = _hash(column[:, None], xor, mul)
+        pool = pool * np.uint32(_MIX_MULT_L) - mixed * np.uint32(_MIX_MULT_R)
+        pool ^= pool >> 16
+    # generate_state(4, np.uint64): 8 uint32 words cycling over the pool,
+    # joined in pairs as little-endian words whatever the byte order
+    xor, mul, _ = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hash(np.tile(pool, 2), xor, mul)
+    # a new C-contiguous array: PCG64 reads a row through its data pointer
+    words = state[:, 1::2].astype(np.uint64)
+    words <<= np.uint64(32)
+    words |= state[:, 0::2]
+    return words
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The ``ISeedSequence`` that hands PCG64 one substream's seed words.
+
+    It is defined on first use: numpy imports ``numpy.random`` lazily,
+    and a command that draws nothing (``finedate``, ``evaluate``,
+    ``lookup``) should not pay for that import.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for (4, np.uint64)
+
+    return SeedWords
+
+
+def substream_from_words(words: np.ndarray) -> np.random.Generator:
+    """The generator of one row of :func:`substream_words`."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for a (seed, index...) coordinate."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key))))
+    """Independent generator for a (seed, index...) coordinate: the one
+    ``np.random.SeedSequence(seed, spawn_key=key)`` seeds."""
+    return substream_from_words(substream_words(seed, [key])[0])
 
 
 def generate_test_datasets(
@@ -161,9 +267,12 @@ def generate_test_datasets(
             f"give {n_records} records, more than the {MAX_RECORDS} allowed"
         )
 
+    # keys (date index, dataset index), date-major
+    words = substream_words(seed, np.indices((len(dates), datasets_per_date)).reshape(2, -1).T)
+    words = words.reshape(len(dates), datasets_per_date, 4)
+    # generators are built one date at a time: a date's draws need only its own
     per_date = [
-        simulate_date(curve, date, sd, [substream(seed, di, ri) for ri in range(datasets_per_date)],
-                      group_size)
+        simulate_date(curve, date, sd, [substream_from_words(w) for w in words[di]], group_size)
         for di, date in enumerate(dates)
     ]
     age, cal_mean, cal_median, cal_sigma = map(np.concatenate, zip(*per_date))

@@ -35,7 +35,7 @@ GOLDEN = {
     "eval/run_manifest.txt": "683a400569d62eab22f9a7c38370f607e024dd9bba29d01800c4cf5bf363ae7a",
     "hist.csv": "e51b192f0af8499cb1c359b47ce3bf5f7bcffef44c7e1edc8761fa7bcb3a74b3",
     "hist_manifest.txt": "2b49ece0246e790049ea6eb6443d4e5cbd7199b0e18b0e953aa06b0c23b73b93",
-    "lookup.csv": "ccf70ada62c9782eb0bf97ceb97f57f5ae9441e957f160062e0e70c20ba0f8cd",
+    "lookup.csv": "c04829f57d9d8851a8666d7d771682a8e3cb161f6d267df6ad33a77a23ec6465",
     "lookup_manifest.txt": "0174475854bb7df554de5761ebd848cea996a3722f019369d1230ef46598a801",
     "ref.csv": "58efd5df9b641195345e772ba7e53d43647d6e7d55bca72301455fb3bd30690e",
     "ref_manifest.txt": "563382ae407b3eeb2a1b662fa8e0e1fd0c9cf370f3ffa6a106414ada1df3a654",

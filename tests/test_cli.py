@@ -1,6 +1,10 @@
 import io
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,17 @@ def curve_file(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_import_loads_neither_numpy_random_nor_scipy():
+    # numpy.random (about 17 ms) and scipy are imported only by the
+    # commands that draw or test normality, not by every command
+    code = ("import sys, finedating.cli; "
+            "print([m for m in ('numpy.random', 'scipy') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(fd.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 # --- argument parsing --------------------------------------------------------
@@ -446,19 +461,23 @@ def test_evaluate_rejects_a_bad_sd_before_writing(pipeline, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tests.csv"]
 
 
-@pytest.mark.parametrize("artifact", ["tests", "eval"])
-def test_file_cut_at_a_line_break_is_data_error(pipeline, tmp_path, capsys, artifact):
-    source = pipeline / "tests.csv" if artifact == "tests" else pipeline / "eval" / "eval_long.csv"
+@pytest.mark.parametrize("artifact", ["tests", "eval", "lookup"])
+def test_file_cut_at_a_line_break_is_data_error(pipeline, lookup_file, tmp_path, capsys, artifact):
+    source = {"tests": pipeline / "tests.csv", "eval": pipeline / "eval" / "eval_long.csv",
+              "lookup": lookup_file}[artifact]
     lines = source.read_text().splitlines()
     cut = tmp_path / "cut.csv"
     cut.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-    if artifact == "tests":
-        argv = ("evaluate", "--ref", pipeline / "ref.csv", "--tests", cut, "--out", tmp_path / "ev")
-    else:
-        argv = ("lookup", "build", "--eval", cut, "--out", tmp_path / "lookup.csv")
+    argv = {
+        "tests": ("evaluate", "--ref", pipeline / "ref.csv", "--tests", cut, "--out", tmp_path / "ev"),
+        "eval": ("lookup", "build", "--eval", cut, "--out", tmp_path / "lookup.csv"),
+        "lookup": ("lookup", "query", "--table", cut, "--indicator", "CalDate_Median",
+                   "--value", -140),
+    }[artifact]
     capsys.readouterr()
     assert run(*argv) == 4
-    key, declared = ("datasets", 20) if artifact == "tests" else ("rows", 240)
+    key, declared = {"tests": ("datasets", 20), "eval": ("rows", 240),
+                     "lookup": ("buckets", len(fd.read_lookup(lookup_file)))}[artifact]
     assert re.search(rf"corrupt file: {re.escape(str(cut))} holds \d+ {key}, "
                      rf"its header says {declared}$", capsys.readouterr().err, re.M)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.csv"]

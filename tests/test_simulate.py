@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finedating as fd
 from finedating.evaluate import dagostino_pearson
-from finedating.simulate import draw_ages, round_half_away, simulate_date
+from finedating.simulate import (
+    draw_ages,
+    round_half_away,
+    simulate_date,
+    substream_from_words,
+    substream_words,
+)
 
 
 def test_zero_variance_limit():
@@ -69,6 +77,64 @@ def test_array_draw_equals_successive_scalar_draws(study_curve):
     # several generators are drawn in turn
     both = draw_ages(study_curve, -120.0, 20.0, [fd.substream(8, 3), fd.substream(8, 4)], n)
     assert both == block + draw_ages(study_curve, -120.0, 20.0, [fd.substream(8, 4)], n)
+
+
+def test_simulate_date_summarizes_each_distinct_age_once(study_curve):
+    draws = [2101.2, 2080.0, 2101.4, 2095.0, 2080.3, 2101.0, 2060.0, 2095.2]
+    age, *columns = simulate_date(study_curve, -100.0, 20.0, [_FixedDraws(draws)], len(draws))
+    assert age.tolist() == [2101, 2080, 2101, 2095, 2080, 2101, 2060, 2095]
+    # reference: the per-record loop
+    expected = np.array([fd.posterior_summary(study_curve, a, 20.0) for a in age.tolist()])
+    for got, want in zip(columns, expected.T):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_simulate_date_reports_the_first_drawn_age_without_support(study_curve):
+    # 90000 is drawn first, 500 sorts first; neither calibrates
+    draws = [2101.0, 90000.0, 2080.0, 500.0]
+    with pytest.raises(ValueError, match="^age outside calibratable range: 90000 BP has no support"):
+        simulate_date(study_curve, -100.0, 20.0, [_FixedDraws(draws)], len(draws))
+
+
+# Seeds on both sides of each word-count boundary of numpy's entropy up
+# to five 32-bit words (past the pool size of four), and any seed up to
+# past 2^128.
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**128 - 1,
+                     2**128, 2**128 + 5, 2**160]),
+    st.integers(0, 2**32),
+    st.integers(0, 2**140),
+)
+KEY_WORDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
+KEYS = st.integers(1, 2).flatmap(
+    lambda width: st.lists(st.lists(KEY_WORDS, min_size=width, max_size=width),
+                           min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS, keys=KEYS)
+def test_substream_words_equal_numpy_seeding(seed, keys):
+    """The one-pass words and their generators are numpy's own: a numpy
+    that seeds differently fails here instead of moving the artifacts."""
+    words = substream_words(seed, np.array(keys))
+    assert words.shape == (len(keys), 4) and words.dtype == np.uint64
+    for row, key in zip(words, keys):
+        sequence = np.random.SeedSequence(seed, spawn_key=tuple(key))
+        assert row.tolist() == sequence.generate_state(4, np.uint64).tolist()
+        expected = np.random.Generator(np.random.PCG64(sequence)).normal(size=4).tolist()
+        assert substream_from_words(row).normal(size=4).tolist() == expected
+        assert fd.substream(seed, *key).normal(size=4).tolist() == expected
+
+
+@pytest.mark.parametrize("key", [(2**32,), (0, 2**32), (-1, 0)])
+def test_substream_words_reject_a_key_word_outside_32_bits(key):
+    # numpy splits a word of 2^32 or more in two; the one-pass mixing
+    # takes one word per key column
+    with pytest.raises(ValueError, match=r"spawn key words must be in \[0, 2\^32\)"):
+        substream_words(1, np.array([key]))
+    with pytest.raises(ValueError, match="spawn key words"):
+        fd.substream(1, *key)
 
 
 def test_rounding_never_shifts_more_than_half():
