@@ -291,8 +291,9 @@ TEST_SCHEMA = dict(
 
 
 def write_tests(series: TestSeries, path, extra_header: dict | None = None) -> None:
-    """Write test datasets as CSV, one row per measurement."""
-    header = {"format": "finedating-tests", "datasets": len(series)}
+    """Write test datasets as CSV, one row per measurement, with headers
+    that count the datasets and the rows."""
+    header = {"format": "finedating-tests", "datasets": len(series), "rows": series.age.size}
     if extra_header:
         header.update(extra_header)
     csvio.write_artifact(path, header, dict(zip(TEST_SCHEMA, series.columns())))
@@ -304,8 +305,9 @@ def read_tests(path) -> TestSeries:
 
     The rows of one ``data_id`` form one dataset, in file order; datasets
     are ordered by their first row.  All rows of a dataset must share its
-    original date and sd, every sd must be finite and >= 0, and a
-    ``datasets`` header must count the datasets.
+    original date and sd, every sd must be finite and >= 0, and
+    ``datasets`` and ``rows`` headers must count the datasets and the
+    rows.
     """
     meta, _, columns = csvio.read_commented_csv(path, "finedating-tests", TEST_SCHEMA)
     _, first, dataset = np.unique(columns["data_id"], return_index=True, return_inverse=True)
@@ -315,6 +317,7 @@ def read_tests(path) -> TestSeries:
     sizes = np.bincount(dataset, minlength=first.size)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     csvio.check_count(meta, "datasets", first.size, path)
+    csvio.check_count(meta, "rows", age.size, path)
     try:
         series = TestSeries(data_id[offsets[:-1]], date[offsets[:-1]], age, sd, *cal, offsets)
     except ValueError as exc:

@@ -24,7 +24,7 @@ AGES = "2085,2100,2110,1000"
 GOLDEN = {
     "combo.csv": "6d91426a7b9570bbbd0c48c3af68ccb70c9303b8f31672792e2f9c1ace700a68",
     "combo_manifest.txt": "a091c99afce7a17e70e9c3f32d1a982407e3ecfd60bd5d4d438d297ece6198fa",
-    "conv.csv": "0a19183fd8ac341008f33a26b7e794cf8d82e6242100771d5c26a11dec865484",
+    "conv.csv": "068f5231523eb69b9c9dee6569ff3b2c4977d160c743b55b1bdff39a496701ea",
     "conv_manifest.txt": "16e3288c668d2f165e64aa63d5eae21ed7bdac19970dcbbb8b6beaaf1861e05b",
     "eval/avg_deviation.csv": "631caa26baf5ca1fd95c6c81dca99ae0f8a6ed761b65240442c9e8e32d5607a2",
     "eval/eval_long.csv": "3a5e94abdc0cb7771daccce7de24aff3262a681010389ee8bc8dad078e2c80af",
@@ -44,7 +44,7 @@ GOLDEN = {
     "report_summary.csv": "b7f2f994b8bd23da4b689d8144a7a2070372064d40c1a6b673c58d9506d3f9a6",
     "scatter.csv": "b8687defb9ad200f8142b82ebc87ed84c6fda25e89ab81a78772026fd6a14292",
     "scatter_manifest.txt": "782c74f0a22d47894aea9831c4a8fc43e154fb3c173184b8972609fb445ab28e",
-    "tests.csv": "660b7bfe37f4e6ad5b743c49299c128e6ffaf01be19ff42b4321e8748633ea3f",
+    "tests.csv": "6945ed4a5c754af2c7b664ff06df0e49a8451f0f388edc64c93b057fda077021",
     "tests_manifest.txt": "c5513d550f1dee064af78b7b0ec679db02ef132fd7912ffa5329f33a517b2fcd",
 }
 

@@ -302,8 +302,16 @@ def posterior_outcome(posterior, curve, age, sd):
         return type(exc), str(exc)
 
 
+# Block sizes the log-weight bound was timed at; calcurve._BLOCK is one of them.
+BLOCK_SIZES = (64, 256, 1024)
+
+
+def every_cell(curve):
+    return np.arange(curve.grid[1].size)
+
+
 @st.composite
-def drawn_curves(draw):
+def drawn_curves(draw, block):
     """A curve of 2-60 knots, 1-40 years apart: monotone (the 14C age
     rises with cal BP) or wiggly (it may fall), with errors of 0.5-40."""
     n = draw(st.integers(2, 60))
@@ -314,36 +322,160 @@ def drawn_curves(draw):
         slope = slope * rng.choice([-1.0, 1.0], n - 1)
     c14 = bp[0] + draw(st.integers(-300, 300)) + np.concatenate(([0.0], np.cumsum(np.diff(bp) * slope)))
     err = rng.uniform(0.5, 40.0, n)
-    return fd.CalCurve(name="drawn", cal_bp=bp, c14_age=c14, error=err)
+    curve = fd.CalCurve(name="drawn", cal_bp=bp, c14_age=c14, error=err)
+    return curve, every_cell(curve)
 
+
+@st.composite
+def sized_curves(draw, block):
+    """A drawn curve whose grid has 1, B - 1, B or B + 1 cells, so that
+    the last block is partial, full or the only one."""
+    cells = draw(st.sampled_from([1, block - 1, block, block + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = cells - 1 + draw(st.floats(0.0, 0.99)) if cells > 1 else draw(st.floats(0.01, 0.99))
+    bp = draw(st.integers(-100, 5000)) + np.unique(
+        np.concatenate(([0.0, width], rng.uniform(0.0, width, draw(st.integers(0, 20))))))
+    slope = rng.uniform(-2.5, 2.5, bp.size - 1)
+    c14 = bp[0] + np.concatenate(([0.0], np.cumsum(np.diff(bp) * slope)))
+    curve = fd.CalCurve(name="sized", cal_bp=bp, c14_age=c14, error=rng.uniform(0.5, 40.0, bp.size))
+    assert curve.grid[1].size == cells
+    return curve, every_cell(curve)
+
+
+@st.composite
+def plateau_curves(draw, block):
+    """A rising curve with 1-3 flat stretches of B + 1 to 3B years, where
+    the 14C age holds (knots every 5-50 years); the focus is their cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bp, c14, flat = [float(draw(st.integers(-100, 5000)))], [0.0], []
+    for _ in range(draw(st.integers(1, 3))):
+        rise = rng.uniform(10.0, 300.0)
+        bp.append(bp[-1] + rise)
+        c14.append(c14[-1] + rise * rng.uniform(0.3, 2.5))
+        length = rng.integers(block + 1, 3 * block + 1)
+        inner = bp[-1] + np.cumsum(rng.integers(5, 51, length // 5))
+        inner = inner[inner < bp[-1] + length]
+        flat.append((bp[-1], bp[-1] + length))
+        bp += [*inner, bp[-1] + length]
+        c14 += [c14[-1]] * (inner.size + 1)
+    bp.append(bp[-1] + rng.uniform(10.0, 300.0))
+    c14.append(c14[-1] + (bp[-1] - bp[-2]) * rng.uniform(0.3, 2.5))
+    bp, c14 = np.array(bp), np.array(c14) + bp[0] + draw(st.integers(-300, 300))
+    if draw(st.booleans()):  # one error everywhere: the plateaus' log weights tie
+        err = np.full(bp.size, rng.uniform(0.5, 40.0))
+    else:
+        err = rng.uniform(0.5, 40.0, bp.size)
+    curve = fd.CalCurve(name="plateau", cal_bp=bp, c14_age=c14, error=err)
+    grid_bp = calcurve.REFERENCE_YEAR - curve.grid[0]
+    focus = np.flatnonzero(np.any([(grid_bp >= lo) & (grid_bp <= hi) for lo, hi in flat], axis=0))
+    return curve, focus
+
+
+@st.composite
+def wiggly_curves(draw, block):
+    """An IntCal-sized curve: 20,000-50,001 one-year cells, knots 5-20
+    years apart, errors of 3-80.  The 14C age follows cal BP with two
+    sinusoidal wiggles of up to 60 years, and falls back along a fold of
+    W = B/2 + 1 to 2B years, so the ages of the fold recur up to 2W (more
+    than B) years apart; the focus is the fold's cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = draw(st.integers(20_000, 50_001))
+    start = float(draw(st.integers(-100, 5000)))
+    bp = start + np.cumsum(np.concatenate(([0], rng.integers(5, 21, cells // 5))))
+    bp = np.append(bp[bp < start + cells - 1], start + cells - 1)
+    fold_width = int(rng.integers(block // 2 + 1, 2 * block + 1))
+    fold = start + rng.uniform(0.0, cells - 1 - 2 * fold_width)
+    c14 = bp - 2.0 * np.clip(bp - fold, 0.0, fold_width) + draw(st.integers(-300, 300))
+    for _ in range(2):
+        c14 += rng.uniform(0.0, 60.0) * np.sin(2 * np.pi * bp / rng.uniform(100.0, 3000.0)
+                                              + rng.uniform(0.0, 2 * np.pi))
+    curve = fd.CalCurve(name="wiggly", cal_bp=bp, c14_age=c14, error=rng.uniform(3.0, 80.0, bp.size))
+    grid_bp = calcurve.REFERENCE_YEAR - curve.grid[0]
+    return curve, np.flatnonzero((grid_bp >= fold) & (grid_bp <= fold + 2 * fold_width))
+
+
+CURVES = {"drawn": drawn_curves, "sized": sized_curves, "plateau": plateau_curves,
+          "wiggly": wiggly_curves}
 
 SDS = st.one_of(st.just(0), st.just(0.0), st.floats(0.01, 5.0), st.floats(5.0, 5000.0),
                 st.sampled_from([20, 137.5, 1e200]))
 
 
-@PROPERTY
-@given(curve=drawn_curves(), sd=SDS, where=st.sampled_from(["on", "near", "off", "far"]),
-       data=st.data())
-def test_windowed_posterior_equals_full_grid_bit_for_bit(curve, sd, where, data):
-    dates, mu, sig = curve.grid
-    k = data.draw(st.integers(0, mu.size - 1))
-    spread = math.sqrt(sd * sd + float(sig[k]) ** 2) if sd < 1e100 else 1.0
-    # off: 35-38 spreads beyond the curve, where the peak weight nears
-    # the 1e-300 floor and the error or the full-grid fallback decides
-    offset = {"on": 0.0, "near": data.draw(st.floats(-4.0, 4.0)) * spread,
-              "off": data.draw(st.floats(35.0, 38.0)) * spread,
-              "far": data.draw(st.floats(50.0, 1e4)) * spread}[where]
-    edge = float(mu.max()) if offset >= 0 else float(mu.min())
-    age = int(round((float(mu[k]) if where in ("on", "near") else edge) + offset))
-    for _ in range(2):  # once more with the variance cached
-        window = posterior_outcome(calcurve._posterior, curve, age, sd)
-        assert window == posterior_outcome(full_grid_posterior, curve, age, sd)
-    if isinstance(window[0], bytes):
-        res = fd.calibrate(curve, fd.Measurement(age, sd))
-        assert abs(float(res.pdf.sum()) - 1.0) < 1e-9
-        for segments, target in ((res.hpd68, calcurve.HPD68_TARGET),
-                                 (res.hpd95, calcurve.HPD95_TARGET)):
-            assert abs(sum(p for _, _, p in segments) - target) < 1e-9
+@settings(PROPERTY, max_examples=3 * PROPERTY.max_examples)  # as many per block size
+@given(block=st.sampled_from(BLOCK_SIZES), kind=st.sampled_from(sorted(CURVES)), sd=SDS,
+       where=st.sampled_from(["focus", "on", "near", "off", "far"]), data=st.data())
+def test_windowed_posterior_equals_full_grid_bit_for_bit(block, kind, sd, where, data):
+    with mock.patch.object(calcurve, "_BLOCK", block):
+        curve, focus = data.draw(CURVES[kind](block))
+        dates, mu, sig = curve.grid
+        k = int(focus[data.draw(st.integers(0, focus.size - 1))]) if where == "focus" else \
+            data.draw(st.integers(0, mu.size - 1))
+        spread = math.sqrt(sd * sd + float(sig[k]) ** 2) if sd < 1e100 else 1.0
+        # off: 35-38 spreads beyond the curve, where the peak weight nears
+        # the 1e-300 floor and the error or the full-grid fallback decides
+        offset = {"focus": 0.0, "on": 0.0, "near": data.draw(st.floats(-4.0, 4.0)) * spread,
+                  "off": data.draw(st.floats(35.0, 38.0)) * spread,
+                  "far": data.draw(st.floats(50.0, 1e4)) * spread}[where]
+        edge = float(mu.max()) if offset >= 0 else float(mu.min())
+        age = int(round((float(mu[k]) if where in ("focus", "on", "near") else edge) + offset))
+        for _ in range(2):  # once more with the variance cached
+            window = posterior_outcome(calcurve._posterior, curve, age, sd)
+            assert window == posterior_outcome(full_grid_posterior, curve, age, sd)
+        if isinstance(window[0], bytes):
+            res = fd.calibrate(curve, fd.Measurement(age, sd))
+            assert abs(float(res.pdf.sum()) - 1.0) < 1e-9
+            for segments, target in ((res.hpd68, calcurve.HPD68_TARGET),
+                                     (res.hpd95, calcurve.HPD95_TARGET)):
+                assert abs(sum(p for _, _, p in segments) - target) < 1e-9
+
+
+def log_weight_cells(curve, age, sd):
+    """The number of cells one calibration computes log weights over:
+    ``_log_weights`` squares each of them once, and nothing else calls
+    ``np.square``."""
+    sizes = []
+    real_square = np.square
+    with mock.patch.object(calcurve.np, "square",
+                           lambda x, out=None: sizes.append(x.size) or real_square(x, out=out)):
+        calcurve._posterior(curve, age, sd)
+    return sum(sizes)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_wiggly_curves_compute_a_small_share_of_the_grid(block, capsys):
+    # the bound's kill criterion: on drawn wiggly curves the median
+    # calibration of an age near the curve computes log weights over at
+    # most a quarter of the grid
+    shares = []
+
+    @settings(PROPERTY, max_examples=40)
+    @given(drawn=wiggly_curves(block), data=st.data())
+    def calibrate_drawn(drawn, data):
+        curve, _ = drawn
+        mu = curve.grid[1]
+        for _ in range(5):
+            sd = data.draw(st.sampled_from([5, 20, 50]))
+            k = data.draw(st.integers(0, mu.size - 1))
+            age = int(round(float(mu[k]) + data.draw(st.floats(-2.0, 2.0)) * sd))
+            shares.append(log_weight_cells(curve, age, sd) / mu.size)
+
+    with mock.patch.object(calcurve, "_BLOCK", block):
+        calibrate_drawn()
+    median = float(np.median(shares))
+    with capsys.disabled():
+        print(f"\nB={block}: median computed share of the grid {median:.4f} "
+              f"(max {max(shares):.4f}) over {len(shares)} calibrations")
+    assert median <= 0.25
+
+
+def test_calibration_near_the_curve_computes_a_few_blocks():
+    # a silent return to full-grid passes would compute all 50,001 cells
+    curve = fd.synthetic_study_curve(span=(-48050, 1950))
+    mu = curve.grid[1]
+    rng = np.random.default_rng(0)
+    ages = np.rint(mu[rng.integers(0, mu.size, 300)] + rng.normal(0.0, 20.0, 300))
+    cells = [log_weight_cells(curve, int(age), 20) for age in ages]
+    assert max(cells) <= 4 * calcurve._BLOCK < mu.size // 10
 
 
 def test_window_falls_back_to_the_full_grid_near_the_floor():
@@ -387,7 +519,7 @@ def test_sd_zero_matches_the_full_grid(study_curve, sd):
 
 
 def test_no_support_raises_the_full_grid_message(study_curve):
-    for age in (50000, -50000):
+    for age in (50000, -50000, 2**60 + 1, -(2**60) - 1):  # and ages a float cannot hold
         got = posterior_outcome(calcurve._posterior, study_curve, age, 10.0)
         assert got == posterior_outcome(full_grid_posterior, study_curve, age, 10.0)
         assert got[1] == (f"age outside calibratable range: {age} BP has no support on "
@@ -396,13 +528,28 @@ def test_no_support_raises_the_full_grid_message(study_curve):
 
 def test_variance_is_cached_per_sd(study_curve):
     curve = fd.CalCurve("v", study_curve.cal_bp, study_curve.c14_age, study_curve.error)
-    var = curve.variance(5)
-    assert curve.variance(5.0) is var
-    assert curve.variance(6.0) is not var
+    var, var_max = curve.variance(5)
+    assert curve.variance(5.0) is curve.variance(5)  # one entry for 5 and 5.0
+    assert curve.variance(6.0)[0] is not var
     assert var.tobytes() == (25.0 + curve.grid[2] ** 2).tobytes()
+    block = calcurve._BLOCK
+    starts = range(0, var.size, block)
+    assert var.size % block and len(starts) > 1  # the last block is partial
+    assert var_max.tolist() == [var[i : i + block].max() for i in starts]
+    lo, hi = curve.blocks
+    mu = curve.grid[1]
+    assert lo.tolist() == [mu[i : i + block].min() for i in starts]
+    assert hi.tolist() == [mu[i : i + block].max() for i in starts]
     first = fd.posterior_summary(curve, 2100, 5)
     assert fd.posterior_summary(curve, 2100, 5.0) is first
     assert len(curve._variances) == 2
+    assert curve.blocks is curve.blocks
+    twin = fd.CalCurve("v", curve.cal_bp, curve.c14_age, curve.error)
+    assert twin._variances == {}
+    twin_var, twin_max = twin.variance(5)
+    assert twin_var is not var and twin_max is not var_max
+    assert twin_max.tobytes() == var_max.tobytes()
+    assert twin.blocks is not curve.blocks
 
 
 # --- curve files: one loadtxt against the row parser --------------------------

@@ -461,23 +461,28 @@ def test_evaluate_rejects_a_bad_sd_before_writing(pipeline, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tests.csv"]
 
 
-@pytest.mark.parametrize("artifact", ["tests", "eval", "lookup"])
+@pytest.mark.parametrize("artifact", ["tests", "eval", "lookup", "tests-last-dataset"])
 def test_file_cut_at_a_line_break_is_data_error(pipeline, lookup_file, tmp_path, capsys, artifact):
     source = {"tests": pipeline / "tests.csv", "eval": pipeline / "eval" / "eval_long.csv",
-              "lookup": lookup_file}[artifact]
+              "lookup": lookup_file, "tests-last-dataset": pipeline / "tests.csv"}[artifact]
     lines = source.read_text().splitlines()
     cut = tmp_path / "cut.csv"
-    cut.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+    # the last line alone: the last dataset loses a row, the datasets count holds
+    kept = lines[:-1] if artifact == "tests-last-dataset" else lines[: len(lines) // 2]
+    cut.write_text("\n".join(kept) + "\n")
+    evaluate = ("evaluate", "--ref", pipeline / "ref.csv", "--tests", cut, "--out", tmp_path / "ev")
     argv = {
-        "tests": ("evaluate", "--ref", pipeline / "ref.csv", "--tests", cut, "--out", tmp_path / "ev"),
+        "tests": evaluate,
         "eval": ("lookup", "build", "--eval", cut, "--out", tmp_path / "lookup.csv"),
         "lookup": ("lookup", "query", "--table", cut, "--indicator", "CalDate_Median",
                    "--value", -140),
+        "tests-last-dataset": evaluate,
     }[artifact]
     capsys.readouterr()
     assert run(*argv) == 4
     key, declared = {"tests": ("datasets", 20), "eval": ("rows", 240),
-                     "lookup": ("buckets", len(fd.read_lookup(lookup_file)))}[artifact]
+                     "lookup": ("buckets", len(fd.read_lookup(lookup_file))),
+                     "tests-last-dataset": ("rows", 60)}[artifact]
     assert re.search(rf"corrupt file: {re.escape(str(cut))} holds \d+ {key}, "
                      rf"its header says {declared}$", capsys.readouterr().err, re.M)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.csv"]
