@@ -19,14 +19,13 @@ bound ``L`` on the peak, and is then computed, with the same operations
 in the same order, over the span from the first to the last block whose
 bound exceeds ``L + log(1e-14) - 2``.  Every rounding step is monotone,
 so no cell exceeds its block's bound: the span holds the peak and every
-cell above ``peak + log(1e-14) - 1``, and each of its log weights has
-the bits a full-grid pass gives.  ``exp`` and everything after it run
-only over that window of cells.  Cells at or below its bound weigh less
-than 1e-14 of the peak, so none of them is retained, and every output is
-bit for bit that of a full-grid pass.  When ``L`` is below the 1e-300
-support floor, or the window's mass is within a factor 1e20 of it, the
-log weight of every cell is computed instead, so the no-support error is
-raised for exactly the ages a full-grid pass rejects.
+cell within ``log(1e-14) - 1`` of it, a superset of the cells that can
+be retained, and each of its log weights has the bits a full-grid pass
+gives.  ``exp`` and everything after it run over that span, so every
+output is bit for bit that of a full-grid pass.  When ``L`` is below the
+1e-300 support floor or NaN, or the span's mass is within a factor 1e20
+of the floor, one full-grid pass runs instead; it alone raises the
+no-support error, for exactly the ages it cannot calibrate.
 """
 
 from __future__ import annotations
@@ -52,15 +51,10 @@ _SUPPORT_EPS = 1e-14
 # log of the smallest unnormalized mass still considered calibratable
 _LOG_FLOOR = math.log(1e-300)
 
-# Cells with log weight at or below peak + _LOG_WINDOW are never retained:
-# the margin of 1 dwarfs any rounding of exp, so calibration exponentiates
-# only the window above it.
-_LOG_WINDOW = math.log(_SUPPORT_EPS) - 1.0
-
-# Near the 1e-300 floor the mass outside the window, or rounding, could
-# put the window's sum and the grid's on opposite sides of it: below this
-# window sum the full grid is exponentiated and summed instead.
-_WINDOW_SUM_FLOOR = 1e-280
+# Near the 1e-300 floor the mass outside the span, or rounding, could
+# put the span's sum and the grid's on opposite sides of it: below this
+# span sum the full grid is exponentiated and summed instead.
+_SPAN_SUM_FLOOR = 1e-280
 
 # Grid cells per block of the log-weight bound, the last block possibly
 # partial.  Chosen by timing 64, 256 and 1024 on the 541- and 50,001-cell
@@ -68,9 +62,9 @@ _WINDOW_SUM_FLOOR = 1e-280
 _BLOCK = 256
 
 # Blocks whose bound is at or below L + _LOG_REACH, where L is the peak of
-# the best-bounded block, hold no cell of the window: the window lies
-# above peak + _LOG_WINDOW, and peak >= L.  The margin of 1 below
-# _LOG_WINDOW keeps that so through the rounding of both sums.
+# the best-bounded block, hold no cell within log(_SUPPORT_EPS) - 1 of the
+# peak, which is at least L; no cell outside that margin is retained, and
+# the margin of 1 keeps that so through the rounding of exp and the sums.
 _LOG_REACH = math.log(_SUPPORT_EPS) - 2.0
 
 
@@ -370,37 +364,28 @@ def _posterior(
     curve: CalCurve, age: int, sd: float
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """Retained grid, cell masses, mean, median and sigma of one
-    calibration, with log weights computed over the span of blocks that
-    can reach the window of the peak and ``exp`` on over that window (see
-    the module docstring)."""
+    calibration, with log weights and ``exp`` computed over the span of
+    blocks that can reach the peak's retained cells, or over the full grid
+    (see the module docstring)."""
     dates, mu, _ = curve.grid
     var, var_max = curve.variance(sd)
     # converted once: numpy converts an int age to this same float in
     # every operation
     x = float(age)
     start, logw = _log_weights_near_peak(x, mu, var, curve.blocks, var_max)
-    peak = float(logw.max())
-    if peak < _LOG_FLOOR:
-        raise ValueError(
-            f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
-        )
-    window = np.flatnonzero(logw > peak + _LOG_WINDOW)
-    lo_w, hi_w = int(window[0]), int(window[-1]) + 1
-    w = np.exp(logw[lo_w:hi_w])
-    lo_w += start  # the window's first cell on the grid
-    total = float(w.sum())
-    if total < _WINDOW_SUM_FLOOR:
-        lo_w = 0
-        w = np.exp(_log_weights(x, mu, var))
-        total = float(w.sum())
-    if total < 1e-300:
-        raise ValueError(
-            f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
-        )
+    w = None if logw is None else np.exp(logw)
+    if w is None or float(w.sum()) < _SPAN_SUM_FLOOR:
+        start = 0
+        logw = _log_weights(x, mu, var)
+        w = np.exp(logw)
+        if float(logw.max()) < _LOG_FLOOR or float(w.sum()) < 1e-300:
+            raise ValueError(
+                f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
+            )
 
     keep = np.nonzero(w > w.max() * _SUPPORT_EPS)[0]
     lo_i, hi_i = int(keep[0]), int(keep[-1])
-    dates = dates[lo_w + lo_i : lo_w + hi_i + 1]
+    dates = dates[start + lo_i : start + hi_i + 1]
     pdf = w[lo_i : hi_i + 1]
     pdf = pdf / pdf.sum()
 
@@ -427,15 +412,15 @@ def _log_weights(age: float, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
 def _log_weights_near_peak(
     age: float, mu: np.ndarray, var: np.ndarray,
     blocks: tuple[np.ndarray, np.ndarray], var_max: np.ndarray,
-) -> tuple[int, np.ndarray]:
+) -> tuple[int, np.ndarray | None]:
     """The first cell and the log weights of the span of blocks whose
-    bound can reach the window of the peak, or 0 and the log weight of
-    every cell when the best-bounded block peaks below the floor."""
+    bound can reach the peak's retained cells, or 0 and None when the
+    best-bounded block peaks below the floor or at NaN."""
     lo, hi = blocks
     # the bound takes the operations of _log_weights on each block's
     # curve mean nearest the age and its largest variance; each is
     # monotone, so no cell exceeds it (a NaN bound is taken first and
-    # sends the call to the full grid, where the cell that made it decides)
+    # sends the call to the full grid)
     bound = np.maximum(lo, age)
     np.minimum(bound, hi, out=bound)
     bound -= age
@@ -447,7 +432,7 @@ def _log_weights_near_peak(
     logw = _log_weights(age, mu[start : start + _BLOCK], var[start : start + _BLOCK])
     low = float(logw.max())
     if not low >= _LOG_FLOOR:
-        return 0, _log_weights(age, mu, var)
+        return 0, None
     reach = np.flatnonzero(bound > low + _LOG_REACH)
     first, last = int(reach[0]), int(reach[-1])
     if first == last:  # the best block alone

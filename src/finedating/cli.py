@@ -23,7 +23,7 @@ from . import __version__, csvio
 from .calcurve import Measurement, curve_at, load_curve, parse_date
 from .evaluate import evaluate_test_series, histogram, read_eval_rows, write_evaluation
 from .finedate import compute_indicators, match_measurements, normalize_indicator, write_report
-from .lookup import build_lookup, query_lookup, read_lookup, write_lookup
+from .lookup import MAX_BUCKETS, build_lookup, query_lookup, read_lookup, write_lookup
 from .reftable import (
     RefTableSpec,
     build_combo_table,
@@ -502,7 +502,6 @@ def _cmd_evaluate(args, config) -> int:
     if not len(series):
         raise CliError(EXIT_DATA, "data: tests file holds no datasets")
     out_dir = Path(_require(_effective(args, config, "out"), "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     curve_path = _effective(args, config, "curve")
     curve = _load_curve_arg(str(curve_path)) if curve_path else None
@@ -597,8 +596,12 @@ def _cmd_hist(args, config) -> int:
     column = str(_require(_effective(args, config, "col"), "col"))
     out = Path(_require(_effective(args, config, "out"), "out"))
     bins = _effective(args, config, "bins")
+    if bins is not None:
+        bins = _parse_number(bins, "bins", int)
+        if not 1 <= bins <= MAX_BUCKETS:  # np.histogram allocates every bin
+            raise ValueError(f"--bins must be from 1 to {MAX_BUCKETS}, got {bins}")
     values = _select_values(infile, csvio.read_commented_csv(infile), column)
-    edges, counts = histogram(values, bins=int(bins) if bins is not None else None)
+    edges, counts = histogram(values, bins=bins)
     prov = _write_manifest(
         out, "hist", {"in": Path(str(infile)).name, "col": column, "bins": len(counts)}
     )

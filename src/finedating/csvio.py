@@ -194,7 +194,7 @@ def _read_lines(path, kind, schema, extra) -> Artifact:
                     raise ValueError(f"unexpected columns in {path}: {columns}")
     if not columns and (kind is not None or schema is not None):
         raise ValueError(f"{path} has no column line")
-    if "checksum" in meta and int(meta["checksum"]) != rows_checksum(data):
+    if "checksum" in meta and meta["checksum"] != str(rows_checksum(data)):
         raise ValueError(f"corrupt table: checksum mismatch in {path}")
     if schema is None:
         return Artifact(meta, columns, [[cell.strip() for cell in ln.split(",")] for ln in data])

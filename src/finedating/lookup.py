@@ -183,10 +183,12 @@ def read_lookup(path) -> LookupTable:
     """
     meta, _, columns = csvio.read_commented_csv(path, "finedating-lookup", LOOKUP_SCHEMA)
     try:
-        width = float(meta["bucket_width"])
         tolerances = meta["tolerances"]
+        width = float(meta["bucket_width"])
     except KeyError as exc:
         raise ValueError(f"corrupt lookup: {path} has no {exc.args[0]} header") from None
+    except ValueError:
+        width = math.nan
     if not 0 < width < math.inf or tolerances != _TOLERANCES_HEADER:
         raise ValueError(
             f"corrupt lookup: bad bucket_width or tolerances header in {path} "

@@ -11,6 +11,7 @@ lazily built index of the age column (:class:`AgeIndex`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ class RefTableSpec:
         if not oldest < youngest:
             raise ValueError(f"span oldest must precede youngest, got {self.span}")
         n = (youngest - oldest) / self.year_interval
-        if round(n) < 1 or abs(n - round(n)) > 1e-9:
+        if not 0.5 < n < math.inf or abs(n - round(n)) > 1e-9:
             raise ValueError(
                 f"span {self.span} is not a whole number of {self.year_interval}-year steps"
             )
@@ -251,28 +252,29 @@ def read_table(path) -> RefTable:
         raise ValueError(f"corrupt table: {path} has no checksum header")
     specs = []
     for cells in meta["spec"]:
-        if len(cells) != 7:
-            raise ValueError(f"corrupt table: bad spec header in {path}")
-        label, interval, per_slice, sd, oldest, youngest, seed = cells
-        specs.append(
-            RefTableSpec(
-                label=label,
-                year_interval=int(interval),
-                per_slice=int(per_slice),
-                sd=float(sd),
-                span=(float(oldest), float(youngest)),
-                seed=int(seed),
+        try:
+            label, interval, per_slice, sd, oldest, youngest, seed = cells
+            specs.append(
+                RefTableSpec(
+                    label=label,
+                    year_interval=int(interval),
+                    per_slice=int(per_slice),
+                    sd=float(sd),
+                    span=(float(oldest), float(youngest)),
+                    seed=int(seed),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"corrupt table: bad spec header in {path}: {exc}") from None
     if not specs:
         raise ValueError(f"corrupt table: {path} has no spec header")
     table = RefTable(
         meta.get("label", specs[0].label), meta.get("curve", ""), tuple(specs), *columns.values()
     )
-    expected = int(meta.get("records", "-1"))
-    if expected != len(table):
+    expected = meta.get("records", "-1")
+    if expected != str(len(table)):
         raise ValueError(
-            f"corrupt table: {path} holds {len(table)} rows, header says {expected}"
+            f"corrupt table: {path} holds {len(table)} rows, its records header says {expected}"
         )
     _validate_table(table)
     return table

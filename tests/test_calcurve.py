@@ -478,6 +478,24 @@ def test_calibration_near_the_curve_computes_a_few_blocks():
     assert max(cells) <= 4 * calcurve._BLOCK < mu.size // 10
 
 
+@pytest.mark.parametrize("span", [None, (-48050, 1950)], ids=["541-cells", "50001-cells"])
+def test_calibration_exponentiates_its_log_weight_span_once(span):
+    # one cut: exp runs once, over the span of the last log-weight pass
+    curve = fd.synthetic_study_curve() if span is None else fd.synthetic_study_curve(span=span)
+    mu = curve.grid[1]
+    rng = np.random.default_rng(1)
+    ages = np.rint(mu[rng.integers(0, mu.size, 200)] + rng.normal(0.0, 20.0, 200))
+    real_square, real_exp = np.square, np.exp
+    for age in ages:
+        squared, exponentiated = [], []
+        with mock.patch.object(calcurve.np, "square", lambda x, out=None: squared.append(x.size)
+                               or real_square(x, out=out)), \
+                mock.patch.object(calcurve.np, "exp", lambda x: exponentiated.append(x.size)
+                                  or real_exp(x)):
+            calcurve._posterior(curve, int(age), 20)
+        assert exponentiated == [squared[-1]], age
+
+
 def test_window_falls_back_to_the_full_grid_near_the_floor():
     # ages 25 to 45 spreads below the curve: their peaks cross both the
     # window-sum bound (log 1e-280) and the floor (log 1e-300)

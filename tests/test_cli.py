@@ -309,6 +309,15 @@ def test_hist_unknown_column(pipeline):
                "--out", pipeline / "x.csv") == 4
 
 
+@pytest.mark.parametrize("bins", [1_000_001, 10**13])
+def test_hist_bins_beyond_the_bound_is_data_error(pipeline, tmp_path, capsys, bins):
+    # 10**13 bins would ask np.histogram for 72.8 TiB
+    assert run("hist", "--in", pipeline / "tests.csv", "--col", "age_bp", "--bins", bins,
+               "--out", tmp_path / "hist.csv") == 4
+    assert f"--bins must be from 1 to 1000000, got {bins}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_scatter_indicator_vs_original(pipeline):
     out = pipeline / "scatter.csv"
     assert run("scatter", "--in", pipeline / "eval" / "eval_long.csv",
@@ -335,6 +344,13 @@ def test_evaluate_curve_flag_sharpens_buffer_warning(pipeline, curve_file, tmp_p
     assert run("evaluate", "--ref", pipeline / "ref.csv", "--tests", tests,
                "--curve", curve_file, "--out", tmp_path / "edge_eval") == 0
     assert "young edge" in capsys.readouterr().err
+
+
+def test_evaluate_with_a_missing_curve_writes_nothing(pipeline, tmp_path, capsys):
+    assert run("evaluate", "--ref", pipeline / "ref.csv", "--tests", pipeline / "tests.csv",
+               "--curve", tmp_path / "missing.14c", "--out", tmp_path / "ev2") == 3
+    assert "curve file not found" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_convert_groups_and_flags_leftovers(pipeline, tmp_path, capsys):
@@ -516,7 +532,8 @@ def test_ragged_row_is_data_error(pipeline, tmp_path, capsys, artifact):
     assert f"ragged row in {bad} at line {lineno}" in err
 
 
-@pytest.mark.parametrize("damage", ["shifted", "gap", "no-width", "tolerances", "far"])
+@pytest.mark.parametrize("damage", ["shifted", "gap", "no-width", "width-abc", "tolerances",
+                                    "far"])
 def test_corrupt_lookup_is_data_error(pipeline, tmp_path, capsys, damage):
     built, bad = tmp_path / "lookup.csv", tmp_path / "bad.csv"
     assert run("lookup", "build", "--eval", pipeline / "eval" / "eval_long.csv",
@@ -537,13 +554,16 @@ def test_corrupt_lookup_is_data_error(pipeline, tmp_path, capsys, damage):
         lines[first:] = [f"1e300,{line.split(',', 1)[1]}" for line in lines[first:]]
     elif damage == "no-width":
         lines.remove("# bucket_width=5")
+    elif damage == "width-abc":
+        lines[lines.index("# bucket_width=5")] = "# bucket_width=abc"
     else:
         lines[lines.index("# tolerances=12;25")] = "# tolerances=10;25"
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run("lookup", "query", "--table", bad, "--indicator", "CalDate_Median",
                "--value", value) == 4
-    assert "corrupt lookup:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "corrupt lookup:" in err and str(bad) in err
 
 
 @pytest.mark.parametrize("case", ["dates-inf", "dates-nan", "ages-inf", "width-nan", "width-inf",
@@ -585,6 +605,27 @@ def test_table_without_checksum_is_data_error(pipeline, tmp_path, capsys):
     assert "has no checksum header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, value, message", [
+    ("records", "abc", "holds 1300 rows, its records header says abc"),
+    ("checksum", "abc", "checksum mismatch in"),
+    ("spec", "5_20_5,x,20,5,-300,20,11", "bad spec header in"),
+    ("spec", "5_20_5,5,20,abc,-300,20,11", "bad spec header in"),
+    ("spec", "5_20_5,5,20,5,-300,1e400,11", "bad spec header in"),  # an infinite span
+])
+def test_unparsable_table_header_names_the_file(pipeline, tmp_path, capsys, header, value,
+                                                message):
+    bad = tmp_path / "ref.csv"
+    lines = (pipeline / "ref.csv").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"# {header}="))
+    lines[i] = f"# {header}={value}"
+    bad.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert run("finedate", "--ref", bad, "--ages", 2000, "--sd", 20,
+               "--out", tmp_path / "report") == 4
+    err = capsys.readouterr().err
+    assert "corrupt table:" in err and str(bad) in err and message in err
+
+
 @pytest.mark.parametrize("sd", ["1e200", "1e19", "1.7e308"])
 @pytest.mark.parametrize("command", ["ref-gen", "simulate-tests"])
 def test_sd_too_large_to_draw_is_data_error(curve_file, tmp_path, capsys, command, sd):
@@ -608,6 +649,7 @@ def test_sd_too_large_to_draw_is_data_error(curve_file, tmp_path, capsys, comman
     (["simulate", "--per-date", 2**63], "more than the 10000000 allowed"),
     (["simulate", "--group", 10**9], "more than the 10000000 allowed"),
     (["simulate", "--dates", "0:1e18:1"], "--dates '0:1e18:1' gives more than 10000000 dates"),
+    (["ref-gen", "--span", "-1e308:1e308"], "is not a whole number of"),
 ])
 def test_record_count_beyond_the_bound_is_data_error(curve_file, tmp_path, capsys, argv,
                                                       message):
@@ -651,7 +693,9 @@ def triples(draw, parts: int):
                 f"0:{draw(st.floats(1e8, 1e300))!r}:1"]
     else:
         bad += [f"-100:{draw(st.floats(1e6, 1e300))!r}", "-90:-100", "-100:-100"]
-    return draw(st.sampled_from(bad + ["-100:-90", "1:2:3:4", "-100"]))
+    if parts == 3:
+        bad.append("-100:-90")  # a valid --span, so malformed only as --dates
+    return draw(st.sampled_from(bad + ["1:2:3:4", "-100"]))
 
 
 # Per command: the other options, and a strategy of malformed values per
@@ -677,6 +721,9 @@ FUZZED = {
                      {"--bucket-width": st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, HUGE_FLOAT,
                                                   NEGATIVE_FLOAT, st.just("0"),
                                                   st.floats(1e-300, 1e-5).map(repr))}),
+    "hist": (["hist", "--col", "age_bp"], {"--bins": "5"},
+             {"--bins": st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, BEYOND_INT64, NEGATIVE_INT,
+                                  st.integers(10**6 + 1, 10**40).map(str), st.just("0"))}),
     "lookup query": (["lookup", "query", "--indicator", "CalDate_Median"], {"--value": "-140"},
                      {"--value": st.one_of(NON_FINITE, EMPTY, NON_NUMERIC, HUGE_FLOAT,
                                            st.floats(1e10, 1e308).map(repr),
@@ -709,7 +756,8 @@ def test_malformed_numeric_flag_exits_cleanly(pipeline, curve_file, lookup_file,
     inputs = {"ref-gen": ["--curve", curve_file], "simulate tests": ["--curve", curve_file],
               "finedate": ["--ref", pipeline / "ref.csv"],
               "lookup build": ["--eval", pipeline / "eval" / "eval_long.csv"],
-              "lookup query": ["--table", lookup_file]}[command]
+              "lookup query": ["--table", lookup_file],
+              "hist": ["--in", pipeline / "tests.csv"]}[command]
     outputs = [] if command == "lookup query" else ["--out", out_dir / "out.csv"]
     seed = ["--seed=" + options.pop("--seed")] if "--seed" in options else []
     argv = [*seed, *base, *inputs, *[f"{k}={v}" for k, v in options.items()], *outputs]
