@@ -17,6 +17,17 @@ the shortest repr that round trips.  numpy scalars format as the Python
 values they hold.  Nothing depends on time or locale, so the same seed
 rebuilds byte-identical files.
 
+Artifacts are written in lockstep (:func:`write_artifacts`): step i
+formats rows ``i * 4096`` to ``(i + 1) * 4096`` (``_CHUNK``) of every
+artifact of the call.  Within a step, the numeric and bool columns of
+one dtype, across all the artifacts, share one ``np.unique``, and
+``fmt`` runs once per distinct value; the object columns run it once per
+distinct cell.  Memory is bounded by one step's strings, except that a
+checksummed artifact holds its data lines until its header is written.
+Each file is written as ``<name>.tmp-<pid>`` beside its target and
+moved into place with ``os.replace`` once every file of the call is
+written, so a failed write leaves no partial artifact.
+
 A ``checksum`` header carries the crc32 of the data lines exactly as
 written; the reader recomputes it over the lines as read, so any edit to
 a data line, spaces included, is rejected.  A file without the header is
@@ -38,17 +49,20 @@ convert``) use the line reader.
 
 from __future__ import annotations
 
+import os
 import warnings
 import zlib
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-# Rows parsed or formatted per batch; bounds the transient lists of a large file.
-_CHUNK = 1024
+# Rows formatted per step, and parsed per batch by the line reader; bounds the
+# transient lists of a large file.
+_CHUNK = 4096
 
 
 def fmt(value) -> str:
@@ -80,60 +94,150 @@ def parse_float(cell: str) -> float:
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write each line followed by ``\\n``, through a temporary file beside
+    ``path`` (:func:`_replacing`)."""
+    with _replacing([path]) as (fh,):
         for line in lines:
             fh.write(line)
             fh.write("\n")
 
 
 def write_artifact(path, header: dict, columns: dict, extra: dict | None = None) -> None:
-    """Write one artifact: header, extra lines, column line and data rows.
+    """Write one artifact: :func:`write_artifacts` of it alone."""
+    write_artifacts([(path, header, columns, extra)])
+
+
+def write_artifacts(artifacts: list[tuple]) -> None:
+    """Write artifacts ``(path, header, columns, extra)`` in lockstep,
+    each as header, extra lines, column line and data rows.
 
     ``columns`` maps each column name, in file order, to a 1-D column of
     equal length; ``extra`` maps a key to the cell tuples of its repeated
-    ``# key=`` lines.  A ``checksum`` key in ``header`` is written, at its
-    place, as the crc32 of the data lines, whatever value it holds.  The
-    rows are formatted a chunk at a time (:func:`format_chunks`); only a
-    checksummed artifact holds its chunk strings until the header is known.
+    ``# key=`` lines, or is None.  A ``checksum`` key in ``header`` is
+    written, at its place, as the crc32 of the data lines, whatever value
+    it holds.  Every artifact's columns are checked before any file is
+    opened.  Chunk i of every artifact is formatted in one step
+    (:func:`_format_steps`); only a checksummed artifact holds its chunk
+    strings until its header is known.  Each file is written beside its
+    target and moved into place once all are written; if any write
+    fails, none is.
     """
-    data: Iterable[str] = format_chunks(list(columns.values()))
-    if "checksum" in header:
-        data = list(data)  # a chunk is its lines joined by "\n", so this is their checksum
-        header = {**header, "checksum": rows_checksum(data)}
+    tables = [_table(columns.values()) for _, _, columns, _ in artifacts]
+    held = [[] if "checksum" in header else None for _, header, _, _ in artifacts]
+    with _replacing([path for path, *_ in artifacts]) as files:
+        for fh, hold, (_, header, columns, extra) in zip(files, held, artifacts):
+            if hold is None:
+                fh.write(_head(header, columns, extra))
+        for chunks in _format_steps(tables):
+            for fh, hold, chunk in zip(files, held, chunks):
+                if chunk is None:
+                    continue
+                if hold is None:
+                    fh.write(chunk)
+                    fh.write("\n")
+                else:
+                    hold.append(chunk)
+        for fh, hold, (_, header, columns, extra) in zip(files, held, artifacts):
+            if hold is not None:
+                # a chunk is its lines joined by "\n", so this is their checksum
+                fh.write(_head({**header, "checksum": rows_checksum(hold)}, columns, extra))
+                for chunk in hold:
+                    fh.write(chunk)
+                    fh.write("\n")
+
+
+def _head(header: dict, columns: dict, extra: dict | None) -> str:
     lines = [f"# {key}={fmt(val)}" for key, val in header.items()]
     for key, entries in (extra or {}).items():
         lines.extend(f"# {key}=" + ",".join(map(fmt, cells)) for cells in entries)
     lines.append(",".join(columns))
-    write_lines(path, chain(lines, data))
+    return "".join(line + "\n" for line in lines)
+
+
+@contextmanager
+def _replacing(paths: list) -> Iterator[list]:
+    """Text files open for writing, one per path, each a temporary
+    ``<name>.tmp-<pid>`` beside its path.  When the block completes, each
+    is moved onto its path with ``os.replace``; when the block raises,
+    every temporary is deleted and no path is touched."""
+    paths = [Path(path) for path in paths]
+    temps = [path.with_name(f"{path.name}.tmp-{os.getpid()}") for path in paths]
+    files: list = []
+    try:
+        for path, temp in zip(paths, temps):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            files.append(open(temp, "w", encoding="utf-8", newline="\n"))
+        yield files
+        for fh in files:
+            fh.close()
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for fh in files:
+            fh.close()
+        for temp in temps[: len(files)]:
+            temp.unlink(missing_ok=True)
+        raise
 
 
 def format_chunks(columns: list) -> Iterator[str]:
     """The data lines of equal-length columns, ``\\n``-joined, one string
-    per chunk of up to ``_CHUNK`` rows.
+    per chunk of up to ``_CHUNK`` rows: :func:`_format_steps` of one
+    table."""
+    return (chunks[0] for chunks in _format_steps([_table(columns)]))
 
-    Each cell is :func:`fmt` of its value.  A numeric or bool numpy column
-    runs ``fmt`` once per distinct value of the chunk (NaNs are one value,
-    as are -0.0 and 0.0, and ``fmt`` writes each alike) and gathers the
-    strings.  An object array, or a column given as a list or tuple, runs
-    it cell by cell on the values as given.
-    """
+
+def _table(columns: Iterable) -> list[np.ndarray]:
+    """The columns as numpy arrays (a list or tuple as an object array),
+    checked to be of one shape."""
     columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in columns]
     if len({column.shape for column in columns}) > 1:
         raise ValueError(f"columns differ in shape: {[column.shape for column in columns]}")
-    n = len(columns[0]) if columns else 0
-    return (_format_rows([c[i : i + _CHUNK] for c in columns]) for i in range(0, n, _CHUNK))
+    return columns
 
 
-def _format_rows(columns: list[np.ndarray]) -> str:
-    return "\n".join(map(",".join, zip(*map(_format_column, columns))))
+def _format_steps(tables: list[list[np.ndarray]]) -> Iterator[list[str | None]]:
+    """Per step, chunk i of every table: its data lines ``\\n``-joined,
+    or None for a table with fewer rows.
+
+    Each cell is :func:`fmt` of its value.  Within a step, the numeric
+    and bool columns of one dtype, across all tables, share one
+    ``np.unique``: ``fmt`` runs once per distinct value (NaNs are one
+    value, as are -0.0 and 0.0, and ``fmt`` writes each alike) and the
+    strings are gathered.  The object columns of a step run ``fmt`` once
+    per distinct cell, keyed by type and value, so that ``True``, ``1``
+    and ``1.0`` each keep their own string.
+    """
+    lengths = [len(table[0]) if table else 0 for table in tables]
+    for start in range(0, max(lengths, default=0), _CHUNK):
+        chunks = [[c[start : start + _CHUNK] for c in table] if start < n else None
+                  for table, n in zip(tables, lengths)]
+        cells = [None if chunk is None else [None] * len(chunk) for chunk in chunks]
+        groups: dict[np.dtype, list] = {}
+        for t, chunk in enumerate(chunks):
+            for j, column in enumerate(chunk or ()):
+                groups.setdefault(column.dtype, []).append((t, j, column))
+        for dtype, members in groups.items():
+            strings = _format_group(dtype, [column for _, _, column in members])
+            for (t, j, _), column_strings in zip(members, strings):
+                cells[t][j] = column_strings
+        yield [None if c is None else "\n".join(map(",".join, zip(*c))) for c in cells]
 
 
-def _format_column(column: np.ndarray) -> list[str]:
-    if column.dtype == object:
-        return list(map(fmt, column.tolist()))
-    values, inverse = np.unique(column, return_inverse=True)
-    return np.array(list(map(fmt, values.tolist())), dtype=object)[inverse].tolist()
+def _format_group(dtype: np.dtype, columns: list[np.ndarray]) -> list[list[str]]:
+    if dtype == object:
+        cells = [column.tolist() for column in columns]
+        if len(set(map(type, chain.from_iterable(cells)))) == 1:
+            memo = {cell: fmt(cell) for cell in dict.fromkeys(chain.from_iterable(cells))}
+            return [list(map(memo.__getitem__, column_cells)) for column_cells in cells]
+        # True == 1 == 1.0 and they hash alike, but each formats its own way
+        keys = [list(zip(map(type, column_cells), column_cells)) for column_cells in cells]
+        memo = {key: fmt(key[1]) for key in dict.fromkeys(chain.from_iterable(keys))}
+        return [list(map(memo.__getitem__, column_keys)) for column_keys in keys]
+    values, inverse = np.unique(np.concatenate(columns), return_inverse=True)
+    strings = np.array(list(map(fmt, values.tolist())), dtype=object)[inverse]
+    ends = np.cumsum([len(column) for column in columns]).tolist()
+    return [strings[end - len(column) : end].tolist() for column, end in zip(columns, ends)]
 
 
 class Artifact(NamedTuple):

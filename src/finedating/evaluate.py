@@ -480,10 +480,15 @@ EVAL_SCHEMA = {
 
 
 def write_eval_rows(rows: EvalColumns, path, extra_header: dict | None = None) -> None:
+    csvio.write_artifact(*_eval_artifact(rows, path, extra_header))
+
+
+def _eval_artifact(rows: EvalColumns, path, extra_header: dict | None) -> tuple:
+    """The ``(path, header, columns, extra)`` of an ``eval_long.csv``."""
     header = {"format": "finedating-eval", "rows": len(rows)}
     if extra_header:
         header.update(extra_header)
-    csvio.write_artifact(path, header, dict(zip(EVAL_SCHEMA, rows.columns())))
+    return path, header, dict(zip(EVAL_SCHEMA, rows.columns())), None
 
 
 def read_eval_rows(path) -> EvalColumns:
@@ -564,40 +569,44 @@ def write_evaluation(
     ``avg_deviation.csv``, ``normality_by_interval.csv`` and
     ``mpd_report.csv``, each under the given header."""
     out_dir = Path(out_dir)
-    write_eval_rows(rows, out_dir / "eval_long.csv", extra_header=header)
+    artifacts = [_eval_artifact(rows, out_dir / "eval_long.csv", header)]
 
     for threshold in (25, 35):
         by_date: dict[float, dict[str, float]] = {}
         for date, family, frac in performance_curves(rows, threshold):
             by_date.setdefault(date, {})[family] = frac
         dates = sorted(by_date)
-        csvio.write_artifact(
+        artifacts.append((
             out_dir / f"performance_{threshold}.csv",
             {**header, "threshold": threshold},
             {"original_cal_date": dates}
             | {family: [by_date[date][family] for date in dates] for family in FAMILIES},
-        )
+            None,
+        ))
 
     per_date, full_span = average_deviation_analysis(rows)
     dates = sorted({date for date, _ in per_date})
-    csvio.write_artifact(
+    artifacts.append((
         out_dir / "avg_deviation.csv",
         header,
         {"original_cal_date": [*dates, "full_span"]}
         | {name: [*(per_date.get((date, name)) for date in dates), full_span[name]]
            for name in INDICATOR_NAMES},
-    )
+        None,
+    ))
 
     normality = interval_normality(table, series)
-    csvio.write_artifact(
+    artifacts.append((
         out_dir / "normality_by_interval.csv",
         header,
         {name: [getattr(result, f.name) for result in normality]
          for name, f in zip(NORMALITY_COLUMNS, fields(IntervalNormality))},
-    )
+        None,
+    ))
 
     report = mpd_report(rows)
     mpd_header = dict(header)
     if report["mpd"].size:
         mpd_header["overall_mean"], mpd_header["overall_median"] = overall_aggregate(report["mpd"])
-    csvio.write_artifact(out_dir / "mpd_report.csv", mpd_header, report)
+    artifacts.append((out_dir / "mpd_report.csv", mpd_header, report, None))
+    csvio.write_artifacts(artifacts)

@@ -142,7 +142,10 @@ SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e15 - 1, 1e15, 1e15
 FLOAT_CELLS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 INT_CELLS = st.one_of(st.sampled_from([-2**63, 2**63 - 1, 0, -1, 10**15 + 1]),
                       st.integers(-2**63, 2**63 - 1))
-OBJECT_CELLS = st.one_of(st.text(alphabet="ab_-. XY", max_size=6), st.none(), FLOAT_CELLS)
+# Cells that compare and hash alike but format apart (True is 1 is 1.0),
+# beside 0.0 and -0.0, which format alike.
+OBJECT_CELLS = st.one_of(st.text(alphabet="ab_-. XY", max_size=6), st.none(), FLOAT_CELLS,
+                         st.sampled_from([True, False, 1, 1.0, 0.0, -0.0]))
 KINDS = {
     "float": (FLOAT_CELLS, float),
     "int": (INT_CELLS, np.int64),
@@ -155,18 +158,24 @@ LENGTHS = st.one_of(st.sampled_from([0, 1, csvio._CHUNK, csvio._CHUNK + 1]),
 
 
 @st.composite
-def column_sets(draw):
+def column_sets(draw, n=LENGTHS, pools=None):
     """Columns of one length, each drawn from a small pool of values so
-    that a chunk repeats values, as the artifacts' columns do."""
-    n = draw(LENGTHS)
+    that a chunk repeats values, as the artifacts' columns do.  Given a
+    dict of ``pools``, every column of a kind draws from that kind's one
+    pool, kept there for the next column set."""
+    n = draw(n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = {}
     for k, kind in enumerate(draw(st.lists(st.sampled_from(list(KINDS)), min_size=1,
                                            max_size=5))):
         cells, dtype = KINDS[kind]
-        pool = draw(st.lists(cells, min_size=1, max_size=8))
-        if kind == "float" and draw(st.booleans()):  # -0.0 beside 0.0, -nan beside nan
-            pool += [-value for value in pool]
+        pool = None if pools is None else pools.get(kind)
+        if pool is None:
+            pool = draw(st.lists(cells, min_size=1, max_size=8))
+            if kind == "float" and draw(st.booleans()):  # -0.0 beside 0.0, -nan beside nan
+                pool += [-value for value in pool]
+            if pools is not None:
+                pools[kind] = pool
         picked = [pool[i] for i in rng.integers(0, len(pool), n).tolist()]
         columns[f"{kind}{k}"] = picked if dtype is None else np.array(picked, dtype=dtype)
     return columns
@@ -178,17 +187,26 @@ def reference_lines(columns) -> list[str]:
     return [",".join(map(csvio.fmt, row)) for row in zip(*values)]
 
 
-def expected_fmt_calls(header, columns) -> int:
-    """One ``fmt`` per header value, per distinct value of each chunk of a
-    numeric column (NaNs alike, -0.0 equal to 0.0), per object cell."""
-    calls = len(header)
-    for column in columns.values():
-        for start in range(0, len(column), csvio._CHUNK):
-            chunk = column[start : start + csvio._CHUNK]
-            if isinstance(column, np.ndarray) and column.dtype != object:
-                calls += len({"nan" if v != v else v for v in chunk.tolist()})
-            else:
-                calls += len(chunk)
+def expected_fmt_calls(tables) -> int:
+    """For ``(header, columns)`` tables written in one call: one ``fmt``
+    per header value, and per step (chunk i of every table) one per
+    distinct value of each numeric dtype across its columns (NaNs alike,
+    -0.0 equal to 0.0) and one per distinct object cell by type and value
+    across the object columns."""
+    calls = sum(len(header) for header, _ in tables)
+    n = max((len(column) for _, columns in tables for column in columns.values()), default=0)
+    for start in range(0, n, csvio._CHUNK):
+        distinct: dict = {}
+        for _, columns in tables:
+            for column in columns.values():
+                chunk = column[start : start + csvio._CHUNK]
+                if isinstance(column, np.ndarray) and column.dtype != object:
+                    distinct.setdefault(column.dtype.str, set()).update(
+                        "nan" if v != v else v for v in chunk.tolist())
+                else:
+                    values = list(chunk)
+                    distinct.setdefault("object", set()).update(zip(map(type, values), values))
+        calls += sum(map(len, distinct.values()))
     return calls
 
 
@@ -206,7 +224,7 @@ def test_column_writer_equals_per_row_reference(tmp_path_factory, columns, check
 
     with mock.patch.object(csvio, "fmt", counted_fmt):
         csvio.write_artifact(path, header, columns)
-    assert len(calls) == expected_fmt_calls(header, columns)
+    assert len(calls) == expected_fmt_calls([(header, columns)])
 
     lines = reference_lines(columns)
     head = ["# format=demo"]
@@ -237,6 +255,58 @@ def test_column_writer_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="columns differ in shape"):
         csvio.write_artifact(tmp_path / "a.csv", {}, {"a": np.zeros(2), "b": np.zeros(3)})
     assert not (tmp_path / "a.csv").exists()
+
+
+@st.composite
+def artifact_sets(draw):
+    """1-3 column sets of different lengths whose columns of a kind share
+    one pool of values, each under a header with or without a checksum."""
+    pools: dict = {}
+    return [
+        ({"format": "demo", **({"checksum": None} if draw(st.booleans()) else {}), "n": n},
+         draw(column_sets(n=st.just(n), pools=pools)))
+        for n in draw(st.lists(LENGTHS, min_size=1, max_size=3, unique=True))
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tables=artifact_sets())
+def test_lockstep_writer_equals_separate_writes(tmp_path_factory, tables):
+    base = tmp_path_factory.mktemp("l")
+    together = [(base / "together" / f"a{i}.csv", header, columns, None)
+                for i, (header, columns) in enumerate(tables)]
+    calls = []
+    with mock.patch.object(csvio, "fmt", lambda v, fmt=csvio.fmt: calls.append(v) or fmt(v)):
+        csvio.write_artifacts(together)
+    assert len(calls) == expected_fmt_calls(tables)
+    for path, header, columns, _ in together:
+        csvio.write_artifact(base / "alone" / path.name, header, columns)
+        assert path.read_bytes() == (base / "alone" / path.name).read_bytes()
+    assert sorted(p.name for p in (base / "together").iterdir()) == [
+        path.name for path, *_ in together]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_lockstep_write_leaves_no_file(tmp_path, existing):
+    # fmt raises on the object() cell, in the second chunk of the second artifact
+    second = np.array([*range(csvio._CHUNK + 1), object()], dtype=object)
+    artifacts = [(tmp_path / "a.csv", {"format": "demo", "checksum": None}, {"x": [1.5]}, None),
+                 (tmp_path / "b.csv", {"format": "demo"}, {"x": second}, None)]
+    if existing:
+        for path, *_ in artifacts:
+            path.write_text("old\n")
+    with pytest.raises(TypeError):
+        csvio.write_artifacts(artifacts)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["a.csv", "b.csv"] if existing else [])
+    assert all(p.read_text() == "old\n" for p in tmp_path.iterdir())
+
+
+def test_lockstep_writer_checks_every_artifact_before_opening_any(tmp_path):
+    artifacts = [(tmp_path / "out" / "a.csv", {}, {"x": np.zeros(2)}, None),
+                 (tmp_path / "out" / "b.csv", {}, {"a": np.zeros(2), "b": np.zeros(3)}, None)]
+    with pytest.raises(ValueError, match="columns differ in shape"):
+        csvio.write_artifacts(artifacts)
+    assert not (tmp_path / "out").exists()
 
 
 # --- the block reader against the line reader --------------------------------

@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import finedating as fd
+from finedating import csvio
 from finedating.evaluate import NO_MATCH
 from conftest import eval_columns
-from finedating.lookup import bucket_left, build_lookup, read_lookup, write_lookup
+from finedating.lookup import (
+    LOOKUP_SCHEMA, LookupTable, bucket_left, build_lookup, read_lookup, write_lookup,
+)
 
 
 def row(data_id, indicator, value, delta, date=-100.0):
@@ -153,3 +158,19 @@ def test_query_from_written_table_normalizes_names(tmp_path, eval_rows):
     a = fd.query_lookup(back, "CalDateMedian", value)
     b = fd.query_lookup(back, "CalDate_Median", value)
     assert a == b
+
+
+def test_wide_lookup_runs_one_unique_per_dtype_per_chunk(tmp_path):
+    # a fine width leaves most buckets empty: 0 counts, NaN fractions
+    rng = np.random.default_rng(3)
+    n = 2 * csvio._CHUNK + 1
+    count = np.where(rng.random((n, 12)) < 0.01, rng.integers(1, 4, (n, 12)), 0)
+    frac12 = np.where(count > 0, 100.0 * rng.integers(0, 2, (n, 12)), np.nan)
+    frac25 = np.where(count > 0, 100.0, np.nan)
+    table = LookupTable(0.001, -250_000, count, frac12, frac25)
+    path = tmp_path / "wide.csv"
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        write_lookup(table, path)
+    assert len(LOOKUP_SCHEMA) == 37
+    assert unique.call_count == 2 * 3  # float and int64 columns, three chunks
+    assert_same_lookup(read_lookup(path), table)
