@@ -45,6 +45,19 @@ which accepts what it always did and names what is wrong; no artifact
 the package writes for one of its readers takes that path.  Reads
 without a schema (``hist``, ``scatter``, ``--ages-file``, ``simulate
 convert``) use the line reader.
+
+A checksummed artifact whose columns are all int64 or NaN-free float64
+(the reference tables) also gets a binary sidecar, ``<name>.npz``
+(:func:`sidecar_path`), written by ``np.savez`` in the same replacing
+step as the file: its columns as a schema read of the file gives them,
+the crc32 of the data lines and their byte length.  The sidecar is a
+cache.  A schema'd read still parses the header and streams the data
+block with every check above, and only then takes the columns from the
+sidecar instead of parsing them, if the sidecar loads without pickle,
+its crc32 and byte length equal the streamed block's, and it holds
+exactly the schema's columns, 1-D, of the schema's dtypes and of one
+length.  Any other sidecar, or none, costs only the parse: deleting it,
+or copying a file without it, changes no result and no message.
 """
 
 from __future__ import annotations
@@ -120,11 +133,16 @@ def write_artifacts(artifacts: list[tuple]) -> None:
     (:func:`_format_steps`); only a checksummed artifact holds its chunk
     strings until its header is known.  Each file is written beside its
     target and moved into place once all are written; if any write
-    fails, none is.
+    fails, none is.  A checksummed artifact that :func:`_sidecar_columns`
+    accepts also gets its sidecar, written the same way.
     """
     tables = [_table(columns.values()) for _, _, columns, _ in artifacts]
     held = [[] if "checksum" in header else None for _, header, _, _ in artifacts]
-    with _replacing([path for path, *_ in artifacts]) as files:
+    sidecars = [None if hold is None else _sidecar_columns(columns)
+                for hold, (_, _, columns, _) in zip(held, artifacts)]
+    binary = [sidecar_path(path) for (path, *_), cols in zip(artifacts, sidecars) if cols]
+    with _replacing([path for path, *_ in artifacts], binary) as files:
+        files, sidecar_files = files[: len(artifacts)], iter(files[len(artifacts) :])
         for fh, hold, (_, header, columns, extra) in zip(files, held, artifacts):
             if hold is None:
                 fh.write(_head(header, columns, extra))
@@ -137,13 +155,20 @@ def write_artifacts(artifacts: list[tuple]) -> None:
                     fh.write("\n")
                 else:
                     hold.append(chunk)
-        for fh, hold, (_, header, columns, extra) in zip(files, held, artifacts):
+        for fh, hold, cols, (_, header, columns, extra) in zip(files, held, sidecars, artifacts):
             if hold is not None:
                 # a chunk is its lines joined by "\n", so this is their checksum
-                fh.write(_head({**header, "checksum": rows_checksum(hold)}, columns, extra))
+                crc = rows_checksum(hold)
+                fh.write(_head({**header, "checksum": crc}, columns, extra))
                 for chunk in hold:
                     fh.write(chunk)
                     fh.write("\n")
+                if cols:
+                    # fmt writes int and float cells in ASCII: a chunk's length
+                    # is its byte count
+                    size = sum(map(len, hold)) + len(hold)
+                    np.savez(next(sidecar_files), allow_pickle=False,
+                             **{**cols, "#crc": crc, "#bytes": size})
 
 
 def _head(header: dict, columns: dict, extra: dict | None) -> str:
@@ -154,19 +179,50 @@ def _head(header: dict, columns: dict, extra: dict | None) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def sidecar_path(path) -> Path:
+    """The binary sidecar of an artifact: ``<name>.npz`` beside it."""
+    path = Path(path)
+    return path.with_name(path.name + ".npz")
+
+
+def _sidecar_columns(columns: dict) -> dict | None:
+    """The columns exactly as a schema read of their data lines gives
+    them, or None where that is not known: a column that is not 1-D
+    int64 or float64 (an object column would need pickle), or a float
+    column holding NaN, which is written blank and parses as NaN or
+    fails by the reader's schema.  ``fmt`` writes -0.0 as ``0``, so a
+    column holding -0.0 is stored with 0.0."""
+    stored = {}
+    for name, column in columns.items():
+        if not isinstance(column, np.ndarray) or column.ndim != 1:
+            return None
+        if column.dtype == np.float64:
+            if np.isnan(column).any():
+                return None
+            if np.signbit(column[column == 0]).any():
+                column = column + 0.0
+        elif column.dtype != np.int64:
+            return None
+        stored[name] = column
+    return stored
+
+
 @contextmanager
-def _replacing(paths: list) -> Iterator[list]:
-    """Text files open for writing, one per path, each a temporary
-    ``<name>.tmp-<pid>`` beside its path.  When the block completes, each
-    is moved onto its path with ``os.replace``; when the block raises,
-    every temporary is deleted and no path is touched."""
-    paths = [Path(path) for path in paths]
+def _replacing(paths: list, binary: list = ()) -> Iterator[list]:
+    """Files open for writing, text for each of ``paths`` and then binary
+    for each of ``binary``, each a temporary ``<name>.tmp-<pid>`` beside
+    its path.  When the block completes, each is moved onto its path with
+    ``os.replace``; when the block raises, every temporary is deleted and
+    no path is touched."""
+    text = len(paths)
+    paths = [Path(path) for path in (*paths, *binary)]
     temps = [path.with_name(f"{path.name}.tmp-{os.getpid()}") for path in paths]
     files: list = []
     try:
-        for path, temp in zip(paths, temps):
+        for i, (path, temp) in enumerate(zip(paths, temps)):
             path.parent.mkdir(parents=True, exist_ok=True)
-            files.append(open(temp, "w", encoding="utf-8", newline="\n"))
+            files.append(open(temp, "w", encoding="utf-8", newline="\n") if i < text
+                         else open(temp, "wb"))
         yield files
         for fh in files:
             fh.close()
@@ -276,26 +332,29 @@ def _read_lines(path, kind, schema, extra) -> Artifact:
     data: list[str] = []
     commas = -1
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                _meta_line(meta, line, extra)
-            elif columns:
-                if line.count(",") != commas:
-                    raise ValueError(
-                        f"ragged row in {path} at line {lineno}: "
-                        f"{line.count(',') + 1} cells, the column line has {len(columns)}"
-                    )
-                data.append(line)
-            else:
-                columns = [cell.strip() for cell in line.split(",")]
-                commas = len(columns) - 1
-                if kind is not None and meta.get("format") != kind:
-                    raise ValueError(f"{path} is not a {kind} file")
-                if schema is not None and columns != list(schema):
-                    raise ValueError(f"unexpected columns in {path}: {columns}")
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                if line.startswith("#"):
+                    _meta_line(meta, line, extra)
+                elif columns:
+                    if line.count(",") != commas:
+                        raise ValueError(
+                            f"ragged row in {path} at line {lineno}: "
+                            f"{line.count(',') + 1} cells, the column line has {len(columns)}"
+                        )
+                    data.append(line)
+                else:
+                    columns = [cell.strip() for cell in line.split(",")]
+                    commas = len(columns) - 1
+                    if kind is not None and meta.get("format") != kind:
+                        raise ValueError(f"{path} is not a {kind} file")
+                    if schema is not None and columns != list(schema):
+                        raise ValueError(f"unexpected columns in {path}: {columns}")
+        except UnicodeDecodeError:
+            raise ValueError(f"corrupt file: {path} is not UTF-8 text") from None
     if not columns and (kind is not None or schema is not None):
         raise ValueError(f"{path} has no column line")
     if "checksum" in meta and meta["checksum"] != str(rows_checksum(data)):
@@ -360,18 +419,45 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
             return None
         start, crc, tail = fh.tell(), 0, b"\n"
         while chunk := fh.read(_BLOCK):
-            if (chunk.translate(None, _BLOCK_BYTES) or b"\n\n" in chunk or b"\n#" in chunk
+            # no written cell holds "#", and a search for one byte costs a
+            # fraction of a search for two
+            if (chunk.translate(None, _BLOCK_BYTES) or b"\n\n" in chunk
+                    or (b"#" in chunk and b"\n#" in chunk)
                     or (tail == b"\n" and chunk[:1] in (b"\n", b"#"))):
                 return None
             crc = zlib.crc32(chunk, crc)
             tail = chunk[-1:]
         if tail != b"\n" or ("checksum" in meta and meta["checksum"] != str(crc)):
             return None
-        if fh.tell() == start:
+        size = fh.tell() - start
+        if size == 0:
             body = {name: np.empty(0, _DTYPES[parse]) for name, parse in schema.items()}
         else:
-            body = _load_block(fh, start, schema)
+            body = _load_sidecar(path, schema, crc, size) if "checksum" in meta else None
+            if body is None:
+                body = _load_block(fh, start, schema)
     return None if body is None else Artifact(meta, columns, body)
+
+
+def _load_sidecar(path, schema: dict, crc: int, size: int) -> dict[str, np.ndarray] | None:
+    """The columns held by the sidecar of ``path`` (:func:`sidecar_path`)
+    if it provably holds this data block, else None: it loads without
+    pickle, its ``#crc`` and ``#bytes`` equal the block's crc32 and byte
+    length, and it holds exactly the schema's columns, 1-D, of the
+    schema's dtypes and of one length.  Any failure to load is a miss."""
+    try:
+        # np.load of a path leaves its file open when the zip is unreadable
+        with open(sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if (npz.files != [*schema, "#crc", "#bytes"] or npz["#crc"].tolist() != crc
+                    or npz["#bytes"].tolist() != size):
+                return None
+            body = {name: npz[name] for name in schema}
+    except Exception:  # the sidecar is a cache: whatever fails to load costs only the parse
+        return None
+    if any(body[name].dtype != _DTYPES[parse] or body[name].ndim != 1
+           for name, parse in schema.items()):
+        return None
+    return body if len({column.size for column in body.values()}) == 1 else None
 
 
 def _load_block(fh, start: int, schema: dict) -> dict[str, np.ndarray] | None:

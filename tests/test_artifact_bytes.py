@@ -48,6 +48,12 @@ GOLDEN = {
     "tests_manifest.txt": "c5513d550f1dee064af78b7b0ec679db02ef132fd7912ffa5329f33a517b2fcd",
 }
 
+# The binary sidecars of the two reference tables (``csvio.sidecar_path``).
+SIDECARS = {
+    "combo.csv.npz": "933b7a82a679026cdb6dbc81ac241c2109b50888244d75d83d00ffd450098c8e",
+    "ref.csv.npz": "08a8b7e8409c8879a5522be584559e4e06ac4d5e6c833b0f5902fc21bd940d0f",
+}
+
 
 def run(*argv):
     assert main([str(a) for a in argv]) == 0, argv
@@ -96,6 +102,12 @@ def test_artifacts_match_pinned_digests(work):
     assert written == sorted(GOLDEN)
     got = {name: sha256(work / name) for name in written}
     assert got == GOLDEN
+
+
+def test_sidecars_match_pinned_digests(work):
+    written = sorted(str(p.relative_to(work)) for p in work.rglob("*.npz"))
+    assert written == sorted(SIDECARS)
+    assert {name: sha256(work / name) for name in written} == SIDECARS
 
 
 def header_of(path) -> dict:

@@ -1,10 +1,12 @@
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finedating as fd
+from finedating import csvio
 from finedating.cli import main, parse_date, parse_date_range, parse_span
 
 
@@ -624,6 +627,45 @@ def test_unparsable_table_header_names_the_file(pipeline, tmp_path, capsys, head
                "--out", tmp_path / "report") == 4
     err = capsys.readouterr().err
     assert "corrupt table:" in err and str(bad) in err and message in err
+
+
+@pytest.mark.parametrize("header, value", [("records", "abc"), ("checksum", "abc"),
+                                           ("spec", "5_20_5,x,20,5,-300,20,11")])
+def test_sidecar_leaves_table_errors_unchanged(pipeline, tmp_path, capsys, header, value):
+    errors = []
+    for name in ("csv-only", "with-sidecar"):
+        bad = tmp_path / name / "ref.csv"
+        bad.parent.mkdir()
+        lines = (pipeline / "ref.csv").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"# {header}="))
+        lines[i] = f"# {header}={value}"
+        bad.write_text("".join(line + "\n" for line in lines))
+        if name == "with-sidecar":
+            shutil.copyfile(csvio.sidecar_path(pipeline / "ref.csv"), csvio.sidecar_path(bad))
+        capsys.readouterr()
+        assert run("finedate", "--ref", bad, "--ages", 2000, "--sd", 20,
+                   "--out", tmp_path / "report") == 4
+        errors.append(capsys.readouterr().err.replace(str(bad), "<path>"))
+    assert errors[0] == errors[1]
+
+
+def test_non_utf8_table_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "garbage.csv"
+    bad.write_bytes(bytes(range(256)) * 4)
+    assert run("finedate", "--ref", bad, "--ages", 2000, "--sd", 20,
+               "--out", tmp_path / "report") == 4
+    err = capsys.readouterr().err
+    assert f"error: data: corrupt file: {bad} is not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["garbage.csv"]
+
+
+def test_failed_sidecar_write_leaves_no_table(curve_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np, "savez", mock.Mock(side_effect=OSError("No space left on device")))
+    assert run("--seed", 11, "ref-gen", "--curve", curve_file, "--label", "5_20_5",
+               "--out", tmp_path / "ref.csv") == 3
+    assert "error: io: No space left on device" in capsys.readouterr().err
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("ref.csv")]
 
 
 @pytest.mark.parametrize("sd", ["1e200", "1e19", "1.7e308"])

@@ -257,6 +257,15 @@ def test_column_writer_rejects_unequal_columns(tmp_path):
     assert not (tmp_path / "a.csv").exists()
 
 
+def has_sidecar(header, columns) -> bool:
+    """Whether the writer gives an artifact a sidecar: it has a checksum
+    header and only int64 and NaN-free float64 columns."""
+    return "checksum" in header and all(
+        isinstance(c, np.ndarray)
+        and (c.dtype == np.int64 or (c.dtype == np.float64 and not np.isnan(c).any()))
+        for c in columns.values())
+
+
 @st.composite
 def artifact_sets(draw):
     """1-3 column sets of different lengths whose columns of a kind share
@@ -279,11 +288,17 @@ def test_lockstep_writer_equals_separate_writes(tmp_path_factory, tables):
     with mock.patch.object(csvio, "fmt", lambda v, fmt=csvio.fmt: calls.append(v) or fmt(v)):
         csvio.write_artifacts(together)
     assert len(calls) == expected_fmt_calls(tables)
+    names = []
     for path, header, columns, _ in together:
-        csvio.write_artifact(base / "alone" / path.name, header, columns)
-        assert path.read_bytes() == (base / "alone" / path.name).read_bytes()
-    assert sorted(p.name for p in (base / "together").iterdir()) == [
-        path.name for path, *_ in together]
+        alone = base / "alone" / path.name
+        csvio.write_artifact(alone, header, columns)
+        assert path.read_bytes() == alone.read_bytes()
+        names.append(path.name)
+        if has_sidecar(header, columns):
+            names.append(path.name + ".npz")
+            assert (csvio.sidecar_path(path).read_bytes()
+                    == csvio.sidecar_path(alone).read_bytes())
+    assert sorted(p.name for p in (base / "together").iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
@@ -298,6 +313,20 @@ def test_failed_lockstep_write_leaves_no_file(tmp_path, existing):
     with pytest.raises(TypeError):
         csvio.write_artifacts(artifacts)
     assert sorted(p.name for p in tmp_path.iterdir()) == (["a.csv", "b.csv"] if existing else [])
+    assert all(p.read_text() == "old\n" for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_sidecar_write_leaves_no_file(tmp_path, existing):
+    path = tmp_path / "a.csv"
+    if existing:
+        path.write_text("old\n")
+        csvio.sidecar_path(path).write_text("old\n")
+    with mock.patch.object(np, "savez", side_effect=OSError("disk full")), \
+            pytest.raises(OSError, match="disk full"):
+        csvio.write_artifact(path, {"checksum": None}, {"x": np.arange(3)})
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["a.csv", "a.csv.npz"]
+                                                          if existing else [])
     assert all(p.read_text() == "old\n" for p in tmp_path.iterdir())
 
 
@@ -382,6 +411,19 @@ def test_block_reader_equals_line_reader_on_written_files(tmp_path_factory, draw
     assert outcome(lambda: fast) == outcome(csvio._read_lines, *args)
     assert all(type(cell) is str for col in fast.body.values() if col.dtype == object
                for cell in col.tolist())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=schema_files(min_rows=1))
+def test_sidecar_read_equals_line_reader(tmp_path_factory, drawn):
+    kind, header, columns = drawn
+    header = {**header, "checksum": None}
+    args = write_schema_file(tmp_path_factory.mktemp("s") / "a.csv", kind, header, columns)
+    assert csvio.sidecar_path(args[0]).exists() == has_sidecar(header, columns)
+    with mock.patch.object(csvio, "_load_block", wraps=csvio._load_block) as parse:
+        fast = csvio.read_commented_csv(*args)
+    assert parse.called != has_sidecar(header, columns)
+    assert outcome(lambda: fast) == outcome(csvio._read_lines, *args)
 
 
 def _column_of(schema, parser, rng) -> int:

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finedating as fd
 from finedating import csvio
@@ -191,3 +195,135 @@ def test_unknown_standard_label_rejected():
 def test_spec_rejects_negative_or_non_finite_sd(sd):
     with pytest.raises(ValueError, match="sd must be finite and >= 0"):
         fd.RefTableSpec(label="x", year_interval=5, per_slice=1, sd=sd, span=(-50, 0), seed=1)
+
+
+# --- the binary sidecar -------------------------------------------------------
+
+
+def same_table(a: fd.RefTable, b: fd.RefTable) -> bool:
+    """Equal header fields, and columns of equal dtypes and equal bits."""
+    return (a.label, a.curve_name, a.specs) == (b.label, b.curve_name, b.specs) and all(
+        x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64))
+        for x, y in zip(a.columns(), b.columns())
+    )
+
+
+def csv_only_read(path, tmp_path) -> fd.RefTable:
+    """The table read from a copy of ``path`` that has no sidecar."""
+    copy = tmp_path / "csv-only" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    copy.write_bytes(path.read_bytes())
+    return fd.read_table(copy)
+
+
+@st.composite
+def spec_lists(draw):
+    """1-3 specs of one step and span, so that more than one is a combo."""
+    step = draw(st.sampled_from([1, 5, 10]))
+    oldest = 5.0 * draw(st.integers(-80, -30))
+    span = (oldest, oldest + step * draw(st.integers(1, 6)))
+    return [
+        fd.RefTableSpec(label=f"s{i}", year_interval=step, per_slice=draw(st.integers(1, 4)),
+                        sd=draw(st.sampled_from([0.0, 2.5, 5.0, 20.0])), span=span,
+                        seed=draw(st.integers(0, 2**32 - 1)))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(specs=spec_lists())
+def test_sidecar_read_equals_csv_read(tmp_path_factory, study_curve, specs):
+    tmp_path = tmp_path_factory.mktemp("sc")
+    table = (fd.build_combo_table(study_curve, specs) if len(specs) > 1
+             else fd.build_reference_table(study_curve, specs[0]))
+    path = tmp_path / "t.csv"
+    fd.write_table(table, path)
+    assert csvio.sidecar_path(path).exists()
+    with mock.patch.object(csvio, "_load_block", side_effect=AssertionError("parsed")):
+        fast = fd.read_table(path)
+    assert same_table(fast, csv_only_read(path, tmp_path))
+    assert same_table(fast, table)
+
+
+@pytest.fixture
+def two_tables(tmp_path, study_curve):
+    """A combo table and another table, both written with their sidecars."""
+    a = fd.RefTableSpec(label="a", year_interval=10, per_slice=3, sd=5, span=(-100, -50), seed=5)
+    b = fd.RefTableSpec(label="b", year_interval=10, per_slice=2, sd=20, span=(-100, -50), seed=6)
+    path, other = tmp_path / "t.csv", tmp_path / "other.csv"
+    fd.write_table(fd.build_combo_table(study_curve, [a, b]), path)
+    fd.write_table(fd.build_reference_table(study_curve, b), other)
+    return path, other
+
+
+def flip_last_digit(line: str) -> str:
+    """The line with its last digit changed, so of the same byte length."""
+    return line[:-1] + ("2" if line[-1] == "1" else "1")
+
+
+def restamped(text: str, edit) -> str:
+    """The table text with ``edit`` applied to its last data line and its
+    checksum header recomputed."""
+    lines = text.splitlines()
+    lines[-1] = edit(lines[-1])
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    crc = csvio.rows_checksum(lines[first:])
+    return "".join((f"# checksum={crc}" if line.startswith("# checksum=") else line) + "\n"
+                   for line in lines)
+
+
+def spoil(sidecar, kind: str, path, other) -> None:
+    good = dict(np.load(sidecar))
+    if kind == "missing":
+        sidecar.unlink()
+    elif kind == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+    elif kind == "garbage":
+        sidecar.write_bytes(bytes(range(256)) * 16)
+    elif kind == "pickled":
+        np.savez(sidecar, **{**good, "cal_sigma": good["cal_sigma"].astype(object)})
+    elif kind == "wrong dtype":
+        np.savez(sidecar, **{**good, "age_bp": good["age_bp"].astype(np.float64)})
+    elif kind == "short column":
+        np.savez(sidecar, **{**good, "cal_mean": good["cal_mean"][:-1]})
+    elif kind == "foreign":
+        csvio.sidecar_path(other).replace(sidecar)
+    elif kind == "stale":  # the CSV changed under its sidecar, checksum and all
+        path.write_text(restamped(path.read_text(), flip_last_digit))
+    else:  # columns that differ from the CSV's, and one key of the sidecar wrong
+        key, value = {"crc off by one": ("#crc", good["#crc"] ^ 1),
+                      "byte count off by one": ("#bytes", good["#bytes"] + 1),
+                      "extra member": ("extra", 0)}[kind]
+        np.savez(sidecar, **{**good, "cal_sigma": good["cal_sigma"] + 1, key: value})
+
+
+@pytest.mark.parametrize("kind", ["missing", "truncated", "garbage", "pickled", "wrong dtype",
+                                  "short column", "foreign", "stale", "crc off by one",
+                                  "byte count off by one", "extra member"])
+def test_bad_sidecar_reads_as_the_csv_alone(two_tables, tmp_path, kind):
+    path, other = two_tables
+    size = path.stat().st_size
+    spoil(csvio.sidecar_path(path), kind, path, other)
+    assert same_table(fd.read_table(path), csv_only_read(path, tmp_path))
+    if kind == "stale":  # only the crc tells the edit from the written table
+        assert path.stat().st_size == size
+
+
+def test_damaged_body_fails_beside_a_valid_sidecar(two_tables):
+    path, _ = two_tables
+    lines = path.read_text().splitlines()
+    lines[-1] = flip_last_digit(lines[-1])
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError) as exc:
+        fd.read_table(path)
+    assert str(exc.value) == f"corrupt table: checksum mismatch in {path}"
+
+
+def test_valid_sidecar_is_read_without_a_parse(two_tables, monkeypatch):
+    path, _ = two_tables
+    expected = fd.read_table(path)
+    monkeypatch.setattr(csvio, "_load_block", mock.Mock(side_effect=AssertionError("parsed")))
+    assert same_table(fd.read_table(path), expected)
+    csvio.sidecar_path(path).unlink()
+    with pytest.raises(AssertionError, match="parsed"):
+        fd.read_table(path)
