@@ -5,8 +5,9 @@ reference table), ``simulate`` (generate or convert test datasets),
 ``finedate`` (match measured ages and report indicators), ``evaluate``
 (score a test series), ``lookup`` (build/query the quality table),
 ``hist`` and ``scatter`` (plot-ready data).  Every artifact-producing
-run writes a ``*_manifest.txt`` with the effective configuration, and
-every CSV starts with a provenance comment block.  Outputs contain no
+run writes a ``*_manifest.txt`` with the effective configuration, in
+the same replacing step as its CSVs (all land or none do), and every
+CSV starts with a provenance comment block.  Outputs contain no
 timestamps: the same configuration and seed reproduce identical bytes.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 data.
@@ -137,14 +138,15 @@ def _require(value, flag: str):
     return value
 
 
-def _write_manifest(out_base: Path, subcommand: str, entries: dict) -> dict:
-    """Write '<base>_manifest.txt' (or 'run_manifest.txt' inside an
-    output directory) and return the provenance header of the run's CSVs:
-    tool, subcommand, the manifest's bare name and the seed, if any."""
+def _manifest(out_base: Path, subcommand: str, entries: dict) -> tuple[dict, tuple]:
+    """The provenance header of the run's CSVs (tool, subcommand, the
+    manifest's bare name and the seed, if any) and the manifest itself,
+    ``(path, lines)`` of '<base>_manifest.txt' (or 'run_manifest.txt'
+    inside an output directory), to be written in the same step as the
+    CSVs (:func:`csvio.write_artifacts`)."""
     if out_base.suffix:
         path = out_base.with_name(out_base.stem + "_manifest.txt")
     else:
-        out_base.mkdir(parents=True, exist_ok=True)
         path = out_base / "run_manifest.txt"
     lines = [
         f"tool = finedating {__version__}",
@@ -152,11 +154,10 @@ def _write_manifest(out_base: Path, subcommand: str, entries: dict) -> dict:
     ]
     for key, val in entries.items():
         lines.append(f"{key} = {csvio.fmt(val)}")
-    csvio.write_lines(path, lines)
     prov = {"tool": f"finedating {__version__}", "subcommand": subcommand, "manifest": path.name}
     if "seed" in entries:
         prov["seed"] = entries["seed"]
-    return prov
+    return prov, (path, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,7 +367,7 @@ def _cmd_ref_gen(args, config, seed: int) -> int:
                 seed=seed,
             )
         table = build_reference_table(curve, spec)
-    prov = _write_manifest(
+    prov, manifest = _manifest(
         out,
         "ref-gen",
         {
@@ -377,7 +378,7 @@ def _cmd_ref_gen(args, config, seed: int) -> int:
             "out": out.name,
         },
     )
-    write_table(table, out, extra_header=prov)
+    write_table(table, out, extra_header=prov, texts=[manifest])
     print(f"wrote {out} ({len(table)} records)")
     return 0
 
@@ -394,7 +395,7 @@ def _cmd_simulate(args, config, seed: int) -> int:
         series = generate_test_datasets(
             curve, dates, per_date, sd=sd, seed=seed, group_size=group
         )
-        prov = _write_manifest(
+        prov, manifest = _manifest(
             out,
             "simulate-tests",
             {
@@ -408,7 +409,7 @@ def _cmd_simulate(args, config, seed: int) -> int:
                 "out": out.name,
             },
         )
-        write_tests(series, out, extra_header={**prov, "curve": curve.name})
+        write_tests(series, out, extra_header={**prov, "curve": curve.name}, texts=[manifest])
         print(f"wrote {out} ({len(series)} datasets)")
         return 0
     if action == "convert":
@@ -416,7 +417,7 @@ def _cmd_simulate(args, config, seed: int) -> int:
         group = int(_effective(args, config, "group", 3))
         out = Path(_require(_effective(args, config, "out"), "out"))
         series, leftovers = convert_rsim_to_tests(infile, group_size=group)
-        prov = _write_manifest(
+        prov, manifest = _manifest(
             out,
             "simulate-convert",
             {
@@ -427,7 +428,7 @@ def _cmd_simulate(args, config, seed: int) -> int:
                 "out": out.name,
             },
         )
-        write_tests(series, out, extra_header=prov)
+        write_tests(series, out, extra_header=prov, texts=[manifest])
         for date, sd, count in leftovers:
             print(
                 f"warning: {count} leftover row(s) at date {date:g} sd {sd:g} did not fill a "
@@ -479,7 +480,7 @@ def _cmd_finedate(args, config) -> int:
     out = Path(_require(_effective(args, config, "out"), "out"))
     matches = match_measurements(table, measurements)
     indicators = compute_indicators(matches)
-    prov = _write_manifest(
+    prov, manifest = _manifest(
         out,
         "finedate",
         {
@@ -489,7 +490,8 @@ def _cmd_finedate(args, config) -> int:
             "out": out.name,
         },
     )
-    overview, summary = write_report(matches, indicators, out, extra_header=prov)
+    overview, summary = write_report(matches, indicators, out, extra_header=prov,
+                                     texts=[manifest])
     for age in matches.unmatched:
         print(f"warning: measured age {age} BP has no match in the table", file=sys.stderr)
     print(f"wrote {overview} and {summary} ({matches.n_prime} matched records)")
@@ -511,7 +513,7 @@ def _cmd_evaluate(args, config) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     rows = evaluate_test_series(table, series)
-    prov = _write_manifest(
+    prov, manifest = _manifest(
         out_dir,
         "evaluate",
         {
@@ -521,7 +523,7 @@ def _cmd_evaluate(args, config) -> int:
             "out": out_dir.name,
         },
     )
-    write_evaluation(table, series, rows, out_dir, prov)
+    write_evaluation(table, series, rows, out_dir, prov, texts=[manifest])
     print(f"wrote evaluation artifacts to {out_dir} ({len(rows)} rows)")
     return 0
 
@@ -533,12 +535,12 @@ def _cmd_lookup(args, config) -> int:
         width = _parse_number(_effective(args, config, "bucket-width", 5.0), "bucket-width")
         out = Path(_require(_effective(args, config, "out"), "out"))
         table = build_lookup(rows, bucket_width=width)
-        prov = _write_manifest(
+        prov, manifest = _manifest(
             out,
             "lookup-build",
             {"bucket_width": width, "buckets": len(table), "out": out.name},
         )
-        write_lookup(table, out, extra_header=prov)
+        write_lookup(table, out, extra_header=prov, texts=[manifest])
         print(f"wrote {out} ({len(table)} buckets)")
         return 0
     if action == "query":
@@ -602,13 +604,14 @@ def _cmd_hist(args, config) -> int:
             raise ValueError(f"--bins must be from 1 to {MAX_BUCKETS}, got {bins}")
     values = _select_values(infile, csvio.read_commented_csv(infile), column)
     edges, counts = histogram(values, bins=bins)
-    prov = _write_manifest(
+    prov, manifest = _manifest(
         out, "hist", {"in": Path(str(infile)).name, "col": column, "bins": len(counts)}
     )
     csvio.write_artifact(
         out,
         {**prov, "n": len(values)},
         {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts},
+        texts=[manifest],
     )
     print(f"wrote {out} ({len(counts)} bins, n={len(values)})")
     return 0
@@ -626,10 +629,10 @@ def _cmd_scatter(args, config) -> int:
     ys = _select_values(infile, art, ycol, paired=xcol)
     if len(xs) != len(ys):
         raise ValueError(f"x and y selections differ in length: {len(xs)} vs {len(ys)}")
-    prov = _write_manifest(
+    prov, manifest = _manifest(
         out, "scatter", {"in": Path(str(infile)).name, "x": xcol, "y": ycol, "points": len(xs)}
     )
-    csvio.write_artifact(out, prov, {xcol: xs, ycol: ys})
+    csvio.write_artifact(out, prov, {xcol: xs, ycol: ys}, texts=[manifest])
     print(f"wrote {out} ({len(xs)} points)")
     return 0
 

@@ -26,7 +26,9 @@ distinct cell.  Memory is bounded by one step's strings, except that a
 checksummed artifact holds its data lines until its header is written.
 Each file is written as ``<name>.tmp-<pid>`` beside its target and
 moved into place with ``os.replace`` once every file of the call is
-written, so a failed write leaves no partial artifact.
+written, so a failed write leaves no partial artifact.  A command writes
+its manifest in the same call (``texts``), so a failed write leaves no
+manifest of artifacts that were never written.
 
 A ``checksum`` header carries the crc32 of the data lines exactly as
 written; the reader recomputes it over the lines as read, so any edit to
@@ -39,7 +41,11 @@ A read with a schema (every artifact that has a reader) parses the
 header lines one by one, streams the data block once in 1 MiB reads for
 its crc32 and for anything a block parse would read otherwise (blank or
 ``#`` lines, whitespace, ``\\r``, non-ASCII bytes, no final newline), and
-parses the block with one ``np.loadtxt`` into the schema's dtypes.  Only
+parses the block with one ``np.loadtxt`` into the schema's dtypes.  Each
+read is checked by one byte-class ``translate`` and one numpy gather of
+the first byte of every line that starts in it (a blank or ``#`` line
+starts with ``\\n`` or ``#``); a line that starts on the read's first
+byte is checked against the byte that ended the read before.  Only
 a file that check or that parse refuses goes through the line reader,
 which accepts what it always did and names what is wrong; no artifact
 the package writes for one of its readers takes that path.  Reads
@@ -108,19 +114,17 @@ def parse_float(cell: str) -> float:
 
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write each line followed by ``\\n``, through a temporary file beside
-    ``path`` (:func:`_replacing`)."""
-    with _replacing([path]) as (fh,):
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    ``path``: :func:`write_artifacts` of no artifact and this one text."""
+    write_artifacts([], [(path, lines)])
 
 
-def write_artifact(path, header: dict, columns: dict, extra: dict | None = None) -> None:
+def write_artifact(path, header: dict, columns: dict, extra: dict | None = None,
+                   texts: list[tuple] = ()) -> None:
     """Write one artifact: :func:`write_artifacts` of it alone."""
-    write_artifacts([(path, header, columns, extra)])
+    write_artifacts([(path, header, columns, extra)], texts)
 
 
-def write_artifacts(artifacts: list[tuple]) -> None:
+def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
     """Write artifacts ``(path, header, columns, extra)`` in lockstep,
     each as header, extra lines, column line and data rows.
 
@@ -134,15 +138,24 @@ def write_artifacts(artifacts: list[tuple]) -> None:
     strings until its header is known.  Each file is written beside its
     target and moved into place once all are written; if any write
     fails, none is.  A checksummed artifact that :func:`_sidecar_columns`
-    accepts also gets its sidecar, written the same way.
+    accepts also gets its sidecar, written the same way.  ``texts`` holds
+    plain files ``(path, lines)``, such as a run's manifest, each line
+    followed by ``\\n``, written in the same step and moved into place
+    after the artifacts: they land with the artifacts or not at all.
     """
     tables = [_table(columns.values()) for _, _, columns, _ in artifacts]
     held = [[] if "checksum" in header else None for _, header, _, _ in artifacts]
     sidecars = [None if hold is None else _sidecar_columns(columns)
                 for hold, (_, _, columns, _) in zip(held, artifacts)]
     binary = [sidecar_path(path) for (path, *_), cols in zip(artifacts, sidecars) if cols]
-    with _replacing([path for path, *_ in artifacts], binary) as files:
-        files, sidecar_files = files[: len(artifacts)], iter(files[len(artifacts) :])
+    paths = [path for path, *_ in artifacts] + [path for path, _ in texts]
+    n, m = len(artifacts), len(paths)
+    with _replacing(paths, binary) as files:
+        files, text_files, sidecar_files = files[:n], files[n:m], iter(files[m:])
+        for fh, (_, lines) in zip(text_files, texts):
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
         for fh, hold, (_, header, columns, extra) in zip(files, held, artifacts):
             if hold is None:
                 fh.write(_head(header, columns, extra))
@@ -393,9 +406,9 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
     block is streamed once for a running crc32, which equals
     :func:`rows_checksum` when every line ends in ``\\n`` and none is
     blank, and for the bytes the block parse cannot read as the line
-    reader does: blank lines, ``#`` lines, whitespace, ``\\r``, non-ASCII
-    bytes, or no final newline.  Then one ``loadtxt`` parses the block
-    into the schema's dtypes.
+    reader does: blank lines, ``#`` lines (found by the first byte of each
+    line), whitespace, ``\\r``, non-ASCII bytes, or no final newline.  Then
+    one ``loadtxt`` parses the block into the schema's dtypes.
     """
     meta: dict = {key: [] for key in extra}
     with open(path, "rb") as fh:
@@ -419,10 +432,12 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
             return None
         start, crc, tail = fh.tell(), 0, b"\n"
         while chunk := fh.read(_BLOCK):
-            # no written cell holds "#", and a search for one byte costs a
-            # fraction of a search for two
-            if (chunk.translate(None, _BLOCK_BYTES) or b"\n\n" in chunk
-                    or (b"#" in chunk and b"\n#" in chunk)
+            # the first byte of every line that starts inside the chunk, in
+            # one gather: a blank or "#" line starts with "\n" or "#"
+            a = np.frombuffer(chunk, np.uint8)
+            starts = a[1:][a[:-1] == 10]
+            if (chunk.translate(None, _BLOCK_BYTES)
+                    or (starts == 10).any() or (starts == 35).any()
                     or (tail == b"\n" and chunk[:1] in (b"\n", b"#"))):
                 return None
             crc = zlib.crc32(chunk, crc)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import csvio
 from .finedate import FAMILIES, INDICATOR_NAMES, batch_indicators, pool_blocks
-from .reftable import RefTable
+from .reftable import RefTable, match_ages
 from .simulate import TestSeries
 
 
@@ -523,7 +523,7 @@ def interval_normality(table: RefTable, series: TestSeries) -> list[IntervalNorm
     dates = np.repeat(series.original_date, np.diff(series.offsets))
     order = np.argsort(dates, kind="stable")  # dataset order, then measurement order
     ages = series.age[order]
-    positions, count = table.age_index().match(ages)
+    positions, count = match_ages(table.age, ages)
     matched = table.base_date[positions]
     by_date, n_ages = np.unique(dates, return_counts=True)
     age_bounds = np.concatenate(([0], np.cumsum(n_ages)))
@@ -563,11 +563,13 @@ def write_evaluation(
     rows: EvalColumns,
     out_dir,
     header: dict,
+    texts: list[tuple] = (),
 ) -> None:
     """Write the artifacts of an evaluated test series into ``out_dir``:
     ``eval_long.csv``, ``performance_25.csv``, ``performance_35.csv``,
     ``avg_deviation.csv``, ``normality_by_interval.csv`` and
-    ``mpd_report.csv``, each under the given header."""
+    ``mpd_report.csv``, each under the given header, and ``texts`` with
+    them, in one :func:`csvio.write_artifacts` call."""
     out_dir = Path(out_dir)
     artifacts = [_eval_artifact(rows, out_dir / "eval_long.csv", header)]
 
@@ -609,4 +611,4 @@ def write_evaluation(
     if report["mpd"].size:
         mpd_header["overall_mean"], mpd_header["overall_median"] = overall_aggregate(report["mpd"])
     artifacts.append((out_dir / "mpd_report.csv", mpd_header, report, None))
-    csvio.write_artifacts(artifacts)
+    csvio.write_artifacts(artifacts, texts)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import csvio
 from .calcurve import Measurement
-from .reftable import RefTable
+from .reftable import RefTable, match_ages
 
 # Canonical indicator names, in report order.  The leading token is the
 # value family (CalDate = simulated calendar dates, Mean = calibrated
@@ -117,8 +117,8 @@ def match_measurements(table: RefTable, measurements: list[Measurement]) -> Matc
     """
     if not measurements:
         raise ValueError("no measurements")
-    positions, counts = table.age_index().match(
-        np.array([m.age for m in measurements], dtype=np.int64)
+    positions, counts = match_ages(
+        table.age, np.array([m.age for m in measurements], dtype=np.int64)
     )
     if not counts.any():
         lo, hi = table.span
@@ -184,7 +184,7 @@ def batch_indicators(
     order, then table order), so each row equals
     :func:`compute_indicators` of that set bit for bit.
     """
-    positions, count = table.age_index().match(ages)
+    positions, count = match_ages(table.age, ages)
     owner = np.repeat(np.arange(n_measured.size), n_measured)
     n_prime = np.bincount(owner, weights=count, minlength=n_measured.size).astype(np.int64)
     flat = np.concatenate([table.base_date[positions], table.cal_mean[positions],
@@ -254,12 +254,15 @@ def write_report(
     indicators: IndicatorSet,
     prefix,
     extra_header: dict | None = None,
+    texts: list[tuple] = (),
 ) -> tuple[str, str]:
     """Write the matched-row overview and the indicator summary.
 
     Produces ``<prefix>_overview.csv`` (one row per matched record) and
     ``<prefix>_summary.csv`` (the twelve indicators, then diagnostic
-    rows including any unmatched measured ages).  Returns both paths.
+    rows including any unmatched measured ages), with ``texts``, in one
+    :func:`csvio.write_artifacts` call: all land or none do.  Returns
+    both paths.
     """
     prefix = str(prefix)
     header = dict(extra_header or {})
@@ -272,11 +275,8 @@ def write_report(
         index, ages[index], table.id[positions], table.base_date[positions],
         table.cal_mean[positions], table.cal_median[positions], table.cal_sigma[positions],
     )
-    csvio.write_artifact(
-        overview_path,
-        {"format": "finedating-overview", **header},
-        dict(zip(OVERVIEW_COLUMNS, columns)),
-    )
+    overview = (overview_path, {"format": "finedating-overview", **header},
+                dict(zip(OVERVIEW_COLUMNS, columns)), None)
 
     summary_path = prefix + "_summary.csv"
     rows = indicators.as_rows()
@@ -285,10 +285,9 @@ def write_report(
         ("unique_measured_ages", matches.unique_measured_ages(), len(matches.measurements))
     )
     rows.extend(("unmatched_age", age, 0) for age in matches.unmatched)
-    csvio.write_artifact(
-        summary_path, {"format": "finedating-summary", **header},
-        dict(zip(SUMMARY_SCHEMA, zip(*rows))),
-    )
+    summary = (summary_path, {"format": "finedating-summary", **header},
+               dict(zip(SUMMARY_SCHEMA, zip(*rows))), None)
+    csvio.write_artifacts([overview, summary], texts)
     return overview_path, summary_path
 
 

@@ -157,9 +157,11 @@ LOOKUP_SCHEMA = {"BucketLeft": float} | {
 }
 
 
-def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> None:
+def write_lookup(table: LookupTable, path, extra_header: dict | None = None,
+                 texts: list[tuple] = ()) -> None:
     """One row per bucket, with the count and both fractions of every
-    indicator, under a header that counts the buckets."""
+    indicator, under a header that counts the buckets; ``texts`` are
+    written with it (:func:`csvio.write_artifacts`)."""
     header = {
         "format": "finedating-lookup",
         "buckets": len(table),
@@ -170,7 +172,8 @@ def write_lookup(table: LookupTable, path, extra_header: dict | None = None) -> 
         header.update(extra_header)
     cells = (matrix[:, j] for j in range(len(INDICATOR_NAMES))
              for matrix in (table.count, table.frac12, table.frac25))
-    csvio.write_artifact(path, header, dict(zip(LOOKUP_SCHEMA, (table.bucket_lefts, *cells))))
+    csvio.write_artifact(path, header, dict(zip(LOOKUP_SCHEMA, (table.bucket_lefts, *cells))),
+                         texts=texts)
 
 
 def read_lookup(path) -> LookupTable:

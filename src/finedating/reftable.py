@@ -5,14 +5,15 @@ sd, span, seed) by drawing ``per_slice`` simulated measurements at
 every grid date.  The standard variants are named ``step_per_sd``
 (``5_20_5`` = 5-year grid, 20 measurements per slice, sd 5); the Combo
 table concatenates the six 5-year variants.  Tables are immutable after
-build; they are held as numpy columns, and matching is served by a
-lazily built index of the age column (:class:`AgeIndex`).
+build; they are held as numpy columns.  Matching (:func:`match_ages`)
+selects the rows whose age was asked for and orders only those, so a
+request costs O(n + m log m) for m matched rows of an n-row table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,38 +96,40 @@ def standard_spec(label: str, seed: int) -> RefTableSpec:
     )
 
 
-class AgeIndex:
-    """The rows of a table by integer age.
+# Up to this many distinct ages, one comparison pass per age selects the
+# rows faster than np.isin, whose lookup table costs about 16 such passes on
+# the 26,000-row Combo table.
+_FEW_AGES = 16
 
-    ``order`` holds the row numbers stably sorted by age, so the rows of
-    one age keep table order, which is id order; the rows of ``ages[i]``
-    are ``order[bounds[i]:bounds[i + 1]]``.
+
+def match_ages(age: np.ndarray, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the age column ``age`` holding each of ``ages``, laid
+    end to end in the order of ``ages`` (row order within one age, which
+    is id order), and the number of rows per age (0 when absent).
+
+    Only the m rows whose age was asked for are ordered: one selecting
+    pass over the column (a comparison per age for a few ages, else
+    ``np.isin``), then a stable sort of those rows by age, so a call
+    costs O(n + m log m) on an n-row table, plus O(k log k) for k ages.
     """
-
-    def __init__(self, age: np.ndarray):
-        n = age.size
-        # (age, row) keys are distinct: a plain sort of them is the stable
-        # order by age, and costs a third of a stable sort
-        self.order = np.argsort(age * n + np.arange(n))
-        age = age[self.order]
-        first = np.flatnonzero(np.diff(age, prepend=age[:1] - 1))  # where each age starts
-        self.ages = age[first]
-        self.bounds = np.append(first, n)
-
-    def match(self, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows holding each of ``ages``, laid end to end in the order
-        of ``ages`` (table order within one age), and the number of rows
-        per age (0 when absent)."""
-        i = np.searchsorted(self.ages, ages)
-        hit = i < self.ages.size
-        hit[hit] = self.ages[i[hit]] == ages[hit]
-        i = i[hit]
-        start = np.zeros(len(ages), dtype=np.int64)
-        count = np.zeros(len(ages), dtype=np.int64)
-        start[hit] = self.bounds[i]
-        count[hit] = self.bounds[i + 1] - self.bounds[i]
-        shift = np.repeat(start - (np.cumsum(count) - count), count)
-        return self.order[shift + np.arange(shift.size)], count
+    wanted, which = np.unique(ages, return_inverse=True)
+    if wanted.size <= _FEW_AGES:
+        selected = np.zeros(age.size, dtype=bool)
+        for value in wanted:
+            selected |= age == value
+    else:
+        selected = np.isin(age, wanted)
+    rows = np.flatnonzero(selected)
+    # stable, so the rows of one age keep row order; an (age, row) key such
+    # as age * m + row would sort faster but overflows int64 for large ages
+    rows = rows[np.argsort(age[rows], kind="stable")]
+    matched = age[rows]
+    # each distinct age is searched once, then given to every request of it
+    first = np.searchsorted(matched, wanted, side="left")
+    end = np.searchsorted(matched, wanted, side="right")
+    start, count = first[which], (end - first)[which]
+    shift = np.repeat(start - (np.cumsum(count) - count), count)
+    return rows[shift + np.arange(shift.size)], count
 
 
 @dataclass(eq=False)
@@ -146,7 +149,6 @@ class RefTable:
     cal_mean: np.ndarray
     cal_median: np.ndarray
     cal_sigma: np.ndarray
-    _age_index: AgeIndex | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return self.id.size
@@ -162,12 +164,6 @@ class RefTable:
             min(s.span[0] for s in self.specs),
             max(s.span[1] for s in self.specs),
         )
-
-    def age_index(self) -> AgeIndex:
-        """The rows' index by age, built once."""
-        if self._age_index is None:
-            self._age_index = AgeIndex(self.age)
-        return self._age_index
 
 
 def build_reference_table(curve: CalCurve, spec: RefTableSpec) -> RefTable:
@@ -221,8 +217,10 @@ TABLE_SCHEMA = dict(
 )
 
 
-def write_table(table: RefTable, path, extra_header: dict | None = None) -> None:
-    """Persist a table as commented CSV with its specs and a checksum."""
+def write_table(table: RefTable, path, extra_header: dict | None = None,
+                texts: list[tuple] = ()) -> None:
+    """Persist a table as commented CSV with its specs and a checksum;
+    ``texts`` are written with it (:func:`csvio.write_artifacts`)."""
     header = {
         "format": "finedating-reftable",
         "label": table.label,
@@ -238,7 +236,8 @@ def write_table(table: RefTable, path, extra_header: dict | None = None) -> None
         for s in table.specs
     ]
     csvio.write_artifact(
-        path, header, dict(zip(TABLE_SCHEMA, table.columns())), extra={"spec": specs}
+        path, header, dict(zip(TABLE_SCHEMA, table.columns())), extra={"spec": specs},
+        texts=texts,
     )
 
 

@@ -290,13 +290,15 @@ TEST_SCHEMA = dict(
 )
 
 
-def write_tests(series: TestSeries, path, extra_header: dict | None = None) -> None:
+def write_tests(series: TestSeries, path, extra_header: dict | None = None,
+                texts: list[tuple] = ()) -> None:
     """Write test datasets as CSV, one row per measurement, with headers
-    that count the datasets and the rows."""
+    that count the datasets and the rows; ``texts`` are written with it
+    (:func:`csvio.write_artifacts`)."""
     header = {"format": "finedating-tests", "datasets": len(series), "rows": series.age.size}
     if extra_header:
         header.update(extra_header)
-    csvio.write_artifact(path, header, dict(zip(TEST_SCHEMA, series.columns())))
+    csvio.write_artifact(path, header, dict(zip(TEST_SCHEMA, series.columns())), texts=texts)
 
 
 def read_tests(path) -> TestSeries:

@@ -666,6 +666,38 @@ def test_failed_sidecar_write_leaves_no_table(curve_file, tmp_path, capsys, monk
                "--out", tmp_path / "ref.csv") == 3
     assert "error: io: No space left on device" in capsys.readouterr().err
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("ref.csv")]
+    assert not any(tmp_path.iterdir())  # nor its manifest
+
+
+def test_failed_summary_write_leaves_the_report_unchanged(pipeline, tmp_path, capsys,
+                                                          monkeypatch):
+    ref = pipeline / "ref.csv"
+    ages = sorted(set(fd.read_table(ref).age.tolist()))
+    out = tmp_path / "report"
+    assert run("finedate", "--ref", ref, "--ages", ages[0], "--sd", 20, "--out", out) == 0
+    before = files_under(tmp_path)
+    assert sorted(before) == ["report/run_manifest.txt", "report_overview.csv",
+                              "report_summary.csv"]
+    real_open = open
+
+    def failing_open(path, *args, **kwargs):
+        if Path(path).name.startswith("report_summary.csv.tmp-"):
+            raise OSError("No space left on device")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(csvio, "open", failing_open, raising=False)
+    capsys.readouterr()
+    assert run("finedate", "--ref", ref, "--ages", f"{ages[1]},{ages[2]}", "--sd", 20,
+               "--out", out) == 3
+    assert "error: io: No space left on device" in capsys.readouterr().err
+    assert files_under(tmp_path) == before
+
+
+def files_under(base) -> dict:
+    """Every file under ``base``, by its path relative to ``base``, and
+    its bytes."""
+    return {p.relative_to(base).as_posix(): p.read_bytes() for p in base.rglob("*")
+            if p.is_file()}
 
 
 @pytest.mark.parametrize("sd", ["1e200", "1e19", "1.7e308"])

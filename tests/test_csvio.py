@@ -432,12 +432,14 @@ def _column_of(schema, parser, rng) -> int:
 
 DAMAGES = ["ragged row", "blank line", "crlf", "space after comma", "comment line",
            "3.0 in int cell", "blank float cell", "int beyond int64", "non-utf-8 byte",
-           "no final newline"]
+           "no final newline", "tab in a cell", "DEL byte", "blank line after the last row",
+           "comment line as the first data row"]
 
 
 def damaged(data: bytes, name: str, schema: dict, rng) -> bytes:
     """The written file ``data`` with damage ``name`` done to one data row
-    (or, for crlf and the final newline, to the whole file)."""
+    (or, for crlf, the final newline and the last or first row, to the
+    whole file)."""
     lines = data.split(b"\n")[:-1]
     first = next(i for i, line in enumerate(lines) if not line.startswith(b"#")) + 1
     row = int(rng.integers(first, len(lines)))
@@ -461,6 +463,16 @@ def damaged(data: bytes, name: str, schema: dict, rng) -> bytes:
         cells[_column_of(schema, int, rng)] = b"9223372036854775808"
     elif name == "non-utf-8 byte":
         cells[-1] += b"\xff"
+    elif name == "tab in a cell":
+        j = int(rng.integers(0, len(cells)))
+        cells[j] = b"\t" + cells[j]
+    elif name == "DEL byte":
+        cells[-1] += b"\x7f"
+    elif name == "blank line after the last row":
+        lines.append(b"")
+    elif name == "comment line as the first data row":
+        lines.insert(first, b"#note=" + lines[first])
+        row += 1
     lines[row] = b",".join(cells)
     text = b"".join(line + b"\n" for line in lines)
     if name == "crlf":
@@ -468,7 +480,7 @@ def damaged(data: bytes, name: str, schema: dict, rng) -> bytes:
     return text[:-1] if name == "no final newline" else text
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=210, deadline=None, derandomize=True, database=None)
 @given(drawn=schema_files(min_rows=1), name=st.sampled_from(DAMAGES),
        seed=st.integers(0, 2**32 - 1), block=BLOCKS)
 def test_damaged_file_reads_as_the_line_reader_reads_it(tmp_path_factory, drawn, name, seed,

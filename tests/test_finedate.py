@@ -193,3 +193,29 @@ def test_single_match_report_shape(tmp_path):
     ][1:]
     assert len(overview_rows) == 1
     assert len(read_summary(summary)) == 12
+
+
+@pytest.mark.parametrize("k", [3, 40], ids=["few ages", "many ages"])
+def test_match_sorts_no_more_than_the_matched_rows(monkeypatch, k):
+    # matching costs O(n + m log m): whichever way the rows are selected,
+    # no sort runs over more than the m matched rows of the n-row table
+    rng = np.random.default_rng(17)
+    n = 50_000
+    age = rng.integers(0, 5000, n)
+    table = make_table([(i + 1, -50.0, a, 5.0, -52.0, -51.0, 8.0)
+                        for i, a in enumerate(age.tolist())])
+    ages = rng.choice(np.unique(age), k, replace=False)
+    matched = int(np.isin(age, ages).sum())
+    sizes = []
+    for name in ("sort", "argsort", "lexsort", "unique", "partition", "argpartition"):
+        real = getattr(np, name)
+
+        def counted(a, *args, _real=real, **kwargs):
+            sizes.append(np.size(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    matches = fd.match_measurements(table, [fd.Measurement(int(a), 20) for a in ages])
+    monkeypatch.undo()
+    assert matches.n_prime == matched
+    assert sizes and max(sizes) <= matched

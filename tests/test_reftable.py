@@ -11,6 +11,7 @@ from finedating.reftable import (
     COMBO_COMPONENTS,
     STANDARD_SPECS,
     edge_warnings,
+    match_ages,
 )
 
 
@@ -327,3 +328,46 @@ def test_valid_sidecar_is_read_without_a_parse(two_tables, monkeypatch):
     csvio.sidecar_path(path).unlink()
     with pytest.raises(AssertionError, match="parsed"):
         fd.read_table(path)
+
+
+# --- matching -------------------------------------------------------------------
+
+
+@st.composite
+def age_columns(draw):
+    """An age column of 1-4 parts laid end to end, each rising with noise
+    as the slices of one table do: a combo's ages are unsorted and repeat
+    across parts.  A one-row column is drawn often."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.one_of(st.just([1]), st.lists(st.integers(1, 80), min_size=1, max_size=4)))
+    return np.concatenate([np.sort(rng.integers(-30, 30, k)) + rng.integers(-3, 4, k)
+                           for k in sizes])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(age=age_columns(), asked=st.lists(st.integers(-40, 40), max_size=40))
+def test_match_lays_the_rows_of_each_age_end_to_end(age, asked):
+    # up to 40 ages, duplicates and absent ones included, so that both
+    # ways of selecting the rows run
+    ages = np.array(asked, dtype=np.int64)
+    expected = [np.flatnonzero(age == a) for a in asked]
+    positions, counts = match_ages(age, ages)
+    assert positions.tolist() == np.concatenate([np.empty(0, np.int64), *expected]).tolist()
+    assert counts.tolist() == [rows.size for rows in expected]
+    if counts.any():
+        n = age.size
+        spec = fd.RefTableSpec(label="m", year_interval=1, per_slice=n, sd=5, span=(0, 1), seed=0)
+        table = fd.RefTable("m", "none", (spec,), np.arange(1, n + 1), np.zeros(n), age,
+                            *np.zeros((4, n)))
+        matches = fd.match_measurements(table, [fd.Measurement(a, 20) for a in asked])
+        assert matches.positions.tolist() == positions.tolist()
+        assert matches.counts.tolist() == counts.tolist()
+
+
+def test_match_ages_near_the_int64_limits():
+    # 3 * 2**61 times 2 rows is beyond int64: a sort key of age * rows + row
+    # would wrap
+    age = np.array([3 * 2**61, 1, -(2**63), 2**63 - 1, 1], dtype=np.int64)
+    positions, counts = match_ages(age, np.array([1, 3 * 2**61, 2**63 - 1, -(2**63)]))
+    assert positions.tolist() == [1, 4, 0, 3, 2]
+    assert counts.tolist() == [2, 1, 1, 1]
