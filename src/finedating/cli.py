@@ -6,8 +6,9 @@ reference table), ``simulate`` (generate or convert test datasets),
 (score a test series), ``lookup`` (build/query the quality table),
 ``hist`` and ``scatter`` (plot-ready data).  Every artifact-producing
 run writes a ``*_manifest.txt`` with the effective configuration, in
-the same replacing step as its CSVs (all land or none do), and every
-CSV starts with a provenance comment block.  Outputs contain no
+the same replacing step as its CSVs (a failed open or write changes
+none of them; the finished files are then moved into place one by
+one), and every CSV starts with a provenance comment block.  Outputs contain no
 timestamps: the same configuration and seed reproduce identical bytes.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 data.

@@ -136,12 +136,14 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
     opened.  Chunk i of every artifact is formatted in one step
     (:func:`_format_steps`); only a checksummed artifact holds its chunk
     strings until its header is known.  Each file is written beside its
-    target and moved into place once all are written; if any write
-    fails, none is.  A checksummed artifact that :func:`_sidecar_columns`
+    target and moved into place once all are written; if any open or
+    write fails, none is.  A checksummed artifact that :func:`_sidecar_columns`
     accepts also gets its sidecar, written the same way.  ``texts`` holds
     plain files ``(path, lines)``, such as a run's manifest, each line
     followed by ``\\n``, written in the same step and moved into place
-    after the artifacts: they land with the artifacts or not at all.
+    after the artifacts.  The moves are one ``os.replace`` per file, so
+    a move that fails after the first leaves the earlier files new and
+    the rest old.
     """
     tables = [_table(columns.values()) for _, _, columns, _ in artifacts]
     held = [[] if "checksum" in header else None for _, header, _, _ in artifacts]
@@ -225,8 +227,9 @@ def _replacing(paths: list, binary: list = ()) -> Iterator[list]:
     """Files open for writing, text for each of ``paths`` and then binary
     for each of ``binary``, each a temporary ``<name>.tmp-<pid>`` beside
     its path.  When the block completes, each is moved onto its path with
-    ``os.replace``; when the block raises, every temporary is deleted and
-    no path is touched."""
+    ``os.replace``, one at a time; when the block or a move raises, every
+    temporary left is deleted, so a failure inside the block touches no
+    path, and a failed move leaves the paths before it replaced."""
     text = len(paths)
     paths = [Path(path) for path in (*paths, *binary)]
     temps = [path.with_name(f"{path.name}.tmp-{os.getpid()}") for path in paths]

@@ -261,8 +261,8 @@ def write_report(
     Produces ``<prefix>_overview.csv`` (one row per matched record) and
     ``<prefix>_summary.csv`` (the twelve indicators, then diagnostic
     rows including any unmatched measured ages), with ``texts``, in one
-    :func:`csvio.write_artifacts` call: all land or none do.  Returns
-    both paths.
+    :func:`csvio.write_artifacts` call, so a failed open or write
+    changes neither report file.  Returns both paths.
     """
     prefix = str(prefix)
     header = dict(extra_header or {})

@@ -96,30 +96,18 @@ def standard_spec(label: str, seed: int) -> RefTableSpec:
     )
 
 
-# Up to this many distinct ages, one comparison pass per age selects the
-# rows faster than np.isin, whose lookup table costs about 16 such passes on
-# the 26,000-row Combo table.
-_FEW_AGES = 16
-
-
 def match_ages(age: np.ndarray, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the age column ``age`` holding each of ``ages``, laid
     end to end in the order of ``ages`` (row order within one age, which
     is id order), and the number of rows per age (0 when absent).
 
-    Only the m rows whose age was asked for are ordered: one selecting
-    pass over the column (a comparison per age for a few ages, else
-    ``np.isin``), then a stable sort of those rows by age, so a call
-    costs O(n + m log m) on an n-row table, plus O(k log k) for k ages.
+    Only the m rows whose age was asked for are ordered: one
+    ``np.isin`` pass over the column selects them, then a stable sort of
+    those rows by age, so a call costs O(n + m log m) on an n-row table,
+    plus O(k log k) for k ages.
     """
     wanted, which = np.unique(ages, return_inverse=True)
-    if wanted.size <= _FEW_AGES:
-        selected = np.zeros(age.size, dtype=bool)
-        for value in wanted:
-            selected |= age == value
-    else:
-        selected = np.isin(age, wanted)
-    rows = np.flatnonzero(selected)
+    rows = np.flatnonzero(np.isin(age, wanted))
     # stable, so the rows of one age keep row order; an (age, row) key such
     # as age * m + row would sort faster but overflows int64 for large ages
     rows = rows[np.argsort(age[rows], kind="stable")]

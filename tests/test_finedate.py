@@ -197,8 +197,8 @@ def test_single_match_report_shape(tmp_path):
 
 @pytest.mark.parametrize("k", [3, 40], ids=["few ages", "many ages"])
 def test_match_sorts_no_more_than_the_matched_rows(monkeypatch, k):
-    # matching costs O(n + m log m): whichever way the rows are selected,
-    # no sort runs over more than the m matched rows of the n-row table
+    # matching costs O(n + m log m): for few ages and for many, no sort
+    # runs over more than the m matched rows of the n-row table
     rng = np.random.default_rng(17)
     n = 50_000
     age = rng.integers(0, 5000, n)
