@@ -139,13 +139,17 @@ def _require(value, flag: str):
     return value
 
 
-def _manifest(out_base: Path, subcommand: str, entries: dict) -> tuple[dict, tuple]:
+def _manifest(out_base: Path, subcommand: str, entries: dict,
+              prefix: bool = False) -> tuple[dict, tuple]:
     """The provenance header of the run's CSVs (tool, subcommand, the
     manifest's bare name and the seed, if any) and the manifest itself,
     ``(path, lines)`` of '<base>_manifest.txt' (or 'run_manifest.txt'
-    inside an output directory), to be written in the same step as the
-    CSVs (:func:`csvio.write_artifacts`)."""
-    if out_base.suffix:
+    inside an output directory; '<prefix>_manifest.txt' where ``out_base``
+    is a file ``prefix``), to be written in the same step as the CSVs
+    (:func:`csvio.write_artifacts`)."""
+    if prefix:
+        path = out_base.with_name(out_base.name + "_manifest.txt")
+    elif out_base.suffix:
         path = out_base.with_name(out_base.stem + "_manifest.txt")
     else:
         path = out_base / "run_manifest.txt"
@@ -490,6 +494,7 @@ def _cmd_finedate(args, config) -> int:
             "matches": matches.n_prime,
             "out": out.name,
         },
+        prefix=True,
     )
     overview, summary = write_report(matches, indicators, out, extra_header=prov,
                                      texts=[manifest])

@@ -52,16 +52,23 @@ the package writes for one of its readers takes that path.  Reads
 without a schema (``hist``, ``scatter``, ``--ages-file``, ``simulate
 convert``) use the line reader.
 
-A checksummed artifact whose columns are all int64 or NaN-free float64
-(the reference tables) also gets a binary sidecar, ``<name>.npz``
-(:func:`sidecar_path`), written by ``np.savez`` in the same replacing
-step as the file: its columns as a schema read of the file gives them,
-the crc32 of the data lines and their byte length.  The sidecar is a
-cache.  A schema'd read still parses the header and streams the data
-block with every check above, and only then takes the columns from the
-sidecar instead of parsing them, if the sidecar loads without pickle,
-its crc32 and byte length equal the streamed block's, and it holds
-exactly the schema's columns, 1-D, of the schema's dtypes and of one
+The bulk artifacts that a later command reads whole, reference tables,
+test series and evaluation rows (``SIDECAR_FORMATS``), also get a binary
+sidecar, ``<name>.npz`` (:func:`sidecar_path`), written by ``np.savez``
+in the same replacing step as the file: its columns as a schema read of
+the file gives them, the crc32 of the data lines and their byte length,
+summed as the lines are written.  Int64 columns are stored as they
+are, float64 columns with NaN as ``np.nan`` and -0.0 as 0.0, and a
+column of ``str`` cells of printable ASCII, without comma or space, as
+int32 codes, ``<name>``, into its distinct cells stored as bytes,
+``<name>#labels``.  A file with any other column, or with no rows, gets
+none.  The sidecar is a cache.  Every schema'd read still
+parses the header and streams the data block with every check above,
+and only then takes the columns from the sidecar instead of parsing
+them, if it loads without pickle, its crc32 and byte length equal the
+streamed block's, and it holds exactly the schema's columns (and
+labels), each of the schema's dtype or of codes inside its labels, with
+NaN only where the schema parses a blank cell as NaN, all of one
 length.  Any other sidecar, or none, costs only the parse: deleting it,
 or copying a file without it, changes no result and no message.
 """
@@ -82,6 +89,11 @@ import numpy as np
 # Rows formatted per step, and parsed per batch by the line reader; bounds the
 # transient lists of a large file.
 _CHUNK = 4096
+# The formats whose artifacts get a binary sidecar (:func:`sidecar_path`): the
+# bulk files that a later command reads whole.
+SIDECAR_FORMATS = ("finedating-reftable", "finedating-tests", "finedating-eval")
+# The bits of np.nan, which is what a blank parse_float cell parses to.
+_NAN_BITS = np.float64(np.nan).view(np.int64)
 
 
 def fmt(value) -> str:
@@ -134,56 +146,65 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
     written, at its place, as the crc32 of the data lines, whatever value
     it holds.  Every artifact's columns are checked before any file is
     opened.  Chunk i of every artifact is formatted in one step
-    (:func:`_format_steps`); only a checksummed artifact holds its chunk
-    strings until its header is known.  Each file is written beside its
-    target and moved into place once all are written; if any open or
-    write fails, none is.  A checksummed artifact that :func:`_sidecar_columns`
-    accepts also gets its sidecar, written the same way.  ``texts`` holds
-    plain files ``(path, lines)``, such as a run's manifest, each line
-    followed by ``\\n``, written in the same step and moved into place
-    after the artifacts.  The moves are one ``os.replace`` per file, so
-    a move that fails after the first leaves the earlier files new and
-    the rest old.
+    (:func:`_format_steps`) and encoded once as UTF-8; only a checksummed
+    artifact holds its encoded chunks until its header is known.  Each
+    file is written beside its target and moved into place once all are
+    written; if any open or write fails, none is.  An artifact of a
+    format in ``SIDECAR_FORMATS`` whose columns :func:`_sidecar_labels`
+    accepts also gets its sidecar, written the same way, with the crc32
+    and byte length of its data lines summed chunk by chunk as they are
+    written.  ``texts`` holds plain files ``(path, lines)``, such as a
+    run's manifest, each line followed by ``\\n``, written in the same
+    step and moved into place after the artifacts.  The moves are one
+    ``os.replace`` per file, so a move that fails after the first leaves
+    the earlier files new and the rest old.
     """
     tables = [_table(columns.values()) for _, _, columns, _ in artifacts]
     held = [[] if "checksum" in header else None for _, header, _, _ in artifacts]
-    sidecars = [None if hold is None else _sidecar_columns(columns)
-                for hold, (_, _, columns, _) in zip(held, artifacts)]
-    binary = [sidecar_path(path) for (path, *_), cols in zip(artifacts, sidecars) if cols]
-    paths = [path for path, *_ in artifacts] + [path for path, _ in texts]
-    n, m = len(artifacts), len(paths)
-    with _replacing(paths, binary) as files:
+    sidecars = [_sidecar_labels(columns) if header.get("format") in SIDECAR_FORMATS else None
+                for _, header, columns, _ in artifacts]
+    # [crc32, byte length] of the data lines, where a checksum or a sidecar needs them
+    sums = [None if hold is None and labels is None else [0, 0]
+            for hold, labels in zip(held, sidecars)]
+    paths = ([path for path, *_ in artifacts] + [path for path, _ in texts]
+             + [sidecar_path(path) for (path, *_), labels in zip(artifacts, sidecars)
+                if labels is not None])
+    n, m = len(artifacts), len(artifacts) + len(texts)
+    with _replacing(paths) as files:
         files, text_files, sidecar_files = files[:n], files[n:m], iter(files[m:])
         for fh, (_, lines) in zip(text_files, texts):
             for line in lines:
-                fh.write(line)
-                fh.write("\n")
+                fh.write(line.encode("utf-8"))
+                fh.write(b"\n")
         for fh, hold, (_, header, columns, extra) in zip(files, held, artifacts):
             if hold is None:
-                fh.write(_head(header, columns, extra))
+                fh.write(_head(header, columns, extra).encode("utf-8"))
         for chunks in _format_steps(tables):
-            for fh, hold, chunk in zip(files, held, chunks):
+            for fh, hold, total, chunk in zip(files, held, sums, chunks):
                 if chunk is None:
                     continue
+                # a chunk is its lines joined by "\n": each is followed by one
+                data = chunk.encode("utf-8")
+                if total is not None:
+                    total[0] = zlib.crc32(b"\n", zlib.crc32(data, total[0]))
+                    total[1] += len(data) + 1
                 if hold is None:
-                    fh.write(chunk)
-                    fh.write("\n")
+                    fh.write(data)
+                    fh.write(b"\n")
                 else:
-                    hold.append(chunk)
-        for fh, hold, cols, (_, header, columns, extra) in zip(files, held, sidecars, artifacts):
+                    hold.append(data)
+        for fh, hold, total, labels, (_, header, columns, extra) in zip(
+                files, held, sums, sidecars, artifacts):
             if hold is not None:
-                # a chunk is its lines joined by "\n", so this is their checksum
-                crc = rows_checksum(hold)
-                fh.write(_head({**header, "checksum": crc}, columns, extra))
-                for chunk in hold:
-                    fh.write(chunk)
-                    fh.write("\n")
-                if cols:
-                    # fmt writes int and float cells in ASCII: a chunk's length
-                    # is its byte count
-                    size = sum(map(len, hold)) + len(hold)
-                    np.savez(next(sidecar_files), allow_pickle=False,
-                             **{**cols, "#crc": crc, "#bytes": size})
+                fh.write(_head({**header, "checksum": total[0]}, columns, extra).encode("utf-8"))
+                for data in hold:
+                    fh.write(data)
+                    fh.write(b"\n")
+            if labels is not None:
+                # built after the formatting, so as not to add to its memory
+                np.savez(next(sidecar_files), allow_pickle=False,
+                         **_sidecar_members(columns, labels),
+                         **{"#crc": total[0], "#bytes": total[1]})
 
 
 def _head(header: dict, columns: dict, extra: dict | None) -> str:
@@ -200,45 +221,69 @@ def sidecar_path(path) -> Path:
     return path.with_name(path.name + ".npz")
 
 
-def _sidecar_columns(columns: dict) -> dict | None:
-    """The columns exactly as a schema read of their data lines gives
-    them, or None where that is not known: a column that is not 1-D
-    int64 or float64 (an object column would need pickle), or a float
-    column holding NaN, which is written blank and parses as NaN or
-    fails by the reader's schema.  ``fmt`` writes -0.0 as ``0``, so a
-    column holding -0.0 is stored with 0.0."""
+def _sidecar_labels(columns: dict) -> dict[str, dict] | None:
+    """Whether the columns get a sidecar (:func:`_sidecar_members`): for
+    each object column, the code of each of its distinct cells, in order
+    of first appearance; None where the columns get none.
+
+    A sidecar holds only 1-D columns with rows, of int64, float64 or
+    labels: object columns whose cells are all ``str`` of
+    ``_LABEL_BYTES`` (no comma, no whitespace, no byte the block read
+    refuses)."""
+    labels = {}
+    for name, column in columns.items():
+        if not isinstance(column, np.ndarray) or column.ndim != 1 or column.size == 0:
+            return None
+        if column.dtype == object:
+            cells = dict.fromkeys(column.tolist())
+            if not all(isinstance(cell, str) and cell.isascii()
+                       and not cell.encode().translate(None, _LABEL_BYTES) for cell in cells):
+                return None
+            labels[name] = dict(zip(cells, range(len(cells))))
+        elif column.dtype not in (np.int64, np.float64):
+            return None
+    return labels
+
+
+def _sidecar_members(columns: dict, labels: dict) -> dict[str, np.ndarray]:
+    """The sidecar members that hold the columns exactly as a schema read
+    of their data lines gives them.  An int64 column is stored as it is.
+    A float64 column is stored with each NaN as ``np.nan`` and each -0.0
+    as 0.0: ``fmt`` writes them blank and ``0``, which parse back so.  An
+    object column (``labels``) is stored as ``<name>``, the int32 code of
+    each cell, and ``<name>#labels``, its distinct cells as bytes."""
     stored = {}
     for name, column in columns.items():
-        if not isinstance(column, np.ndarray) or column.ndim != 1:
-            return None
+        if name in labels:
+            codes = labels[name]
+            stored[name] = np.fromiter(map(codes.__getitem__, column.tolist()), np.int32,
+                                       column.size)
+            stored[name + "#labels"] = np.array([label.encode() for label in codes], "S")
+            continue
         if column.dtype == np.float64:
-            if np.isnan(column).any():
-                return None
-            if np.signbit(column[column == 0]).any():
-                column = column + 0.0
-        elif column.dtype != np.int64:
-            return None
+            nan = np.isnan(column)
+            if ((column[nan].view(np.int64) != _NAN_BITS).any()
+                    or np.signbit(column[column == 0]).any()):
+                column = np.where(nan, np.nan, column + 0.0)
         stored[name] = column
     return stored
 
 
 @contextmanager
-def _replacing(paths: list, binary: list = ()) -> Iterator[list]:
-    """Files open for writing, text for each of ``paths`` and then binary
-    for each of ``binary``, each a temporary ``<name>.tmp-<pid>`` beside
-    its path.  When the block completes, each is moved onto its path with
-    ``os.replace``, one at a time; when the block or a move raises, every
-    temporary left is deleted, so a failure inside the block touches no
-    path, and a failed move leaves the paths before it replaced."""
-    text = len(paths)
-    paths = [Path(path) for path in (*paths, *binary)]
+def _replacing(paths: list) -> Iterator[list]:
+    """Binary files open for writing, one for each of ``paths``, each a
+    temporary ``<name>.tmp-<pid>`` beside its path.  When the block
+    completes, each is moved onto its path with ``os.replace``, one at a
+    time; when the block or a move raises, every temporary left is
+    deleted, so a failure inside the block touches no path, and a failed
+    move leaves the paths before it replaced."""
+    paths = [Path(path) for path in paths]
     temps = [path.with_name(f"{path.name}.tmp-{os.getpid()}") for path in paths]
     files: list = []
     try:
-        for i, (path, temp) in enumerate(zip(paths, temps)):
+        for path, temp in zip(paths, temps):
             path.parent.mkdir(parents=True, exist_ok=True)
-            files.append(open(temp, "w", encoding="utf-8", newline="\n") if i < text
-                         else open(temp, "wb"))
+            files.append(open(temp, "wb"))
         yield files
         for fh in files:
             fh.close()
@@ -398,6 +443,9 @@ _BLOCK = 1 << 20
 # newline.  A file with any other byte (\r, tab, space, non-ASCII) is left
 # to the line reader.
 _BLOCK_BYTES = bytes(range(0x21, 0x7F)) + b"\n"
+# The bytes of a str cell that a sidecar may hold: a data block's, but "," and
+# the newline.
+_LABEL_BYTES = _BLOCK_BYTES.replace(b",", b"").replace(b"\n", b"")
 _DTYPES = {int: np.int64, float: np.float64, parse_float: np.float64, str.strip: object}
 
 
@@ -451,7 +499,7 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
         if size == 0:
             body = {name: np.empty(0, _DTYPES[parse]) for name, parse in schema.items()}
         else:
-            body = _load_sidecar(path, schema, crc, size) if "checksum" in meta else None
+            body = _load_sidecar(path, schema, crc, size)
             if body is None:
                 body = _load_block(fh, start, schema)
     return None if body is None else Artifact(meta, columns, body)
@@ -460,20 +508,38 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
 def _load_sidecar(path, schema: dict, crc: int, size: int) -> dict[str, np.ndarray] | None:
     """The columns held by the sidecar of ``path`` (:func:`sidecar_path`)
     if it provably holds this data block, else None: it loads without
-    pickle, its ``#crc`` and ``#bytes`` equal the block's crc32 and byte
-    length, and it holds exactly the schema's columns, 1-D, of the
-    schema's dtypes and of one length.  Any failure to load is a miss."""
+    pickle; its members are the schema's columns, each ``str.strip``
+    column followed by its ``#labels``, then ``#crc`` and ``#bytes``,
+    which equal the block's crc32 and byte length; each column is 1-D,
+    of the schema's dtype, or, for a ``str.strip`` column, of integer
+    codes into its labels, which are 1-D bytes; a ``float`` column holds
+    no NaN, as a blank ``float`` cell fails the parse; and the columns
+    are of one length.  Any failure to load is a miss."""
+    members = [member for name, parse in schema.items()
+               for member in ((name, name + "#labels") if parse is str.strip else (name,))]
     try:
         # np.load of a path leaves its file open when the zip is unreadable
         with open(sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if (npz.files != [*schema, "#crc", "#bytes"] or npz["#crc"].tolist() != crc
+            if (npz.files != [*members, "#crc", "#bytes"] or npz["#crc"].tolist() != crc
                     or npz["#bytes"].tolist() != size):
                 return None
-            body = {name: npz[name] for name in schema}
+            stored = {member: npz[member] for member in members}
+        body = {}
+        for name, parse in schema.items():
+            column = stored[name]
+            if column.ndim != 1:
+                return None
+            if parse is str.strip:
+                labels = stored[name + "#labels"]
+                if (labels.dtype.kind != "S" or labels.ndim != 1 or column.dtype.kind not in "iu"
+                        or column.min() < 0 or column.max() >= labels.size):
+                    return None
+                column = np.array([label.decode("ascii") for label in labels.tolist()],
+                                  dtype=object)[column]
+            elif column.dtype != _DTYPES[parse] or (parse is float and np.isnan(column).any()):
+                return None
+            body[name] = column
     except Exception:  # the sidecar is a cache: whatever fails to load costs only the parse
-        return None
-    if any(body[name].dtype != _DTYPES[parse] or body[name].ndim != 1
-           for name, parse in schema.items()):
         return None
     return body if len({column.size for column in body.values()}) == 1 else None
 

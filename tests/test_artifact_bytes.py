@@ -39,19 +39,23 @@ GOLDEN = {
     "lookup_manifest.txt": "0174475854bb7df554de5761ebd848cea996a3722f019369d1230ef46598a801",
     "ref.csv": "58efd5df9b641195345e772ba7e53d43647d6e7d55bca72301455fb3bd30690e",
     "ref_manifest.txt": "563382ae407b3eeb2a1b662fa8e0e1fd0c9cf370f3ffa6a106414ada1df3a654",
-    "report/run_manifest.txt": "28e5896769cefedd44170cb30b38c22e4d9b6e825a71c4522d4ed503232eacf3",
-    "report_overview.csv": "0dacb781114ee1b9896f6b0cdf4aff2e7a23c0992a48c30011661a47cd29ab99",
-    "report_summary.csv": "b7f2f994b8bd23da4b689d8144a7a2070372064d40c1a6b673c58d9506d3f9a6",
+    "report_manifest.txt": "28e5896769cefedd44170cb30b38c22e4d9b6e825a71c4522d4ed503232eacf3",
+    "report_overview.csv": "8799cdde1016e9d4495d3a6d57832b2852f98983169e6c5bad4dfd12cd14a73a",
+    "report_summary.csv": "5959cd688c4661c3422cafb823e6fa44da80922d9628447651dbd381cb0ee3ad",
     "scatter.csv": "b8687defb9ad200f8142b82ebc87ed84c6fda25e89ab81a78772026fd6a14292",
     "scatter_manifest.txt": "782c74f0a22d47894aea9831c4a8fc43e154fb3c173184b8972609fb445ab28e",
     "tests.csv": "6945ed4a5c754af2c7b664ff06df0e49a8451f0f388edc64c93b057fda077021",
     "tests_manifest.txt": "c5513d550f1dee064af78b7b0ec679db02ef132fd7912ffa5329f33a517b2fcd",
 }
 
-# The binary sidecars of the two reference tables (``csvio.sidecar_path``).
+# The binary sidecars (``csvio.sidecar_path``) of the two reference tables,
+# the two test series and the evaluation rows.
 SIDECARS = {
     "combo.csv.npz": "933b7a82a679026cdb6dbc81ac241c2109b50888244d75d83d00ffd450098c8e",
+    "conv.csv.npz": "89f80821110b831282bbc166c99d86f0e7071e070e415cebc7232d4d0eae6bd3",
+    "eval/eval_long.csv.npz": "7b37e510836c0a8f586b3434847b247bff523d9a084e9f4a255e90bdae57aba7",
     "ref.csv.npz": "08a8b7e8409c8879a5522be584559e4e06ac4d5e6c833b0f5902fc21bd940d0f",
+    "tests.csv.npz": "48b48521839eb35bff33077c4e78070a30948da1e6276c0bcb736ad6ef40bb17",
 }
 
 

@@ -676,7 +676,7 @@ def test_failed_summary_write_leaves_the_report_unchanged(pipeline, tmp_path, ca
     out = tmp_path / "report"
     assert run("finedate", "--ref", ref, "--ages", ages[0], "--sd", 20, "--out", out) == 0
     before = files_under(tmp_path)
-    assert sorted(before) == ["report/run_manifest.txt", "report_overview.csv",
+    assert sorted(before) == ["report_manifest.txt", "report_overview.csv",
                               "report_summary.csv"]
     real_open = open
 
@@ -698,6 +698,50 @@ def files_under(base) -> dict:
     its bytes."""
     return {p.relative_to(base).as_posix(): p.read_bytes() for p in base.rglob("*")
             if p.is_file()}
+
+
+def test_finedate_writes_its_manifest_beside_the_report(pipeline, tmp_path):
+    ref = pipeline / "ref.csv"
+    age = fd.read_table(ref).age[0]
+    for out in ("report", "report.csv"):
+        assert run("finedate", "--ref", ref, "--ages", age, "--sd", 20,
+                   "--out", tmp_path / out) == 0
+    assert sorted(files_under(tmp_path)) == [
+        "report.csv_manifest.txt", "report.csv_overview.csv", "report.csv_summary.csv",
+        "report_manifest.txt", "report_overview.csv", "report_summary.csv"]
+    header = csvio.read_commented_csv(tmp_path / "report_summary.csv")[0]
+    assert header["manifest"] == "report_manifest.txt"
+
+
+def test_fresh_sidecars_skip_the_parse_and_change_no_output(curve_file, tmp_path):
+    # evaluate --tests on a fresh tests.csv and lookup build --eval on a fresh
+    # eval_long.csv parse no CSV body; the same commands on the same CSVs
+    # without their sidecars parse them and write the same bytes.
+    fresh, bare = tmp_path / "fresh", tmp_path / "bare"
+    ref, tests = fresh / "ref.csv", fresh / "tests.csv"
+    assert run("--seed", 11, "ref-gen", "--curve", curve_file, "--label", "5_20_5",
+               "--out", ref) == 0
+    assert run("--seed", 12, "simulate", "tests", "--curve", curve_file,
+               "--dates", "-160:-120:10", "--per-date", 4, "--group", 3, "--sd", 20,
+               "--out", tests) == 0
+    bare.mkdir()
+    for path in (ref, tests):
+        shutil.copyfile(path, bare / path.name)
+    outputs = {}
+    for base in (fresh, bare):
+        with mock.patch.object(csvio, "_load_block", wraps=csvio._load_block) as parse:
+            assert run("evaluate", "--ref", base / "ref.csv", "--tests", base / "tests.csv",
+                       "--out", base / "eval") == 0
+            written = files_under(base / "eval")
+            if base == bare:
+                csvio.sidecar_path(base / "eval" / "eval_long.csv").unlink()
+            assert run("lookup", "build", "--eval", base / "eval" / "eval_long.csv",
+                       "--out", base / "lookup.csv") == 0
+        assert parse.called == (base == bare)
+        outputs[base.name] = {**written, **{name: (base / name).read_bytes()
+                                            for name in ("lookup.csv", "lookup_manifest.txt")}}
+    assert "eval_long.csv.npz" in outputs["fresh"]
+    assert outputs["fresh"] == outputs["bare"]
 
 
 @pytest.mark.parametrize("sd", ["1e200", "1e19", "1.7e308"])

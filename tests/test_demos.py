@@ -18,7 +18,7 @@ OUTPUTS = {
     "01_calibration_basics.py": [],
     "02_reference_tables.py": ["ref_5_20_5.csv", "ref_5_20_5.csv.npz"],
     "03_fine_dating_walkthrough.py": ["object_75bc_overview.csv", "object_75bc_summary.csv"],
-    "04_test_series_evaluation.py": ["eval_long.csv"],
+    "04_test_series_evaluation.py": ["eval_long.csv", "eval_long.csv.npz"],
     "05_lookup_table.py": ["lookup.csv"],
 }
 

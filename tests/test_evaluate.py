@@ -1,11 +1,13 @@
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import finedating as fd
+from finedating import csvio
 from finedating.evaluate import (
     NO_MATCH,
     anderson_darling,
@@ -355,6 +357,71 @@ def test_eval_rows_csv_roundtrip(tmp_path, eval_rows):
     write_eval_rows(subset, path)
     back = read_eval_rows(path)
     assert same_eval(back, subset)
+
+
+# --- the binary sidecar of eval_long.csv ----------------------------------------
+
+
+def csv_only_eval(path, tmp_path) -> fd.EvalColumns:
+    """The rows read from a copy of ``path`` that has no sidecar."""
+    copy = tmp_path / "csv-only" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    copy.write_bytes(path.read_bytes())
+    return read_eval_rows(copy)
+
+
+def spoil_eval(sidecar, kind: str, path, rows) -> None:
+    """Damage the sidecar of ``path`` so that only ``kind`` is wrong: its
+    ``#crc`` and ``#bytes`` still match, except for a stale sidecar, which
+    is left beside ``path`` rewritten with other rows."""
+    good = dict(np.load(sidecar))
+    if kind == "stale":
+        old = sidecar.read_bytes()
+        write_eval_rows(rows[::-1], path)
+        sidecar.write_bytes(old)
+        return
+    if kind == "code out of range":
+        good["indicator"][-1] = good["indicator#labels"].size
+    elif kind == "negative code":  # the last label, were it taken as an index
+        good["category"][0] = -1
+    elif kind == "labels not bytes":
+        good["category#labels"] = good["category#labels"].astype(str)
+    elif kind == "labels of raw bytes":  # void, not S: they read back as bytes
+        good["category#labels"] = good["category#labels"].astype("V")
+    elif kind == "NaN in a float column":
+        good["original_cal_date"][0] = np.nan
+    elif kind == "missing labels":
+        del good["indicator#labels"]
+    np.savez(sidecar, **good)
+
+
+@pytest.mark.parametrize("kind", ["code out of range", "negative code", "labels not bytes",
+                                  "labels of raw bytes", "NaN in a float column",
+                                  "missing labels", "stale"])
+def test_bad_eval_sidecar_reads_as_the_csv_alone(tmp_path, eval_rows, kind, monkeypatch):
+    rows = eval_rows[(eval_rows.data_id <= 20) | (eval_rows.category == NO_MATCH)]
+    assert np.isnan(rows.value).any()
+    path = tmp_path / "eval_long.csv"
+    write_eval_rows(rows, path)
+    spoil_eval(csvio.sidecar_path(path), kind, path, rows)
+    parse = mock.Mock(wraps=csvio._load_block)
+    monkeypatch.setattr(csvio, "_load_block", parse)
+    back = read_eval_rows(path)
+    assert parse.called
+    expected = csv_only_eval(path, tmp_path)
+    assert same_eval(back, expected)
+    assert [type(cell) for cell in back.indicator.tolist()] == [str] * len(back)
+
+
+def test_eval_sidecar_read_equals_csv_read(tmp_path, eval_rows, monkeypatch):
+    path = tmp_path / "eval_long.csv"
+    write_eval_rows(eval_rows, path)
+    monkeypatch.setattr(csvio, "_load_block", mock.Mock(side_effect=AssertionError("parsed")))
+    back = read_eval_rows(path)
+    assert same_eval(back, eval_rows)
+    monkeypatch.undo()
+    assert same_eval(back, csv_only_eval(path, tmp_path))
+    assert all(type(cell) is str for cell in back.category.tolist())
 
 
 def test_mpd_report_skips_valueless_rows(eval_rows):
