@@ -301,6 +301,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace, config: dict[str, str]) -> int:
     seed = _effective(args, config, "seed")
     seed = int(seed) if seed is not None else 0
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
 
     if args.subcommand == "curve":
         return _cmd_curve(args, config)

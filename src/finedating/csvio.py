@@ -37,46 +37,42 @@ not checked here; reference tables must carry one.  The reader also
 rejects any data row whose cell count differs from the column line,
 naming the file and the line number.
 
-A read with a schema (every artifact that has a reader) parses the
-header lines one by one, streams the data block once in 1 MiB reads for
-its crc32 and for anything a block parse would read otherwise (blank or
-``#`` lines, whitespace, ``\\r``, non-ASCII bytes, no final newline), and
-parses the block with one ``np.loadtxt`` into the schema's dtypes.  Each
-read is checked by one byte-class ``translate`` and one numpy gather of
-the first byte of every line that starts in it (a blank or ``#`` line
-starts with ``\\n`` or ``#``); a line that starts on the read's first
-byte is checked against the byte that ended the read before.  Only
-a file that check or that parse refuses goes through the line reader,
-which accepts what it always did and names what is wrong; no artifact
-the package writes for one of its readers takes that path.  Reads
-without a schema (``hist``, ``scatter``, ``--ages-file``, ``simulate
-convert``) use the line reader.
+A read has two paths.  Every read goes through the line reader, which
+accepts what it always did and names what is wrong, except a schema'd
+read (every artifact that has a reader) of a file whose binary sidecar
+(below) provably holds its data block.  That read parses the header
+lines one by one and streams the data block once in 1 MiB reads for its
+crc32 and for anything the line reader would read otherwise (blank or
+``#`` lines, whitespace, ``\\r``, non-ASCII bytes, no final newline):
+each read is checked by one byte-class ``translate`` and one numpy
+gather of the first byte of every line that starts in it (a blank or
+``#`` line starts with ``\\n`` or ``#``); a line that starts on the read's
+first byte is checked against the byte that ended the read before.
 
 The bulk artifacts that a later command reads whole, reference tables,
-test series and evaluation rows (``SIDECAR_FORMATS``), also get a binary
+test series and evaluation rows (``SIDECAR_FORMATS``), get that binary
 sidecar, ``<name>.npz`` (:func:`sidecar_path`), written by ``np.savez``
-in the same replacing step as the file: its columns as a schema read of
-the file gives them, the crc32 of the data lines and their byte length,
-summed as the lines are written.  Int64 columns are stored as they
-are, float64 columns with NaN as ``np.nan`` and -0.0 as 0.0, and a
-column of ``str`` cells of printable ASCII, without comma or space, as
-int32 codes, ``<name>``, into its distinct cells stored as bytes,
+in the same replacing step as the file: its columns as the line reader
+gives them, the crc32 of the data lines and their byte length, summed
+as the lines are written.  Int64 columns are stored as they are,
+float64 columns with NaN as ``np.nan`` and -0.0 as 0.0, and a column of
+``str`` cells of printable ASCII, without comma or space, as int32
+codes, ``<name>``, into its distinct cells stored as bytes,
 ``<name>#labels``.  A file with any other column, or with no rows, gets
-none.  The sidecar is a cache.  Every schema'd read still
-parses the header and streams the data block with every check above,
-and only then takes the columns from the sidecar instead of parsing
-them, if it loads without pickle, its crc32 and byte length equal the
-streamed block's, and it holds exactly the schema's columns (and
-labels), each of the schema's dtype or of codes inside its labels, with
-NaN only where the schema parses a blank cell as NaN, all of one
-length.  Any other sidecar, or none, costs only the parse: deleting it,
-or copying a file without it, changes no result and no message.
+none, and a rewrite that gets none deletes the old one.  The sidecar is
+a cache.  Its columns are taken only after the stream passes every
+check above, if it loads without pickle, its crc32 and byte length
+equal the streamed block's, and it holds exactly the schema's columns
+(and labels), each of the schema's dtype or of codes inside its labels,
+with NaN only where the schema parses a blank cell as NaN, all of one
+length.  Any other sidecar, or none, sends the file to the line reader:
+deleting it, or copying a file without it, changes no result and no
+message.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -153,11 +149,12 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
     format in ``SIDECAR_FORMATS`` whose columns :func:`_sidecar_labels`
     accepts also gets its sidecar, written the same way, with the crc32
     and byte length of its data lines summed chunk by chunk as they are
-    written.  ``texts`` holds plain files ``(path, lines)``, such as a
-    run's manifest, each line followed by ``\\n``, written in the same
-    step and moved into place after the artifacts.  The moves are one
-    ``os.replace`` per file, so a move that fails after the first leaves
-    the earlier files new and the rest old.
+    written; once the files are moved, the old sidecar of every other
+    artifact is deleted.  ``texts`` holds plain files ``(path, lines)``,
+    such as a run's manifest, each line followed by ``\\n``, written in
+    the same step and moved into place after the artifacts.  The moves
+    are one ``os.replace`` per file, so a move that fails after the first
+    leaves the earlier files new and the rest old.
     """
     tables = [_table(columns.values()) for _, _, columns, _ in artifacts]
     held = [[] if "checksum" in header else None for _, header, _, _ in artifacts]
@@ -205,6 +202,9 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
                 np.savez(next(sidecar_files), allow_pickle=False,
                          **_sidecar_members(columns, labels),
                          **{"#crc": total[0], "#bytes": total[1]})
+    for (path, *_), labels in zip(artifacts, sidecars):
+        if labels is None:
+            sidecar_path(path).unlink(missing_ok=True)
 
 
 def _head(header: dict, columns: dict, extra: dict | None) -> str:
@@ -376,9 +376,9 @@ def read_commented_csv(
     of stripped strings per row.  Keys listed in ``extra`` may repeat;
     each maps to the list of its lines' cells.
 
-    A schema'd file is read in one block pass (:func:`_read_block`); only
-    a file that pass refuses, and every schema-less file, goes through
-    the line reader, which names what is wrong.
+    A schema'd file whose sidecar holds its data block is read from the
+    sidecar (:func:`_read_block`); every other file goes through the line
+    reader, which names what is wrong.
     """
     if schema is not None:
         artifact = _read_block(path, kind, schema, extra)
@@ -446,20 +446,22 @@ _BLOCK_BYTES = bytes(range(0x21, 0x7F)) + b"\n"
 # The bytes of a str cell that a sidecar may hold: a data block's, but "," and
 # the newline.
 _LABEL_BYTES = _BLOCK_BYTES.replace(b",", b"").replace(b"\n", b"")
-_DTYPES = {int: np.int64, float: np.float64, parse_float: np.float64, str.strip: object}
+# The dtype of a sidecar column of each numeric parser.
+_DTYPES = {int: np.int64, float: np.float64, parse_float: np.float64}
 
 
 def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
-    """The artifact with its body parsed by one ``np.loadtxt``, or None
-    where the line reader is needed to read or reject it.
+    """The artifact with its body taken from its sidecar
+    (:func:`_load_sidecar`), or None where the line reader is needed to
+    read or reject it.
 
     The header is parsed line by line as the line reader does.  The data
     block is streamed once for a running crc32, which equals
     :func:`rows_checksum` when every line ends in ``\\n`` and none is
-    blank, and for the bytes the block parse cannot read as the line
-    reader does: blank lines, ``#`` lines (found by the first byte of each
-    line), whitespace, ``\\r``, non-ASCII bytes, or no final newline.  Then
-    one ``loadtxt`` parses the block into the schema's dtypes.
+    blank, and for the bytes that the sidecar's columns would not read as
+    the line reader does: blank lines, ``#`` lines (found by the first
+    byte of each line), whitespace, ``\\r``, non-ASCII bytes, or no final
+    newline.  Only a block that passes may be taken from the sidecar.
     """
     meta: dict = {key: [] for key in extra}
     with open(path, "rb") as fh:
@@ -496,12 +498,7 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
         if tail != b"\n" or ("checksum" in meta and meta["checksum"] != str(crc)):
             return None
         size = fh.tell() - start
-        if size == 0:
-            body = {name: np.empty(0, _DTYPES[parse]) for name, parse in schema.items()}
-        else:
-            body = _load_sidecar(path, schema, crc, size)
-            if body is None:
-                body = _load_block(fh, start, schema)
+    body = _load_sidecar(path, schema, crc, size)
     return None if body is None else Artifact(meta, columns, body)
 
 
@@ -542,28 +539,6 @@ def _load_sidecar(path, schema: dict, crc: int, size: int) -> dict[str, np.ndarr
     except Exception:  # the sidecar is a cache: whatever fails to load costs only the parse
         return None
     return body if len({column.size for column in body.values()}) == 1 else None
-
-
-def _load_block(fh, start: int, schema: dict) -> dict[str, np.ndarray] | None:
-    # Blank parse_float cells are NaN, which loadtxt has no option for: a
-    # block the plain parse refuses is parsed again with parse_float as
-    # the converter of those columns.  Warnings are errors, as numpy 1.24
-    # only warns when it reads an int cell such as 3.0 through float.
-    dtype = np.dtype([(name, _DTYPES[parse]) for name, parse in schema.items()])
-    blanks = {i: parse for i, parse in enumerate(schema.values()) if parse is parse_float}
-    for converters in (None, blanks) if blanks else (None,):
-        fh.seek(start)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(
-                    fh, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1,
-                    encoding="utf-8", converters=converters,
-                )
-        except (ValueError, OverflowError, Warning):
-            continue
-        return {name: np.ascontiguousarray(table[name]) for name in schema}
-    return None
 
 
 def _parse_body(lines: list[str], schema: dict) -> dict[str, np.ndarray]:

@@ -15,7 +15,6 @@ import finedating as fd
 from finedating import csvio
 from finedating.cli import main
 from finedating.evaluate import read_eval_rows, write_eval_rows
-from finedating.finedate import read_summary
 
 # Ages of the finedate step: three that match the 5_10_20 table at seed 11
 # and one (1000 BP) that matches nothing.
@@ -146,8 +145,6 @@ def test_read_then_rewrite_is_byte_identical(work, tmp_path, name, read, write):
         ("tests.csv", fd.read_tests),
         ("conv.csv", fd.read_tests),
         ("eval/eval_long.csv", read_eval_rows),
-        ("lookup.csv", fd.read_lookup),
-        ("report_summary.csv", read_summary),
     ],
 )
 def test_written_artifacts_never_reach_the_line_reader(work, monkeypatch, name, read):

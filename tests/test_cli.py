@@ -419,6 +419,19 @@ def test_config_file_supplies_defaults(curve_file, tmp_path):
     assert len(fd.read_table(out)) == 650
 
 
+def test_negative_seed_is_rejected_where_it_enters(curve_file, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"curve = {curve_file}\nlabel = 5_10_20\nseed = -3\n")
+    out = tmp_path / "ref.csv"
+    for argv, seed in [(["--seed", -1, "ref-gen", "--curve", curve_file, "--label", "5_10_20"], -1),
+                       (["--config", config, "ref-gen"], -3)]:
+        assert run(*argv, "--out", out) == 4
+        assert capsys.readouterr().err == (
+            f"error: data: --seed must be a non-negative integer, got {seed}\n")
+    assert not out.exists()
+    assert run("--seed", 2**63, "--config", config, "ref-gen", "--out", out) == 0
+
+
 def test_flags_override_config(curve_file, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(f"curve = {curve_file}\nlabel = 5_10_20\n")
@@ -729,7 +742,7 @@ def test_fresh_sidecars_skip_the_parse_and_change_no_output(curve_file, tmp_path
         shutil.copyfile(path, bare / path.name)
     outputs = {}
     for base in (fresh, bare):
-        with mock.patch.object(csvio, "_load_block", wraps=csvio._load_block) as parse:
+        with mock.patch.object(csvio, "_read_lines", wraps=csvio._read_lines) as parse:
             assert run("evaluate", "--ref", base / "ref.csv", "--tests", base / "tests.csv",
                        "--out", base / "eval") == 0
             written = files_under(base / "eval")

@@ -404,8 +404,8 @@ def test_bad_eval_sidecar_reads_as_the_csv_alone(tmp_path, eval_rows, kind, monk
     path = tmp_path / "eval_long.csv"
     write_eval_rows(rows, path)
     spoil_eval(csvio.sidecar_path(path), kind, path, rows)
-    parse = mock.Mock(wraps=csvio._load_block)
-    monkeypatch.setattr(csvio, "_load_block", parse)
+    parse = mock.Mock(wraps=csvio._read_lines)
+    monkeypatch.setattr(csvio, "_read_lines", parse)
     back = read_eval_rows(path)
     assert parse.called
     expected = csv_only_eval(path, tmp_path)
@@ -416,7 +416,7 @@ def test_bad_eval_sidecar_reads_as_the_csv_alone(tmp_path, eval_rows, kind, monk
 def test_eval_sidecar_read_equals_csv_read(tmp_path, eval_rows, monkeypatch):
     path = tmp_path / "eval_long.csv"
     write_eval_rows(eval_rows, path)
-    monkeypatch.setattr(csvio, "_load_block", mock.Mock(side_effect=AssertionError("parsed")))
+    monkeypatch.setattr(csvio, "_read_lines", mock.Mock(side_effect=AssertionError("parsed")))
     back = read_eval_rows(path)
     assert same_eval(back, eval_rows)
     monkeypatch.undo()

@@ -240,7 +240,7 @@ def test_sidecar_read_equals_csv_read(tmp_path_factory, study_curve, specs):
     path = tmp_path / "t.csv"
     fd.write_table(table, path)
     assert csvio.sidecar_path(path).exists()
-    with mock.patch.object(csvio, "_load_block", side_effect=AssertionError("parsed")):
+    with mock.patch.object(csvio, "_read_lines", side_effect=AssertionError("parsed")):
         fast = fd.read_table(path)
     assert same_table(fast, csv_only_read(path, tmp_path))
     assert same_table(fast, table)
@@ -323,7 +323,7 @@ def test_damaged_body_fails_beside_a_valid_sidecar(two_tables):
 def test_valid_sidecar_is_read_without_a_parse(two_tables, monkeypatch):
     path, _ = two_tables
     expected = fd.read_table(path)
-    monkeypatch.setattr(csvio, "_load_block", mock.Mock(side_effect=AssertionError("parsed")))
+    monkeypatch.setattr(csvio, "_read_lines", mock.Mock(side_effect=AssertionError("parsed")))
     assert same_table(fd.read_table(path), expected)
     csvio.sidecar_path(path).unlink()
     with pytest.raises(AssertionError, match="parsed"):
