@@ -757,6 +757,116 @@ def test_fresh_sidecars_skip_the_parse_and_change_no_output(curve_file, tmp_path
     assert outputs["fresh"] == outputs["bare"]
 
 
+STUDY_CURVE = fd.synthetic_study_curve()
+
+
+@st.composite
+def small_pipelines(draw):
+    """A seed and, for any seed, the argv of each command of a small
+    pipeline: a table of 10-20 one-year steps, so dense that a test
+    measurement inside its span all but surely matches, 1-2 test
+    measurements (so few that two seeds often write tests files of one
+    byte length), a few measured ages and one lookup query.  Paths are
+    relative to the directory the pipeline runs in."""
+    old = draw(st.integers(-300, -150))
+    young = old + draw(st.integers(10, 20))
+    first = draw(st.integers(old, young - 1))
+    dates = f"{first}:{draw(st.integers(first, young))}:{young - old}"
+    near = round(fd.curve_at(STUDY_CURVE, draw(st.integers(old, young)))[0])
+    ages = ",".join(map(str, draw(st.lists(st.integers(near - 20, near + 20), min_size=1,
+                                           max_size=6))))
+    fixed = {
+        "table": ["--step", 1, "--per-slice", draw(st.integers(20, 30)),
+                  "--sd", draw(st.sampled_from([10, 20])), "--span", f"{old}:{young}"],
+        "tests": ["--dates", dates, "--per-date", 1, "--group", draw(st.integers(1, 2)),
+                  "--sd", 5],
+        "width": draw(st.sampled_from([2.5, 5, 10])),
+        "query": ["--indicator", draw(st.sampled_from(["CalDate_Median", "Mean_Mean",
+                                                       "unique_CalDate_Mean"])),
+                  "--value", draw(st.integers(old, young))],
+    }
+
+    def argvs(curve, seed):
+        return [
+            ["--seed", seed, "ref-gen", "--curve", curve, "--label", "t", *fixed["table"],
+             "--out", "ref.csv"],
+            ["--seed", seed, "simulate", "tests", "--curve", curve, *fixed["tests"],
+             "--out", "tests.csv"],
+            ["evaluate", "--ref", "ref.csv", "--tests", "tests.csv", "--out", "eval"],
+            ["lookup", "build", "--eval", "eval/eval_long.csv", "--bucket-width",
+             fixed["width"], "--out", "lookup.csv"],
+            ["finedate", "--ref", "ref.csv", "--ages", ages, "--sd", 20, "--out", "report"],
+            ["lookup", "query", "--table", "lookup.csv", *fixed["query"]],
+        ]
+
+    return draw(st.integers(0, 2**32 - 2)), argvs
+
+
+def run_in(base, argvs, before_each=lambda: None) -> tuple[list, dict]:
+    """Run each argv in process with ``base`` as the working directory,
+    calling ``before_each`` before each: each command's exit code, stdout
+    and stderr, and then every file under ``base`` (:func:`files_under`)."""
+    base.mkdir(exist_ok=True)
+    calls = []
+    cwd = os.getcwd()
+    os.chdir(base)
+    try:
+        for argv in argvs:
+            before_each()
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(*argv)
+            calls.append((code, out.getvalue(), err.getvalue()))
+    finally:
+        os.chdir(cwd)
+    return calls, files_under(base)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(pipeline=small_pipelines())
+def test_sidecar_cache_changes_no_output(curve_file, tmp_path_factory, pipeline):
+    # The whole pipeline gives the same exit codes, messages, CSVs and
+    # manifests whatever state its sidecars are in: fresh, deleted before
+    # each command, replaced before each command by another seed's (a stale
+    # cache), or left over, with every other output, from another seed's run;
+    # that rerun also writes the fresh run's sidecars byte for byte.
+    seed, argvs = pipeline
+    base = tmp_path_factory.mktemp("cache")
+    other = base / "other"
+    run_in(other, argvs(curve_file, seed + 1))
+    shutil.copytree(other, base / "rerun")
+
+    def delete(mode):
+        for sidecar in mode.rglob("*.npz"):
+            sidecar.unlink()
+
+    def swap(mode):
+        for sidecar in mode.rglob("*.npz"):
+            stale = other / sidecar.relative_to(mode)
+            if stale.exists():
+                shutil.copyfile(stale, sidecar)
+            else:
+                sidecar.unlink()
+
+    calls, fresh = run_in(base / "fresh", argvs(curve_file, seed))
+    # every command up to lookup build succeeds, so that no later command of
+    # the rerun reads an input that only the other seed's run wrote
+    assert [code for code, _, _ in calls[:4]] == [0] * 4
+    assert any(name.endswith(".npz") for name in fresh)
+    def without_sidecars(files):
+        return {name: data for name, data in files.items() if not name.endswith(".npz")}
+
+    for mode, spoil in [(base / "deleted", delete), (base / "swapped", swap)]:
+        got_calls, got = run_in(mode, argvs(curve_file, seed), lambda: spoil(mode))
+        assert got_calls == calls, mode.name
+        assert without_sidecars(got) == without_sidecars(fresh), mode.name
+    # the rerun keeps the files that only the other seed's run wrote, such as
+    # a report where this seed's finedate matched nothing
+    got_calls, got = run_in(base / "rerun", argvs(curve_file, seed))
+    assert got_calls == calls
+    assert {name: got.get(name) for name in fresh} == fresh
+
+
 @pytest.mark.parametrize("sd", ["1e200", "1e19", "1.7e308"])
 @pytest.mark.parametrize("command", ["ref-gen", "simulate-tests"])
 def test_sd_too_large_to_draw_is_data_error(curve_file, tmp_path, capsys, command, sd):
