@@ -37,17 +37,10 @@ not checked here; reference tables must carry one.  The reader also
 rejects any data row whose cell count differs from the column line,
 naming the file and the line number.
 
-A read has two paths.  Every read goes through the line reader, which
-accepts what it always did and names what is wrong, except a schema'd
-read (every artifact that has a reader) of a file whose binary sidecar
-(below) provably holds its data block.  That read parses the header
-lines one by one and streams the data block once in 1 MiB reads for its
-crc32 and for anything the line reader would read otherwise (blank or
-``#`` lines, whitespace, ``\\r``, non-ASCII bytes, no final newline):
-each read is checked by one byte-class ``translate`` and one numpy
-gather of the first byte of every line that starts in it (a blank or
-``#`` line starts with ``\\n`` or ``#``); a line that starts on the read's
-first byte is checked against the byte that ended the read before.
+A read has two paths.  A schema'd read (every artifact that has a
+reader) of a file whose binary sidecar (below) holds its data block
+takes its columns from the sidecar; every other read goes through the
+line reader, which accepts what it always did and names what is wrong.
 
 The bulk artifacts that a later command reads whole, reference tables,
 test series and evaluation rows (``SIDECAR_FORMATS``), get that binary
@@ -60,14 +53,15 @@ float64 columns with NaN as ``np.nan`` and -0.0 as 0.0, and a column of
 codes, ``<name>``, into its distinct cells stored as bytes,
 ``<name>#labels``.  A file with any other column, or with no rows, gets
 none, and a rewrite that gets none deletes the old one.  The sidecar is
-a cache.  Its columns are taken only after the stream passes every
-check above, if it loads without pickle, its crc32 and byte length
-equal the streamed block's, and it holds exactly the schema's columns
-(and labels), each of the schema's dtype or of codes inside its labels,
-with NaN only where the schema parses a blank cell as NaN, all of one
-length.  Any other sidecar, or none, sends the file to the line reader:
-deleting it, or copying a file without it, changes no result and no
-message.
+a cache, taken (:func:`_read_block`) only for a schema whose first
+parser is ``int``, only if its members hold the schema's columns
+(:func:`_load_sidecar`), and only if the file's data block has its
+crc32 and byte length, that crc32 also matching any ``checksum``
+header.  The crc32 is the only check of the block's bytes: a damaged
+block whose crc32 and byte length both equal the written block's is
+read from the sidecar.  Any other sidecar, or none, sends the file to
+the line reader: deleting it, or copying a file without it, changes no
+result and no message.
 """
 
 from __future__ import annotations
@@ -228,8 +222,8 @@ def _sidecar_labels(columns: dict) -> dict[str, dict] | None:
 
     A sidecar holds only 1-D columns with rows, of int64, float64 or
     labels: object columns whose cells are all ``str`` of
-    ``_LABEL_BYTES`` (no comma, no whitespace, no byte the block read
-    refuses)."""
+    ``_LABEL_BYTES`` (printable ASCII, no comma, no whitespace), which
+    the line reader reads back as written."""
     labels = {}
     for name, column in columns.items():
         if not isinstance(column, np.ndarray) or column.ndim != 1 or column.size == 0:
@@ -376,9 +370,11 @@ def read_commented_csv(
     of stripped strings per row.  Keys listed in ``extra`` may repeat;
     each maps to the list of its lines' cells.
 
-    A schema'd file whose sidecar holds its data block is read from the
-    sidecar (:func:`_read_block`); every other file goes through the line
-    reader, which names what is wrong.
+    A schema'd file is read from its sidecar where :func:`_read_block`
+    accepts it: an ``int`` first column, and a data block of the
+    sidecar's crc32 and byte length, that crc32 also matching any
+    ``checksum`` header.  Every other file goes through the line reader,
+    which names what is wrong.
     """
     if schema is not None:
         artifact = _read_block(path, kind, schema, extra)
@@ -437,32 +433,52 @@ def _meta_line(meta: dict, line: str, extra) -> None:
         meta[key] = val
 
 
-# Bytes read per step of the block check.
+# Bytes read per step of the data block's crc32.
 _BLOCK = 1 << 20
-# The bytes a data block may hold: printable ASCII but the space, and the
-# newline.  A file with any other byte (\r, tab, space, non-ASCII) is left
-# to the line reader.
-_BLOCK_BYTES = bytes(range(0x21, 0x7F)) + b"\n"
-# The bytes of a str cell that a sidecar may hold: a data block's, but "," and
-# the newline.
-_LABEL_BYTES = _BLOCK_BYTES.replace(b",", b"").replace(b"\n", b"")
+# The bytes of a str cell that a sidecar may hold: printable ASCII but the
+# space and the comma.
+_LABEL_BYTES = bytes(range(0x21, 0x7F)).replace(b",", b"")
 # The dtype of a sidecar column of each numeric parser.
 _DTYPES = {int: np.int64, float: np.float64, parse_float: np.float64}
 
 
 def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
-    """The artifact with its body taken from its sidecar
-    (:func:`_load_sidecar`), or None where the line reader is needed to
-    read or reject it.
+    """The artifact with its body taken from its sidecar, or None where
+    the line reader is needed to read or reject it.
 
-    The header is parsed line by line as the line reader does.  The data
-    block is streamed once for a running crc32, which equals
-    :func:`rows_checksum` when every line ends in ``\\n`` and none is
-    blank, and for the bytes that the sidecar's columns would not read as
-    the line reader does: blank lines, ``#`` lines (found by the first
-    byte of each line), whitespace, ``\\r``, non-ASCII bytes, or no final
-    newline.  Only a block that passes may be taken from the sidecar.
+    Only a schema whose first parser is ``int`` takes a sidecar: a data
+    line then starts with an int64's digits, never blank or ``#``, so the
+    line reader keeps every line that the writer summed.  The sidecar is
+    opened first, so a file without one is opened only by the line
+    reader; the file's data block must have the sidecar's byte length and
+    crc32, which must equal any ``checksum`` header (:func:`_read_head`),
+    before the sidecar's columns are loaded (:func:`_load_sidecar`).  A
+    damaged block whose crc32 and byte length both collide with the
+    written block's is read from the sidecar.
     """
+    if next(iter(schema.values()), None) is not int:
+        return None
+    members = [member for name, parse in schema.items()
+               for member in ((name, name + "#labels") if parse is str.strip else (name,))]
+    try:
+        # np.load of a path leaves its file open when the zip is unreadable
+        with open(sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if npz.files != [*members, "#crc", "#bytes"]:
+                return None
+            head = _read_head(path, kind, schema, extra,
+                              npz["#crc"].tolist(), npz["#bytes"].tolist())
+            body = None if head is None else _load_sidecar(npz, schema)
+    except Exception:  # a miss: the line reader reads the file and reports its errors
+        return None
+    return None if body is None else Artifact(*head, body)
+
+
+def _read_head(path, kind, schema: dict, extra, crc: int, size: int) -> tuple[dict, list] | None:
+    """The header and column names of the file, parsed line by line as
+    the line reader parses them, if its column line and ``format`` are
+    the schema's and its data block is ``size`` bytes of crc32 ``crc``,
+    streamed in ``_BLOCK`` reads, that also equals any ``checksum``
+    header; else None."""
     meta: dict = {key: [] for key in extra}
     with open(path, "rb") as fh:
         for raw in fh:
@@ -481,63 +497,40 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
         else:
             return None
         columns = [cell.strip() for cell in line.split(",")]
-        if columns != list(schema) or (kind is not None and meta.get("format") != kind):
+        if (columns != list(schema) or (kind is not None and meta.get("format") != kind)
+                or os.fstat(fh.fileno()).st_size - fh.tell() != size):
             return None
-        start, crc, tail = fh.tell(), 0, b"\n"
+        streamed = 0
         while chunk := fh.read(_BLOCK):
-            # the first byte of every line that starts inside the chunk, in
-            # one gather: a blank or "#" line starts with "\n" or "#"
-            a = np.frombuffer(chunk, np.uint8)
-            starts = a[1:][a[:-1] == 10]
-            if (chunk.translate(None, _BLOCK_BYTES)
-                    or (starts == 10).any() or (starts == 35).any()
-                    or (tail == b"\n" and chunk[:1] in (b"\n", b"#"))):
-                return None
-            crc = zlib.crc32(chunk, crc)
-            tail = chunk[-1:]
-        if tail != b"\n" or ("checksum" in meta and meta["checksum"] != str(crc)):
-            return None
-        size = fh.tell() - start
-    body = _load_sidecar(path, schema, crc, size)
-    return None if body is None else Artifact(meta, columns, body)
-
-
-def _load_sidecar(path, schema: dict, crc: int, size: int) -> dict[str, np.ndarray] | None:
-    """The columns held by the sidecar of ``path`` (:func:`sidecar_path`)
-    if it provably holds this data block, else None: it loads without
-    pickle; its members are the schema's columns, each ``str.strip``
-    column followed by its ``#labels``, then ``#crc`` and ``#bytes``,
-    which equal the block's crc32 and byte length; each column is 1-D,
-    of the schema's dtype, or, for a ``str.strip`` column, of integer
-    codes into its labels, which are 1-D bytes; a ``float`` column holds
-    no NaN, as a blank ``float`` cell fails the parse; and the columns
-    are of one length.  Any failure to load is a miss."""
-    members = [member for name, parse in schema.items()
-               for member in ((name, name + "#labels") if parse is str.strip else (name,))]
-    try:
-        # np.load of a path leaves its file open when the zip is unreadable
-        with open(sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if (npz.files != [*members, "#crc", "#bytes"] or npz["#crc"].tolist() != crc
-                    or npz["#bytes"].tolist() != size):
-                return None
-            stored = {member: npz[member] for member in members}
-        body = {}
-        for name, parse in schema.items():
-            column = stored[name]
-            if column.ndim != 1:
-                return None
-            if parse is str.strip:
-                labels = stored[name + "#labels"]
-                if (labels.dtype.kind != "S" or labels.ndim != 1 or column.dtype.kind not in "iu"
-                        or column.min() < 0 or column.max() >= labels.size):
-                    return None
-                column = np.array([label.decode("ascii") for label in labels.tolist()],
-                                  dtype=object)[column]
-            elif column.dtype != _DTYPES[parse] or (parse is float and np.isnan(column).any()):
-                return None
-            body[name] = column
-    except Exception:  # the sidecar is a cache: whatever fails to load costs only the parse
+            streamed = zlib.crc32(chunk, streamed)
+    if streamed != crc or ("checksum" in meta and meta["checksum"] != str(crc)):
         return None
+    return meta, columns
+
+
+def _load_sidecar(npz, schema: dict) -> dict[str, np.ndarray] | None:
+    """The columns held by an open sidecar whose members are the
+    schema's columns, each ``str.strip`` column followed by its
+    ``#labels``, then ``#crc`` and ``#bytes``; or None unless each column
+    is 1-D, of the schema's dtype, or, for a ``str.strip`` column, of
+    integer codes into its labels, which are 1-D bytes; a ``float``
+    column holds no NaN, as a blank ``float`` cell fails the parse; and
+    the columns are of one length."""
+    body = {}
+    for name, parse in schema.items():
+        column = npz[name]
+        if column.ndim != 1:
+            return None
+        if parse is str.strip:
+            labels = npz[name + "#labels"]
+            if (labels.dtype.kind != "S" or labels.ndim != 1 or column.dtype.kind not in "iu"
+                    or column.min() < 0 or column.max() >= labels.size):
+                return None
+            column = np.array([label.decode("ascii") for label in labels.tolist()],
+                              dtype=object)[column]
+        elif column.dtype != _DTYPES[parse] or (parse is float and np.isnan(column).any()):
+            return None
+        body[name] = column
     return body if len({column.size for column in body.values()}) == 1 else None
 
 

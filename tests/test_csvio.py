@@ -543,6 +543,59 @@ def test_damaged_file_reads_as_the_line_reader_reads_it(tmp_path_factory, drawn,
         assert outcome(csvio.read_commented_csv, *args) == outcome(csvio._read_lines, *args)
 
 
+# Edits of a written header that leave its data block, and so its sidecar's
+# crc32 and byte length, as they were.
+HEADER_DAMAGES = {
+    "non-utf-8 header value": (b"# n=3\n", b"# n=3\xff\n"),
+    "lone cr in a header line": (b"# n=3\n", b"# n=3\r# m=4\n"),
+    "other format": (b"# format=finedating-tests\n", b"# format=finedating-eval\n"),
+    "renamed column": (b"data_id,", b"id,"),
+}
+
+
+@pytest.mark.parametrize("damage", list(HEADER_DAMAGES))
+def test_damaged_header_reads_as_the_line_reader_reads_it(tmp_path, damage):
+    columns = {name: np.arange(3) if parse is int else np.arange(3.0)
+               for name, parse in TEST_SCHEMA.items()}
+    args = write_schema_file(tmp_path / "a.csv", "finedating-tests",
+                             {"format": "finedating-tests", "n": 3}, columns)
+    assert csvio._read_block(*args) is not None
+    old, new = HEADER_DAMAGES[damage]
+    data = args[0].read_bytes()
+    assert data.count(old) == 1
+    args[0].write_bytes(data.replace(old, new))
+    assert csvio._read_block(*args) is None
+    assert outcome(csvio.read_commented_csv, *args) == outcome(csvio._read_lines, *args)
+
+
+@pytest.mark.parametrize("parse, column", [
+    (csvio.parse_float, np.array([np.nan, 1.0])),
+    (str.strip, np.array(["#a", "b"], dtype=object)),
+], ids=["blank first cell", "first cell starts with #"])
+def test_sidecar_of_a_schema_without_an_int_first_column_is_not_read(tmp_path, parse, column):
+    # The writer gives both files a sidecar, but their first data line is
+    # blank or starts with "#", which the line reader skips: only a schema
+    # whose first column is int, whose cells never read so, takes a sidecar.
+    path = tmp_path / "a.csv"
+    csvio.write_artifact(path, {"format": "finedating-tests"}, {"x": column})
+    assert csvio.sidecar_path(path).exists()
+    args = path, "finedating-tests", {"x": parse}, ()
+    assert outcome(csvio.read_commented_csv, *args) == outcome(csvio._read_lines, *args)
+
+
+@pytest.mark.parametrize("kind", list(SCHEMAS))
+def test_read_without_a_sidecar_opens_the_file_once(tmp_path, kind):
+    cells = {int: np.arange(3), float: np.arange(3.0), csvio.parse_float: np.arange(3.0),
+             str.strip: np.array(["a", "b", "c"], dtype=object)}
+    columns = {name: cells[parse] for name, parse in SCHEMAS[kind].items()}
+    args = write_schema_file(tmp_path / "a.csv", kind, {"format": kind}, columns)
+    csvio.sidecar_path(args[0]).unlink(missing_ok=True)
+    with mock.patch.object(csvio, "open", wraps=open, create=True) as opened:
+        got = outcome(csvio.read_commented_csv, *args)
+    assert [call.args[0] for call in opened.call_args_list].count(args[0]) == 1
+    assert got == outcome(csvio._read_lines, *args)
+
+
 @pytest.mark.parametrize("kind", list(SCHEMAS))
 def test_empty_body_reads_without_loadtxt_or_warning(tmp_path, kind):
     schema = SCHEMAS[kind]
