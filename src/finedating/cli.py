@@ -121,11 +121,9 @@ class CliError(Exception):
         self.code = code
 
 
-def _effective(
-    args: argparse.Namespace, config: dict[str, str], key: str, default=None, attr: str | None = None
-):
+def _effective(args: argparse.Namespace, config: dict[str, str], key: str, default=None):
     """Flag value if given, else config entry, else default."""
-    val = getattr(args, attr if attr else key.replace("-", "_"), None)
+    val = getattr(args, key.replace("-", "_"), None)
     if val is not None:
         return val
     if key in config:
@@ -201,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     tests.add_argument("--sd", type=float, default=None)
     tests.add_argument("--out", default=None)
     conv = sim_sub.add_parser("convert", help="cluster an exported simulation CSV")
-    conv.add_argument("--in", dest="infile", default=None)
+    conv.add_argument("--in", default=None)
     conv.add_argument("--group", type=int, default=None)
     conv.add_argument("--out", default=None)
 
@@ -221,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lookup", help="indicator-quality lookup table")
     lk_sub = p.add_subparsers(dest="action")
     build = lk_sub.add_parser("build")
-    build.add_argument("--eval", dest="eval_file", default=None)
+    build.add_argument("--eval", default=None)
     build.add_argument("--bucket-width", type=float, default=None)
     build.add_argument("--out", default=None)
     query = lk_sub.add_parser("query")
@@ -230,15 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--value", type=float, default=None)
 
     p = sub.add_parser("hist", help="histogram data from a CSV column or indicator")
-    p.add_argument("--in", dest="infile", default=None)
+    p.add_argument("--in", default=None)
     p.add_argument("--col", default=None)
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("scatter", help="x/y data from CSV columns or indicators")
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--x", dest="xcol", default=None)
-    p.add_argument("--y", dest="ycol", default=None)
+    p.add_argument("--in", default=None)
+    p.add_argument("--x", default=None)
+    p.add_argument("--y", default=None)
     p.add_argument("--out", default=None)
     return parser
 
@@ -420,7 +418,7 @@ def _cmd_simulate(args, config, seed: int) -> int:
         print(f"wrote {out} ({len(series)} datasets)")
         return 0
     if action == "convert":
-        infile = _require(_effective(args, config, "in", attr="infile"), "in")
+        infile = _require(_effective(args, config, "in"), "in")
         group = int(_effective(args, config, "group", 3))
         out = Path(_require(_effective(args, config, "out"), "out"))
         series, leftovers = convert_rsim_to_tests(infile, group_size=group)
@@ -539,7 +537,7 @@ def _cmd_evaluate(args, config) -> int:
 def _cmd_lookup(args, config) -> int:
     action = getattr(args, "action", None)
     if action == "build":
-        rows = read_eval_rows(_require(_effective(args, config, "eval", attr="eval_file"), "eval"))
+        rows = read_eval_rows(_require(_effective(args, config, "eval"), "eval"))
         width = _parse_number(_effective(args, config, "bucket-width", 5.0), "bucket-width")
         out = Path(_require(_effective(args, config, "out"), "out"))
         table = build_lookup(rows, bucket_width=width)
@@ -602,7 +600,7 @@ def _select_values(
 
 
 def _cmd_hist(args, config) -> int:
-    infile = _require(_effective(args, config, "in", attr="infile"), "in")
+    infile = _require(_effective(args, config, "in"), "in")
     column = str(_require(_effective(args, config, "col"), "col"))
     out = Path(_require(_effective(args, config, "out"), "out"))
     bins = _effective(args, config, "bins")
@@ -626,9 +624,9 @@ def _cmd_hist(args, config) -> int:
 
 
 def _cmd_scatter(args, config) -> int:
-    infile = _require(_effective(args, config, "in", attr="infile"), "in")
-    xcol = str(_require(_effective(args, config, "x", attr="xcol"), "x"))
-    ycol = str(_require(_effective(args, config, "y", attr="ycol"), "y"))
+    infile = _require(_effective(args, config, "in"), "in")
+    xcol = str(_require(_effective(args, config, "x"), "x"))
+    ycol = str(_require(_effective(args, config, "y"), "y"))
     out = Path(_require(_effective(args, config, "out"), "out"))
     if xcol == ycol:  # the output has one column per axis, each named for its column
         raise CliError(EXIT_USAGE, f"usage: --x and --y name the same column {xcol!r}")

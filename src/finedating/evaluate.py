@@ -319,20 +319,22 @@ class NormalityResult:
 
 def dagostino_pearson(sample) -> NormalityResult:
     """Omnibus normality test combining transformed skewness and
-    kurtosis z-scores; p from chi-square with 2 degrees of freedom.
+    kurtosis z-scores; p from chi-square with 2 degrees of freedom,
+    whose upper tail is exactly ``exp(-k2/2)``.
 
-    Requires n >= 20, the validity floor of the kurtosis transform.
+    Requires n >= 20, the validity floor of the kurtosis transform, and
+    a sample that is not constant.
     """
     x = np.asarray(sample, dtype=float)
     n = x.size
     if n < 20:
         raise ValueError(f"sample too small for omnibus test: n={n} < 20")
+    if x.min() == x.max():
+        raise ValueError("zero variance sample")
     zs = _skewness_z(x)
     zk = _kurtosis_z(x)
     k2 = zs * zs + zk * zk
-    from scipy.special import chdtrc  # imported here, so only the normality tests load scipy
-
-    p = float(chdtrc(2, k2))
+    p = math.exp(-k2 / 2)
     return NormalityResult(test_name="dagostino_pearson", statistic=float(k2), p_value=p, n=n)
 
 
@@ -387,6 +389,11 @@ def anderson_darling(sample) -> NormalityResult:
 
     Reference points for A*^2 (normality, estimated parameters):
     1.035 rejects at the 1% level, 0.752 at 5%.
+
+    The normal CDF is :func:`_ndtr`, a port of the Cephes ``ndtr`` of
+    ``scipy.special``, equal to it bit for bit.  ``0.5 * erfc(-z /
+    sqrt(2))`` is as accurate but differs in the last bits, and those
+    reach the written statistic, whose bytes are pinned.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
@@ -396,15 +403,75 @@ def anderson_darling(sample) -> NormalityResult:
     if s == 0:
         raise ValueError("zero variance sample")
     z = (x - x.mean()) / s
-    from scipy.special import ndtr
-
-    cdf = ndtr(z)
+    cdf = _ndtr(z)
     eps = np.finfo(float).tiny
     cdf = np.clip(cdf, eps, 1 - 1e-16)
     i = np.arange(1, n + 1)
     a2 = -n - np.mean((2 * i - 1) * (np.log(cdf) + np.log1p(-cdf[::-1])))
     a2_star = float(a2 * (1.0 + 0.75 / n + 2.25 / (n * n)))
     return NormalityResult(test_name="anderson_darling", statistic=a2_star, p_value=None, n=n)
+
+
+# Cephes ``ndtr``/``erf``/``erfc`` as scipy.special ships them, with
+# their coefficient tables: polynomials by Horner's rule with a separate
+# multiply and add, libm ``exp`` (``math.exp``; ``np.exp`` differs in the
+# last bit), and erfc set to 0 once ``-x*x < -MAXLOG``.
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_NDTR_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+           7.00332514112805075473e3, 5.55923013010394962768e4)
+_NDTR_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+           2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _polevl(x: np.ndarray, coefs: tuple[float, ...], monic: bool = False) -> np.ndarray:
+    # Cephes polevl, or p1evl if monic (a leading coefficient of 1, not stored)
+    y = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, equal bit for bit to ``scipy.special.ndtr``."""
+    x = z * _SQRT1_2
+    ax = np.abs(x)
+    out = np.empty_like(x)
+    inner = ax < 1.0  # 0.5 + 0.5 * erf(x)
+    xi = x[inner]
+    s = xi * xi
+    y = xi * _polevl(s, _NDTR_T)
+    y /= _polevl(s, _NDTR_U, monic=True)
+    y *= 0.5
+    y += 0.5
+    out[inner] = y
+    outer = ~inner  # 0.5 * erfc(|x|), reflected for x > 0; NaN goes here
+    xo = np.minimum(ax[outer], 40.0)  # beyond 40, erfc is 0 and x*x could overflow
+    e = -xo * xo
+    p = _polevl(xo, _NDTR_P)
+    q = _polevl(xo, _NDTR_Q, monic=True)
+    far = xo >= 8.0
+    if far.any():
+        p[far] = _polevl(xo[far], _NDTR_R)
+        q[far] = _polevl(xo[far], _NDTR_S, monic=True)
+    half = np.fromiter(map(math.exp, e.tolist()), float, count=e.size)
+    half *= p
+    half /= q
+    half[e < -_MAXLOG] = 0.0
+    half *= 0.5
+    out[outer] = np.where(x[outer] > 0, 1.0 - half, half)
+    return out
 
 
 def rice_bins(n: int) -> int:
@@ -532,16 +599,19 @@ def interval_normality(table: RefTable, series: TestSeries) -> list[IntervalNorm
     for i, date in enumerate(by_date.tolist()):
         a0, a1 = age_bounds[i : i + 2].tolist()
         m0, m1 = matched_bounds[i : i + 2].tolist()
-        dp_stat = dp_p = None
+        dp_stat = dp_p = ad_stat = None
         if a1 - a0 >= 20:
-            dp = dagostino_pearson(ages[a0:a1])
-            dp_stat, dp_p = dp.statistic, dp.p_value
-        ad_stat: float | None = None
+            try:
+                dp = dagostino_pearson(ages[a0:a1])
+            except ValueError:  # zero variance
+                pass
+            else:
+                dp_stat, dp_p = dp.statistic, dp.p_value
         if m1 - m0 >= 8:
             try:
                 ad_stat = anderson_darling(matched[m0:m1]).statistic
-            except ValueError:
-                ad_stat = None
+            except ValueError:  # zero variance
+                pass
         out.append(
             IntervalNormality(
                 original_date=date,

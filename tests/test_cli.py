@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -30,14 +31,64 @@ def run(*argv):
 
 
 def test_import_loads_neither_numpy_random_nor_scipy():
-    # numpy.random (about 17 ms) and scipy are imported only by the
-    # commands that draw or test normality, not by every command
+    # numpy.random (about 17 ms) is imported only by the commands that
+    # draw, not by every command; scipy is imported by none
     code = ("import sys, finedating.cli; "
             "print([m for m in ('numpy.random', 'scipy') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(fd.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def normality_rows(eval_dir) -> list[dict]:
+    art = csvio.read_commented_csv(eval_dir / "normality_by_interval.csv")
+    return [dict(zip(art.columns, row)) for row in art.body]
+
+
+def test_pipeline_runs_with_scipy_blocked(curve_file, tmp_path):
+    # ref-gen, simulate and an evaluate whose intervals are large enough
+    # for both normality tests, once with scipy unimportable in a fresh
+    # interpreter and once in this one, with scipy loaded
+    def argvs(base):
+        return [["--seed", "11", "ref-gen", "--curve", str(curve_file), "--label", "5_20_5",
+                 "--out", str(base / "ref.csv")],
+                ["--seed", "12", "simulate", "tests", "--curve", str(curve_file),
+                 "--dates", "-160:-120:10", "--per-date", "7", "--group", "3", "--sd", "20",
+                 "--out", str(base / "tests.csv")],
+                ["evaluate", "--ref", str(base / "ref.csv"), "--tests", str(base / "tests.csv"),
+                 "--out", str(base / "eval")]]
+
+    blocked, importable = tmp_path / "blocked", tmp_path / "importable"
+    code = ('import sys; sys.modules["scipy"] = None\n'
+            "from finedating.cli import main\n"
+            f"sys.exit(any(main(argv) for argv in {argvs(blocked)!r}))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(fd.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    import scipy.special  # noqa: F401  (loaded, as in a process that uses it)
+
+    for argv in argvs(importable):
+        assert main(argv) == 0
+    rows = normality_rows(blocked / "eval")
+    assert rows and all(row["n_ages"] == "21" and row["ages_p_value"]
+                        and row["matched_dates_statistic"] for row in rows)
+    assert files_under(blocked) == files_under(importable)
+
+
+def test_evaluate_of_a_constant_interval_leaves_its_omnibus_cells_blank(pipeline, tmp_path,
+                                                                      capsys):
+    src = tmp_path / "rsim.csv"
+    src.write_text("cal_date,age,sd\n" + "-100,2050,20\n" * 30)
+    tests = tmp_path / "tests.csv"
+    assert run("simulate", "convert", "--in", src, "--group", 1, "--out", tests) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("evaluate", "--ref", pipeline / "ref.csv", "--tests", tests,
+                   "--out", tmp_path / "eval") == 0
+    assert "Warning" not in capsys.readouterr().err
+    rows = normality_rows(tmp_path / "eval")
+    assert [(row["n_ages"], row["ages_statistic"], row["ages_p_value"]) for row in rows] == [
+        ("30", "", "")]
 
 
 # --- argument parsing --------------------------------------------------------

@@ -469,7 +469,8 @@ def test_sidecar_read_equals_line_reader(tmp_path_factory, drawn, checksum, nega
         column[k % column.size] = cell
     args = write_schema_file(tmp_path_factory.mktemp("s") / "a.csv", kind, header, columns)
     assert csvio.sidecar_path(args[0]).exists() == has_sidecar(header, columns)
-    # a file that the stream check refuses (a space, a non-ASCII byte) has no sidecar
+    # the writer gives no sidecar to a str column with a cell that is not a
+    # label (a space, a non-ASCII byte; _sidecar_labels)
     with mock.patch.object(csvio, "_read_lines", wraps=csvio._read_lines) as parse:
         got = outcome(csvio.read_commented_csv, *args)
     assert parse.called == (not has_sidecar(header, columns))

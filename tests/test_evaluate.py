@@ -1,15 +1,17 @@
 import inspect
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import finedating as fd
 from finedating import csvio
 from finedating.evaluate import (
     NO_MATCH,
+    _ndtr,
     anderson_darling,
     average_deviation_analysis,
     category_fractions,
@@ -305,6 +307,77 @@ def test_anderson_rejects_constant_sample():
         anderson_darling(np.full(50, 3.0))
     with pytest.raises(ValueError, match="too small"):
         anderson_darling(np.arange(5.0))
+
+
+def test_dagostino_rejects_constant_sample():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="zero variance"):
+            dagostino_pearson(np.full(30, -100.0))
+
+
+def test_dagostino_p_is_the_chi2_2_tail():
+    # For 2 degrees of freedom the chi-square upper tail is exp(-k2/2).
+    rng = np.random.default_rng(6)
+    for i in range(200):
+        n = int(rng.integers(20, 2000))
+        x = [rng.normal(0, 3, n), rng.exponential(2.0, n), rng.uniform(-1, 1, n)][i % 3]
+        got = dagostino_pearson(x)
+        k2 = got.statistic
+        assert got.p_value == math.exp(-k2 / 2)
+        want = float(special.chdtrc(2, k2))
+        if want >= np.finfo(float).tiny:
+            assert got.p_value == pytest.approx(want, rel=1e-12, abs=0)
+        else:  # Cephes returns 0 once k2/2 > MAXLOG; exp goes on into the subnormals
+            assert got.p_value < np.finfo(float).tiny
+
+
+_SQRT2 = math.sqrt(2.0)
+_MAXLOG_CUT = math.sqrt(2 * 7.09782712893383996843e2)  # |z| where erfc's -x*x reaches -MAXLOG
+
+
+def _steps_around(points, k=64):
+    # each point and the k doubles on either side of it
+    points = np.asarray(points, dtype=float)
+    up, down = [points], [points]
+    for _ in range(k):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], -np.inf))
+    return np.concatenate(up + down)
+
+
+NDTR_INPUTS = {
+    "normal": lambda rng: rng.normal(size=400_000),
+    "uniform 8": lambda rng: rng.uniform(-8, 8, 400_000),
+    "uniform 40": lambda rng: rng.uniform(-40, 40, 400_000),
+    "branch edges": lambda rng: _steps_around([_SQRT2, -_SQRT2, 8 * _SQRT2, -8 * _SQRT2]),
+    "MAXLOG cut": lambda rng: np.concatenate([
+        _steps_around([_MAXLOG_CUT, -_MAXLOG_CUT], k=2000),
+        rng.uniform(-1e-9, 1e-9, 20_000) + _MAXLOG_CUT,
+        rng.uniform(-1e-9, 1e-9, 20_000) - _MAXLOG_CUT,
+        np.linspace(-_MAXLOG_CUT - 1, -_MAXLOG_CUT + 1, 20_001),
+    ]),
+    "signed zeros": lambda rng: np.array([0.0, -0.0, 5e-324, -5e-324]),
+}
+
+
+@pytest.mark.parametrize("case", NDTR_INPUTS)
+def test_ndtr_equals_scipy_bit_for_bit(case):
+    z = NDTR_INPUTS[case](np.random.default_rng(7))
+    got = _ndtr(z)
+    want = special.ndtr(z)
+    assert got.dtype == want.dtype == np.float64
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert not differ.any(), (z[differ][:5], got[differ][:5], want[differ][:5])
+
+
+def test_ndtr_of_non_finite_and_huge_inputs_warns_nothing():
+    z = np.array([np.inf, -np.inf, np.nan, 1e300, -1e300, 40.0, -40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ndtr(z)
+    np.testing.assert_array_equal(got, [1.0, 0.0, np.nan, 1.0, 0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(got, special.ndtr(z))
 
 
 # --- histogram helpers ------------------------------------------------------
