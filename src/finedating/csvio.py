@@ -22,8 +22,10 @@ formats rows ``i * 4096`` to ``(i + 1) * 4096`` (``_CHUNK``) of every
 artifact of the call.  Within a step, the numeric and bool columns of
 one dtype, across all the artifacts, share one ``np.unique``, and
 ``fmt`` runs once per distinct value; the object columns run it once per
-distinct cell.  Memory is bounded by one step's strings, except that a
-checksummed artifact holds its data lines until its header is written.
+distinct cell, or not at all when every object cell of the step is a
+``str``, which ``fmt`` returns as it is.  Memory is bounded by one
+step's strings, except that a checksummed artifact holds its data lines
+until its header is written.
 Each file is written as ``<name>.tmp-<pid>`` beside its target and
 moved into place with ``os.replace`` once every file of the call is
 written, so a failed write leaves no partial artifact.  A command writes
@@ -338,7 +340,10 @@ def _format_steps(tables: list[list[np.ndarray]]) -> Iterator[list[str | None]]:
 def _format_group(dtype: np.dtype, columns: list[np.ndarray]) -> list[list[str]]:
     if dtype == object:
         cells = [column.tolist() for column in columns]
-        if len(set(map(type, chain.from_iterable(cells)))) == 1:
+        types = set(map(type, chain.from_iterable(cells)))
+        if types == {str}:  # fmt returns a str as it is
+            return cells
+        if len(types) == 1:
             memo = {cell: fmt(cell) for cell in dict.fromkeys(chain.from_iterable(cells))}
             return [list(map(memo.__getitem__, column_cells)) for column_cells in cells]
         # True == 1 == 1.0 and they hash alike, but each formats its own way

@@ -116,47 +116,87 @@ def mpd_searches(
     """The tolerance-grown mode search of :func:`mpd_search` for every
     query against one non-empty pool, in one pass.
 
-    The pool is sorted and run-length encoded once.  A window
-    ``[q - tol, q + tol]`` never splits a run of equal values, so it is a
-    range of runs, found by ``searchsorted``; the tolerance grows only
-    for the queries still short of ``M_MIN``.  The mode is the run with
-    the highest count, then closest to the query, then older, taken over
-    the windows of each width at once.  Returns (tolerance, match count,
-    mode, value range) per query.
+    The pool is sorted and run-length encoded once, and each distinct
+    query value is answered once.  A window ``[q - tol, q + tol]`` never
+    splits a run of equal values, so it is a range of runs, found by
+    ``searchsorted``; the tolerance grows only for the queries still
+    short of ``M_MIN``.  The mode is the run with the highest count, then
+    closest to the query, then older: :func:`_window_modes` finds it with
+    a range-maximum table of the run counts.  Returns (tolerance, match
+    count, mode, value range) per query.
     """
     runs, counts = np.unique(pool, return_counts=True)
     cum = np.concatenate(([0], np.cumsum(counts)))
-    tol = np.full(queries.size, TOL_START)
-    lo = np.searchsorted(runs, queries - TOL_START, side="left")
-    hi = np.searchsorted(runs, queries + TOL_START, side="right")
+    values, of_query = np.unique(queries, return_inverse=True)
+    tol = np.full(values.size, TOL_START)
+    lo = np.searchsorted(runs, values - TOL_START, side="left")
+    hi = np.searchsorted(runs, values + TOL_START, side="right")
     short = np.flatnonzero(cum[hi] - cum[lo] < M_MIN)
     step = TOL_START
     while short.size and step < TOL_MAX:
         step = min(step + TOL_STEP, TOL_MAX)
-        q = queries[short]
+        q = values[short]
         lo[short] = np.searchsorted(runs, q - step, side="left")
         hi[short] = np.searchsorted(runs, q + step, side="right")
         tol[short] = step
         short = short[cum[hi[short]] - cum[lo[short]] < M_MIN]
     match_count = cum[hi] - cum[lo]
-    empty = np.flatnonzero(match_count == 0)
-    if empty.size:
+    if not match_count.all():
+        empty = np.flatnonzero(match_count[of_query] == 0)
         raise ValueError(
             "no reference values within tolerance: nothing within "
             f"+-{TOL_MAX:g} of {queries[empty[0]]:g}"
         )
-    best = lo.copy()
-    width = hi - lo
-    for w in np.unique(width[width > 1]):
-        # the windows of w runs as one (queries, w) matrix of run numbers;
-        # argmin takes the first, so the oldest, of equally close modes
-        of_width = np.flatnonzero(width == w)
-        window = lo[of_width, None] + np.arange(w)
-        n = counts[window]
-        dist = np.where(n == n.max(axis=1, keepdims=True),
-                        np.abs(runs[window] - queries[of_width, None]), np.inf)
-        best[of_width] = window[np.arange(of_width.size), dist.argmin(axis=1)]
-    return tol, match_count, runs[best], runs[hi - 1] - runs[lo]
+    best = _window_modes(runs, counts, values, lo, hi)
+    return (tol[of_query], match_count[of_query], runs[best][of_query],
+            (runs[hi - 1] - runs[lo])[of_query])
+
+
+def _window_modes(runs: np.ndarray, counts: np.ndarray, queries: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The mode of each non-empty window ``[lo, hi)`` of runs: the run
+    with the highest count, then closest to the query, then older.
+
+    Row j of the table holds the highest count of each 2**j consecutive
+    runs.  A window's highest count is the larger of two entries of one
+    row.  The nearest run with that count on each side of the query is
+    found by skipping, row by row from the top, the blocks that fall
+    short of it.
+    """
+    if not queries.size:
+        return lo
+    levels = int((hi - lo).max()).bit_length()
+    # one column to spare: the rightward skip reads column runs.size
+    table = np.zeros((levels, runs.size + 1), dtype=counts.dtype)
+    table[0, :-1] = counts
+    for j in range(1, levels):
+        half = 1 << (j - 1)
+        n = runs.size - 2 * half + 1
+        np.maximum(table[j - 1, :n], table[j - 1, half : half + n], out=table[j, :n])
+    k = np.frexp(hi - lo)[1] - 1  # floor(log2(width))
+    top = np.maximum(table[k, lo], table[k, hi - (1 << k)])
+    left = np.searchsorted(runs, queries, side="left")  # runs[:left] < query <= runs[left:]
+    right = left.copy()
+    for j in reversed(range(levels)):
+        step = 1 << j
+        skip = (left - step >= lo) & (table[j, left - step] < top)
+        np.subtract(left, step, out=left, where=skip)
+        skip = (right + step <= hi) & (table[j, right] < top)
+        np.add(right, step, out=right, where=skip)
+    near = left - 1  # the nearest mode on the left, if left > lo
+    dist = np.abs(runs[near] - queries)
+    right_dist = np.abs(runs[np.minimum(right, hi - 1)] - queries)  # if right < hi
+    take_right = (left == lo) | ((right < hi) & (right_dist < dist))
+    best = np.where(take_right, right, near)
+    # Older runs may round to the same distance as the nearest on the left
+    # (0.0 and 5e-324 from 3.0, say); then the oldest such mode wins.
+    tied = np.flatnonzero(~take_right & (near > lo))
+    tied = tied[np.abs(runs[near[tied] - 1] - queries[tied]) == dist[tied]]
+    for t in tied.tolist():
+        window = slice(lo[t], near[t] + 1)
+        modes = (counts[window] == top[t]) & (np.abs(runs[window] - queries[t]) == dist[t])
+        best[t] = lo[t] + np.argmax(modes)
+    return best
 
 
 def overall_aggregate(mpds) -> tuple[float, float]:
@@ -395,6 +435,14 @@ def anderson_darling(sample) -> NormalityResult:
     sqrt(2))`` is as accurate but differs in the last bits, and those
     reach the written statistic, whose bytes are pinned.
     """
+    z = _standardized(sample)
+    return NormalityResult(test_name="anderson_darling", statistic=_a2_star(_ndtr(z)),
+                           p_value=None, n=z.size)
+
+
+def _standardized(sample) -> np.ndarray:
+    """The sorted sample in units of its standard deviation from its
+    mean, for :func:`anderson_darling`: at least 8 values, not constant."""
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
     if n < 8:
@@ -402,14 +450,17 @@ def anderson_darling(sample) -> NormalityResult:
     s = x.std(ddof=1)
     if s == 0:
         raise ValueError("zero variance sample")
-    z = (x - x.mean()) / s
-    cdf = _ndtr(z)
+    return (x - x.mean()) / s
+
+
+def _a2_star(cdf: np.ndarray) -> float:
+    """A*^2 of a sorted standardized sample from its normal CDF values."""
+    n = cdf.size
     eps = np.finfo(float).tiny
     cdf = np.clip(cdf, eps, 1 - 1e-16)
     i = np.arange(1, n + 1)
     a2 = -n - np.mean((2 * i - 1) * (np.log(cdf) + np.log1p(-cdf[::-1])))
-    a2_star = float(a2 * (1.0 + 0.75 / n + 2.25 / (n * n)))
-    return NormalityResult(test_name="anderson_darling", statistic=a2_star, p_value=None, n=n)
+    return float(a2 * (1.0 + 0.75 / n + 2.25 / (n * n)))
 
 
 # Cephes ``ndtr``/``erf``/``erfc`` as scipy.special ships them, with
@@ -583,10 +634,20 @@ class IntervalNormality:
     matched_dates_statistic: float | None
 
 
+# _ndtr takes the intervals' values this many at a time, so that its
+# dozen temporaries stay small: over all of ts3's 250k values at once
+# they are 2 MB each, mapped afresh on every call, and the pass runs
+# 1.8x slower than in these blocks.
+_NDTR_BLOCK = 16384
+
+
 def interval_normality(table: RefTable, series: TestSeries) -> list[IntervalNormality]:
     """For each original date: the omnibus test over all simulated ages
     and the Anderson-Darling statistic over the pooled matched calendar
-    dates."""
+    dates.  Each statistic is that of :func:`dagostino_pearson` or
+    :func:`anderson_darling` on the interval alone; the normal CDF of
+    the standardized dates of all intervals is taken together, in blocks
+    of ``_NDTR_BLOCK`` values."""
     dates = np.repeat(series.original_date, np.diff(series.offsets))
     order = np.argsort(dates, kind="stable")  # dataset order, then measurement order
     ages = series.age[order]
@@ -595,11 +656,12 @@ def interval_normality(table: RefTable, series: TestSeries) -> list[IntervalNorm
     by_date, n_ages = np.unique(dates, return_counts=True)
     age_bounds = np.concatenate(([0], np.cumsum(n_ages)))
     matched_bounds = np.concatenate(([0], np.cumsum(count)))[age_bounds]
-    out = []
+    rows = []
+    standardized = {}
     for i, date in enumerate(by_date.tolist()):
         a0, a1 = age_bounds[i : i + 2].tolist()
         m0, m1 = matched_bounds[i : i + 2].tolist()
-        dp_stat = dp_p = ad_stat = None
+        dp_stat = dp_p = None
         if a1 - a0 >= 20:
             try:
                 dp = dagostino_pearson(ages[a0:a1])
@@ -607,22 +669,20 @@ def interval_normality(table: RefTable, series: TestSeries) -> list[IntervalNorm
                 pass
             else:
                 dp_stat, dp_p = dp.statistic, dp.p_value
-        if m1 - m0 >= 8:
-            try:
-                ad_stat = anderson_darling(matched[m0:m1]).statistic
-            except ValueError:  # zero variance
-                pass
-        out.append(
-            IntervalNormality(
-                original_date=date,
-                n_ages=a1 - a0,
-                ages_statistic=dp_stat,
-                ages_p_value=dp_p,
-                n_matched_dates=m1 - m0,
-                matched_dates_statistic=ad_stat,
-            )
-        )
-    return out
+        try:
+            standardized[i] = _standardized(matched[m0:m1])
+        except ValueError:  # fewer than 8 dates, or constant
+            pass
+        rows.append([date, a1 - a0, dp_stat, dp_p, m1 - m0, None])
+    if standardized:
+        z = np.concatenate(list(standardized.values()))
+        cdf = np.concatenate([_ndtr(z[k : k + _NDTR_BLOCK])
+                              for k in range(0, z.size, _NDTR_BLOCK)])
+        start = 0
+        for i, of_interval in standardized.items():
+            rows[i][-1] = _a2_star(cdf[start : start + of_interval.size])
+            start += of_interval.size
+    return [IntervalNormality(*row) for row in rows]
 
 
 NORMALITY_COLUMNS = ["original_cal_date", "n_ages", "ages_statistic", "ages_p_value",

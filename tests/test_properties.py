@@ -11,6 +11,8 @@ walks of the evaluation rows.
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import astuple
 from typing import NamedTuple
 
 import numpy as np
@@ -208,6 +210,136 @@ def test_one_pass_mpd_equals_per_query_search(pool, queries):
         got = list(zip(tol.tolist(), count.tolist(), mpd.tolist(), value_range.tolist(),
                        (count < 5).tolist()))
         assert got == [e for _, e in answerable]
+
+
+@st.composite
+def large_pools(draw):
+    """A few hundred to a few thousand values on a grid of 1/64 or 1/100
+    year, drawn from few enough distinct values that counts tie, and
+    zero (0.0 or -0.0), 5e-324 and 1e-17 each about as often as the most
+    frequent of those.  A window can span hundreds of runs, so the mode
+    search reads the upper rows of its range-maximum table."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.sampled_from([64, 100]))
+    half_span = draw(st.integers(1, 30))
+    distinct = rng.integers(-half_span * grid, half_span * grid + 1,
+                            draw(st.integers(10, 800))) / grid
+    pool = rng.choice(distinct, draw(st.one_of(st.integers(200, 3000), st.just(3000))))
+    # as often as the most frequent value, give or take one
+    often = np.unique(pool, return_counts=True)[1].max() + draw(st.integers(-1, 1))
+    tiny = np.repeat([5e-324, 1e-17], often)
+    return np.concatenate([pool, tiny, rng.choice([0.0, -0.0], often)]), rng
+
+
+@settings(PROPERTY, max_examples=50)
+@given(drawn=large_pools(), far=st.lists(st.sampled_from([-500.0, 500.0, 1e6]), min_size=1,
+                                         max_size=6))
+def test_mpd_of_large_pools_equals_per_query_search(drawn, far):
+    pool, rng = drawn
+    runs = np.unique(pool)
+    between = (runs[:-1] + runs[1:]) / 2
+    # 5e-324 and 1e-17 lie as far from 0.5 or 3.0 as 0.0 does once the
+    # difference is rounded: the oldest of such modes wins
+    queries = np.concatenate([rng.choice(pool, 150), rng.choice(between, min(150, between.size)),
+                              [0.0, -0.0, 5e-324, 1e-17, 0.5, -0.5, 3.0, -3.0]])
+    expected = {}
+    for q in queries.tolist():
+        try:
+            expected[q] = reference_mpd(pool, q)
+        except ValueError:
+            expected[q] = None
+    answerable = np.array([q for q in queries.tolist() if expected[q] is not None])
+    tol, count, mpd, value_range = mpd_searches(pool, answerable)
+    got = list(zip(tol.tolist(), count.tolist(), mpd.tolist(), value_range.tolist(),
+                   (count < 5).tolist()))
+    assert got == [expected[q] for q in answerable.tolist()]
+    # duplicates and unanswerable values in any order: the error names the
+    # first unanswerable query as given, not the least
+    mixed = rng.permutation(np.concatenate([queries, far]))
+    first = next(q for q in mixed.tolist() if q in far or expected[q] is None)
+    with pytest.raises(ValueError, match=re.escape(f"of {first:g}") + "$"):
+        mpd_searches(pool, mixed)
+
+
+def test_mpd_of_modes_equally_far_after_rounding_is_the_oldest():
+    # 3.0 - 1e-17 and 3.0 - 5e-324 round to 3.0, as far as 0.0 and 6.0
+    pool = [6.0, 1e-17, 5e-324, 0.0] * 2
+    assert reference_mpd(pool, 3.0)[2] == 0.0
+    assert fd.mpd_search(pool, 3.0).mpd == 0.0
+    assert fd.mpd_search([6.0, 1e-17, 5e-324] * 2, 3.0).mpd == 5e-324
+
+
+# --- interval normality --------------------------------------------------------
+
+def reference_normality(table: fd.RefTable, series: fd.TestSeries) -> list[tuple]:
+    """Per original date in ascending order, the fields of its
+    ``IntervalNormality``: ``dagostino_pearson`` of the interval's ages
+    and ``anderson_darling`` of their matched dates, each on the interval
+    alone, None where the test refuses the sample."""
+    dates_of: dict = {}
+    for age, date in zip(table.age.tolist(), table.base_date.tolist()):
+        dates_of.setdefault(age, []).append(date)
+    ages: dict = {}
+    matched: dict = {}
+    for d, date in enumerate(series.original_date.tolist()):
+        for age in series.age[series.offsets[d] : series.offsets[d + 1]].tolist():
+            ages.setdefault(date, []).append(age)
+            matched.setdefault(date, []).extend(dates_of.get(age, []))
+
+    def attempt(test, sample):
+        try:
+            return test(sample)
+        except ValueError:  # too small, or constant
+            return None
+
+    out = []
+    for date in sorted(ages):
+        dp = attempt(fd.dagostino_pearson, ages[date])
+        ad = attempt(fd.anderson_darling, matched[date])
+        out.append((date, len(ages[date]), dp and dp.statistic, dp and dp.p_value,
+                    len(matched[date]), ad and ad.statistic))
+    return out
+
+
+def same_normality(got, expected) -> bool:
+    return len(got) == len(expected) and all(
+        all(same(g, e) for g, e in zip(astuple(result), fields))
+        for result, fields in zip(got, expected))
+
+
+@st.composite
+def normality_layouts(draw):
+    """A table and a series whose intervals hold from no matched date to
+    hundreds, some of them constant: one matched date repeated, or one
+    age for a whole interval."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(0, 80))
+    dates = np.round(rng.normal(-150.0, 30.0, n_rows), draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        dates[:] = -120.0
+    table = table_of(zip(rng.integers(1998, 2006, n_rows).tolist(), dates.tolist(),
+                         dates.tolist(), dates.tolist()))
+    one_age = {date: rng.random() < 0.3 for date in (-300.0, -250.0, -200.0)}
+    datasets = []
+    for data_id in range(1, draw(st.integers(1, 16)) + 1):
+        date = float(rng.choice(list(one_age)))
+        n = int(rng.integers(0, 13))
+        ages = np.full(n, 2001) if one_age[date] else rng.integers(1996, 2008, n)
+        datasets.append((data_id, date, [(age, 20.0) for age in ages.tolist()]))
+    return table, make_series(datasets)
+
+
+@PROPERTY
+@given(layout=normality_layouts())
+def test_interval_normality_equals_per_interval_tests(layout):
+    table, series = layout
+    assert same_normality(fd.interval_normality(table, series), reference_normality(table, series))
+
+
+def test_interval_normality_of_ts3_equals_per_interval_tests(table_5_20_5, ts3_datasets):
+    got = fd.interval_normality(table_5_20_5, ts3_datasets)
+    assert len(got) == 61 and all(r.matched_dates_statistic is not None for r in got)
+    assert same_normality(got, reference_normality(table_5_20_5, ts3_datasets))
 
 
 # --- aggregations over evaluation rows ----------------------------------------
