@@ -117,17 +117,22 @@ def mpd_searches(
     query against one non-empty pool, in one pass.
 
     The pool is sorted and run-length encoded once, and each distinct
-    query value is answered once.  A window ``[q - tol, q + tol]`` never
-    splits a run of equal values, so it is a range of runs, found by
-    ``searchsorted``; the tolerance grows only for the queries still
-    short of ``M_MIN``.  The mode is the run with the highest count, then
+    query value is answered once; a self-search (``queries is pool``, as
+    in :func:`mpd_report`) takes both from one sort.  A window
+    ``[q - tol, q + tol]`` never splits a run of equal values, so it is a
+    range of runs, found by ``searchsorted``; the tolerance grows only for
+    the queries still short of ``M_MIN``.  The mode is the run with the highest count, then
     closest to the query, then older: :func:`_window_modes` finds it with
     a range-maximum table of the run counts.  Returns (tolerance, match
     count, mode, value range) per query.
     """
-    runs, counts = np.unique(pool, return_counts=True)
+    if queries is pool:  # a self-search: the runs are the distinct queries
+        runs, of_query, counts = np.unique(pool, return_inverse=True, return_counts=True)
+        values = runs
+    else:
+        runs, counts = np.unique(pool, return_counts=True)
+        values, of_query = np.unique(queries, return_inverse=True)
     cum = np.concatenate(([0], np.cumsum(counts)))
-    values, of_query = np.unique(queries, return_inverse=True)
     tol = np.full(values.size, TOL_START)
     lo = np.searchsorted(runs, values - TOL_START, side="left")
     hi = np.searchsorted(runs, values + TOL_START, side="right")

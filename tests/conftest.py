@@ -9,6 +9,7 @@ asserted band was checked against the seeded output.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,21 @@ STUDY_DATES = [-300.0 + 5.0 * i for i in range(61)]
 TABLE_SEED_20_5 = 101
 TABLE_SEED_50_5 = 202
 TS3_SEED = 303
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process of this one running or
+    unreaped, as the benchmark refuses a run that leaves a process
+    running."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    if pid:
+        pytest.fail(f"the test left child process {pid} unreaped (wait status {status})")
+    pytest.fail("the test left a child process running")
 
 
 @pytest.fixture(scope="session")

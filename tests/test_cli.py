@@ -2,6 +2,7 @@ import io
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -755,6 +756,53 @@ def test_failed_summary_write_leaves_the_report_unchanged(pipeline, tmp_path, ca
                "--out", out) == 3
     assert "error: io: No space left on device" in capsys.readouterr().err
     assert files_under(tmp_path) == before
+
+
+def test_only_evaluate_of_the_benchmark_commands_forks(curve_file, tmp_path, monkeypatch):
+    # the benchmark's commands at its sizes: a 3,250-row table, ts3's 18,300
+    # records, and the 1.24 million cells of their evaluation, on two CPUs
+    monkeypatch.setattr(csvio, "_usable_cpus", lambda: 2)
+    ref, tests, out, lookup = (tmp_path / name for name in ("ref.csv", "tests.csv", "eval",
+                                                            "lookup.csv"))
+    commands = {
+        "ref-gen": lambda: ["--seed", 1, "ref-gen", "--curve", curve_file, "--label", "5_50_5",
+                            "--out", ref],
+        "simulate tests": lambda: ["--seed", 1, "simulate", "tests", "--curve", curve_file,
+                                   "--dates=-300:0:5", "--per-date", 100, "--group", 3,
+                                   "--sd", 20, "--out", tests],
+        "evaluate": lambda: ["evaluate", "--ref", ref, "--tests", tests, "--curve", curve_file,
+                             "--out", out],
+        "lookup build": lambda: ["lookup", "build", "--eval", out / "eval_long.csv",
+                                 "--out", lookup],
+        "finedate": lambda: ["finedate", "--ref", ref, "--ages",
+                             ",".join(map(str, fd.read_tests(tests).age[:3].tolist())),
+                             "--sd", 20, "--out", tmp_path / "report"],
+        "lookup query": lambda: ["lookup", "query", "--table", lookup, "--indicator",
+                                 "CalDate_Median", "--value=-150"],
+    }
+    forks = {}
+    for name, argv in commands.items():
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork, redirect_stdout(io.StringIO()):
+            assert run(*argv()) == 0
+        forks[name] = fork.call_count
+    assert forks == {"ref-gen": 0, "simulate tests": 0, "evaluate": 1, "lookup build": 0,
+                     "finedate": 0, "lookup query": 0}
+    assert len(fd.read_table(ref).id) == 3250
+
+
+def test_killed_formatting_child_is_an_io_error(pipeline, tmp_path, capsys, monkeypatch):
+    # steps of 16 rows, each odd one sent by a child that is killed instead
+    monkeypatch.setattr(csvio, "_CHUNK", 16)
+    monkeypatch.setattr(csvio, "_FORK_CELLS", 0)
+    monkeypatch.setattr(csvio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(csvio, "_send_step", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    out = tmp_path / "eval"
+    assert run("evaluate", "--ref", pipeline / "ref.csv", "--tests", pipeline / "tests.csv",
+               "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "error: io: the formatting child process ended before sending its step" in err
+    assert "Traceback" not in err
+    assert files_under(tmp_path) == {}
 
 
 def files_under(base) -> dict:

@@ -1,5 +1,10 @@
 import math
+import os
+import signal
+import threading
 import warnings
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -364,6 +369,193 @@ def test_lockstep_writer_checks_every_artifact_before_opening_any(tmp_path):
     with pytest.raises(ValueError, match="columns differ in shape"):
         csvio.write_artifacts(artifacts)
     assert not (tmp_path / "out").exists()
+
+
+# --- the forked writer -------------------------------------------------------
+
+
+@contextmanager
+def forking(chunk: int):
+    """Steps of ``chunk`` rows, and a fork for every call of two steps or
+    more, as on a machine of two CPUs; yields ``os.fork``, counting."""
+    with mock.patch.object(csvio, "_CHUNK", chunk), mock.patch.object(csvio, "_FORK_CELLS", 0), \
+            mock.patch.object(csvio, "_usable_cpus", return_value=2), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        yield fork
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def files_in(base: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(base.iterdir())}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tables=artifact_sets(), chunk=st.sampled_from([1, 2, 7, 64]))
+def test_forked_writer_equals_serial_writer(tmp_path_factory, tables, chunk):
+    base = tmp_path_factory.mktemp("f")
+    steps = -(-max(len(next(iter(columns.values()))) for _, columns in tables) // chunk)
+    written, forks = {}, {}
+    for mode, cells in (("forked", 0), ("serial", 10**18)):
+        artifacts = [(base / mode / f"a{i}.csv", header, columns, None)
+                     for i, (header, columns) in enumerate(tables)]
+        with forking(chunk) as fork, mock.patch.object(csvio, "_FORK_CELLS", cells):
+            csvio.write_artifacts(artifacts)
+        written[mode], forks[mode] = files_in(base / mode), fork.call_count
+        assert no_child_left()
+    assert forks == {"forked": int(steps > 1), "serial": 0}
+    assert written["forked"] == written["serial"]
+
+
+class Unformattable:
+    def __float__(self):
+        raise ValueError("this cell has no float")
+
+
+def old_files(tmp_path, existing: bool, *names) -> dict[str, bytes]:
+    for name in names if existing else ():
+        (tmp_path / name).write_text("old\n")
+    return files_in(tmp_path)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_step_of_the_child_raises_as_the_serial_call(tmp_path, existing):
+    # rows of 4 a step: row 13 is in step 3, which the child formats
+    column = np.array([*range(13), Unformattable(), 14.5], dtype=object)
+    artifacts = [(tmp_path / "a.csv", {"format": "demo", "checksum": None},
+                  {"x": np.arange(15.0)}, None),
+                 (tmp_path / "b.csv", {"format": "finedating-tests"}, {"x": column}, None)]
+    before = old_files(tmp_path, existing, "a.csv", "b.csv")
+    raised = {}
+    for mode, cells in (("forked", 0), ("serial", 10**18)):
+        with forking(4) as fork, mock.patch.object(csvio, "_FORK_CELLS", cells), \
+                pytest.raises(Exception) as caught:
+            csvio.write_artifacts(artifacts)
+        raised[mode] = type(caught.value), str(caught.value), fork.call_count
+        assert files_in(tmp_path) == before
+        assert no_child_left()
+    assert raised == {"forked": (ValueError, "this cell has no float", 1),
+                      "serial": (ValueError, "this cell has no float", 0)}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_write_of_the_parent_ends_the_child(tmp_path, monkeypatch, existing):
+    real_open = open
+
+    class FullDisk:
+        """A file that takes 100 bytes, then fails each write."""
+
+        def __init__(self, fh):
+            self.fh, self.room = fh, 100
+
+        def write(self, data):
+            self.room -= len(data)
+            if self.room < 0:
+                raise OSError("No space left on device")
+            return self.fh.write(data)
+
+        def close(self):
+            self.fh.close()
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FullDisk(fh) if str(path).startswith(str(tmp_path / "b.csv.tmp-")) else fh
+
+    monkeypatch.setattr(csvio, "open", failing_open, raising=False)
+    artifacts = [(tmp_path / "a.csv", {"format": "finedating-tests"}, {"x": np.arange(400)}, None),
+                 (tmp_path / "b.csv", {"format": "demo"}, {"x": np.arange(400.5, 800)}, None)]
+    before = old_files(tmp_path, existing, "a.csv", "a.csv.npz", "b.csv")
+    with forking(8) as fork, pytest.raises(OSError, match="No space left on device") as caught:
+        csvio.write_artifacts(artifacts)
+    # reaped before the call raised: its frames, held by the traceback, are alive
+    assert caught.value.__traceback__ is not None
+    assert no_child_left()
+    assert fork.call_count == 1
+    assert files_in(tmp_path) == before
+
+
+def killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_child_that_ends_without_its_step_is_an_os_error(tmp_path, existing):
+    artifacts = [(tmp_path / "a.csv", {"format": "finedating-eval", "checksum": None},
+                  {"x": np.arange(40)}, None)]
+    before = old_files(tmp_path, existing, "a.csv", "a.csv.npz")
+    with forking(4) as fork, mock.patch.object(csvio, "_send_step", killed), \
+            pytest.raises(OSError, match="child process ended before sending its step"):
+        csvio.write_artifacts(artifacts)
+    assert fork.call_count == 1
+    assert files_in(tmp_path) == before
+    assert no_child_left()
+
+
+@contextmanager
+def another_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("cpus, case, forks", [
+    ({0}, "affinity", 0), ({0, 1}, "affinity", 1), (1, "cpu_count", 0), (2, "cpu_count", 1),
+    ({0, 1}, "no fork", 0), ({0, 1}, "another thread", 0), ({0, 1}, "fork fails", 1),
+], ids=["one cpu", "two cpus", "one cpu counted", "two cpus counted", "no os.fork",
+        "another python thread", "fork fails"])
+def test_writer_forks_only_where_two_cpus_and_one_thread_can_run(tmp_path, monkeypatch, cpus,
+                                                                 case, forks):
+    if case == "cpu_count":  # a platform without sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    fork = mock.Mock(wraps=os.fork)
+    if case == "fork fails":  # the call is formatted serially
+        fork.side_effect = BlockingIOError(11, "Resource temporarily unavailable")
+    if case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(csvio, "_CHUNK", 4)
+    monkeypatch.setattr(csvio, "_FORK_CELLS", 0)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    with another_thread() if case == "another thread" else nullcontext():
+        csvio.write_artifact(tmp_path / "a.csv", {}, {"x": np.arange(40) + 0.5})
+    assert fork.call_count == forks
+    assert (tmp_path / "a.csv").read_text() == "x\n" + "".join(f"{x + 0.5}\n" for x in range(40))
+    assert no_child_left()
+    if fds is not None:  # the pipe is closed
+        assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
+
+
+def test_fork_warning_of_a_threaded_process_is_not_shown(tmp_path):
+    # Python 3.12 warns so, from os.fork, when the process has other threads
+    real_fork = os.fork
+
+    def fork_of_a_threaded_process():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return real_fork()
+
+    with forking(4), mock.patch.object(os, "fork", wraps=fork_of_a_threaded_process) as fork, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        csvio.write_artifact(tmp_path / "a.csv", {}, {"x": np.arange(40)})
+    assert fork.call_count == 1
+    assert (tmp_path / "a.csv").read_text() == "x\n" + "".join(f"{x}\n" for x in range(40))
 
 
 # --- the block reader against the line reader --------------------------------

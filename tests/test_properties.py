@@ -261,6 +261,18 @@ def test_mpd_of_large_pools_equals_per_query_search(drawn, far):
         mpd_searches(pool, mixed)
 
 
+@settings(PROPERTY, max_examples=50)
+@given(drawn=large_pools())
+def test_mpd_self_search_equals_the_search_of_a_copy(drawn):
+    # one sort serves a pool searched for itself; value for value (a zero
+    # mode may differ in sign, which fmt writes as 0 either way)
+    pool, _ = drawn
+    got = mpd_searches(pool, pool)
+    assert [column.tolist() for column in got] == [
+        column.tolist() for column in mpd_searches(pool, pool.copy())]
+    assert [column.dtype for column in got] == [np.float64, np.int64, np.float64, np.float64]
+
+
 def test_mpd_of_modes_equally_far_after_rounding_is_the_oldest():
     # 3.0 - 1e-17 and 3.0 - 5e-324 round to 3.0, as far as 0.0 and 6.0
     pool = [6.0, 1e-17, 5e-324, 0.0] * 2
