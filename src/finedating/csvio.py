@@ -21,9 +21,14 @@ Artifacts are written in lockstep (:func:`write_artifacts`): step i
 formats rows ``i * 4096`` to ``(i + 1) * 4096`` (``_CHUNK``) of every
 artifact of the call.  Within a step, the numeric and bool columns of
 one dtype, across all the artifacts, share one ``np.unique``, and
-``fmt`` runs once per distinct value; the object columns run it once per
-distinct cell, or not at all when every object cell of the step is a
-``str``, which ``fmt`` returns as it is.  Memory is bounded by one
+``fmt`` runs once per distinct value.  A column of ``str`` cells is
+written from one form, :class:`Labels`: integer codes into its distinct
+names, given so by the caller (``evaluate``'s ``indicator`` and
+``category``) or built once per call from an object column; a step
+gathers its names by code, and ``fmt``, which returns a ``str`` as it
+is, does not run.  The other object columns run ``fmt`` once per
+distinct cell, with any label names of the step beside them, or not at
+all when every such cell of the step is a ``str``.  Memory is bounded by one
 step's strings, except that a checksummed artifact holds its data lines
 until its header is written.  A call of more than ``_FORK_CELLS`` cells
 (``evaluate``'s 1.2 million) over two steps or more is formatted on two
@@ -57,10 +62,11 @@ sidecar, ``<name>.npz`` (:func:`sidecar_path`), written by ``np.savez``
 in the same replacing step as the file: its columns as the line reader
 gives them, the crc32 of the data lines and their byte length, summed
 as the lines are written.  Int64 columns are stored as they are,
-float64 columns with NaN as ``np.nan`` and -0.0 as 0.0, and a column of
-``str`` cells of printable ASCII, without comma or space, as int32
-codes, ``<name>``, into its distinct cells stored as bytes,
-``<name>#labels``.  A file with any other column, or with no rows, gets
+float64 columns with NaN as ``np.nan`` and -0.0 as 0.0, and a label
+column whose names in use are printable ASCII, without comma or space,
+as int32 codes, ``<name>``, into its names in use stored as bytes in
+order of first appearance, ``<name>#labels``, both taken from the
+column's :class:`Labels`.  A file with any other column, or with no rows, gets
 none, and a rewrite that gets none deletes the old one.  The sidecar is
 a cache, taken (:func:`_read_block`) only for a schema whose first
 parser is ``int``, only if its members hold the schema's columns
@@ -106,6 +112,7 @@ _NO_CHUNK, _FAILED = -1, -2
 SIDECAR_FORMATS = ("finedating-reftable", "finedating-tests", "finedating-eval")
 # The bits of np.nan, which is what a blank parse_float cell parses to.
 _NAN_BITS = np.float64(np.nan).view(np.int64)
+_OBJECT = np.dtype(object)
 
 
 def fmt(value) -> str:
@@ -136,6 +143,59 @@ def parse_float(cell: str) -> float:
     return float(cell.strip() or "nan")
 
 
+class Labels:
+    """A column of ``str`` cells as integer codes into its distinct
+    cells: the column is ``names[codes]``.  ``names`` is a 1-D object
+    array of distinct cells (no two equal), and may hold names that no
+    row uses.  ``rows[mask]`` selects rows and keeps the names.
+
+    The writer takes a label column in this form, given or built once per
+    call from an object column of ``str`` cells, and a read asked for
+    ``labels`` gives its ``str.strip`` columns in it."""
+
+    __slots__ = ("codes", "names")
+
+    def __init__(self, codes: np.ndarray, names: np.ndarray):
+        self.codes = codes
+        self.names = names
+
+    @classmethod
+    def of(cls, column: np.ndarray) -> Labels:
+        """The labels of a 1-D object column, its names in order of first
+        appearance."""
+        cells = column.tolist()
+        code = {cell: k for k, cell in enumerate(dict.fromkeys(cells))}
+        return cls(np.fromiter(map(code.__getitem__, cells), np.intp, len(cells)),
+                   np.fromiter(code, object, len(code)))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.codes.shape
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> Labels:
+        return Labels(self.codes[rows], self.names)
+
+    def cells(self) -> np.ndarray:
+        """The column as an object array."""
+        return self.names[self.codes]
+
+    def map(self, of_name) -> np.ndarray:
+        """``of_name`` of each row's name, an int64 column; called once
+        per name."""
+        return np.array([of_name(name) for name in self.names.tolist()], np.int64)[self.codes]
+
+    def first_seen(self) -> np.ndarray:
+        """The codes that rows use, in order of their first row."""
+        n = self.codes.size
+        first = np.full(self.names.size, n)
+        np.minimum.at(first, self.codes, np.arange(n))
+        used = np.flatnonzero(first < n)
+        return used[np.argsort(first[used])]
+
+
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write each line followed by ``\\n``, through a temporary file beside
     ``path``: :func:`write_artifacts` of no artifact and this one text."""
@@ -161,14 +221,17 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
     encoded once as UTF-8 (:func:`_format_steps`, which has a large call's
     odd steps formatted by a forked child, to the same bytes); only a
     checksummed artifact holds its encoded chunks until its header is
-    known.  The sums, headers, sidecars and moves are all made here, as
-    in a serial call, and the child is reaped before this returns or
-    raises.  Each file is written beside its target and moved into place
-    once all are written; if any open or write fails, none is.  An
-    artifact of a format in ``SIDECAR_FORMATS`` whose columns
+    known.  A column may be given as :class:`Labels`; a 1-D object column
+    of ``str`` cells is made one here, once (:func:`_table`), and both
+    write the same bytes.  The sums, headers, sidecars and moves are all
+    made here, as in a serial call, and the child is reaped before this
+    returns or raises.  Each file is written beside its target and moved
+    into place once all are written; if any open or write fails, none is.
+    An artifact of a format in ``SIDECAR_FORMATS`` whose columns
     :func:`_sidecar_labels` accepts also gets its sidecar, written the
-    same way, with the crc32 and byte length of its data lines summed
-    chunk by chunk as they are written; once the files are moved, the old
+    same way, its label columns' codes and ``#labels`` taken from their
+    :class:`Labels`, with the crc32 and byte length of its data lines
+    summed chunk by chunk as they are written; once the files are moved, the old
     sidecar of every other artifact is deleted.  ``texts`` holds plain
     files ``(path, lines)``, such as a run's manifest, each line followed
     by ``\\n``, written in the same step and moved into place after the
@@ -177,8 +240,8 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
     """
     tables = [_table(columns.values()) for _, _, columns, _ in artifacts]
     held = [[] if "checksum" in header else None for _, header, _, _ in artifacts]
-    sidecars = [_sidecar_labels(columns) if header.get("format") in SIDECAR_FORMATS else None
-                for _, header, columns, _ in artifacts]
+    sidecars = [_sidecar_labels(columns, table) if header.get("format") in SIDECAR_FORMATS
+                else None for (_, header, columns, _), table in zip(artifacts, tables)]
     # [crc32, byte length] of the data lines, where a checksum or a sidecar needs them
     sums = [None if hold is None and labels is None else [0, 0]
             for hold, labels in zip(held, sidecars)]
@@ -209,8 +272,8 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
                         fh.write(b"\n")
                     else:
                         hold.append(data)
-        for fh, hold, total, labels, (_, header, columns, extra) in zip(
-                files, held, sums, sidecars, artifacts):
+        for fh, hold, total, labels, table, (_, header, columns, extra) in zip(
+                files, held, sums, sidecars, tables, artifacts):
             if hold is not None:
                 fh.write(_head({**header, "checksum": total[0]}, columns, extra).encode("utf-8"))
                 for data in hold:
@@ -219,7 +282,7 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
             if labels is not None:
                 # built after the formatting, so as not to add to its memory
                 np.savez(next(sidecar_files), allow_pickle=False,
-                         **_sidecar_members(columns, labels),
+                         **_sidecar_members(dict(zip(columns, table)), labels),
                          **{"#crc": total[0], "#bytes": total[1]})
     for (path, *_), labels in zip(artifacts, sidecars):
         if labels is None:
@@ -240,25 +303,31 @@ def sidecar_path(path) -> Path:
     return path.with_name(path.name + ".npz")
 
 
-def _sidecar_labels(columns: dict) -> dict[str, dict] | None:
+def _sidecar_labels(columns: dict, table: list) -> dict[str, tuple] | None:
     """Whether the columns get a sidecar (:func:`_sidecar_members`): for
-    each object column, the code of each of its distinct cells, in order
-    of first appearance; None where the columns get none.
+    each label column, the sidecar code of each of its codes, and its
+    names in use in order of first appearance, as the object column's
+    distinct cells would be; None where the columns get none.
 
-    A sidecar holds only 1-D columns with rows, of int64, float64 or
-    labels: object columns whose cells are all ``str`` of
-    ``_LABEL_BYTES`` (printable ASCII, no comma, no whitespace), which
-    the line reader reads back as written."""
+    A sidecar holds only 1-D columns with rows, given as arrays or
+    :class:`Labels`, of int64, float64 or labels (``table``, the columns
+    as written) whose names in use are all ``str`` of ``_LABEL_BYTES``
+    (printable ASCII, no comma, no whitespace), which the line reader
+    reads back as written."""
     labels = {}
-    for name, column in columns.items():
-        if not isinstance(column, np.ndarray) or column.ndim != 1 or column.size == 0:
+    for (name, given), column in zip(columns.items(), table):
+        if (not isinstance(given, (np.ndarray, Labels)) or len(column.shape) != 1
+                or not len(column)):
             return None
-        if column.dtype == object:
-            cells = dict.fromkeys(column.tolist())
-            if not all(isinstance(cell, str) and cell.isascii()
-                       and not cell.encode().translate(None, _LABEL_BYTES) for cell in cells):
+        if isinstance(column, Labels):
+            used = column.first_seen()
+            names = column.names[used].tolist()
+            if not all(label.isascii() and not label.encode().translate(None, _LABEL_BYTES)
+                       for label in names):
                 return None
-            labels[name] = dict(zip(cells, range(len(cells))))
+            recode = np.zeros(column.names.size, np.int32)
+            recode[used] = np.arange(used.size)
+            labels[name] = recode, names
         elif column.dtype not in (np.int64, np.float64):
             return None
     return labels
@@ -268,16 +337,15 @@ def _sidecar_members(columns: dict, labels: dict) -> dict[str, np.ndarray]:
     """The sidecar members that hold the columns exactly as a schema read
     of their data lines gives them.  An int64 column is stored as it is.
     A float64 column is stored with each NaN as ``np.nan`` and each -0.0
-    as 0.0: ``fmt`` writes them blank and ``0``, which parse back so.  An
-    object column (``labels``) is stored as ``<name>``, the int32 code of
+    as 0.0: ``fmt`` writes them blank and ``0``, which parse back so.  A
+    label column (``labels``) is stored as ``<name>``, the int32 code of
     each cell, and ``<name>#labels``, its distinct cells as bytes."""
     stored = {}
     for name, column in columns.items():
         if name in labels:
-            codes = labels[name]
-            stored[name] = np.fromiter(map(codes.__getitem__, column.tolist()), np.int32,
-                                       column.size)
-            stored[name + "#labels"] = np.array([label.encode() for label in codes], "S")
+            recode, names = labels[name]
+            stored[name] = recode[column.codes]
+            stored[name + "#labels"] = np.array([label.encode() for label in names], "S")
             continue
         if column.dtype == np.float64:
             nan = np.isnan(column)
@@ -325,13 +393,28 @@ def format_chunks(columns: list) -> Iterator[str]:
             for start in range(0, len(table[0]) if table else 0, _CHUNK))
 
 
-def _table(columns: Iterable) -> list[np.ndarray]:
-    """The columns as numpy arrays (a list or tuple as an object array),
-    checked to be of one shape."""
-    columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in columns]
-    if len({column.shape for column in columns}) > 1:
-        raise ValueError(f"columns differ in shape: {[column.shape for column in columns]}")
-    return columns
+def _table(columns: Iterable) -> list[np.ndarray | Labels]:
+    """The columns as written: numpy arrays (a list or tuple as an object
+    array), except that a 1-D column of ``str`` cells is :class:`Labels`,
+    given so or built here once; checked to be of one shape."""
+    table = []
+    for column in columns:
+        if isinstance(column, Labels) and not _all_str(column.names):
+            column = column.cells()
+        elif not isinstance(column, (np.ndarray, Labels)):
+            column = np.array(column, dtype=object)
+        if isinstance(column, np.ndarray) and column.dtype == object and column.ndim == 1:
+            labels = Labels.of(column)
+            if _all_str(labels.names):
+                column = labels
+        table.append(column)
+    if len({column.shape for column in table}) > 1:
+        raise ValueError(f"columns differ in shape: {[column.shape for column in table]}")
+    return table
+
+
+def _all_str(names: np.ndarray) -> bool:
+    return all(isinstance(name, str) for name in names.tolist())
 
 
 def _format_steps(tables: list[list[np.ndarray]]) -> Iterator[list[bytes | None]]:
@@ -475,7 +558,8 @@ def _format_step(tables: list[list[np.ndarray]], start: int) -> list[str | None]
     groups: dict[np.dtype, list] = {}
     for t, chunk in enumerate(chunks):
         for j, column in enumerate(chunk or ()):
-            groups.setdefault(column.dtype, []).append((t, j, column))
+            dtype = _OBJECT if isinstance(column, Labels) else column.dtype
+            groups.setdefault(dtype, []).append((t, j, column))
     for dtype, members in groups.items():
         strings = _format_group(dtype, [column for _, _, column in members])
         for (t, j, _), column_strings in zip(members, strings):
@@ -483,11 +567,17 @@ def _format_step(tables: list[list[np.ndarray]], start: int) -> list[str | None]
     return [None if c is None else "\n".join(map(",".join, zip(*c))) for c in cells]
 
 
-def _format_group(dtype: np.dtype, columns: list[np.ndarray]) -> list[list[str]]:
+def _format_group(dtype: np.dtype, columns: list[np.ndarray | Labels]) -> list[list[str]]:
     if dtype == object:
-        cells = [column.tolist() for column in columns]
+        if all(isinstance(column, Labels) for column in columns):
+            # names are str, which fmt returns as they are
+            return [column.cells().tolist() for column in columns]
+        # beside a column of other cells, each distinct name is formatted
+        # once with them, and a step of only str cells is written as it is
+        cells = [column.cells().tolist() if isinstance(column, Labels) else column.tolist()
+                 for column in columns]
         types = set(map(type, chain.from_iterable(cells)))
-        if types == {str}:  # fmt returns a str as it is
+        if types == {str}:
             return cells
         if len(types) == 1:
             memo = {cell: fmt(cell) for cell in dict.fromkeys(chain.from_iterable(cells))}
@@ -509,7 +599,7 @@ class Artifact(NamedTuple):
 
 
 def read_commented_csv(
-    path, kind: str | None = None, schema: dict | None = None, extra=()
+    path, kind: str | None = None, schema: dict | None = None, extra=(), labels: bool = False
 ) -> Artifact:
     """Read an artifact as (header key/values, column names, body).
 
@@ -519,7 +609,9 @@ def read_commented_csv(
     keys, and the body is one numpy column per key (int64, float64, or
     object for ``str.strip``).  Without a schema, the body is one list
     of stripped strings per row.  Keys listed in ``extra`` may repeat;
-    each maps to the list of its lines' cells.
+    each maps to the list of its lines' cells.  With ``labels``, each
+    ``str.strip`` column is :class:`Labels` instead, taken as the sidecar
+    holds it or built once from the parsed cells.
 
     A schema'd file is read from its sidecar where :func:`_read_block`
     accepts it: an ``int`` first column, and a data block of the
@@ -528,10 +620,15 @@ def read_commented_csv(
     which names what is wrong.
     """
     if schema is not None:
-        artifact = _read_block(path, kind, schema, extra)
+        artifact = _read_block(path, kind, schema, extra, labels)
         if artifact is not None:
             return artifact
-    return _read_lines(path, kind, schema, extra)
+    artifact = _read_lines(path, kind, schema, extra)
+    if labels and schema is not None:
+        for name, parse in schema.items():
+            if parse is str.strip:
+                artifact.body[name] = Labels.of(artifact.body[name])
+    return artifact
 
 
 def _read_lines(path, kind, schema, extra) -> Artifact:
@@ -593,7 +690,7 @@ _LABEL_BYTES = bytes(range(0x21, 0x7F)).replace(b",", b"")
 _DTYPES = {int: np.int64, float: np.float64, parse_float: np.float64}
 
 
-def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
+def _read_block(path, kind, schema: dict, extra, labels: bool = False) -> Artifact | None:
     """The artifact with its body taken from its sidecar, or None where
     the line reader is needed to read or reject it.
 
@@ -618,7 +715,7 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
                 return None
             head = _read_head(path, kind, schema, extra,
                               npz["#crc"].tolist(), npz["#bytes"].tolist())
-            body = None if head is None else _load_sidecar(npz, schema)
+            body = None if head is None else _load_sidecar(npz, schema, labels)
     except Exception:  # a miss: the line reader reads the file and reports its errors
         return None
     return None if body is None else Artifact(*head, body)
@@ -659,30 +756,34 @@ def _read_head(path, kind, schema: dict, extra, crc: int, size: int) -> tuple[di
     return meta, columns
 
 
-def _load_sidecar(npz, schema: dict) -> dict[str, np.ndarray] | None:
+def _load_sidecar(npz, schema: dict, labels: bool = False) -> dict[str, np.ndarray] | None:
     """The columns held by an open sidecar whose members are the
     schema's columns, each ``str.strip`` column followed by its
     ``#labels``, then ``#crc`` and ``#bytes``; or None unless each column
     is 1-D, of the schema's dtype, or, for a ``str.strip`` column, of
-    integer codes into its labels, which are 1-D bytes; a ``float``
-    column holds no NaN, as a blank ``float`` cell fails the parse; and
-    the columns are of one length."""
+    integer codes into its labels, which are 1-D distinct bytes; a
+    ``float`` column holds no NaN, as a blank ``float`` cell fails the
+    parse; and the columns are of one length.  A ``str.strip`` column is
+    an object array, or with ``labels`` the codes and labels as they are
+    (:class:`Labels`)."""
     body = {}
     for name, parse in schema.items():
         column = npz[name]
         if column.ndim != 1:
             return None
         if parse is str.strip:
-            labels = npz[name + "#labels"]
-            if (labels.dtype.kind != "S" or labels.ndim != 1 or column.dtype.kind not in "iu"
-                    or column.min() < 0 or column.max() >= labels.size):
+            names = npz[name + "#labels"]
+            if (names.dtype.kind != "S" or names.ndim != 1 or column.dtype.kind not in "iu"
+                    or column.min() < 0 or column.max() >= names.size):
                 return None
-            column = np.array([label.decode("ascii") for label in labels.tolist()],
-                              dtype=object)[column]
+            names = np.array([label.decode("ascii") for label in names.tolist()], dtype=object)
+            if len(set(names.tolist())) != names.size:
+                return None
+            column = Labels(column, names) if labels else names[column]
         elif column.dtype != _DTYPES[parse] or (parse is float and np.isnan(column).any()):
             return None
         body[name] = column
-    return body if len({column.size for column in body.values()}) == 1 else None
+    return body if len(set(map(len, body.values()))) == 1 else None
 
 
 def _parse_body(lines: list[str], schema: dict) -> dict[str, np.ndarray]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import repeat
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,6 +38,11 @@ class DeltaCategory(str, Enum):
 # Inclusive upper bounds of |delta| for the first three categories.
 _DELTA_BOUNDS = (10.0, 25.0, 35.0)
 _CATEGORIES = tuple(DeltaCategory)
+NO_MATCH = "no_match"
+# The names of the category codes: the categories in order, then NO_MATCH.
+_CATEGORY_NAMES = np.array([*(c.value for c in _CATEGORIES), NO_MATCH], dtype=object)
+_INDICATOR_NAMES = np.array(INDICATOR_NAMES, dtype=object)
+_CATEGORY_NAMES.flags.writeable = _INDICATOR_NAMES.flags.writeable = False
 
 
 def classify_delta(delta: float) -> DeltaCategory:
@@ -45,10 +50,15 @@ def classify_delta(delta: float) -> DeltaCategory:
     return _CATEGORIES[int(np.searchsorted(_DELTA_BOUNDS, abs(delta)))]
 
 
+def _category_codes(deltas: np.ndarray) -> np.ndarray:
+    """:func:`classify_delta` of an array of deltas, as indices into
+    ``_CATEGORY_NAMES`` (NaN is improvable)."""
+    return np.searchsorted(_DELTA_BOUNDS, np.abs(deltas))
+
+
 def _category_names(deltas: np.ndarray) -> np.ndarray:
     """:func:`classify_delta` values of an array of deltas (NaN is improvable)."""
-    names = np.array([c.value for c in _CATEGORIES], dtype=object)
-    return names[np.searchsorted(_DELTA_BOUNDS, np.abs(deltas))]
+    return _CATEGORY_NAMES[_category_codes(deltas)]
 
 
 # The tolerance schedule of every MPD search: +-1 to +-10 years in steps
@@ -212,18 +222,21 @@ def overall_aggregate(mpds) -> tuple[float, float]:
     return float(np.mean(mpds)), float(np.median(mpds))
 
 
-NO_MATCH = "no_match"
-
-
 @dataclass(frozen=True, eq=False)
 class EvalColumns:
     """Evaluation rows in long form as numpy columns: one row per
     indicator of each evaluated dataset.
 
-    ``indicator`` and ``category`` are object arrays of str.  A row
-    without a value (its dataset matched nothing) holds NaN ``value`` and
-    ``delta``, category ``no_match`` and ``n_matches`` 0.  ``len`` is the
-    row count, and indexing selects rows: ``rows[:12]``, ``rows[mask]``.
+    ``indicator`` and ``category`` are object arrays of str.  The rows
+    also hold each of the two as :class:`csvio.Labels`, integer codes
+    into its distinct names (``indicator_labels``, ``category_labels``),
+    which the analyses and the writer take: :func:`evaluate_test_series`
+    and :func:`read_eval_rows` make them with the rows, rows built from
+    object arrays factorize a column once, where it is first needed, and
+    ``rows[mask]`` keeps them.  A row without a value (its dataset
+    matched nothing) holds NaN ``value`` and ``delta``, category
+    ``no_match`` and ``n_matches`` 0.  ``len`` is the row count, and
+    indexing selects rows: ``rows[:12]``, ``rows[mask]``.
     """
 
     data_id: np.ndarray
@@ -234,11 +247,32 @@ class EvalColumns:
     category: np.ndarray
     n_matches: np.ndarray
 
+    @classmethod
+    def from_labels(cls, data_id, original_date, indicator: csvio.Labels, value, delta,
+                    category: csvio.Labels, n_matches) -> EvalColumns:
+        """Rows whose label columns are given as :class:`csvio.Labels`."""
+        rows = cls(data_id, original_date, indicator.cells(), value, delta, category.cells(),
+                   n_matches)
+        rows.__dict__.update(indicator_labels=indicator, category_labels=category)
+        return rows
+
+    @cached_property
+    def indicator_labels(self) -> csvio.Labels:
+        return csvio.Labels.of(self.indicator)
+
+    @cached_property
+    def category_labels(self) -> csvio.Labels:
+        return csvio.Labels.of(self.category)
+
     def __len__(self) -> int:
         return self.data_id.size
 
     def __getitem__(self, rows) -> EvalColumns:
-        return EvalColumns(*(column[rows] for column in self.columns()))
+        picked = EvalColumns(*(column[rows] for column in self.columns()))
+        for name in ("indicator_labels", "category_labels"):
+            if name in self.__dict__:  # made already
+                picked.__dict__[name] = self.__dict__[name][rows]
+        return picked
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The seven columns, in file order."""
@@ -262,11 +296,12 @@ def evaluate_test_series(table: RefTable, series: TestSeries) -> EvalColumns:
     value = np.full((len(series), k), math.nan)
     value[matched] = values
     delta = value - series.original_date[:, None]
-    category = np.where(matched[:, None], _category_names(delta), NO_MATCH)
-    return EvalColumns(
+    category = np.where(matched[:, None], _category_codes(delta), len(_CATEGORIES))
+    return EvalColumns.from_labels(
         np.repeat(series.data_id, k), np.repeat(series.original_date, k),
-        np.tile(np.array(INDICATOR_NAMES, dtype=object), len(series)),
-        value.ravel(), delta.ravel(), category.ravel(), np.repeat(n_prime, k),
+        csvio.Labels(np.tile(np.arange(k), len(series)), _INDICATOR_NAMES),
+        value.ravel(), delta.ravel(), csvio.Labels(category.ravel(), _CATEGORY_NAMES),
+        np.repeat(n_prime, k),
     )
 
 
@@ -303,8 +338,7 @@ def performance_curves(rows: EvalColumns, threshold: float) -> list[tuple[float,
     slot = {name: k for k, name in enumerate(n for names in FAMILIES.values() for n in names)}
     ids, dataset = np.unique(rows.data_id, return_inverse=True)
     dates = rows.original_date[_last_rows(dataset, ids.size)]
-    member = np.fromiter(map(slot.get, rows.indicator, repeat(-1)), dtype=np.int64,
-                         count=len(rows))
+    member = rows.indicator_labels.map(lambda name: slot.get(name, -1))
     is_member = member >= 0
     cell = _last_rows(dataset[is_member] * len(slot) + member[is_member], ids.size * len(slot))
     # a (dataset, member) cell without a row reads the appended NaN: a failure
@@ -331,10 +365,11 @@ def average_deviation_analysis(
     if not len(rows):
         raise ValueError("no evaluation rows")
     scored = rows[~np.isnan(rows.delta)]
-    names = sorted(set(scored.indicator.tolist()))
+    labels = scored.indicator_labels
+    used = np.flatnonzero(np.bincount(labels.codes, minlength=labels.names.size))
+    names = sorted(labels.names[used].tolist())
     rank = {name: k for k, name in enumerate(names)}
-    name_of = np.fromiter(map(rank.__getitem__, scored.indicator), dtype=np.int64,
-                          count=len(scored))
+    name_of = labels.map(lambda name: rank.get(name, -1))
     dates, date_of = np.unique(scored.original_date, return_inverse=True)
     # key order is (date, indicator name) order
     keys, means = _group_means(date_of * len(names) + name_of, scored.delta)
@@ -565,19 +600,23 @@ def mpd_report(rows: EvalColumns) -> dict[str, np.ndarray]:
     Returns the columns of ``mpd_report.csv`` by name, one entry per
     searched row, in row order.
     """
+    return _mpd_report(rows)[1]
+
+
+def _mpd_report(rows: EvalColumns) -> tuple[EvalColumns, dict[str, np.ndarray]]:
+    """The searched rows and :func:`mpd_report` of the rows."""
     searched = rows[~np.isnan(rows.value)]
     n = len(searched)
-    codes = {name: k for k, name in enumerate(dict.fromkeys(searched.indicator.tolist()))}
-    pool_of = np.fromiter(map(codes.__getitem__, searched.indicator), dtype=np.int64, count=n)
+    codes = searched.indicator_labels.codes
     tol = np.empty(n)
     count = np.empty(n, dtype=np.int64)
     mpd = np.empty(n)
     value_range = np.empty(n)
-    for k in range(len(codes)):
-        members = np.flatnonzero(pool_of == k)
+    for k in searched.indicator_labels.first_seen().tolist():
+        members = np.flatnonzero(codes == k)
         pool = searched.value[members]
         tol[members], count[members], mpd[members], value_range[members] = mpd_searches(pool, pool)
-    return {
+    return searched, {
         "data_id": searched.data_id,
         "original_cal_date": searched.original_date,
         "indicator": searched.indicator,
@@ -611,14 +650,17 @@ def _eval_artifact(rows: EvalColumns, path, extra_header: dict | None) -> tuple:
     header = {"format": "finedating-eval", "rows": len(rows)}
     if extra_header:
         header.update(extra_header)
-    return path, header, dict(zip(EVAL_SCHEMA, rows.columns())), None
+    columns = dict(zip(EVAL_SCHEMA, rows.columns()))
+    columns["indicator"], columns["category"] = rows.indicator_labels, rows.category_labels
+    return path, header, columns, None
 
 
 def read_eval_rows(path) -> EvalColumns:
     """Read rows written by :func:`write_eval_rows`; a ``rows`` header
     must count them."""
-    meta, _, columns = csvio.read_commented_csv(path, "finedating-eval", EVAL_SCHEMA)
-    rows = EvalColumns(*columns.values())
+    meta, _, columns = csvio.read_commented_csv(path, "finedating-eval", EVAL_SCHEMA,
+                                                labels=True)
+    rows = EvalColumns.from_labels(*columns.values())
     csvio.check_count(meta, "rows", len(rows), path)
     return rows
 
@@ -741,9 +783,10 @@ def write_evaluation(
         None,
     ))
 
-    report = mpd_report(rows)
+    searched, report = _mpd_report(rows)
     mpd_header = dict(header)
     if report["mpd"].size:
         mpd_header["overall_mean"], mpd_header["overall_median"] = overall_aggregate(report["mpd"])
-    artifacts.append((out_dir / "mpd_report.csv", mpd_header, report, None))
+    artifacts.append((out_dir / "mpd_report.csv", mpd_header,
+                      {**report, "indicator": searched.indicator_labels}, None))
     csvio.write_artifacts(artifacts, texts)

@@ -149,15 +149,17 @@ def pool_statistics(flat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np
     matrix, and the number of distinct values of each pool.
 
     Each value equals ``np.mean``/``np.median`` over the pool as a list
-    and over ``sorted(set(pool))``, bit for bit.
+    and over ``sorted(set(pool))``, bit for bit, but that a median
+    between 0.0 and -0.0 may take the other sign.  The medians are read
+    from the sorted pools (:func:`_sorted_median`).
     """
     stats = np.empty((4, sizes.size))
     n_distinct = np.empty(sizes.size, dtype=np.int64)
     distinct, owners = [], []
     for pools, block in pool_blocks(flat, sizes):
         stats[0, pools] = block.mean(axis=1)
-        stats[1, pools] = np.median(block, axis=1)
         block.sort(axis=1)
+        stats[1, pools] = _sorted_median(block)
         keep = np.ones(block.shape, dtype=bool)
         np.not_equal(block[:, 1:], block[:, :-1], out=keep[:, 1:])
         n_distinct[pools] = keep.sum(axis=1)
@@ -165,10 +167,24 @@ def pool_statistics(flat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np
         owners.append(pools)
     if owners:
         owner = np.concatenate(owners)
+        # the distinct values of each pool are kept in sorted order
         for pools, block in pool_blocks(np.concatenate(distinct), n_distinct[owner]):
             stats[2, owner[pools]] = block.mean(axis=1)
-            stats[3, owner[pools]] = np.median(block, axis=1)
+            stats[3, owner[pools]] = _sorted_median(block)
     return stats, n_distinct
+
+
+def _sorted_median(block: np.ndarray) -> np.ndarray:
+    """``np.median(block, axis=1)`` of a ``(k, n)`` block sorted along its
+    rows: the middle value, or the mean of the middle two as ``np.mean``
+    takes it, ``(a + b) / 2``; NaN where a row holds NaN, which sorts
+    last."""
+    n = block.shape[1]
+    middle = block[:, n // 2]
+    if n % 2 == 0:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or NaN from inf - inf
+            middle = (block[:, n // 2 - 1] + middle) / 2
+    return np.where(np.isnan(block[:, -1]), np.nan, middle)
 
 
 def batch_indicators(

@@ -90,15 +90,15 @@ def build_lookup(rows: EvalColumns, bucket_width: float = 5.0) -> LookupTable:
     """
     if not 0 < bucket_width < math.inf:
         raise ValueError(f"bucket_width must be finite and > 0, got {bucket_width}")
-    usable = rows[(rows.category != NO_MATCH) & ~np.isnan(rows.value)]
+    category = rows.category_labels
+    usable = rows[(category.names != NO_MATCH)[category.codes] & ~np.isnan(rows.value)]
     if not len(usable):
         raise ValueError("no matched evaluation rows to bucket")
     infinite = np.flatnonzero(np.isinf(usable.value))
     if infinite.size:
         raise ValueError(f"indicator value {usable.value[infinite[0]]} is not finite")
     codes = {name: j for j, name in enumerate(INDICATOR_NAMES)}
-    indicator = np.fromiter((codes.get(name, -1) for name in usable.indicator.tolist()),
-                            dtype=np.int64, count=len(usable))
+    indicator = usable.indicator_labels.map(lambda name: codes.get(name, -1))
     if (indicator < 0).any():
         raise ValueError(f"unknown indicator {usable.indicator[np.argmin(indicator)]!r}")
 

@@ -263,25 +263,36 @@ def read_table(path) -> RefTable:
         raise ValueError(
             f"corrupt table: {path} holds {len(table)} rows, its records header says {expected}"
         )
-    _validate_table(table)
+    _validate_table(table, path)
     return table
 
 
-def _validate_table(table: RefTable) -> None:
+# The columns whose every value must be finite; the dates are checked
+# against the span.
+_FINITE_COLUMNS = ("sd", "cal_mean", "cal_median", "cal_sigma")
+
+
+def _validate_table(table: RefTable, path) -> None:
     expected = sum(s.n_records for s in table.specs)
     if len(table) != expected:
         raise ValueError(
-            f"corrupt table: {len(table)} records, specs require {expected}"
+            f"corrupt table: {path} holds {len(table)} records, its specs require {expected}"
         )
     if (table.id != np.arange(1, len(table) + 1)).any():
-        raise ValueError("corrupt table: record ids are not dense from 1")
+        raise ValueError(f"corrupt table: record ids in {path} are not dense from 1")
     oldest, youngest = table.span
     outside = np.flatnonzero(~((table.base_date >= oldest) & (table.base_date <= youngest)))
     if outside.size:
         i = outside[0]
-        raise ValueError(
-            f"corrupt table: record {table.id[i]} date {table.base_date[i].item()} outside span"
-        )
+        raise ValueError(f"corrupt table: {path} record {table.id[i]} date "
+                         f"{table.base_date[i].item()} outside span")
+    for name in _FINITE_COLUMNS:
+        column = getattr(table, name)
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"corrupt table: {path} record {table.id[i]} has {name} "
+                             f"{column[i].item()}, not a finite number")
 
 
 def buffer_margin(table: RefTable, sd: float, curve: CalCurve | None = None) -> float:

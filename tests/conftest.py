@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,20 @@ def no_child_process_left():
     if pid:
         pytest.fail(f"the test left child process {pid} unreaped (wait status {status})")
     pytest.fail("the test left a child process running")
+
+
+@pytest.fixture(autouse=True)
+def no_temp_file_left(request):
+    """Fail a test that leaves a writer's temporary ``<name>.tmp-<pid>``
+    file under its ``tmp_path``: a write that fails must leave no file."""
+    base = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if base is None:
+        return
+    left = sorted(str(path.relative_to(base)) for path in base.rglob("*.tmp-*")
+                  if re.fullmatch(r".*\.tmp-\d+", path.name))
+    if left:
+        pytest.fail(f"the test left temporary files {left}")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import re
@@ -1107,3 +1108,62 @@ def test_malformed_numeric_flag_exits_cleanly(pipeline, curve_file, lookup_file,
     assert code in (2, 3, 4), (argv, code)
     assert "Traceback" not in err.getvalue()
     assert not any(out_dir.iterdir()), argv
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["csv-only", "with-sidecar"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["sd", "cal_mean", "cal_median", "cal_sigma"])
+def test_non_finite_table_value_is_data_error(pipeline, tmp_path, capsys, column, token,
+                                              sidecar):
+    # record 7's cell set to the token, under a valid checksum, and a
+    # sidecar that holds the same columns, crc32 and byte length
+    lines = (pipeline / "ref.csv").read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    names = lines[head].split(",")
+    cells = lines[head + 7].split(",")
+    assert cells[0] == "7"
+    cells[names.index(column)] = token
+    lines[head + 7] = ",".join(cells)
+    data = lines[head + 1:]
+    crc = csvio.rows_checksum(data)
+    lines = [f"# checksum={crc}" if line.startswith("# checksum=") else line for line in lines]
+    bad = tmp_path / "tables" / "ref.csv"
+    bad.parent.mkdir()
+    bad.write_text("".join(line + "\n" for line in lines))
+    if sidecar:
+        table = fd.read_table(pipeline / "ref.csv")
+        columns = dict(zip(fd.reftable.TABLE_SCHEMA, table.columns()))
+        columns[column] = columns[column].copy()
+        columns[column][6] = float(token)
+        np.savez(csvio.sidecar_path(bad), allow_pickle=False, **columns,
+                 **{"#crc": crc, "#bytes": sum(len(line) + 1 for line in data)})
+        # NaN in a float column is refused by the sidecar read, inf is not
+        read = csvio._read_block(bad, "finedating-reftable", fd.reftable.TABLE_SCHEMA, ("spec",))
+        assert (read is None) == (token == "nan")
+    capsys.readouterr()
+    assert run("finedate", "--ref", bad, "--ages", 2000, "--sd", 20,
+               "--out", tmp_path / "report") == 4
+    err = capsys.readouterr().err
+    assert err == (f"error: data: corrupt table: {bad} record 7 has {column} {float(token)}, "
+                   "not a finite number\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tables"]
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("date", "record 7 date inf outside span"),
+    ("id", "record ids in {} are not dense from 1"),
+])
+def test_bad_table_record_names_the_file(pipeline, tmp_path, capsys, damage, message):
+    table = fd.read_table(pipeline / "ref.csv")
+    column = (table.base_date if damage == "date" else table.id).copy()
+    column[6] = np.inf if damage == "date" else 6
+    bad = tmp_path / "tables" / "ref.csv"
+    fd.write_table(dataclasses.replace(table, **{"base_date" if damage == "date" else "id": column}),
+                   bad)
+    capsys.readouterr()
+    assert run("finedate", "--ref", bad, "--ages", 2000, "--sd", 20,
+               "--out", tmp_path / "report") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: corrupt table: ") and str(bad) in err
+    assert message.format(bad) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tables"]

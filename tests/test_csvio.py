@@ -805,3 +805,82 @@ def test_empty_body_reads_without_loadtxt_or_warning(tmp_path, kind):
     assert {name: (col.dtype, col.shape) for name, col in body.items()} == {
         name: (np.dtype(dtypes[parse]), (0,)) for name, parse in schema.items()
     }
+
+
+# --- label columns given as codes ---------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), mode=st.sampled_from(["serial", "forked"]), checksum=st.booleans())
+def test_given_labels_write_the_bytes_of_their_object_column(tmp_path_factory, data, mode,
+                                                              checksum):
+    # names that _LABEL_BYTES takes (the empty one included) and two it refuses
+    names = data.draw(st.lists(st.sampled_from(["CalDate_Mean", "no_match", "a.b", "x-1", "",
+                                                "has space", "naïve"]),
+                               min_size=1, max_size=6, unique=True))
+    n = data.draw(st.integers(1, 40))
+    picks = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n))
+    column = np.array([names[i] for i in picks], dtype=object)
+    # the same cells as codes: the names in another order, beside names no row uses
+    order = data.draw(st.permutations(range(len(names))))
+    unused = data.draw(st.lists(st.sampled_from(["unused", "also unused"]), unique=True))
+    labels = csvio.Labels(np.argsort(order)[picks],
+                          np.array([*(names[i] for i in order), *unused], dtype=object))
+    assert labels.cells().tolist() == column.tolist()
+    header = {"format": "finedating-eval", **({"checksum": None} if checksum else {})}
+    base = tmp_path_factory.mktemp("g")
+    for kind, given in (("object", column), ("labels", labels)):
+        path = base / kind / "eval.csv"
+        # an old sidecar, which a write that gets none deletes
+        csvio.write_artifact(path, {"format": "finedating-tests"},
+                             {"id": np.arange(2), "x": np.array(["old", "old"], dtype=object)})
+        assert csvio.sidecar_path(path).exists()
+        columns = {"id": np.arange(n), "label": given, "value": np.linspace(-1.0, 1.0, n),
+                   "reversed": column[::-1].copy()}
+        with forking(4) if mode == "forked" else nullcontext() as fork:
+            csvio.write_artifact(path, header, columns)
+        if mode == "forked":
+            assert fork.call_count == int(n > 4)
+        assert no_child_left()
+    assert files_in(base / "object") == files_in(base / "labels")
+    assert (base / "labels" / "eval.csv").read_text().splitlines()[-n:] == reference_lines(
+        {"id": np.arange(n), "label": column, "value": np.linspace(-1.0, 1.0, n),
+         "reversed": column[::-1]})
+    has_labels = all(map(is_label, column.tolist()))
+    assert csvio.sidecar_path(base / "labels" / "eval.csv").exists() == has_labels
+    if has_labels:
+        with np.load(csvio.sidecar_path(base / "labels" / "eval.csv")) as npz:
+            assert npz["label#labels"].tolist() == [name.encode()
+                                                    for name in dict.fromkeys(column.tolist())]
+
+
+def test_read_with_labels_gives_codes_into_distinct_names(tmp_path):
+    path = tmp_path / "e.csv"
+    csvio.write_artifact(path, {"format": "finedating-eval"},
+                         {"id": np.arange(5), "name": np.array(list("babca"), dtype=object)})
+    schema = {"id": int, "name": str.strip}
+    reads = {}
+    with np.load(csvio.sidecar_path(path)) as npz:
+        members = dict(npz)
+    for source in ("sidecar", "repeated label", "lines"):
+        if source == "repeated label":  # a sidecar whose labels repeat is not taken
+            codes = members["name"].copy()
+            codes[0] = 3
+            np.savez(csvio.sidecar_path(path), allow_pickle=False, **{
+                **members, "name": codes, "name#labels": np.array([b"b", b"a", b"c", b"b"])})
+            assert csvio._read_block(path, "finedating-eval", schema, ()) is None
+        if source == "lines":
+            csvio.sidecar_path(path).unlink()
+        labels = csvio.read_commented_csv(path, "finedating-eval", schema, labels=True).body["name"]
+        reads[source] = labels.names.tolist(), labels.codes.tolist()
+    assert list(reads.values()) == [(["b", "a", "c"], [0, 1, 0, 2, 1])] * 3
+
+
+def test_given_labels_of_other_cells_write_as_their_object_column(tmp_path):
+    labels = csvio.Labels(np.array([0, 1, 2, 3, 1, 0]),
+                          np.array([None, 2.5, True, "a"], dtype=object))
+    for kind, column in (("object", labels.cells()), ("labels", labels)):
+        csvio.write_artifact(tmp_path / kind / "a.csv", {"format": "finedating-eval"},
+                             {"id": np.arange(6), "x": column})
+    assert files_in(tmp_path / "object") == files_in(tmp_path / "labels") == {
+        "a.csv": b"# format=finedating-eval\nid,x\n0,\n1,2.5\n2,true\n3,a\n4,2.5\n5,\n"}

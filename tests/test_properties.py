@@ -604,3 +604,253 @@ def test_eval_reader_rejects_bad_cells(tmp_path, column, cell):
                     + ",".join(row.values()) + "\n")
     with pytest.raises(ValueError):
         read_eval_rows(path)
+
+
+# --- the code-indexed analyses against their string-mapping bodies -------------
+#
+# The bodies below are those of performance_curves, average_deviation_analysis,
+# mpd_report and build_lookup before the analyses indexed the label columns
+# by integer code: each maps every row's name through a dict.
+
+def string_performance_curves(rows, threshold):
+    from itertools import repeat
+
+    from finedating.evaluate import _last_rows
+
+    if threshold not in (25.0, 35.0, 25, 35):
+        raise ValueError(f"unsupported threshold {threshold!r}: use 25 or 35")
+    if not len(rows):
+        return []
+    slot = {name: k for k, name in enumerate(n for names in fd.FAMILIES.values() for n in names)}
+    ids, dataset = np.unique(rows.data_id, return_inverse=True)
+    dates = rows.original_date[_last_rows(dataset, ids.size)]
+    member = np.fromiter(map(slot.get, rows.indicator, repeat(-1)), dtype=np.int64,
+                         count=len(rows))
+    is_member = member >= 0
+    cell = _last_rows(dataset[is_member] * len(slot) + member[is_member], ids.size * len(slot))
+    deltas = np.append(rows.delta[is_member], math.nan)[cell]
+    score = np.abs(deltas.reshape(ids.size, len(fd.FAMILIES), -1)).mean(axis=2)
+    success = score <= threshold
+    by_date, date_of = np.unique(dates, return_inverse=True)
+    totals = np.bincount(date_of, minlength=by_date.size).tolist()
+    hits = [np.bincount(date_of, weights=success[:, f], minlength=by_date.size).astype(int).tolist()
+            for f in range(len(fd.FAMILIES))]
+    return [
+        (date, family, hits[f][d] / totals[d])
+        for d, date in enumerate(by_date.tolist())
+        for f, family in enumerate(fd.FAMILIES)
+    ]
+
+
+def string_average_deviation(rows):
+    from finedating.evaluate import _group_means
+
+    if not len(rows):
+        raise ValueError("no evaluation rows")
+    scored = rows[~np.isnan(rows.delta)]
+    names = sorted(set(scored.indicator.tolist()))
+    rank = {name: k for k, name in enumerate(names)}
+    name_of = np.fromiter(map(rank.__getitem__, scored.indicator), dtype=np.int64,
+                          count=len(scored))
+    dates, date_of = np.unique(scored.original_date, return_inverse=True)
+    keys, means = _group_means(date_of * len(names) + name_of, scored.delta)
+    per_date = {(dates[k // len(names)].item(), names[k % len(names)]): mean
+                for k, mean in zip(keys, means)}
+    keys, means = _group_means(name_of, scored.delta)
+    totals = {names[k]: mean for k, mean in zip(keys, means)}
+    return per_date, {name: totals.get(name, math.nan) for name in fd.INDICATOR_NAMES}
+
+
+def string_mpd_report(rows):
+    from finedating.evaluate import M_MIN
+
+    searched = rows[~np.isnan(rows.value)]
+    n = len(searched)
+    codes = {name: k for k, name in enumerate(dict.fromkeys(searched.indicator.tolist()))}
+    pool_of = np.fromiter(map(codes.__getitem__, searched.indicator), dtype=np.int64, count=n)
+    tol = np.empty(n)
+    count = np.empty(n, dtype=np.int64)
+    mpd = np.empty(n)
+    value_range = np.empty(n)
+    for k in range(len(codes)):
+        members = np.flatnonzero(pool_of == k)
+        pool = searched.value[members]
+        tol[members], count[members], mpd[members], value_range[members] = mpd_searches(pool, pool)
+    return {
+        "data_id": searched.data_id,
+        "original_cal_date": searched.original_date,
+        "indicator": searched.indicator,
+        "value": searched.value,
+        "tolerance": tol,
+        "match_count": count,
+        "under_min": count < M_MIN,
+        "mpd": mpd,
+        "range": value_range,
+        "delta": mpd - searched.original_date,
+    }
+
+
+def string_build_lookup(rows, bucket_width=5.0):
+    from finedating.evaluate import NO_MATCH
+    from finedating.lookup import (MAX_BUCKETS, TOLERANCES, LookupTable, _bucket_floor,
+                                   _percent)
+
+    if not 0 < bucket_width < math.inf:
+        raise ValueError(f"bucket_width must be finite and > 0, got {bucket_width}")
+    usable = rows[(rows.category != NO_MATCH) & ~np.isnan(rows.value)]
+    if not len(usable):
+        raise ValueError("no matched evaluation rows to bucket")
+    infinite = np.flatnonzero(np.isinf(usable.value))
+    if infinite.size:
+        raise ValueError(f"indicator value {usable.value[infinite[0]]} is not finite")
+    codes = {name: j for j, name in enumerate(fd.INDICATOR_NAMES)}
+    indicator = np.fromiter((codes.get(name, -1) for name in usable.indicator.tolist()),
+                            dtype=np.int64, count=len(usable))
+    if (indicator < 0).any():
+        raise ValueError(f"unknown indicator {usable.indicator[np.argmin(indicator)]!r}")
+    index = _bucket_floor(usable.value, bucket_width)
+    first, last = index.min(), index.max()
+    if last - first >= MAX_BUCKETS:
+        raise ValueError(f"bucket width {bucket_width:g} gives {last - first + 1:.0f} buckets, "
+                         f"more than the {MAX_BUCKETS} allowed")
+    if max(-first, last) >= 2.0**53:
+        raise ValueError(f"bucket width {bucket_width:g} is too fine for the value "
+                         f"{usable.value[np.argmax(np.abs(index))]:g}")
+    index = index.astype(np.int64)
+    first = int(first)
+    shape = (int(last) - first + 1, len(fd.INDICATOR_NAMES))
+    cell = (index - first) * shape[1] + indicator
+    deviation = np.abs(usable.delta)
+    count, k12, k25 = (np.bincount(cell[within], minlength=shape[0] * shape[1]).reshape(shape)
+                       for within in (slice(None), deviation <= TOLERANCES[0],
+                                      deviation <= TOLERANCES[1]))
+    return LookupTable(float(bucket_width), first, count,
+                       _percent(k12, count), _percent(k25, count))
+
+
+def canonical(value):
+    """A value as a comparable structure: floats and numeric arrays by
+    their bytes, object cells with their types, containers in order."""
+    if isinstance(value, np.ndarray):
+        cells = ([(type(c), c) for c in value.tolist()] if value.dtype == object
+                 else value.tobytes())
+        return value.dtype.str, value.shape, cells
+    if isinstance(value, fd.LookupTable):
+        return canonical(astuple(value))
+    if isinstance(value, float):
+        return float, np.float64(value).tobytes()
+    if isinstance(value, dict):
+        return dict, [(canonical(k), canonical(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value), [canonical(v) for v in value]
+    return type(value), value
+
+
+def analysis_outcome(analysis, rows):
+    try:
+        return "value", canonical(analysis(rows))
+    except Exception as exc:  # RuntimeWarning included, raised by the warning filter
+        return "raised", type(exc), str(exc)
+
+
+ANALYSES = [
+    (lambda rows: fd.performance_curves(rows, 25), lambda rows: string_performance_curves(rows, 25)),
+    (lambda rows: fd.performance_curves(rows, 35), lambda rows: string_performance_curves(rows, 35)),
+    (fd.average_deviation_analysis, string_average_deviation),
+    (fd.mpd_report, string_mpd_report),
+    (fd.build_lookup, string_build_lookup),
+]
+# names outside INDICATOR_NAMES, and category members beside their str values
+# (no_match beside a value too, which build_lookup leaves out)
+LABEL_NAMES = st.sampled_from([*fd.INDICATOR_NAMES, "CalDate_mean", "Other"])
+CATEGORY_CELLS = st.sampled_from([*fd.DeltaCategory, *(c.value for c in fd.DeltaCategory),
+                                  fd.evaluate.NO_MATCH])
+# a value's distance from its date: within the performance thresholds or not
+LABEL_OFFSETS = st.one_of(st.integers(-12, 12).map(lambda k: k * 5.0), st.floats(-60.0, 60.0))
+
+
+@st.composite
+def labelled_rows(draw):
+    """Rows of a few datasets, each with some of the indicator names (or
+    others, or repeats), some without a match; shuffled."""
+    from finedating.evaluate import NO_MATCH
+
+    offsets = st.one_of(LABEL_OFFSETS, st.sampled_from(
+        draw(st.sampled_from([[math.nan], [math.nan, math.inf, -math.inf]]))))
+    rows = []
+    for data_id in range(draw(st.integers(0, 6))):
+        date = draw(st.sampled_from([-300.0, -150.0, -100.0, 0.0]))
+        no_match = draw(st.booleans()) and draw(st.booleans())
+        for name in draw(st.one_of(st.lists(LABEL_NAMES, max_size=14),
+                                   st.permutations([*fd.INDICATOR_NAMES, "Other"]))):
+            if no_match:
+                rows.append((data_id, date, name, math.nan, math.nan, NO_MATCH, 0))
+                continue
+            value = date + draw(offsets)
+            rows.append((data_id, date, name, value, value - date, draw(CATEGORY_CELLS), 3))
+    return draw(st.permutations(rows))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning:numpy")  # means over inf - inf
+@PROPERTY
+@given(rows=labelled_rows(), data=st.data())
+def test_code_indexed_analyses_equal_the_string_mapping_bodies(rows, data):
+    columns = eval_columns(rows)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))),
+                    dtype=bool)
+    unfactorized = columns[mask]  # taken before the labels exist
+    # the same rows given as labels: names in another order, one unused
+    labels = [fd.csvio.Labels.of(column) for column in (columns.indicator, columns.category)]
+    given = []
+    for label in labels:
+        order = np.array(data.draw(st.permutations(range(label.names.size))), dtype=np.intp)
+        names = np.array([*label.names[order].tolist(), "unused"], dtype=object)
+        given.append(fd.csvio.Labels(np.argsort(order)[label.codes], names))
+    relabelled = fd.EvalColumns.from_labels(columns.data_id, columns.original_date, given[0],
+                                            columns.value, columns.delta, given[1],
+                                            columns.n_matches)
+    assert np.array_equal(relabelled.indicator, columns.indicator)
+    for analysis, reference in ANALYSES:
+        for variant in (columns, unfactorized, columns[mask], relabelled, relabelled[mask]):
+            assert analysis_outcome(analysis, variant) == analysis_outcome(reference, variant)
+
+
+# Ties, NaN, infinities and sums that overflow; no -0.0, whose median
+# beside 0.0 may take either sign (pool_statistics).
+MEDIAN_VALUES = st.sampled_from([0.0, 0.1, 1.0, 2.0, -3.5, 5e-324, 1e308, -1e308, math.inf,
+                                 -math.inf, math.nan])
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning:numpy")  # np.median over inf - inf
+@PROPERTY
+@given(pools=st.lists(st.one_of(st.lists(MEDIAN_VALUES, min_size=1, max_size=3),
+                                st.lists(MEDIAN_VALUES, min_size=1, max_size=40)),
+                      min_size=1, max_size=8))
+def test_sorted_medians_equal_np_median(pools):
+    from finedating.finedate import pool_statistics
+
+    flat = np.array([value for pool in pools for value in pool])
+    stats, _ = pool_statistics(flat, np.array([len(pool) for pool in pools]))
+    for k, pool in enumerate(pools):
+        assert bits(stats[1, k]) == bits(np.median(pool))
+        assert bits(stats[3, k]) == bits(np.median(distinct_values(pool)))
+    # compute_indicators: one pool per family, the same kernel
+    pool = pools[0]
+    n = len(pool)
+    table = make_table([(i + 1, v, 2000, 5.0, v, v, 8.0) for i, v in enumerate(pool)])
+    indicators = fd.compute_indicators(fd.MatchSet(
+        table, (fd.Measurement(age=2000, sd=10.0),), np.arange(n), np.array([n])))
+    for family in fd.FAMILIES:
+        assert bits(indicators.values[f"{family}_Median"]) == bits(np.median(pool))
+        assert (bits(indicators.values[f"unique_{family}_Median"])
+                == bits(np.median(distinct_values(pool))))
+
+
+def distinct_values(pool) -> np.ndarray:
+    """The sorted distinct values of a pool, each NaN kept."""
+    ordered = np.sort(pool)
+    return ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
