@@ -26,14 +26,14 @@ written from one form, :class:`Labels`: integer codes into its distinct
 names, given so by the caller (``evaluate``'s ``indicator`` and
 ``category``) or built once per call from an object column; a step
 gathers its names by code, and ``fmt``, which returns a ``str`` as it
-is, does not run.  The other object columns run ``fmt`` once per
-distinct cell, with any label names of the step beside them, or not at
-all when every such cell of the step is a ``str``.  Memory is bounded by one
+is, does not run.  The other object columns of a step run ``fmt`` once
+per distinct cell, by type and value.  Memory is bounded by one
 step's strings, except that a checksummed artifact holds its data lines
 until its header is written.  A call of more than ``_FORK_CELLS`` cells
 (``evaluate``'s 1.2 million) over two steps or more is formatted on two
 CPUs: a forked child formats the odd steps and pipes them back while the
-writer formats the even ones (:func:`_format_steps`).  The bytes do not
+writer formats the even ones (:func:`_format_steps`); the writer formats
+any step that the child did not send whole.  The bytes do not
 depend on which process formats a step.  The writer stays serial where
 ``os.fork`` is missing, the process may run on one CPU only, or another
 Python thread runs; everything after the formatting (sums, held chunks,
@@ -54,7 +54,9 @@ naming the file and the line number.
 A read has two paths.  A schema'd read (every artifact that has a
 reader) of a file whose binary sidecar (below) holds its data block
 takes its columns from the sidecar; every other read goes through the
-line reader, which accepts what it always did and names what is wrong.
+line reader, which accepts what it always did and names what is wrong,
+down to the line and column of a cell that its parser rejects.  Either
+path gives a ``str`` column as :class:`Labels`.
 
 The bulk artifacts that a later command reads whole, reference tables,
 test series and evaluation rows (``SIDECAR_FORMATS``), get that binary
@@ -88,7 +90,7 @@ import warnings
 import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import closing, contextmanager
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
@@ -104,15 +106,14 @@ _CHUNK = 4096
 # takes over; a call of 128,000 cells gained nothing measurable, one of
 # 384,000 about 9%.
 _FORK_CELLS = 400_000
-# The lengths of the child's stream that stand for no chunk (a table with
-# fewer rows) and for a step that raised.
-_NO_CHUNK, _FAILED = -1, -2
+# The length in the child's stream that stands for no chunk (a table with
+# fewer rows).
+_NO_CHUNK = -1
 # The formats whose artifacts get a binary sidecar (:func:`sidecar_path`): the
 # bulk files that a later command reads whole.
 SIDECAR_FORMATS = ("finedating-reftable", "finedating-tests", "finedating-eval")
 # The bits of np.nan, which is what a blank parse_float cell parses to.
 _NAN_BITS = np.float64(np.nan).view(np.int64)
-_OBJECT = np.dtype(object)
 
 
 def fmt(value) -> str:
@@ -150,8 +151,8 @@ class Labels:
     row uses.  ``rows[mask]`` selects rows and keeps the names.
 
     The writer takes a label column in this form, given or built once per
-    call from an object column of ``str`` cells, and a read asked for
-    ``labels`` gives its ``str.strip`` columns in it."""
+    call from an object column of ``str`` cells, and a schema'd read gives
+    its ``str.strip`` columns in it."""
 
     __slots__ = ("codes", "names")
 
@@ -194,12 +195,6 @@ class Labels:
         np.minimum.at(first, self.codes, np.arange(n))
         used = np.flatnonzero(first < n)
         return used[np.argsort(first[used])]
-
-
-def write_lines(path, lines: Iterable[str]) -> None:
-    """Write each line followed by ``\\n``, through a temporary file beside
-    ``path``: :func:`write_artifacts` of no artifact and this one text."""
-    write_artifacts([], [(path, lines)])
 
 
 def write_artifact(path, header: dict, columns: dict, extra: dict | None = None,
@@ -384,15 +379,6 @@ def _replacing(paths: list) -> Iterator[list]:
         raise
 
 
-def format_chunks(columns: list) -> Iterator[str]:
-    """The data lines of equal-length columns, ``\\n``-joined, one string
-    per chunk of up to ``_CHUNK`` rows: :func:`_format_step` of one
-    table, step by step, in this process."""
-    table = _table(columns)
-    return (_format_step([table], start)[0]
-            for start in range(0, len(table[0]) if table else 0, _CHUNK))
-
-
 def _table(columns: Iterable) -> list[np.ndarray | Labels]:
     """The columns as written: numpy arrays (a list or tuple as an object
     array), except that a 1-D column of ``str`` cells is :class:`Labels`,
@@ -427,12 +413,12 @@ def _format_steps(tables: list[list[np.ndarray]]) -> Iterator[list[bytes | None]
     formats the odd steps and sends each through a pipe
     (:func:`_send_step`), while this process formats the even steps and
     takes the odd ones in order.  Every other call is formatted here.  A
-    step is the same bytes whichever process formats it.  A step that
-    raises in the child is formatted again here, so that it raises as
-    the serial call does; a child that ends without sending its step
-    gives ``OSError``.  Once the generator ends, is closed or raises, the
-    pipe is closed and the child reaped, killed first unless the steps
-    ran to the end.
+    step is the same bytes whichever process formats it.  Any step that
+    the child did not send whole, because it raised there or the child
+    died, is formatted here: a step that raises then raises as in the
+    serial call, and one that does not gives the serial call's bytes.
+    Once the generator ends, is closed or raises, the pipe is closed and
+    the child reaped, killed first unless the steps ran to the end.
     """
     lengths = [len(table[0]) if table else 0 for table in tables]
     starts = range(0, max(lengths, default=0), _CHUNK)
@@ -502,38 +488,29 @@ def _fork_formatter(tables: list[list[np.ndarray]], starts: range) -> tuple[int,
 
 def _send_step(out: BinaryIO, tables: list[list[np.ndarray]], start: int) -> None:
     """Write one step to the parent: per table an 8-byte signed length
-    and the chunk, or ``_NO_CHUNK``; or ``_FAILED`` alone where the step
-    raises, for the parent to format it again."""
-    try:
-        chunks = _encoded_step(tables, start)
-    except Exception:  # reported to the parent, which raises it
-        out.write(_FAILED.to_bytes(8, "little", signed=True))
-    else:
-        for chunk in chunks:
-            if chunk is None:
-                out.write(_NO_CHUNK.to_bytes(8, "little", signed=True))
-            else:
-                out.write(len(chunk).to_bytes(8, "little", signed=True))
-                out.write(chunk)
+    and the chunk, or ``_NO_CHUNK``.  A step that raises writes nothing,
+    and ends the child."""
+    for chunk in _encoded_step(tables, start):
+        if chunk is None:
+            out.write(_NO_CHUNK.to_bytes(8, "little", signed=True))
+        else:
+            out.write(len(chunk).to_bytes(8, "little", signed=True))
+            out.write(chunk)
     out.flush()
 
 
 def _received_step(reader: BinaryIO, n_tables: int) -> list[bytes | None] | None:
-    """One step as :func:`_send_step` wrote it, or None where it raised."""
+    """One step as :func:`_send_step` wrote it, or None where the child
+    ended before sending it whole."""
     chunks = []
     for _ in range(n_tables):
-        size = int.from_bytes(_read_exactly(reader, 8), "little", signed=True)
-        if size == _FAILED:
+        head = reader.read(8)
+        size = int.from_bytes(head, "little", signed=True) if len(head) == 8 else None
+        chunk = None if size in (None, _NO_CHUNK) else reader.read(size)
+        if size is None or chunk is not None and len(chunk) < size:
             return None
-        chunks.append(None if size == _NO_CHUNK else _read_exactly(reader, size))
+        chunks.append(chunk)
     return chunks
-
-
-def _read_exactly(reader: BinaryIO, size: int) -> bytes:
-    data = reader.read(size)
-    if len(data) < size:
-        raise OSError("the formatting child process ended before sending its step")
-    return data
 
 
 def _encoded_step(tables: list[list[np.ndarray]], start: int) -> list[bytes | None]:
@@ -545,12 +522,14 @@ def _format_step(tables: list[list[np.ndarray]], start: int) -> list[str | None]
     """Chunk i of every table, rows ``start`` to ``start + _CHUNK``: its
     data lines ``\\n``-joined, or None for a table with fewer rows.
 
-    Each cell is :func:`fmt` of its value.  The numeric and bool columns
-    of one dtype, across all tables, share one ``np.unique``: ``fmt`` runs
-    once per distinct value (NaNs are one value, as are -0.0 and 0.0, and
-    ``fmt`` writes each alike) and the strings are gathered.  The object
-    columns run ``fmt`` once per distinct cell, keyed by type and value,
-    so that ``True``, ``1`` and ``1.0`` each keep their own string.
+    Each cell is :func:`fmt` of its value.  A :class:`Labels` column is
+    its names gathered by code: they are ``str``, which ``fmt`` returns as
+    they are.  The numeric and bool columns of one dtype, across all
+    tables, share one ``np.unique``: ``fmt`` runs once per distinct value
+    (NaNs are one value, as are -0.0 and 0.0, and ``fmt`` writes each
+    alike) and the strings are gathered.  The other object columns run
+    ``fmt`` once per distinct cell, keyed by type and value, so that
+    ``True``, ``1`` and ``1.0`` each keep their own string.
     """
     chunks = [[c[start : start + _CHUNK] for c in table] if table and start < len(table[0])
               else None for table in tables]
@@ -558,8 +537,10 @@ def _format_step(tables: list[list[np.ndarray]], start: int) -> list[str | None]
     groups: dict[np.dtype, list] = {}
     for t, chunk in enumerate(chunks):
         for j, column in enumerate(chunk or ()):
-            dtype = _OBJECT if isinstance(column, Labels) else column.dtype
-            groups.setdefault(dtype, []).append((t, j, column))
+            if isinstance(column, Labels):
+                cells[t][j] = column.cells().tolist()
+            else:
+                groups.setdefault(column.dtype, []).append((t, j, column))
     for dtype, members in groups.items():
         strings = _format_group(dtype, [column for _, _, column in members])
         for (t, j, _), column_strings in zip(members, strings):
@@ -567,23 +548,10 @@ def _format_step(tables: list[list[np.ndarray]], start: int) -> list[str | None]
     return [None if c is None else "\n".join(map(",".join, zip(*c))) for c in cells]
 
 
-def _format_group(dtype: np.dtype, columns: list[np.ndarray | Labels]) -> list[list[str]]:
+def _format_group(dtype: np.dtype, columns: list[np.ndarray]) -> list[list[str]]:
     if dtype == object:
-        if all(isinstance(column, Labels) for column in columns):
-            # names are str, which fmt returns as they are
-            return [column.cells().tolist() for column in columns]
-        # beside a column of other cells, each distinct name is formatted
-        # once with them, and a step of only str cells is written as it is
-        cells = [column.cells().tolist() if isinstance(column, Labels) else column.tolist()
-                 for column in columns]
-        types = set(map(type, chain.from_iterable(cells)))
-        if types == {str}:
-            return cells
-        if len(types) == 1:
-            memo = {cell: fmt(cell) for cell in dict.fromkeys(chain.from_iterable(cells))}
-            return [list(map(memo.__getitem__, column_cells)) for column_cells in cells]
         # True == 1 == 1.0 and they hash alike, but each formats its own way
-        keys = [list(zip(map(type, column_cells), column_cells)) for column_cells in cells]
+        keys = [list(zip(map(type, cells), cells)) for cells in map(np.ndarray.tolist, columns)]
         memo = {key: fmt(key[1]) for key in dict.fromkeys(chain.from_iterable(keys))}
         return [list(map(memo.__getitem__, column_keys)) for column_keys in keys]
     values, inverse = np.unique(np.concatenate(columns), return_inverse=True)
@@ -598,20 +566,18 @@ class Artifact(NamedTuple):
     body: list | dict[str, np.ndarray]
 
 
-def read_commented_csv(
-    path, kind: str | None = None, schema: dict | None = None, extra=(), labels: bool = False
-) -> Artifact:
+def read_commented_csv(path, kind: str | None = None, schema: dict | None = None,
+                       extra=()) -> Artifact:
     """Read an artifact as (header key/values, column names, body).
 
     ``kind``, when given, must equal the ``format`` header.  ``schema``
     maps each column name to its cell parser (``int``, ``float``,
     :func:`parse_float` or ``str.strip``): the column line must equal its
-    keys, and the body is one numpy column per key (int64, float64, or
-    object for ``str.strip``).  Without a schema, the body is one list
-    of stripped strings per row.  Keys listed in ``extra`` may repeat;
-    each maps to the list of its lines' cells.  With ``labels``, each
-    ``str.strip`` column is :class:`Labels` instead, taken as the sidecar
-    holds it or built once from the parsed cells.
+    keys, and the body is one column per key: int64 or float64 numpy
+    arrays, and :class:`Labels` for ``str.strip``, taken as the sidecar
+    holds it or built once from the parsed cells.  Without a schema, the
+    body is one list of stripped strings per row.  Keys listed in
+    ``extra`` may repeat; each maps to the list of its lines' cells.
 
     A schema'd file is read from its sidecar where :func:`_read_block`
     accepts it: an ``int`` first column, and a data block of the
@@ -620,15 +586,10 @@ def read_commented_csv(
     which names what is wrong.
     """
     if schema is not None:
-        artifact = _read_block(path, kind, schema, extra, labels)
+        artifact = _read_block(path, kind, schema, extra)
         if artifact is not None:
             return artifact
-    artifact = _read_lines(path, kind, schema, extra)
-    if labels and schema is not None:
-        for name, parse in schema.items():
-            if parse is str.strip:
-                artifact.body[name] = Labels.of(artifact.body[name])
-    return artifact
+    return _read_lines(path, kind, schema, extra)
 
 
 def _read_lines(path, kind, schema, extra) -> Artifact:
@@ -670,6 +631,23 @@ def _read_lines(path, kind, schema, extra) -> Artifact:
         return Artifact(meta, columns, _parse_body(data, schema))
     except OverflowError:
         raise ValueError(f"integer cell out of range in {path}") from None
+    except ValueError:
+        _reject_cell(path, schema)
+        raise
+
+
+def _reject_cell(path, schema: dict) -> None:
+    """Raise the error of the first data cell of the file that its parser
+    rejects, naming the file, the line and the column; the file is read
+    again, as the line reader reads it, only once a parse has failed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip() and line[0] != "#"]
+    # each cell of each data line, in order: the first line is the column line
+    for (lineno, line), (j, (name, parse)) in product(lines[1:], enumerate(schema.items())):
+        try:
+            parse(line.rstrip("\n").split(",")[j])
+        except ValueError as exc:
+            raise ValueError(f"bad cell in {path} at line {lineno}, column {name}: {exc}") from None
 
 
 def _meta_line(meta: dict, line: str, extra) -> None:
@@ -690,7 +668,7 @@ _LABEL_BYTES = bytes(range(0x21, 0x7F)).replace(b",", b"")
 _DTYPES = {int: np.int64, float: np.float64, parse_float: np.float64}
 
 
-def _read_block(path, kind, schema: dict, extra, labels: bool = False) -> Artifact | None:
+def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
     """The artifact with its body taken from its sidecar, or None where
     the line reader is needed to read or reject it.
 
@@ -715,7 +693,7 @@ def _read_block(path, kind, schema: dict, extra, labels: bool = False) -> Artifa
                 return None
             head = _read_head(path, kind, schema, extra,
                               npz["#crc"].tolist(), npz["#bytes"].tolist())
-            body = None if head is None else _load_sidecar(npz, schema, labels)
+            body = None if head is None else _load_sidecar(npz, schema)
     except Exception:  # a miss: the line reader reads the file and reports its errors
         return None
     return None if body is None else Artifact(*head, body)
@@ -756,7 +734,7 @@ def _read_head(path, kind, schema: dict, extra, crc: int, size: int) -> tuple[di
     return meta, columns
 
 
-def _load_sidecar(npz, schema: dict, labels: bool = False) -> dict[str, np.ndarray] | None:
+def _load_sidecar(npz, schema: dict) -> dict[str, np.ndarray | Labels] | None:
     """The columns held by an open sidecar whose members are the
     schema's columns, each ``str.strip`` column followed by its
     ``#labels``, then ``#crc`` and ``#bytes``; or None unless each column
@@ -764,8 +742,7 @@ def _load_sidecar(npz, schema: dict, labels: bool = False) -> dict[str, np.ndarr
     integer codes into its labels, which are 1-D distinct bytes; a
     ``float`` column holds no NaN, as a blank ``float`` cell fails the
     parse; and the columns are of one length.  A ``str.strip`` column is
-    an object array, or with ``labels`` the codes and labels as they are
-    (:class:`Labels`)."""
+    its codes and labels as they are (:class:`Labels`)."""
     body = {}
     for name, parse in schema.items():
         column = npz[name]
@@ -779,14 +756,14 @@ def _load_sidecar(npz, schema: dict, labels: bool = False) -> dict[str, np.ndarr
             names = np.array([label.decode("ascii") for label in names.tolist()], dtype=object)
             if len(set(names.tolist())) != names.size:
                 return None
-            column = Labels(column, names) if labels else names[column]
+            column = Labels(column, names)
         elif column.dtype != _DTYPES[parse] or (parse is float and np.isnan(column).any()):
             return None
         body[name] = column
     return body if len(set(map(len, body.values()))) == 1 else None
 
 
-def _parse_body(lines: list[str], schema: dict) -> dict[str, np.ndarray]:
+def _parse_body(lines: list[str], schema: dict) -> dict[str, np.ndarray | Labels]:
     # Split a batch of lines in one call and parse it column by column
     # straight into an array: a few C-level loops per batch, no object per
     # row, and only one batch of cell strings alive at a time.
@@ -796,7 +773,8 @@ def _parse_body(lines: list[str], schema: dict) -> dict[str, np.ndarray]:
         cells = ",".join(lines[start : start + _CHUNK]).split(",")
         for i, (name, parse) in enumerate(schema.items()):
             parts[name].append(_parse_cells(cells[i::n], parse))
-    return {name: np.concatenate(chunks) for name, chunks in parts.items()}
+    return {name: Labels.of(np.concatenate(chunks)) if schema[name] is str.strip
+            else np.concatenate(chunks) for name, chunks in parts.items()}
 
 
 def _parse_cells(cells: list[str], parse) -> np.ndarray:

@@ -101,11 +101,9 @@ def synthetic_study_curve(
 def write_curve(curve: CalCurve, path) -> None:
     """Write a curve in the comment-prefixed delimited text format read
     by :func:`finedating.calcurve.load_curve`."""
-    csvio.write_lines(path, [
-        f"# {curve.name}",
-        "# cal_bp, c14_age, error",
-        *csvio.format_chunks([curve.cal_bp, curve.c14_age, curve.error]),
-    ])
+    knots = zip(curve.cal_bp.tolist(), curve.c14_age.tolist(), curve.error.tolist())
+    lines = (",".join(map(csvio.fmt, knot)) for knot in knots)
+    csvio.write_artifacts([], [(path, [f"# {curve.name}", "# cal_bp, c14_age, error", *lines])])
 
 
 def locate_intcal20() -> Path | None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,11 +53,6 @@ def _category_codes(deltas: np.ndarray) -> np.ndarray:
     """:func:`classify_delta` of an array of deltas, as indices into
     ``_CATEGORY_NAMES`` (NaN is improvable)."""
     return np.searchsorted(_DELTA_BOUNDS, np.abs(deltas))
-
-
-def _category_names(deltas: np.ndarray) -> np.ndarray:
-    """:func:`classify_delta` values of an array of deltas (NaN is improvable)."""
-    return _CATEGORY_NAMES[_category_codes(deltas)]
 
 
 # The tolerance schedule of every MPD search: +-1 to +-10 years in steps
@@ -227,55 +221,48 @@ class EvalColumns:
     """Evaluation rows in long form as numpy columns: one row per
     indicator of each evaluated dataset.
 
-    ``indicator`` and ``category`` are object arrays of str.  The rows
-    also hold each of the two as :class:`csvio.Labels`, integer codes
-    into its distinct names (``indicator_labels``, ``category_labels``),
-    which the analyses and the writer take: :func:`evaluate_test_series`
-    and :func:`read_eval_rows` make them with the rows, rows built from
-    object arrays factorize a column once, where it is first needed, and
-    ``rows[mask]`` keeps them.  A row without a value (its dataset
-    matched nothing) holds NaN ``value`` and ``delta``, category
+    The two label columns are held as :class:`csvio.Labels`, integer
+    codes into their distinct names (``indicator_labels``,
+    ``category_labels``), which the analyses and the writer take.  Each
+    may be given so, as :func:`evaluate_test_series` and
+    :func:`read_eval_rows` give them, or as an object array of str, which
+    is factorized once, here.  ``indicator`` and ``category`` are the two
+    as object arrays, made on each read.  A row without a value (its
+    dataset matched nothing) holds NaN ``value`` and ``delta``, category
     ``no_match`` and ``n_matches`` 0.  ``len`` is the row count, and
     indexing selects rows: ``rows[:12]``, ``rows[mask]``.
     """
 
     data_id: np.ndarray
     original_date: np.ndarray
-    indicator: np.ndarray
+    indicator_labels: csvio.Labels
     value: np.ndarray
     delta: np.ndarray
-    category: np.ndarray
+    category_labels: csvio.Labels
     n_matches: np.ndarray
 
-    @classmethod
-    def from_labels(cls, data_id, original_date, indicator: csvio.Labels, value, delta,
-                    category: csvio.Labels, n_matches) -> EvalColumns:
-        """Rows whose label columns are given as :class:`csvio.Labels`."""
-        rows = cls(data_id, original_date, indicator.cells(), value, delta, category.cells(),
-                   n_matches)
-        rows.__dict__.update(indicator_labels=indicator, category_labels=category)
-        return rows
+    def __post_init__(self) -> None:
+        for name in ("indicator_labels", "category_labels"):
+            if not isinstance(getattr(self, name), csvio.Labels):
+                object.__setattr__(self, name, csvio.Labels.of(getattr(self, name)))
 
-    @cached_property
-    def indicator_labels(self) -> csvio.Labels:
-        return csvio.Labels.of(self.indicator)
+    @property
+    def indicator(self) -> np.ndarray:
+        return self.indicator_labels.cells()
 
-    @cached_property
-    def category_labels(self) -> csvio.Labels:
-        return csvio.Labels.of(self.category)
+    @property
+    def category(self) -> np.ndarray:
+        return self.category_labels.cells()
 
     def __len__(self) -> int:
         return self.data_id.size
 
     def __getitem__(self, rows) -> EvalColumns:
-        picked = EvalColumns(*(column[rows] for column in self.columns()))
-        for name in ("indicator_labels", "category_labels"):
-            if name in self.__dict__:  # made already
-                picked.__dict__[name] = self.__dict__[name][rows]
-        return picked
+        return EvalColumns(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        """The seven columns, in file order."""
+        """The seven columns, in file order, the label columns as object
+        arrays."""
         return (self.data_id, self.original_date, self.indicator, self.value, self.delta,
                 self.category, self.n_matches)
 
@@ -297,7 +284,7 @@ def evaluate_test_series(table: RefTable, series: TestSeries) -> EvalColumns:
     value[matched] = values
     delta = value - series.original_date[:, None]
     category = np.where(matched[:, None], _category_codes(delta), len(_CATEGORIES))
-    return EvalColumns.from_labels(
+    return EvalColumns(
         np.repeat(series.data_id, k), np.repeat(series.original_date, k),
         csvio.Labels(np.tile(np.arange(k), len(series)), _INDICATOR_NAMES),
         value.ravel(), delta.ravel(), csvio.Labels(category.ravel(), _CATEGORY_NAMES),
@@ -600,11 +587,12 @@ def mpd_report(rows: EvalColumns) -> dict[str, np.ndarray]:
     Returns the columns of ``mpd_report.csv`` by name, one entry per
     searched row, in row order.
     """
-    return _mpd_report(rows)[1]
+    report = _mpd_report(rows)
+    return {**report, "indicator": report["indicator"].cells()}
 
 
-def _mpd_report(rows: EvalColumns) -> tuple[EvalColumns, dict[str, np.ndarray]]:
-    """The searched rows and :func:`mpd_report` of the rows."""
+def _mpd_report(rows: EvalColumns) -> dict[str, np.ndarray | csvio.Labels]:
+    """:func:`mpd_report` of the rows, its indicator as :class:`csvio.Labels`."""
     searched = rows[~np.isnan(rows.value)]
     n = len(searched)
     codes = searched.indicator_labels.codes
@@ -616,10 +604,10 @@ def _mpd_report(rows: EvalColumns) -> tuple[EvalColumns, dict[str, np.ndarray]]:
         members = np.flatnonzero(codes == k)
         pool = searched.value[members]
         tol[members], count[members], mpd[members], value_range[members] = mpd_searches(pool, pool)
-    return searched, {
+    return {
         "data_id": searched.data_id,
         "original_cal_date": searched.original_date,
-        "indicator": searched.indicator,
+        "indicator": searched.indicator_labels,
         "value": searched.value,
         "tolerance": tol,
         "match_count": count,
@@ -650,17 +638,15 @@ def _eval_artifact(rows: EvalColumns, path, extra_header: dict | None) -> tuple:
     header = {"format": "finedating-eval", "rows": len(rows)}
     if extra_header:
         header.update(extra_header)
-    columns = dict(zip(EVAL_SCHEMA, rows.columns()))
-    columns["indicator"], columns["category"] = rows.indicator_labels, rows.category_labels
+    columns = dict(zip(EVAL_SCHEMA, (getattr(rows, f.name) for f in fields(rows))))
     return path, header, columns, None
 
 
 def read_eval_rows(path) -> EvalColumns:
     """Read rows written by :func:`write_eval_rows`; a ``rows`` header
     must count them."""
-    meta, _, columns = csvio.read_commented_csv(path, "finedating-eval", EVAL_SCHEMA,
-                                                labels=True)
-    rows = EvalColumns.from_labels(*columns.values())
+    meta, _, columns = csvio.read_commented_csv(path, "finedating-eval", EVAL_SCHEMA)
+    rows = EvalColumns(*columns.values())
     csvio.check_count(meta, "rows", len(rows), path)
     return rows
 
@@ -783,10 +769,9 @@ def write_evaluation(
         None,
     ))
 
-    searched, report = _mpd_report(rows)
+    report = _mpd_report(rows)
     mpd_header = dict(header)
     if report["mpd"].size:
         mpd_header["overall_mean"], mpd_header["overall_median"] = overall_aggregate(report["mpd"])
-    artifacts.append((out_dir / "mpd_report.csv", mpd_header,
-                      {**report, "indicator": searched.indicator_labels}, None))
+    artifacts.append((out_dir / "mpd_report.csv", mpd_header, report, None))
     csvio.write_artifacts(artifacts, texts)

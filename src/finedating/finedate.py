@@ -311,7 +311,7 @@ def read_summary(path) -> dict[str, float]:
     """Indicator name -> value from a summary file (diagnostics skipped)."""
     columns = csvio.read_commented_csv(path, "finedating-summary", SUMMARY_SCHEMA).body
     values: dict[str, float] = {}
-    for name, value in zip(columns["indicator"].tolist(), columns["value"].tolist()):
+    for name, value in zip(columns["indicator"].cells().tolist(), columns["value"].tolist()):
         try:
             values[normalize_indicator(name)] = value
         except ValueError:

@@ -208,7 +208,11 @@ TABLE_SCHEMA = dict(
 def write_table(table: RefTable, path, extra_header: dict | None = None,
                 texts: list[tuple] = ()) -> None:
     """Persist a table as commented CSV with its specs and a checksum;
-    ``texts`` are written with it (:func:`csvio.write_artifacts`)."""
+    ``texts`` are written with it (:func:`csvio.write_artifacts`).  A
+    table whose records :func:`read_table` would refuse (their count,
+    ids, dates, or a value that is not finite) is refused with the
+    reader's message before any file is opened."""
+    _validate_table(table, path)
     header = {
         "format": "finedating-reftable",
         "label": table.label,

@@ -24,6 +24,24 @@ TABLE_SEED_50_5 = 202
 TS3_SEED = 303
 
 
+def pytest_report_header():
+    """The numpy build and the CPU targets it runs here, which the pinned
+    artifact digests depend on: a digest that fails on another CPU is
+    read against these lines."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+
+    dispatched = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    lines = [f"numpy {np.__version__}: baseline {' '.join(umath.__cpu_baseline__)}, "
+             f"dispatched {' '.join(dispatched) or 'none'}"]
+    lines += [f"{name}={os.environ[name]}" for name in ("NPY_DISABLE_CPU_FEATURES",
+                                                        "OPENBLAS_CORETYPE")
+              if name in os.environ]
+    return lines
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process of this one running or

@@ -791,19 +791,24 @@ def test_only_evaluate_of_the_benchmark_commands_forks(curve_file, tmp_path, mon
     assert len(fd.read_table(ref).id) == 3250
 
 
-def test_killed_formatting_child_is_an_io_error(pipeline, tmp_path, capsys, monkeypatch):
-    # steps of 16 rows, each odd one sent by a child that is killed instead
+def test_killed_formatting_child_gives_the_serial_files(pipeline, tmp_path, capsys,
+                                                       monkeypatch):
+    # steps of 16 rows, each odd one sent by a child that is killed instead:
+    # the writer formats them itself
     monkeypatch.setattr(csvio, "_CHUNK", 16)
-    monkeypatch.setattr(csvio, "_FORK_CELLS", 0)
     monkeypatch.setattr(csvio, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(csvio, "_send_step", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
-    out = tmp_path / "eval"
-    assert run("evaluate", "--ref", pipeline / "ref.csv", "--tests", pipeline / "tests.csv",
-               "--out", out) == 3
-    err = capsys.readouterr().err
-    assert "error: io: the formatting child process ended before sending its step" in err
-    assert "Traceback" not in err
-    assert files_under(tmp_path) == {}
+    written, forks = {}, {}
+    for mode, cells in (("killed", 0), ("serial", 10**18)):
+        monkeypatch.setattr(csvio, "_FORK_CELLS", cells)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert run("evaluate", "--ref", pipeline / "ref.csv", "--tests",
+                       pipeline / "tests.csv", "--out", tmp_path / mode / "eval") == 0
+        written[mode], forks[mode] = files_under(tmp_path / mode / "eval"), fork.call_count
+    assert forks == {"killed": 1, "serial": 0}
+    assert "eval_long.csv" in written["killed"]
+    assert written["killed"] == written["serial"]
+    assert capsys.readouterr().err == ""
 
 
 def files_under(base) -> dict:
@@ -1149,6 +1154,30 @@ def test_non_finite_table_value_is_data_error(pipeline, tmp_path, capsys, column
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tables"]
 
 
+@pytest.mark.parametrize("column, cell", [("sd", ""), ("age_bp", "3.0")],
+                         ids=["blank float cell", "3.0 in int cell"])
+def test_cell_the_parser_rejects_names_file_line_and_column(pipeline, tmp_path, capsys, column,
+                                                            cell):
+    # record 7's cell replaced, under a valid checksum and without a sidecar
+    lines = (pipeline / "ref.csv").read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    cells = lines[head + 7].split(",")
+    cells[lines[head].split(",").index(column)] = cell
+    lines[head + 7] = ",".join(cells)
+    crc = csvio.rows_checksum(lines[head + 1:])
+    lines = [f"# checksum={crc}" if line.startswith("# checksum=") else line for line in lines]
+    bad = tmp_path / "tables" / "ref.csv"
+    bad.parent.mkdir()
+    bad.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert run("finedate", "--ref", bad, "--ages", 2000, "--sd", 20,
+               "--out", tmp_path / "report") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: bad cell in {bad} at line {head + 8}, column {column}: ")
+    assert repr(cell) in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tables"]
+
+
 @pytest.mark.parametrize("damage, message", [
     ("date", "record 7 date inf outside span"),
     ("id", "record ids in {} are not dense from 1"),
@@ -1158,8 +1187,9 @@ def test_bad_table_record_names_the_file(pipeline, tmp_path, capsys, damage, mes
     column = (table.base_date if damage == "date" else table.id).copy()
     column[6] = np.inf if damage == "date" else 6
     bad = tmp_path / "tables" / "ref.csv"
-    fd.write_table(dataclasses.replace(table, **{"base_date" if damage == "date" else "id": column}),
-                   bad)
+    with mock.patch.object(fd.reftable, "_validate_table"):  # the writer refuses the table
+        fd.write_table(dataclasses.replace(table, **{"base_date" if damage == "date" else "id":
+                                                     column}), bad)
     capsys.readouterr()
     assert run("finedate", "--ref", bad, "--ages", 2000, "--sd", 20,
                "--out", tmp_path / "report") == 4

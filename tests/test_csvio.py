@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import signal
@@ -85,7 +86,7 @@ def test_rows_checksum_sensitive_to_any_change():
 
 def test_write_lines_newline_discipline(tmp_path):
     path = tmp_path / "n.csv"
-    csvio.write_lines(path, ["a", "b"])
+    csvio.write_artifacts([], [(path, ["a", "b"])])
     assert path.read_bytes() == b"a\nb\n"
 
 
@@ -115,7 +116,7 @@ def test_read_parses_schema_and_repeated_lines(tmp_path):
     assert list(back) == list(schema)
     assert back["id"].dtype == np.int64 and back["id"].tolist() == [1, 2]
     assert back["x"].dtype == float and back["x"].tolist() == [-50.0, 0.125]
-    assert back["name"].dtype == object and back["name"].tolist() == ["p", "q"]
+    assert isinstance(back["name"], csvio.Labels) and back["name"].cells().tolist() == ["p", "q"]
     assert np.isnan(back["y"][0]) and back["y"][1] == 3.5
 
 
@@ -197,7 +198,8 @@ def expected_fmt_calls(tables) -> int:
     per header value, and per step (chunk i of every table) one per
     distinct value of each numeric dtype across its columns (NaNs alike,
     -0.0 equal to 0.0) and one per distinct object cell by type and value
-    across the object columns, none if every object cell is a ``str``."""
+    across the object columns that are not label columns (columns of
+    ``str`` cells only, over the call)."""
     calls = sum(len(header) for header, _ in tables)
     n = max((len(column) for _, columns in tables for column in columns.values()), default=0)
     for start in range(0, n, csvio._CHUNK):
@@ -208,11 +210,9 @@ def expected_fmt_calls(tables) -> int:
                 if isinstance(column, np.ndarray) and column.dtype != object:
                     distinct.setdefault(column.dtype.str, set()).update(
                         "nan" if v != v else v for v in chunk.tolist())
-                else:
+                elif not all(type(cell) is str for cell in column):
                     values = list(chunk)
                     distinct.setdefault("object", set()).update(zip(map(type, values), values))
-        if {t for t, _ in distinct.get("object", ())} == {str}:
-            del distinct["object"]
         calls += sum(map(len, distinct.values()))
     return calls
 
@@ -484,17 +484,33 @@ def killed(*args):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def killed_mid_step(out, tables, start, send=csvio._send_step):
+    """Send the first 12 bytes of the step, its first length and part of
+    its chunk, then die."""
+    step = io.BytesIO()
+    send(step, tables, start)
+    out.write(step.getvalue()[:12])
+    out.flush()
+    killed()
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_child_that_ends_without_its_step_is_an_os_error(tmp_path, existing):
-    artifacts = [(tmp_path / "a.csv", {"format": "finedating-eval", "checksum": None},
-                  {"x": np.arange(40)}, None)]
-    before = old_files(tmp_path, existing, "a.csv", "a.csv.npz")
-    with forking(4) as fork, mock.patch.object(csvio, "_send_step", killed), \
-            pytest.raises(OSError, match="child process ended before sending its step"):
-        csvio.write_artifacts(artifacts)
-    assert fork.call_count == 1
-    assert files_in(tmp_path) == before
-    assert no_child_left()
+@pytest.mark.parametrize("death", [killed, killed_mid_step], ids=["before-step", "mid-step"])
+def test_child_that_ends_without_its_step_leaves_it_to_the_writer(tmp_path, existing, death):
+    written = {}
+    for mode, cells in (("killed", 0), ("serial", 10**18)):
+        (tmp_path / mode).mkdir()
+        old_files(tmp_path / mode, existing, "a.csv", "a.csv.npz")
+        artifacts = [(tmp_path / mode / "a.csv", {"format": "finedating-eval", "checksum": None},
+                      {"x": np.arange(40)}, None)]
+        with forking(4) as fork, mock.patch.object(csvio, "_FORK_CELLS", cells), \
+                mock.patch.object(csvio, "_send_step", death):
+            csvio.write_artifacts(artifacts)
+        written[mode] = files_in(tmp_path / mode), fork.call_count
+        assert no_child_left()
+    assert written["killed"][0] == written["serial"][0]
+    assert sorted(written["killed"][0]) == ["a.csv", "a.csv.npz"]
+    assert (written["killed"][1], written["serial"][1]) == (1, 0)
 
 
 @contextmanager
@@ -608,15 +624,16 @@ def write_schema_file(path, kind, header, columns) -> tuple:
 
 def outcome(read, *args):
     """What a reader gives: the header, column names and each column's
-    dtype and contents (the bytes of a numeric column), or the type and
+    dtype and bytes, or a label column's names and codes; or the type and
     message of its ValueError."""
     try:
         meta, names, body = read(*args)
     except ValueError as exc:
         return type(exc), str(exc)
     return meta, names, {
-        name: (col.dtype.str, col.flags.c_contiguous,
-               col.tolist() if col.dtype == object else col.tobytes())
+        name: (csvio.Labels, col.names.tolist(), col.codes.tolist())
+        if isinstance(col, csvio.Labels)
+        else (col.dtype.str, col.flags.c_contiguous, col.tobytes())
         for name, col in body.items()
     }
 
@@ -632,8 +649,8 @@ def test_block_reader_equals_line_reader_on_written_files(tmp_path_factory, draw
     assert (fast is not None) == has_sidecar(header, columns)
     if fast is not None:
         assert outcome(lambda: fast) == outcome(csvio._read_lines, *args)
-        assert all(type(cell) is str for col in fast.body.values() if col.dtype == object
-                   for cell in col.tolist())
+        assert all(type(cell) is str for col in fast.body.values()
+                   if isinstance(col, csvio.Labels) for cell in col.names.tolist())
 
 
 # Cells that keep a str column out of a sidecar: non-ASCII, a comma (which
@@ -802,7 +819,8 @@ def test_empty_body_reads_without_loadtxt_or_warning(tmp_path, kind):
         warnings.simplefilter("error")
         _, names, body = csvio.read_commented_csv(*args)
     assert names == list(schema)
-    assert {name: (col.dtype, col.shape) for name, col in body.items()} == {
+    assert {name: (col.names.dtype if isinstance(col, csvio.Labels) else col.dtype, col.shape)
+            for name, col in body.items()} == {
         name: (np.dtype(dtypes[parse]), (0,)) for name, parse in schema.items()
     }
 
@@ -871,7 +889,7 @@ def test_read_with_labels_gives_codes_into_distinct_names(tmp_path):
             assert csvio._read_block(path, "finedating-eval", schema, ()) is None
         if source == "lines":
             csvio.sidecar_path(path).unlink()
-        labels = csvio.read_commented_csv(path, "finedating-eval", schema, labels=True).body["name"]
+        labels = csvio.read_commented_csv(path, "finedating-eval", schema).body["name"]
         reads[source] = labels.names.tolist(), labels.codes.tolist()
     assert list(reads.values()) == [(["b", "a", "c"], [0, 1, 0, 2, 1])] * 3
 

@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import astuple
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finedating as fd
-from conftest import eval_columns, make_series, make_table, take_datasets
+from conftest import eval_columns, make_series, make_table, same_eval, take_datasets
 from finedating.evaluate import mpd_searches
 from finedating.finedate import batch_indicators
 
@@ -426,9 +427,9 @@ def test_array_aggregations_equal_row_walks(cells, threshold):
 @given(delta=st.one_of(st.floats(allow_nan=True), st.sampled_from([10.0, 25.0, 35.0, -35.0])))
 @PROPERTY
 def test_vectorized_categories_equal_classify_delta(delta):
-    from finedating.evaluate import _category_names
+    from finedating.evaluate import _CATEGORY_NAMES, _category_codes
 
-    assert _category_names(np.array([delta]))[0] == fd.classify_delta(delta).value
+    assert _CATEGORY_NAMES[_category_codes(np.array([delta]))][0] == fd.classify_delta(delta).value
 
 
 # --- column readers: write -> read -> write ------------------------------------
@@ -806,13 +807,41 @@ def test_code_indexed_analyses_equal_the_string_mapping_bodies(rows, data):
         order = np.array(data.draw(st.permutations(range(label.names.size))), dtype=np.intp)
         names = np.array([*label.names[order].tolist(), "unused"], dtype=object)
         given.append(fd.csvio.Labels(np.argsort(order)[label.codes], names))
-    relabelled = fd.EvalColumns.from_labels(columns.data_id, columns.original_date, given[0],
-                                            columns.value, columns.delta, given[1],
-                                            columns.n_matches)
+    relabelled = fd.EvalColumns(columns.data_id, columns.original_date, given[0],
+                                columns.value, columns.delta, given[1],
+                                columns.n_matches)
     assert np.array_equal(relabelled.indicator, columns.indicator)
     for analysis, reference in ANALYSES:
         for variant in (columns, unfactorized, columns[mask], relabelled, relabelled[mask]):
             assert analysis_outcome(analysis, variant) == analysis_outcome(reference, variant)
+
+
+@FILES
+@given(rows=labelled_rows().filter(len), data=st.data())
+def test_rows_built_four_ways_are_equal(tmp_path_factory, rows, data):
+    # from object arrays, from labels of permuted names, read from the
+    # sidecar and read through the line reader
+    from finedating.evaluate import read_eval_rows, write_eval_rows
+
+    columns = eval_columns(rows)
+    given = []
+    for label in (columns.indicator_labels, columns.category_labels):
+        order = np.array(data.draw(st.permutations(range(label.names.size))), dtype=np.intp)
+        given.append(fd.csvio.Labels(np.argsort(order)[label.codes], label.names[order]))
+    permuted = fd.EvalColumns(columns.data_id, columns.original_date, given[0], columns.value,
+                              columns.delta, given[1], columns.n_matches)
+    path = tmp_path_factory.mktemp("r") / "eval_long.csv"
+    write_eval_rows(permuted, path)
+    with mock.patch.object(fd.csvio, "_read_lines", side_effect=AssertionError("parsed")):
+        from_sidecar = read_eval_rows(path)
+    fd.csvio.sidecar_path(path).unlink()
+    from_lines = read_eval_rows(path)
+    assert all(same_eval(rows, columns) for rows in (permuted, from_sidecar, from_lines))
+    # names in order of first appearance, but for the permuted ones as given
+    for name in ("indicator_labels", "category_labels"):
+        labels = [getattr(rows, name) for rows in (columns, from_sidecar, from_lines)]
+        assert len({(tuple(label.names.tolist()), tuple(label.codes.tolist()))
+                    for label in labels}) == 1
 
 
 # Ties, NaN, infinities and sums that overflow; no -0.0, whose median

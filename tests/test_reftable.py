@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -99,6 +100,22 @@ def test_write_read_roundtrip(tmp_path, study_curve):
     assert same_columns(back, table)
     assert back.specs == table.specs
     assert back.label == table.label
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["sd", "cal_mean", "cal_median", "cal_sigma"])
+def test_write_refuses_a_non_finite_value_before_opening_a_file(tmp_path, study_curve, column,
+                                                                value):
+    # the reader's own check: a NaN would be written as a blank cell, which the
+    # reader refuses
+    spec = fd.RefTableSpec(label="rt", year_interval=10, per_slice=3, sd=5, span=(-100, -50),
+                           seed=5)
+    table = fd.build_reference_table(study_curve, spec)
+    cells = getattr(table, column).copy()
+    cells[2] = value
+    with pytest.raises(ValueError, match=f"record 3 has {column} {value}, not a finite number"):
+        fd.write_table(dataclasses.replace(table, **{column: cells}), tmp_path / "t.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_rejects_truncated_file(tmp_path, study_curve):
