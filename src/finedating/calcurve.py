@@ -277,7 +277,7 @@ def _load_knots(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
             return None
         start = end + 1
     if (raw[:start].translate(None, _HEADER_BYTES) or raw[start:].translate(None, _BODY_BYTES)
-            or raw.count(b"\r") != raw.count(b"\r\n")):
+            or b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
         return None
     try:
         table = np.loadtxt(io.StringIO(text[start:]), delimiter=",", usecols=(0, 1, 2),
@@ -308,17 +308,18 @@ def _parse_knot_rows(raw: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(bp), np.array(age), np.array(err)
 
 
-def curve_at(curve: CalCurve, date: float) -> tuple[float, float]:
-    """Interpolated (curve mean BP, curve error) at a calendar date."""
+def curve_at(curve: CalCurve, date) -> tuple:
+    """Interpolated (curve mean BP, curve error) at a calendar date, or
+    arrays of them at an array of dates; the first date outside the
+    curve's domain is named in the error."""
     lo, hi = curve.domain
-    if not (lo <= date <= hi):
-        raise ValueError(
-            f"out of curve range: date {date} not in [{lo}, {hi}] of curve {curve.name!r}"
-        )
-    bp = to_cal_bp(date)
-    mu = float(np.interp(bp, curve.cal_bp, curve.c14_age))
-    sig = float(np.interp(bp, curve.cal_bp, curve.error))
-    return mu, sig
+    dates = np.asarray(date)
+    outside = np.flatnonzero(~((lo <= dates) & (dates <= hi)))
+    if outside.size:
+        raise ValueError(f"out of curve range: date {dates.flat[outside[0]]} not in "
+                         f"[{lo}, {hi}] of curve {curve.name!r}")
+    bp = to_cal_bp(dates)
+    return np.interp(bp, curve.cal_bp, curve.c14_age), np.interp(bp, curve.cal_bp, curve.error)
 
 
 def calibrate(curve: CalCurve, meas: Measurement) -> CalibrationResult:
@@ -358,6 +359,24 @@ def posterior_summary(curve: CalCurve, age: int, sd: float) -> tuple[float, floa
         _, _, *values = _posterior(curve, meas.age, meas.sd)
         summary = curve._summaries[meas.age, key[1]] = tuple(values)
     return summary
+
+
+def posterior_summaries(
+    curve: CalCurve, ages: np.ndarray, sd: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mean, median and sigma columns of :func:`posterior_summary`
+    for every age of the int64 array ``ages``, all with one ``sd``.
+
+    Each distinct age goes through the memo once, in the order of its
+    first appearance, so an age that cannot be calibrated is reported as
+    a per-record loop would report it.
+    """
+    sd = float(sd)
+    _, first, distinct = np.unique(ages, return_index=True, return_inverse=True)
+    drawn_first = ages[np.sort(first)].tolist()
+    summaries = np.array([posterior_summary(curve, age, sd) for age in drawn_first],
+                         dtype=float).reshape(-1, 3)
+    return tuple(summaries.T[:, np.argsort(np.argsort(first))[distinct]])
 
 
 def _posterior(

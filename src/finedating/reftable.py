@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio
-from .calcurve import CalCurve, check_sd, curve_at
-from .simulate import MAX_RECORDS, simulate_date, substream_from_words, substream_words
+from .calcurve import CalCurve, check_sd, curve_at, posterior_summaries
+from .simulate import MAX_RECORDS, draw_ages_at, substream_from_words, substream_words
 
 
 @dataclass(frozen=True)
@@ -168,16 +168,15 @@ def build_reference_table(curve: CalCurve, spec: RefTableSpec) -> RefTable:
         )
     dates = spec.slice_dates()
     words = substream_words(spec.seed, np.arange(len(dates))[:, None])
-    slices = [
-        simulate_date(curve, date, spec.sd, [substream_from_words(words[si])], spec.per_slice)
-        for si, date in enumerate(dates)
-    ]
-    age, cal_mean, cal_median, cal_sigma = map(np.concatenate, zip(*slices))
+    age = draw_ages_at(curve, dates, spec.sd, ([substream_from_words(w)] for w in words),
+                       spec.per_slice)
+    # calibrated before the other columns exist, which would add to its peak
+    summaries = posterior_summaries(curve, age, spec.sd)
     n = age.size
     return RefTable(
         spec.label, curve.name, (spec,), np.arange(1, n + 1),
         np.repeat(np.asarray(dates, dtype=float), spec.per_slice), age,
-        np.full(n, float(spec.sd)), cal_mean, cal_median, cal_sigma,
+        np.full(n, float(spec.sd)), *summaries,
     )
 
 

@@ -13,8 +13,14 @@ reproduces every artifact byte for byte.  The seed words of all of a
 request's keys are computed in one vectorized pass
 (:func:`substream_words`), which repeats the spawn-key mixing and state
 generation of numpy's ``SeedSequence`` over every key at once; a test
-compares it with numpy's own.  The summaries of each distinct (age,
-sd) are computed once per curve.
+compares it with numpy's own.
+
+A command draws first and calibrates after: :func:`draw_ages_at` checks
+every date against the curve's domain and interpolates the curve at all
+of them at once, then draws each slice or dataset in turn, and one
+:func:`~finedating.calcurve.posterior_summaries` call, through one
+``np.unique``, calibrates each distinct age of the command once.  The
+summaries of each distinct (age, sd) are also kept on the curve.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio
-from .calcurve import CalCurve, Measurement, check_sd, curve_at, parse_date, posterior_summary
+from .calcurve import CalCurve, Measurement, check_sd, curve_at, parse_date, posterior_summaries
 
 # The most simulated measurements one reference table or test series may
 # hold, checked before anything is drawn: larger requests would exhaust
@@ -83,21 +89,26 @@ def round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-def draw_ages(
-    curve: CalCurve, date: float, sd: float, rngs: list[np.random.Generator], n: int
-) -> list[int]:
-    """Draw ``n`` integer radiocarbon ages for a calendar date from each
-    generator in turn.
+def draw_ages_at(
+    curve: CalCurve, dates: list[float], sd: float, rngs, n: int
+) -> np.ndarray:
+    """``n`` integer radiocarbon ages from each generator of each date in
+    turn, as one int64 array.
 
-    Each generator gives one ``normal(size=n)`` array, the same values as
-    ``n`` scalar draws; rounding is :func:`round_half_away` on the array.
-    An sd whose draw scale overflows, or whose rounded draws leave int64,
+    ``rngs`` yields one list of generators per date, and is consumed as
+    the dates are drawn, so a caller may build each date's generators
+    only when they are needed.  Each generator gives one
+    ``normal(size=n)`` array, the same values as ``n`` scalar draws;
+    rounding is :func:`round_half_away` on the array.  Every date is
+    checked against the curve's domain before anything is drawn, and an
+    sd whose draw scale overflows, or whose rounded draws leave int64,
     is rejected before anything is returned.
     """
     check_sd(sd)
-    mu, sig = curve_at(curve, date)
-    scale = math.sqrt(sd * sd + sig * sig)
-    g = np.concatenate([rng.normal(mu, scale, size=n) for rng in rngs])
+    mu, sig = curve_at(curve, dates)
+    scale = np.sqrt(sd * sd + sig * sig)
+    g = np.concatenate([rng.normal(m, s, size=n) for m, s, group
+                        in zip(mu.tolist(), scale.tolist(), rngs) for rng in group])
     rounded = np.copysign(np.floor(np.abs(g) + 0.5), g)
     # an infinite scale draws inf or NaN, which fail the bounds too
     if not ((rounded >= -(2.0**63)) & (rounded < 2.0**63)).all():
@@ -105,33 +116,20 @@ def draw_ages(
             f"sd {sd!r} is too large to simulate: the draw scale sqrt(sd^2 + curve error^2) "
             f"must be finite and every rounded draw must fit in a 64-bit integer"
         )
-    return rounded.astype(np.int64).tolist()
+    return rounded.astype(np.int64)
+
+
+def draw_ages(
+    curve: CalCurve, date: float, sd: float, rngs: list[np.random.Generator], n: int
+) -> list[int]:
+    """Draw ``n`` integer radiocarbon ages for a calendar date from each
+    generator in turn (:func:`draw_ages_at` of one date)."""
+    return draw_ages_at(curve, [date], sd, [rngs], n).tolist()
 
 
 def draw_age(curve: CalCurve, date: float, sd: float, rng: np.random.Generator) -> int:
     """Draw one integer radiocarbon age for a calendar date."""
     return draw_ages(curve, date, sd, [rng], 1)[0]
-
-
-def simulate_date(
-    curve: CalCurve, date: float, sd: float, rngs: list[np.random.Generator], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``n`` simulated measurements of one calendar date from each
-    generator in turn, as the columns (age, cal_mean, cal_median,
-    cal_sigma).
-
-    The calibration summarized for each age uses the same sd as the draw
-    (see :func:`~finedating.calcurve.posterior_summary`).
-    """
-    ages = np.array(draw_ages(curve, date, sd, rngs, n), dtype=np.int64)
-    sd = float(sd)
-    # each distinct age once, in the order drawn, so that an age that
-    # cannot be calibrated is reported as the per-record loop reports it
-    _, first, distinct = np.unique(ages, return_index=True, return_inverse=True)
-    drawn_first = ages[np.sort(first)].tolist()
-    summaries = np.array([posterior_summary(curve, age, sd) for age in drawn_first],
-                         dtype=float).reshape(-1, 3)
-    return (ages, *summaries[np.argsort(np.argsort(first))[distinct]].T)
 
 
 def r_simulate(
@@ -271,15 +269,14 @@ def generate_test_datasets(
     words = substream_words(seed, np.indices((len(dates), datasets_per_date)).reshape(2, -1).T)
     words = words.reshape(len(dates), datasets_per_date, 4)
     # generators are built one date at a time: a date's draws need only its own
-    per_date = [
-        simulate_date(curve, date, sd, [substream_from_words(w) for w in words[di]], group_size)
-        for di, date in enumerate(dates)
-    ]
-    age, cal_mean, cal_median, cal_sigma = map(np.concatenate, zip(*per_date))
+    age = draw_ages_at(curve, dates, sd, ([substream_from_words(w) for w in date_words]
+                                          for date_words in words), group_size)
+    # calibrated before the other columns exist, which would add to its peak
+    summaries = posterior_summaries(curve, age, sd)
     n = len(dates) * datasets_per_date
     return TestSeries(
         np.arange(1, n + 1), np.repeat(np.asarray(dates, dtype=float), datasets_per_date),
-        age, np.full(age.size, float(sd)), cal_mean, cal_median, cal_sigma,
+        age, np.full(age.size, float(sd)), *summaries,
         np.arange(0, age.size + 1, group_size),
     )
 

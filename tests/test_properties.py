@@ -799,7 +799,6 @@ def test_code_indexed_analyses_equal_the_string_mapping_bodies(rows, data):
     columns = eval_columns(rows)
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))),
                     dtype=bool)
-    unfactorized = columns[mask]  # taken before the labels exist
     # the same rows given as labels: names in another order, one unused
     labels = [fd.csvio.Labels.of(column) for column in (columns.indicator, columns.category)]
     given = []
@@ -812,7 +811,7 @@ def test_code_indexed_analyses_equal_the_string_mapping_bodies(rows, data):
                                 columns.n_matches)
     assert np.array_equal(relabelled.indicator, columns.indicator)
     for analysis, reference in ANALYSES:
-        for variant in (columns, unfactorized, columns[mask], relabelled, relabelled[mask]):
+        for variant in (columns, columns[mask], relabelled, relabelled[mask]):
             assert analysis_outcome(analysis, variant) == analysis_outcome(reference, variant)
 
 

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finedating as fd
+from finedating.calcurve import posterior_summaries
 from finedating.evaluate import dagostino_pearson
 from finedating.simulate import (
     draw_ages,
+    draw_ages_at,
     round_half_away,
-    simulate_date,
     substream_from_words,
     substream_words,
 )
@@ -79,9 +80,10 @@ def test_array_draw_equals_successive_scalar_draws(study_curve):
     assert both == block + draw_ages(study_curve, -120.0, 20.0, [fd.substream(8, 4)], n)
 
 
-def test_simulate_date_summarizes_each_distinct_age_once(study_curve):
+def test_posterior_summaries_summarize_each_distinct_age_once(study_curve):
     draws = [2101.2, 2080.0, 2101.4, 2095.0, 2080.3, 2101.0, 2060.0, 2095.2]
-    age, *columns = simulate_date(study_curve, -100.0, 20.0, [_FixedDraws(draws)], len(draws))
+    age = np.array(draw_ages(study_curve, -100.0, 20.0, [_FixedDraws(draws)], len(draws)))
+    columns = posterior_summaries(study_curve, age, 20.0)
     assert age.tolist() == [2101, 2080, 2101, 2095, 2080, 2101, 2060, 2095]
     # reference: the per-record loop
     expected = np.array([fd.posterior_summary(study_curve, a, 20.0) for a in age.tolist()])
@@ -89,11 +91,70 @@ def test_simulate_date_summarizes_each_distinct_age_once(study_curve):
         assert got.tobytes() == want.tobytes()
 
 
-def test_simulate_date_reports_the_first_drawn_age_without_support(study_curve):
+def test_posterior_summaries_report_the_first_drawn_age_without_support(study_curve):
     # 90000 is drawn first, 500 sorts first; neither calibrates
     draws = [2101.0, 90000.0, 2080.0, 500.0]
+    age = np.array(draw_ages(study_curve, -100.0, 20.0, [_FixedDraws(draws)], len(draws)))
     with pytest.raises(ValueError, match="^age outside calibratable range: 90000 BP has no support"):
-        simulate_date(study_curve, -100.0, 20.0, [_FixedDraws(draws)], len(draws))
+        posterior_summaries(study_curve, age, 20.0)
+
+
+def test_the_first_drawn_age_without_support_is_reported_across_dates(study_curve):
+    # the first date draws 90000 after a good age, the second draws 500,
+    # which sorts first; neither calibrates
+    groups = [[_FixedDraws([2101.0, 90000.0])], [_FixedDraws([500.0, 2080.0])]]
+    age = draw_ages_at(study_curve, [-100.0, -50.0], 20.0, groups, 2)
+    assert age.tolist() == [2101, 90000, 500, 2080]
+    with pytest.raises(ValueError, match="^age outside calibratable range: 90000 BP has no support"):
+        posterior_summaries(study_curve, age, 20.0)
+
+
+def test_the_first_date_outside_the_curve_is_named_before_anything_is_drawn(study_curve):
+    with pytest.raises(ValueError) as expected:
+        fd.curve_at(study_curve, -9000.0)
+    dates = [-100.0, -9000.0, -50.0, 9000.0]
+    with pytest.raises(ValueError) as got:
+        fd.generate_test_datasets(study_curve, dates, 2, sd=20.0, seed=1)
+    assert str(got.value) == str(expected.value)
+    # an earlier date's age without support is not calibrated first
+    groups = [[_FixedDraws([90000.0])], [_FixedDraws([2000.0])], [], []]
+    with pytest.raises(ValueError) as got:
+        draw_ages_at(study_curve, dates, 20.0, groups, 1)
+    assert str(got.value) == str(expected.value)
+
+
+def _per_date_reference(curve, dates, sd, rngs, n):
+    """Ages and summary columns drawn one date at a time, one generator
+    at a time, and calibrated one record at a time."""
+    ages = []
+    for date, group in zip(dates, rngs):
+        mu, sig = fd.curve_at(curve, date)
+        scale = math.sqrt(sd * sd + sig * sig)
+        for rng in group:
+            ages += [round_half_away(x) for x in rng.normal(mu, scale, size=n).tolist()]
+    summaries = np.array([fd.posterior_summary(curve, age, sd) for age in ages]).reshape(-1, 3)
+    return np.array(ages, dtype=np.int64), *summaries.T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dates=st.lists(st.sampled_from([-290.0, -200.0, -120.5, -100.0, -35.0, 0.0, 15.0]),
+                      min_size=1, max_size=5),
+       per_date=st.integers(1, 3), group=st.integers(1, 4), sd=st.sampled_from([0.0, 20.0]),
+       seed=st.integers(0, 2**40))
+def test_commands_equal_the_per_date_draw(study_curve, dates, per_date, group, sd, seed):
+    series = fd.generate_test_datasets(study_curve, dates, per_date, sd=sd, seed=seed,
+                                       group_size=group)
+    rngs = [[fd.substream(seed, di, k) for k in range(per_date)] for di in range(len(dates))]
+    want = _per_date_reference(study_curve, dates, sd, rngs, group)
+    got = (series.age, series.cal_mean, series.cal_median, series.cal_sigma)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # a table: one generator per slice of a one-year grid
+    spec = fd.RefTableSpec("t", 1, group, sd, (-120.0, -120.0 + len(dates)), seed)
+    table = fd.build_reference_table(study_curve, spec)
+    want = _per_date_reference(study_curve, spec.slice_dates(), sd,
+                               [[fd.substream(seed, si)] for si in range(spec.n_slices)], group)
+    got = (table.age, table.cal_mean, table.cal_median, table.cal_sigma)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # Seeds on both sides of each word-count boundary of numpy's entropy up
@@ -224,9 +285,8 @@ def test_sd_zero_still_disperses(study_curve):
 
 
 def test_record_calibration_matches_direct_calibrate(study_curve):
-    age, cal_mean, cal_median, cal_sigma = simulate_date(
-        study_curve, -100.0, 15.0, [fd.substream(3, 1)], 1
-    )
+    age = np.array(draw_ages(study_curve, -100.0, 15.0, [fd.substream(3, 1)], 1))
+    cal_mean, cal_median, cal_sigma = posterior_summaries(study_curve, age, 15.0)
     assert int(age[0]) == fd.r_simulate(study_curve, -100.0, 15.0, fd.substream(3, 1)).age
     cal = fd.calibrate(study_curve, fd.Measurement(int(age[0]), 15.0))
     assert cal_mean[0] == cal.mean
