@@ -16,16 +16,27 @@ block's range of curve means and ``var_max`` its largest variance; the
 block ranges and the maxima are cached with the grid and the variance.
 The exact log weight of the block with the best bound gives a lower
 bound ``L`` on the peak, and is then computed, with the same operations
-in the same order, over the span from the first to the last block whose
-bound exceeds ``L + log(1e-14) - 2``.  Every rounding step is monotone,
-so no cell exceeds its block's bound: the span holds the peak and every
-cell within ``log(1e-14) - 1`` of it, a superset of the cells that can
-be retained, and each of its log weights has the bits a full-grid pass
-gives.  ``exp`` and everything after it run over that span, so every
-output is bit for bit that of a full-grid pass.  When ``L`` is below the
-1e-300 support floor or NaN, or the span's mass is within a factor 1e20
-of the floor, one full-grid pass runs instead; it alone raises the
-no-support error, for exactly the ages it cannot calibrate.
+in the same order, over the rest of the span from the first to the last
+block whose bound exceeds ``L + log(1e-14) - 2``.  Every rounding step
+is monotone, so no cell exceeds its block's bound: the span holds the
+peak and every cell within ``log(1e-14) - 1`` of it, a superset of the
+cells that can be retained, and each of its log weights has the bits a
+full-grid pass gives.  ``exp`` and everything after it run over that
+span, so every output is bit for bit that of a full-grid pass.  When
+``L`` is below the 1e-300 support floor or NaN, or the span's mass is
+within a factor 1e20 of the floor, one full-grid pass runs instead; it
+alone raises the no-support error, for exactly the ages it cannot
+calibrate.
+
+Distinct ages are calibrated ``_CHUNK`` at a time, one age being a chunk
+of one.  Each elementwise step runs once over the chunk: the bound as an
+(ages x blocks) matrix, the best blocks, the reach, and the spans as an
+(ages x widest span) matrix, each row from its first block on and padded
+with cells whose ``exp`` is 0; then one ``exp``, the cut, the
+normalization, the cumulative sum and the median's index.  Only the
+reductions whose bits follow the length and order of their input, the
+retained mass and the two dot products of the mean and sigma, run per
+age over its retained cells alone.
 """
 
 from __future__ import annotations
@@ -60,6 +71,11 @@ _SPAN_SUM_FLOOR = 1e-280
 # partial.  Chosen by timing 64, 256 and 1024 on the 541- and 50,001-cell
 # curves.
 _BLOCK = 256
+
+# Distinct ages calibrated together: every elementwise step runs once per
+# chunk, over (ages x cells) matrices that must stay cache-sized.  Chosen
+# by timing 16 to 128 on the ages of ref-gen and ts3 on both curves.
+_CHUNK = 32
 
 # Blocks whose bound is at or below L + _LOG_REACH, where L is the peak of
 # the best-bounded block, hold no cell within log(_SUPPORT_EPS) - 1 of the
@@ -367,15 +383,22 @@ def posterior_summaries(
     """The mean, median and sigma columns of :func:`posterior_summary`
     for every age of the int64 array ``ages``, all with one ``sd``.
 
-    Each distinct age goes through the memo once, in the order of its
-    first appearance, so an age that cannot be calibrated is reported as
-    a per-record loop would report it.
+    Each distinct age is calibrated once, in the order of its first
+    appearance and ``_CHUNK`` ages at a time, so an age that cannot be
+    calibrated is reported as a per-record loop would report it.
     """
     sd = float(sd)
     _, first, distinct = np.unique(ages, return_index=True, return_inverse=True)
     drawn_first = ages[np.sort(first)].tolist()
-    summaries = np.array([posterior_summary(curve, age, sd) for age in drawn_first],
-                         dtype=float).reshape(-1, 3)
+    memo = curve._summaries
+    misses = [age for age in drawn_first if (age, sd) not in memo]
+    if misses:
+        check_sd(sd)
+    for k in range(0, len(misses), _CHUNK):
+        chunk = misses[k : k + _CHUNK]
+        for age, (_, _, *values) in zip(chunk, _posteriors(curve, chunk, sd)):
+            memo[age, sd] = tuple(values)
+    summaries = np.array([memo[age, sd] for age in drawn_first], dtype=float).reshape(-1, 3)
     return tuple(summaries.T[:, np.argsort(np.argsort(first))[distinct]])
 
 
@@ -383,41 +406,99 @@ def _posterior(
     curve: CalCurve, age: int, sd: float
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """Retained grid, cell masses, mean, median and sigma of one
-    calibration, with log weights and ``exp`` computed over the span of
-    blocks that can reach the peak's retained cells, or over the full grid
-    (see the module docstring)."""
+    calibration: a chunk of one age."""
+    return _posteriors(curve, [age], sd)[0]
+
+
+def _posteriors(curve: CalCurve, ages: list[int], sd: float) -> list[tuple]:
+    """:func:`_posterior` of each age of a chunk, with log weights and
+    ``exp`` computed over the span of blocks that can reach each peak's
+    retained cells, or, for an age the span cannot serve, over the full
+    grid (see the module docstring)."""
     dates, mu, _ = curve.grid
     var, var_max = curve.variance(sd)
-    # converted once: numpy converts an int age to this same float in
-    # every operation
-    x = float(age)
-    start, logw = _log_weights_near_peak(x, mu, var, curve.blocks, var_max)
-    w = None if logw is None else np.exp(logw)
-    if w is None or float(w.sum()) < _SPAN_SUM_FLOOR:
-        start = 0
-        logw = _log_weights(x, mu, var)
+    lo, hi = curve.blocks
+    # converted as float() converts each age: numpy converts an int age
+    # to this same float in every operation
+    x = np.array(ages, dtype=float)[:, None]
+    # the bound takes the operations of _log_weights on each block's
+    # curve mean nearest the age and its largest variance; each is
+    # monotone, so no cell exceeds it (a NaN bound is taken first and
+    # sends the age to the full grid)
+    bound = np.maximum(lo, x)
+    np.minimum(bound, hi, out=bound)
+    bound -= x
+    bound *= bound
+    bound *= -0.5
+    bound /= var_max
+    best = bound.argmax(axis=1)
+    cells = _BLOCK * best[:, None] + np.arange(_BLOCK)
+    best_logw = _log_weights(x, mu.take(cells, mode="clip"), var.take(cells, mode="clip"))
+    low = best_logw.max(axis=1)
+    windowed = low >= _LOG_FLOOR
+    reach = bound > (low + _LOG_REACH)[:, None]
+    first = np.where(windowed, reach.argmax(axis=1), best)
+    last = np.where(windowed, reach.shape[1] - 1 - reach[:, ::-1].argmax(axis=1), best)
+    # row r holds the blocks from first[r] on, as many as the widest span:
+    # the best block's log weights are copied in, every other block's
+    # computed once, and the cells past the row's span or the grid are
+    # padding whose exp is 0
+    rows, width = np.arange(len(ages))[:, None], int((last - first).max()) + 1
+    other = np.arange(width - 1)
+    other = other + (other >= (best - first)[:, None])  # the block columns but the best's
+    cells = (_BLOCK * (first[:, None] + other))[:, :, None] + np.arange(_BLOCK)
+    logw = np.empty((len(ages), width, _BLOCK))
+    logw[rows, other] = _log_weights(x[:, :, None], mu.take(cells, mode="clip"),
+                                     var.take(cells, mode="clip"))
+    logw[rows[:, 0], best - first] = best_logw
+    logw = logw.reshape(len(ages), -1)
+    start = _BLOCK * first
+    end = np.minimum(_BLOCK * (last + 1), mu.size) - start
+    logw[np.arange(logw.shape[1]) >= end[:, None]] = -np.inf
+    w = np.exp(logw)
+    windowed &= w.sum(axis=1) >= _SPAN_SUM_FLOOR
+    served = np.flatnonzero(windowed)
+    posteriors = dict(zip(served.tolist(), _summarize(w[served], start[served], dates)))
+    for r in np.flatnonzero(~windowed).tolist():
+        logw = _log_weights(x[r], mu, var)
         w = np.exp(logw)
         if float(logw.max()) < _LOG_FLOOR or float(w.sum()) < 1e-300:
-            raise ValueError(
-                f"age outside calibratable range: {age} BP has no support on curve {curve.name!r}"
-            )
-
-    keep = np.nonzero(w > w.max() * _SUPPORT_EPS)[0]
-    lo_i, hi_i = int(keep[0]), int(keep[-1])
-    dates = dates[start + lo_i : start + hi_i + 1]
-    pdf = w[lo_i : hi_i + 1]
-    pdf = pdf / pdf.sum()
-
-    mean = float(np.dot(pdf, dates))
-    sigma = float(math.sqrt(max(np.dot(pdf, (dates - mean) ** 2), 0.0)))
-    cum = np.cumsum(pdf)
-    i = int(np.searchsorted(cum, 0.5))
-    prev = float(cum[i - 1]) if i > 0 else 0.0
-    median = float(dates[i] - 0.5 + (0.5 - prev) / float(pdf[i]))
-    return dates, pdf, mean, median, sigma
+            raise ValueError(f"age outside calibratable range: {ages[r]} BP has no support "
+                             f"on curve {curve.name!r}")
+        posteriors[r] = _summarize(w[None], np.zeros(1, dtype=int), dates)[0]
+    return [posteriors[r] for r in range(len(ages))]
 
 
-def _log_weights(age: float, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
+def _summarize(w: np.ndarray, start: np.ndarray, dates: np.ndarray) -> list[tuple]:
+    """Retained grid, cell masses, mean, median and sigma of each row of
+    weights ``w``, whose column 0 is grid cell ``start`` of its row.  The
+    sum and the two dot products, whose bits follow the length and order
+    of their input, run on each row's retained cells alone."""
+    cut = w > (w.max(axis=1) * _SUPPORT_EPS)[:, None]
+    lo = cut.argmax(axis=1)
+    size = w.shape[1] - cut[:, ::-1].argmax(axis=1) - lo
+    # each row's retained cells moved to column 0; the cells after them,
+    # the row's own or the next row's, are >= 0 and reach no output
+    cells = (lo + w.shape[1] * np.arange(w.shape[0]))[:, None] + np.arange(size.max(initial=0))
+    pdf = w.take(cells, mode="clip")
+    sizes = size.tolist()
+    pdf /= np.array([pdf[r, :s].sum() for r, s in enumerate(sizes)])[:, None]
+    cum = np.cumsum(pdf, axis=1)
+    i = np.count_nonzero(cum < 0.5, axis=1)  # searchsorted(cum, 0.5) of each row
+    rows = np.arange(w.shape[0])
+    prev = np.where(i > 0, cum[rows, i - 1], 0.0)
+    first = start + lo
+    medians = dates[first + i] - 0.5 + (0.5 - prev) / pdf[rows, i]
+    posteriors = []
+    for p, s, f, median in zip(pdf, sizes, first.tolist(), medians.tolist()):
+        p, d = p[:s], dates[f : f + s]
+        mean = float(np.dot(p, d))
+        sigma = float(math.sqrt(max(np.dot(p, (d - mean) ** 2), 0.0)))
+        posteriors.append((d, p, mean, median, sigma))
+    return posteriors
+
+
+def _log_weights(age: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     """``-0.5 (age - mu)^2 / var``, computed in one buffer: a fresh
     temporary per step costs page faults on every call when the heap is
     small."""
@@ -426,38 +507,6 @@ def _log_weights(age: float, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     logw *= -0.5
     logw /= var
     return logw
-
-
-def _log_weights_near_peak(
-    age: float, mu: np.ndarray, var: np.ndarray,
-    blocks: tuple[np.ndarray, np.ndarray], var_max: np.ndarray,
-) -> tuple[int, np.ndarray | None]:
-    """The first cell and the log weights of the span of blocks whose
-    bound can reach the peak's retained cells, or 0 and None when the
-    best-bounded block peaks below the floor or at NaN."""
-    lo, hi = blocks
-    # the bound takes the operations of _log_weights on each block's
-    # curve mean nearest the age and its largest variance; each is
-    # monotone, so no cell exceeds it (a NaN bound is taken first and
-    # sends the call to the full grid)
-    bound = np.maximum(lo, age)
-    np.minimum(bound, hi, out=bound)
-    bound -= age
-    bound *= bound
-    bound *= -0.5
-    bound /= var_max
-    best = int(bound.argmax())
-    start = best * _BLOCK
-    logw = _log_weights(age, mu[start : start + _BLOCK], var[start : start + _BLOCK])
-    low = float(logw.max())
-    if not low >= _LOG_FLOOR:
-        return 0, None
-    reach = np.flatnonzero(bound > low + _LOG_REACH)
-    first, last = int(reach[0]), int(reach[-1])
-    if first == last:  # the best block alone
-        return start, logw
-    start, end = first * _BLOCK, (last + 1) * _BLOCK
-    return start, _log_weights(age, mu[start:end], var[start:end])
 
 
 def _hpd_segments(

@@ -401,23 +401,32 @@ SDS = st.one_of(st.just(0), st.just(0.0), st.floats(0.01, 5.0), st.floats(5.0, 5
                 st.sampled_from([20, 137.5, 1e200]))
 
 
+PLACES = ["focus", "on", "near", "off", "far"]
+
+
+def draw_age(data, curve, focus, sd, where):
+    """An age on a focus cell's curve mean, on or near any cell's, or
+    off or far beyond the curve."""
+    mu, sig = curve.grid[1:]
+    k = int(focus[data.draw(st.integers(0, focus.size - 1))]) if where == "focus" else \
+        data.draw(st.integers(0, mu.size - 1))
+    spread = math.sqrt(sd * sd + float(sig[k]) ** 2) if sd < 1e100 else 1.0
+    # off: 35-38 spreads beyond the curve, where the peak weight nears
+    # the 1e-300 floor and the error or the full-grid fallback decides
+    offset = {"focus": 0.0, "on": 0.0, "near": data.draw(st.floats(-4.0, 4.0)) * spread,
+              "off": data.draw(st.floats(35.0, 38.0)) * spread,
+              "far": data.draw(st.floats(50.0, 1e4)) * spread}[where]
+    edge = float(mu.max()) if offset >= 0 else float(mu.min())
+    return int(round((float(mu[k]) if where in ("focus", "on", "near") else edge) + offset))
+
+
 @settings(PROPERTY, max_examples=3 * PROPERTY.max_examples)  # as many per block size
 @given(block=st.sampled_from(BLOCK_SIZES), kind=st.sampled_from(sorted(CURVES)), sd=SDS,
-       where=st.sampled_from(["focus", "on", "near", "off", "far"]), data=st.data())
+       where=st.sampled_from(PLACES), data=st.data())
 def test_windowed_posterior_equals_full_grid_bit_for_bit(block, kind, sd, where, data):
     with mock.patch.object(calcurve, "_BLOCK", block):
         curve, focus = data.draw(CURVES[kind](block))
-        dates, mu, sig = curve.grid
-        k = int(focus[data.draw(st.integers(0, focus.size - 1))]) if where == "focus" else \
-            data.draw(st.integers(0, mu.size - 1))
-        spread = math.sqrt(sd * sd + float(sig[k]) ** 2) if sd < 1e100 else 1.0
-        # off: 35-38 spreads beyond the curve, where the peak weight nears
-        # the 1e-300 floor and the error or the full-grid fallback decides
-        offset = {"focus": 0.0, "on": 0.0, "near": data.draw(st.floats(-4.0, 4.0)) * spread,
-                  "off": data.draw(st.floats(35.0, 38.0)) * spread,
-                  "far": data.draw(st.floats(50.0, 1e4)) * spread}[where]
-        edge = float(mu.max()) if offset >= 0 else float(mu.min())
-        age = int(round((float(mu[k]) if where in ("focus", "on", "near") else edge) + offset))
+        age = draw_age(data, curve, focus, sd, where)
         for _ in range(2):  # once more with the variance cached
             window = posterior_outcome(calcurve._posterior, curve, age, sd)
             assert window == posterior_outcome(full_grid_posterior, curve, age, sd)
@@ -429,16 +438,62 @@ def test_windowed_posterior_equals_full_grid_bit_for_bit(block, kind, sd, where,
                 assert abs(sum(p for _, _, p in segments) - target) < 1e-9
 
 
-def log_weight_cells(curve, age, sd):
-    """The number of cells one calibration computes log weights over:
-    ``_log_weights`` squares each of them once, and nothing else calls
-    ``np.square``."""
-    sizes = []
-    real_square = np.square
+@settings(PROPERTY, deadline=None)
+@given(block=st.sampled_from(BLOCK_SIZES), kind=st.sampled_from(sorted(CURVES)), sd=SDS,
+       size=st.sampled_from([-1, 0, 1]), data=st.data())
+def test_chunked_summaries_equal_full_grid_bit_for_bit(block, kind, sd, size, data):
+    # columns of about a chunk of distinct ages, each repeated, a few of
+    # them off or far beyond the curve; the first one without support in
+    # draw order raises, and nothing is memoized for it
+    with mock.patch.object(calcurve, "_BLOCK", block):
+        curve, focus = data.draw(CURVES[kind](block))
+        distinct = {}
+        for _ in range(4 * (calcurve._CHUNK + size)):  # fewer where the curve has few ages
+            if len(distinct) == calcurve._CHUNK + size:
+                break
+            distinct[draw_age(data, curve, focus, sd, data.draw(st.sampled_from(PLACES[:3])))] = 1
+        distinct = list(distinct)
+        last = len(distinct) - 1  # an age of the second chunk, after a full first one
+        for k in data.draw(st.sets(st.one_of(st.integers(0, last), st.just(last)), max_size=2)):
+            distinct[k] = draw_age(data, curve, focus, sd, data.draw(st.sampled_from(PLACES[3:])))
+        column = []  # the distinct ages in this order, each followed by repeats
+        for age in distinct:
+            column += [age, *data.draw(st.lists(st.sampled_from(column + [age]), max_size=2))]
+        first_drawn = list(dict.fromkeys(column))
+        outcomes = [posterior_outcome(full_grid_posterior, curve, age, sd) for age in first_drawn]
+        failed = [(age, o) for age, o in zip(first_drawn, outcomes) if o[0] is ValueError]
+        if failed:
+            age, (_, message) = failed[0]
+            with pytest.raises(ValueError) as exc:
+                calcurve.posterior_summaries(curve, np.array(column, dtype=np.int64), sd)
+            assert str(exc.value) == message
+            assert (age, float(sd)) not in curve._summaries
+            return
+        columns = calcurve.posterior_summaries(curve, np.array(column, dtype=np.int64), sd)
+        want = dict(zip(first_drawn, (o[2] for o in outcomes)))
+        assert [[float(v).hex() for v in record] for record in zip(*columns)] == \
+            [want[age] for age in column]
+
+
+def log_weight_cells(curve, ages, sd):
+    """(cells whose log weights were computed, shape of the matrix ``exp``
+    took) for each ``exp`` call of ``posterior_summaries`` over ``ages``,
+    on a copy of ``curve`` with an empty memo.  ``_log_weights`` squares
+    each computed cell once, and nothing else calls ``np.square``."""
+    fresh = fd.CalCurve(curve.name, curve.cal_bp, curve.c14_age, curve.error)
+    squared, passes = [], []
+    real_square, real_exp = np.square, np.exp
+
+    def exp(x):
+        passes.append((sum(squared), x.shape))
+        squared.clear()
+        return real_exp(x)
+
     with mock.patch.object(calcurve.np, "square",
-                           lambda x, out=None: sizes.append(x.size) or real_square(x, out=out)):
-        calcurve._posterior(curve, age, sd)
-    return sum(sizes)
+                           lambda x, out=None: squared.append(x.size) or real_square(x, out=out)), \
+            mock.patch.object(calcurve.np, "exp", exp):
+        calcurve.posterior_summaries(fresh, np.asarray(ages, dtype=np.int64), sd)
+    return passes
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
@@ -457,7 +512,8 @@ def test_wiggly_curves_compute_a_small_share_of_the_grid(block, capsys):
             sd = data.draw(st.sampled_from([5, 20, 50]))
             k = data.draw(st.integers(0, mu.size - 1))
             age = int(round(float(mu[k]) + data.draw(st.floats(-2.0, 2.0)) * sd))
-            shares.append(log_weight_cells(curve, age, sd) / mu.size)
+            [(cells, _)] = log_weight_cells(curve, [age], sd)
+            shares.append(cells / mu.size)
 
     with mock.patch.object(calcurve, "_BLOCK", block):
         calibrate_drawn()
@@ -469,31 +525,31 @@ def test_wiggly_curves_compute_a_small_share_of_the_grid(block, capsys):
 
 
 def test_calibration_near_the_curve_computes_a_few_blocks():
-    # a silent return to full-grid passes would compute all 50,001 cells
+    # a silent return to full-grid passes would compute all 50,001 cells;
+    # each chunk's matrix is as wide as its widest span
     curve = fd.synthetic_study_curve(span=(-48050, 1950))
     mu = curve.grid[1]
     rng = np.random.default_rng(0)
     ages = np.rint(mu[rng.integers(0, mu.size, 300)] + rng.normal(0.0, 20.0, 300))
-    cells = [log_weight_cells(curve, int(age), 20) for age in ages]
-    assert max(cells) <= 4 * calcurve._BLOCK < mu.size // 10
+    passes = log_weight_cells(curve, ages, 20)
+    assert len(passes) == -(-np.unique(ages).size // calcurve._CHUNK)
+    assert max(width for _, (_, width) in passes) <= 4 * calcurve._BLOCK < mu.size // 10
 
 
 @pytest.mark.parametrize("span", [None, (-48050, 1950)], ids=["541-cells", "50001-cells"])
 def test_calibration_exponentiates_its_log_weight_span_once(span):
-    # one cut: exp runs once, over the span of the last log-weight pass
+    # one cut per chunk: exp runs once, over exactly the cells whose log
+    # weights were computed, the best block's among them only once
     curve = fd.synthetic_study_curve() if span is None else fd.synthetic_study_curve(span=span)
     mu = curve.grid[1]
     rng = np.random.default_rng(1)
     ages = np.rint(mu[rng.integers(0, mu.size, 200)] + rng.normal(0.0, 20.0, 200))
-    real_square, real_exp = np.square, np.exp
-    for age in ages:
-        squared, exponentiated = [], []
-        with mock.patch.object(calcurve.np, "square", lambda x, out=None: squared.append(x.size)
-                               or real_square(x, out=out)), \
-                mock.patch.object(calcurve.np, "exp", lambda x: exponentiated.append(x.size)
-                                  or real_exp(x)):
-            calcurve._posterior(curve, int(age), 20)
-        assert exponentiated == [squared[-1]], age
+    distinct = np.unique(ages).size
+    passes = log_weight_cells(curve, ages, 20)
+    assert [rows for _, (rows, _) in passes] == \
+        [min(calcurve._CHUNK, distinct - k) for k in range(0, distinct, calcurve._CHUNK)]
+    for cells, shape in passes:
+        assert cells == math.prod(shape)
 
 
 def test_window_falls_back_to_the_full_grid_near_the_floor():

@@ -85,8 +85,10 @@ def test_posterior_summaries_summarize_each_distinct_age_once(study_curve):
     age = np.array(draw_ages(study_curve, -100.0, 20.0, [_FixedDraws(draws)], len(draws)))
     columns = posterior_summaries(study_curve, age, 20.0)
     assert age.tolist() == [2101, 2080, 2101, 2095, 2080, 2101, 2060, 2095]
-    # reference: the per-record loop
-    expected = np.array([fd.posterior_summary(study_curve, a, 20.0) for a in age.tolist()])
+    # reference: the per-record loop, on a copy whose memo the batch has
+    # not filled
+    fresh = _fresh_copy(study_curve)
+    expected = np.array([fd.posterior_summary(fresh, a, 20.0) for a in age.tolist()])
     for got, want in zip(columns, expected.T):
         assert got.tobytes() == want.tobytes()
 
@@ -123,16 +125,24 @@ def test_the_first_date_outside_the_curve_is_named_before_anything_is_drawn(stud
     assert str(got.value) == str(expected.value)
 
 
+def _fresh_copy(curve):
+    """The same curve with empty caches: a summary taken from it is
+    computed afresh, not read from the memo of ``curve``."""
+    return fd.CalCurve(curve.name, curve.cal_bp, curve.c14_age, curve.error)
+
+
 def _per_date_reference(curve, dates, sd, rngs, n):
     """Ages and summary columns drawn one date at a time, one generator
-    at a time, and calibrated one record at a time."""
+    at a time, and calibrated one record at a time on a fresh copy of
+    the curve."""
     ages = []
     for date, group in zip(dates, rngs):
         mu, sig = fd.curve_at(curve, date)
         scale = math.sqrt(sd * sd + sig * sig)
         for rng in group:
             ages += [round_half_away(x) for x in rng.normal(mu, scale, size=n).tolist()]
-    summaries = np.array([fd.posterior_summary(curve, age, sd) for age in ages]).reshape(-1, 3)
+    fresh = _fresh_copy(curve)
+    summaries = np.array([fd.posterior_summary(fresh, age, sd) for age in ages]).reshape(-1, 3)
     return np.array(ages, dtype=np.int64), *summaries.T
 
 
