@@ -526,17 +526,11 @@ def _hpd_segments(
     frac[boundary] = min(1.0, (target - prev) / float(pdf[boundary]))
 
     segments: list[tuple[float, float, float]] = []
-    included = np.nonzero(frac > 0)[0]
-    run_start = included[0]
-    prev_i = included[0]
-    runs: list[tuple[int, int]] = []
-    for i in included[1:]:
-        if i != prev_i + 1:
-            runs.append((int(run_start), int(prev_i)))
-            run_start = i
-        prev_i = i
-    runs.append((int(run_start), int(prev_i)))
-
+    included = np.flatnonzero(frac > 0)
+    # a run of consecutive cells ends where the next included cell is not adjacent
+    ends = np.flatnonzero(np.diff(included) != 1)
+    runs = zip(included[np.concatenate(([0], ends + 1))].tolist(),
+               included[np.append(ends, included.size - 1)].tolist())
     for i0, i1 in runs:
         start = float(dates[i0]) - 0.5
         end = float(dates[i1]) + 0.5

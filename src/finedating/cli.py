@@ -11,6 +11,14 @@ none of them; the finished files are then moved into place one by
 one), and every CSV starts with a provenance comment block.  Outputs contain no
 timestamps: the same configuration and seed reproduce identical bytes.
 
+A ``--config`` file's entries become the defaults of the options they
+name, on the parser and every subcommand's, and argv is parsed again:
+an entry is typed and checked as its flag is (a malformed one exits 2
+with the flag's message), a flag given on the command line wins, and an
+entry that names no option of the command is ignored.  The commands
+read their inputs through the library: this module parses flags, calls
+the pipeline and prints.
+
 Exit codes: 0 success, 2 usage, 3 I/O, 4 data.
 """
 
@@ -23,8 +31,21 @@ from pathlib import Path
 
 from . import __version__, csvio
 from .calcurve import Measurement, curve_at, load_curve, parse_date
-from .evaluate import evaluate_test_series, histogram, read_eval_rows, write_evaluation
-from .finedate import compute_indicators, match_measurements, normalize_indicator, write_report
+from .evaluate import (
+    evaluate_test_series,
+    histogram,
+    read_eval_rows,
+    select_values,
+    write_evaluation,
+)
+from .finedate import (
+    compute_indicators,
+    match_measurements,
+    normalize_indicator,
+    parse_sd,
+    read_measurements,
+    write_report,
+)
 from .lookup import MAX_BUCKETS, build_lookup, query_lookup, read_lookup, write_lookup
 from .reftable import (
     RefTableSpec,
@@ -51,22 +72,21 @@ EXIT_DATA = 4
 def parse_span(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise ValueError(f"span must be OLD:YOUNG, got {text!r}")
-    span = parse_date(parts[0]), parse_date(parts[1])
-    if not all(map(math.isfinite, span)):
-        raise ValueError(f"--span OLD:YOUNG must be finite years, got {text!r}")
-    return span
+        raise ValueError(f"--span must be OLD:YOUNG, got {text!r}")
+    old, young = _finite(map(parse_date, parts),
+                         f"--span OLD:YOUNG must be finite years, got {text!r}")
+    return old, young
 
 
 def parse_date_range(text: str) -> list[float]:
     """START:END:STEP, inclusive of END when it lies on the grid."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"dates must be START:END:STEP, got {text!r}")
-    start, end = parse_date(parts[0]), parse_date(parts[1])
-    step = float(parts[2])
-    if not all(map(math.isfinite, (start, end, step))):
-        raise ValueError(f"--dates START:END:STEP must be finite numbers, got {text!r}")
+        raise ValueError(f"--dates must be START:END:STEP, got {text!r}")
+    start, end, step = _finite(
+        (parse(part) for parse, part in zip((parse_date, parse_date, float), parts)),
+        f"--dates START:END:STEP must be finite numbers, got {text!r}",
+    )
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     if (end - start) / step > MAX_RECORDS:
@@ -81,23 +101,29 @@ def parse_date_range(text: str) -> list[float]:
     return dates
 
 
-def _parse_number(text, flag: str, kind=float):
-    """The finite ``kind`` (int or float) given as ``--flag``; an int
-    must fit in int64, as the table columns it is matched against do."""
+def _finite(values, message: str) -> list[float]:
+    """The parsed ``values``, or ``ValueError(message)`` where one fails
+    to parse or is not finite: the message names the flag and its whole
+    value, not the token."""
     try:
-        value = kind(text)
+        values = list(values)
     except ValueError:
-        value = math.nan
-    if isinstance(value, int) and not _fits_int64(value):
-        raise ValueError(f"--{flag} must fit in a 64-bit integer, got {text!r}")
-    if not math.isfinite(value):
-        noun = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"--{flag} must be {noun}, got {text!r}")
-    return value
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(message)
+    return values
 
 
-def _fits_int64(value: int) -> bool:
-    return -(2**63) <= value < 2**63
+def _parse_age(text: str) -> int:
+    """An ``--ages`` token: an integer that fits in int64, as the table
+    column it is matched against does."""
+    try:
+        age = int(text)
+    except ValueError:
+        raise ValueError(f"--ages must be an integer, got {text!r}") from None
+    if not -(2**63) <= age < 2**63:
+        raise ValueError(f"--ages must fit in a 64-bit integer, got {text!r}")
+    return age
 
 
 def load_config(path) -> dict[str, str]:
@@ -121,16 +147,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _effective(args: argparse.Namespace, config: dict[str, str], key: str, default=None):
-    """Flag value if given, else config entry, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
-
-
 def _require(value, flag: str):
     if value is None:
         raise CliError(EXIT_USAGE, f"usage: missing required option --{flag}")
@@ -151,13 +167,9 @@ def _manifest(out_base: Path, subcommand: str, entries: dict,
         path = out_base.with_name(out_base.stem + "_manifest.txt")
     else:
         path = out_base / "run_manifest.txt"
-    lines = [
-        f"tool = finedating {__version__}",
-        f"subcommand = {subcommand}",
-    ]
-    for key, val in entries.items():
-        lines.append(f"{key} = {csvio.fmt(val)}")
-    prov = {"tool": f"finedating {__version__}", "subcommand": subcommand, "manifest": path.name}
+    prov = {"tool": f"finedating {__version__}", "subcommand": subcommand}
+    lines = [f"{key} = {csvio.fmt(val)}" for key, val in {**prov, **entries}.items()]
+    prov["manifest"] = path.name
     if "seed" in entries:
         prov["seed"] = entries["seed"]
     return prov, (path, lines)
@@ -169,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation-based radiocarbon fine-dating pipeline.",
     )
     parser.add_argument("--version", action="version", version=f"finedating {__version__}")
-    parser.add_argument("--seed", type=int, default=None, help="global RNG seed")
+    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
     parser.add_argument("--config", default=None, help="flat key = value config file")
     sub = parser.add_subparsers(dest="subcommand")
 
@@ -195,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     tests.add_argument("--curve", default=None)
     tests.add_argument("--dates", default=None, help="START:END:STEP")
     tests.add_argument("--per-date", type=int, default=None)
-    tests.add_argument("--group", type=int, default=None, help="measurements per dataset")
+    tests.add_argument("--group", type=int, default=3, help="measurements per dataset")
     tests.add_argument("--sd", type=float, default=None)
     tests.add_argument("--out", default=None)
     conv = sim_sub.add_parser("convert", help="cluster an exported simulation CSV")
     conv.add_argument("--in", default=None)
-    conv.add_argument("--group", type=int, default=None)
+    conv.add_argument("--group", type=int, default=3)
     conv.add_argument("--out", default=None)
 
     p = sub.add_parser("finedate", help="match measured ages and write the report")
@@ -220,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     lk_sub = p.add_subparsers(dest="action")
     build = lk_sub.add_parser("build")
     build.add_argument("--eval", default=None)
-    build.add_argument("--bucket-width", type=float, default=None)
+    build.add_argument("--bucket-width", type=float, default=5.0)
     build.add_argument("--out", default=None)
     query = lk_sub.add_parser("query")
     query.add_argument("--table", default=None)
@@ -264,6 +276,23 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
+def _config_defaults(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    """Make each ``config`` entry the default of the option it names
+    (``per-slice`` of ``--per-slice``) on ``parser`` and every subparser
+    under it; argparse then converts it with the option's ``type`` when
+    the flag is not given.  Entries that name no option are ignored."""
+    defaults = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                _config_defaults(subparser, config)
+        elif action.option_strings and action.nargs != 0:
+            key = action.option_strings[-1].removeprefix("--")
+            if key in config:
+                defaults[action.dest] = config[key]
+    parser.set_defaults(**defaults)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     argv = _merge_negative_values(argv)
@@ -273,18 +302,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _config_defaults(parser, load_config(args.config))
+            args = parser.parse_args(argv)
+        if any(isinstance(value, list) for value in vars(args).values()):
+            # argparse drops an attached value of '--' (as in --sd=--) and keeps []
+            raise CliError(EXIT_USAGE, "usage: '--' is not an option value")
+        if args.subcommand is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        return COMMANDS[args.subcommand](args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if any(isinstance(value, list) for value in vars(args).values()):
-        # argparse drops an attached value of '--' (as in --sd=--) and keeps []
-        print("error: usage: '--' is not an option value", file=sys.stderr)
-        return EXIT_USAGE
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        config = load_config(args.config) if args.config else {}
-        return _dispatch(args, config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -296,31 +327,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
 
 
-def _dispatch(args: argparse.Namespace, config: dict[str, str]) -> int:
-    seed = _effective(args, config, "seed")
-    seed = int(seed) if seed is not None else 0
-    if seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
-
-    if args.subcommand == "curve":
-        return _cmd_curve(args, config)
-    if args.subcommand == "ref-gen":
-        return _cmd_ref_gen(args, config, seed)
-    if args.subcommand == "simulate":
-        return _cmd_simulate(args, config, seed)
-    if args.subcommand == "finedate":
-        return _cmd_finedate(args, config)
-    if args.subcommand == "evaluate":
-        return _cmd_evaluate(args, config)
-    if args.subcommand == "lookup":
-        return _cmd_lookup(args, config)
-    if args.subcommand == "hist":
-        return _cmd_hist(args, config)
-    if args.subcommand == "scatter":
-        return _cmd_scatter(args, config)
-    raise CliError(EXIT_USAGE, f"unknown subcommand {args.subcommand!r}")
-
-
 def _load_curve_arg(path_text: str):
     path = Path(path_text)
     if not path.is_file():
@@ -328,48 +334,43 @@ def _load_curve_arg(path_text: str):
     return load_curve(path, name=path.name)
 
 
-def _cmd_curve(args, config) -> int:
-    if getattr(args, "action", None) != "info":
+def _cmd_curve(args) -> int:
+    if args.action != "info":
         raise CliError(EXIT_USAGE, "usage: curve needs the 'info' action")
+    tokens = args.at.split(",") if args.at else []
+    dates = _finite(map(parse_date, tokens),
+                    f"--at must be comma-separated finite years, got {args.at!r}")
     curve = _load_curve_arg(args.file)
     lo, hi = curve.domain
     print(f"curve: {curve.name}")
     print(f"knots: {curve.n_knots}")
     print(f"domain: {lo:g} .. {hi:g} (calendar years; negative = BC)")
-    at = _effective(args, config, "at")
-    if at:
-        for token in str(at).split(","):
-            date = parse_date(token)
-            mu, sig = curve_at(curve, date)
-            print(f"at {date:g}: mu={mu:.2f} BP, sigma={sig:.2f}")
+    for date in dates:
+        mu, sig = curve_at(curve, date)
+        print(f"at {date:g}: mu={mu:.2f} BP, sigma={sig:.2f}")
     return 0
 
 
-def _cmd_ref_gen(args, config, seed: int) -> int:
-    curve = _load_curve_arg(_require(_effective(args, config, "curve"), "curve"))
-    out = Path(_require(_effective(args, config, "out"), "out"))
-    combo = _effective(args, config, "combo")
-    if combo:
-        labels = [t.strip() for t in str(combo).split(",") if t.strip()]
-        specs = [standard_spec(label, seed + i) for i, label in enumerate(labels)]
-        label = _effective(args, config, "label", "Combo")
+def _cmd_ref_gen(args) -> int:
+    curve = _load_curve_arg(_require(args.curve, "curve"))
+    out = Path(_require(args.out, "out"))
+    if args.combo:
+        labels = [t.strip() for t in args.combo.split(",") if t.strip()]
+        specs = [standard_spec(label, args.seed + i) for i, label in enumerate(labels)]
+        label = "Combo" if args.label is None else args.label
         table = build_combo_table(curve, specs, label=label)
     else:
-        label = _require(_effective(args, config, "label"), "label")
-        step = _effective(args, config, "step")
-        per_slice = _effective(args, config, "per-slice")
-        sd = _effective(args, config, "sd")
-        span = _effective(args, config, "span")
-        if step is None and per_slice is None and sd is None and span is None:
-            spec = standard_spec(label, seed)
+        label = _require(args.label, "label")
+        if args.step is None and args.per_slice is None and args.sd is None and args.span is None:
+            spec = standard_spec(label, args.seed)
         else:
             spec = RefTableSpec(
                 label=label,
-                year_interval=int(_require(step, "step")),
-                per_slice=int(_require(per_slice, "per-slice")),
-                sd=float(_require(sd, "sd")),
-                span=parse_span(str(_require(span, "span"))),
-                seed=seed,
+                year_interval=_require(args.step, "step"),
+                per_slice=_require(args.per_slice, "per-slice"),
+                sd=_require(args.sd, "sd"),
+                span=parse_span(_require(args.span, "span")),
+                seed=args.seed,
             )
         table = build_reference_table(curve, spec)
     prov, manifest = _manifest(
@@ -378,7 +379,7 @@ def _cmd_ref_gen(args, config, seed: int) -> int:
         {
             "curve": curve.name,
             "label": table.label,
-            "seed": seed,
+            "seed": args.seed,
             "records": len(table),
             "out": out.name,
         },
@@ -388,17 +389,15 @@ def _cmd_ref_gen(args, config, seed: int) -> int:
     return 0
 
 
-def _cmd_simulate(args, config, seed: int) -> int:
-    action = getattr(args, "action", None)
-    if action == "tests":
-        curve = _load_curve_arg(_require(_effective(args, config, "curve"), "curve"))
-        dates = parse_date_range(str(_require(_effective(args, config, "dates"), "dates")))
-        per_date = int(_require(_effective(args, config, "per-date"), "per-date"))
-        group = int(_effective(args, config, "group", 3))
-        sd = float(_require(_effective(args, config, "sd"), "sd"))
-        out = Path(_require(_effective(args, config, "out"), "out"))
+def _cmd_simulate(args) -> int:
+    if args.action == "tests":
+        curve = _load_curve_arg(_require(args.curve, "curve"))
+        dates = parse_date_range(_require(args.dates, "dates"))
+        per_date = _require(args.per_date, "per-date")
+        sd = _require(args.sd, "sd")
+        out = Path(_require(args.out, "out"))
         series = generate_test_datasets(
-            curve, dates, per_date, sd=sd, seed=seed, group_size=group
+            curve, dates, per_date, sd=sd, seed=args.seed, group_size=args.group
         )
         prov, manifest = _manifest(
             out,
@@ -407,9 +406,9 @@ def _cmd_simulate(args, config, seed: int) -> int:
                 "curve": curve.name,
                 "dates": f"{dates[0]:g}..{dates[-1]:g}",
                 "per_date": per_date,
-                "group": group,
+                "group": args.group,
                 "sd": sd,
-                "seed": seed,
+                "seed": args.seed,
                 "datasets": len(series),
                 "out": out.name,
             },
@@ -417,17 +416,16 @@ def _cmd_simulate(args, config, seed: int) -> int:
         write_tests(series, out, extra_header={**prov, "curve": curve.name}, texts=[manifest])
         print(f"wrote {out} ({len(series)} datasets)")
         return 0
-    if action == "convert":
-        infile = _require(_effective(args, config, "in"), "in")
-        group = int(_effective(args, config, "group", 3))
-        out = Path(_require(_effective(args, config, "out"), "out"))
-        series, leftovers = convert_rsim_to_tests(infile, group_size=group)
+    if args.action == "convert":
+        infile = _require(getattr(args, "in"), "in")
+        out = Path(_require(args.out, "out"))
+        series, leftovers = convert_rsim_to_tests(infile, group_size=args.group)
         prov, manifest = _manifest(
             out,
             "simulate-convert",
             {
-                "in": Path(str(infile)).name,
-                "group": group,
+                "in": Path(infile).name,
+                "group": args.group,
                 "datasets": len(series),
                 "leftover_rows": sum(count for _, _, count in leftovers),
                 "out": out.name,
@@ -437,7 +435,7 @@ def _cmd_simulate(args, config, seed: int) -> int:
         for date, sd, count in leftovers:
             print(
                 f"warning: {count} leftover row(s) at date {date:g} sd {sd:g} did not fill a "
-                f"group of {group} and were excluded",
+                f"group of {args.group} and were excluded",
                 file=sys.stderr,
             )
         print(f"wrote {out} ({len(series)} datasets)")
@@ -445,20 +443,11 @@ def _cmd_simulate(args, config, seed: int) -> int:
     raise CliError(EXIT_USAGE, "usage: simulate needs an action: tests or convert")
 
 
-def _parse_measurements(args, config) -> list[Measurement]:
-    ages_file = _effective(args, config, "ages-file")
-    if ages_file:
-        _, columns, rows = csvio.read_commented_csv(ages_file)
-        cols = [c.casefold() for c in columns]
-        if "age" not in cols or "sd" not in cols:
-            raise ValueError(f"ages file {ages_file} needs 'age' and 'sd' columns")
-        ai, si = cols.index("age"), cols.index("sd")
-        return [Measurement(age=_file_age(r[ai], ages_file, i), sd=float(r[si]))
-                for i, r in enumerate(rows, start=1)]
-    ages_text = _require(_effective(args, config, "ages"), "ages")
-    ages = [_parse_number(t, "ages", int) for t in str(ages_text).split(",") if t.strip()]
-    sd_text = str(_require(_effective(args, config, "sd"), "sd"))
-    sds = [float(t) for t in sd_text.split(",") if t.strip()]
+def _parse_measurements(args) -> list[Measurement]:
+    if args.ages_file:
+        return read_measurements(args.ages_file)
+    ages = [_parse_age(t) for t in _require(args.ages, "ages").split(",") if t.strip()]
+    sds = [parse_sd(t, "--sd") for t in _require(args.sd, "sd").split(",") if t.strip()]
     if len(sds) == 1:
         sds = sds * len(ages)
     if len(sds) != len(ages):
@@ -466,23 +455,10 @@ def _parse_measurements(args, config) -> list[Measurement]:
     return [Measurement(age=a, sd=s) for a, s in zip(ages, sds)]
 
 
-def _file_age(cell: str, path, row: int) -> int:
-    try:
-        age = int(cell)
-    except ValueError:
-        age = None
-    if age is None or not _fits_int64(age):
-        raise ValueError(
-            f"ages file {path} row {row}: age must be an integer that fits in 64 bits, "
-            f"got {cell!r}"
-        )
-    return age
-
-
-def _cmd_finedate(args, config) -> int:
-    table = read_table(_require(_effective(args, config, "ref"), "ref"))
-    measurements = _parse_measurements(args, config)
-    out = Path(_require(_effective(args, config, "out"), "out"))
+def _cmd_finedate(args) -> int:
+    table = read_table(_require(args.ref, "ref"))
+    measurements = _parse_measurements(args)
+    out = Path(_require(args.out, "out"))
     matches = match_measurements(table, measurements)
     indicators = compute_indicators(matches)
     prov, manifest = _manifest(
@@ -504,15 +480,14 @@ def _cmd_finedate(args, config) -> int:
     return 0
 
 
-def _cmd_evaluate(args, config) -> int:
-    table = read_table(_require(_effective(args, config, "ref"), "ref"))
-    series = read_tests(_require(_effective(args, config, "tests"), "tests"))
+def _cmd_evaluate(args) -> int:
+    table = read_table(_require(args.ref, "ref"))
+    series = read_tests(_require(args.tests, "tests"))
     if not len(series):
         raise CliError(EXIT_DATA, "data: tests file holds no datasets")
-    out_dir = Path(_require(_effective(args, config, "out"), "out"))
+    out_dir = Path(_require(args.out, "out"))
 
-    curve_path = _effective(args, config, "curve")
-    curve = _load_curve_arg(str(curve_path)) if curve_path else None
+    curve = _load_curve_arg(args.curve) if args.curve else None
     for warning in edge_warnings(
         table, series.original_date.tolist(), float(series.sd.max()), curve=curve
     ):
@@ -534,12 +509,13 @@ def _cmd_evaluate(args, config) -> int:
     return 0
 
 
-def _cmd_lookup(args, config) -> int:
-    action = getattr(args, "action", None)
-    if action == "build":
-        rows = read_eval_rows(_require(_effective(args, config, "eval"), "eval"))
-        width = _parse_number(_effective(args, config, "bucket-width", 5.0), "bucket-width")
-        out = Path(_require(_effective(args, config, "out"), "out"))
+def _cmd_lookup(args) -> int:
+    if args.action == "build":
+        rows = read_eval_rows(_require(args.eval, "eval"))
+        width = args.bucket_width
+        if not math.isfinite(width):
+            raise ValueError(f"--bucket-width must be a finite number, got {width!r}")
+        out = Path(_require(args.out, "out"))
         table = build_lookup(rows, bucket_width=width)
         prov, manifest = _manifest(
             out,
@@ -549,13 +525,11 @@ def _cmd_lookup(args, config) -> int:
         write_lookup(table, out, extra_header=prov, texts=[manifest])
         print(f"wrote {out} ({len(table)} buckets)")
         return 0
-    if action == "query":
-        table = read_lookup(_require(_effective(args, config, "table"), "table"))
-        indicator = normalize_indicator(
-            str(_require(_effective(args, config, "indicator"), "indicator"))
-        )
-        value = _require(_effective(args, config, "value"), "value")
-        left, count, frac12, frac25 = query_lookup(table, indicator, float(value))
+    if args.action == "query":
+        table = read_lookup(_require(args.table, "table"))
+        indicator = normalize_indicator(_require(args.indicator, "indicator"))
+        value = _require(args.value, "value")
+        left, count, frac12, frac25 = query_lookup(table, indicator, value)
         right = left + table.bucket_width
         print(f"indicator: {indicator}")
         print(f"bucket: [{left:g}, {right:g})")
@@ -566,52 +540,17 @@ def _cmd_lookup(args, config) -> int:
     raise CliError(EXIT_USAGE, "usage: lookup needs an action: build or query")
 
 
-def _indicator_or_none(name: str | None) -> str | None:
-    try:
-        return normalize_indicator(name) if name is not None else None
-    except ValueError:
-        return None
-
-
-def _select_values(
-    path, art: csvio.Artifact, column: str, paired: str | None = None
-) -> list[float]:
-    """Numeric cells of a CSV column.  In a file with ``indicator`` and
-    ``value`` columns, an indicator name selects the values of that
-    indicator's rows, and a plain column paired with an indicator name
-    takes its cells from the same rows."""
-    columns, rows = art.columns, art.body
-    by_indicator = "indicator" in columns and "value" in columns
-    name = _indicator_or_none(column) if by_indicator else None
-    if name is not None:
-        column = "value"
-    elif column not in columns:
-        raise ValueError(f"no column {column!r} in {path}; columns are {columns}")
-    elif by_indicator and paired not in columns:
-        name = _indicator_or_none(paired)
-    if name is not None:
-        ii = columns.index("indicator")
-        rows = [cells for cells in rows if cells[ii] == name]
-    ci = columns.index(column)
-    values = [float(cells[ci]) for cells in rows if cells[ci]]
-    if not values:
-        raise ValueError(f"no numeric values for {column!r} in {path}")
-    return values
-
-
-def _cmd_hist(args, config) -> int:
-    infile = _require(_effective(args, config, "in"), "in")
-    column = str(_require(_effective(args, config, "col"), "col"))
-    out = Path(_require(_effective(args, config, "out"), "out"))
-    bins = _effective(args, config, "bins")
-    if bins is not None:
-        bins = _parse_number(bins, "bins", int)
-        if not 1 <= bins <= MAX_BUCKETS:  # np.histogram allocates every bin
-            raise ValueError(f"--bins must be from 1 to {MAX_BUCKETS}, got {bins}")
-    values = _select_values(infile, csvio.read_commented_csv(infile), column)
-    edges, counts = histogram(values, bins=bins)
+def _cmd_hist(args) -> int:
+    infile = _require(getattr(args, "in"), "in")
+    column = _require(args.col, "col")
+    out = Path(_require(args.out, "out"))
+    if args.bins is not None and not 1 <= args.bins <= MAX_BUCKETS:
+        # np.histogram allocates every bin
+        raise ValueError(f"--bins must be from 1 to {MAX_BUCKETS}, got {args.bins}")
+    (values,) = select_values(infile, column)
+    edges, counts = histogram(values, bins=args.bins)
     prov, manifest = _manifest(
-        out, "hist", {"in": Path(str(infile)).name, "col": column, "bins": len(counts)}
+        out, "hist", {"in": Path(infile).name, "col": column, "bins": len(counts)}
     )
     csvio.write_artifact(
         out,
@@ -623,24 +562,34 @@ def _cmd_hist(args, config) -> int:
     return 0
 
 
-def _cmd_scatter(args, config) -> int:
-    infile = _require(_effective(args, config, "in"), "in")
-    xcol = str(_require(_effective(args, config, "x"), "x"))
-    ycol = str(_require(_effective(args, config, "y"), "y"))
-    out = Path(_require(_effective(args, config, "out"), "out"))
+def _cmd_scatter(args) -> int:
+    infile = _require(getattr(args, "in"), "in")
+    xcol = _require(args.x, "x")
+    ycol = _require(args.y, "y")
+    out = Path(_require(args.out, "out"))
     if xcol == ycol:  # the output has one column per axis, each named for its column
         raise CliError(EXIT_USAGE, f"usage: --x and --y name the same column {xcol!r}")
-    art = csvio.read_commented_csv(infile)
-    xs = _select_values(infile, art, xcol, paired=ycol)
-    ys = _select_values(infile, art, ycol, paired=xcol)
+    xs, ys = select_values(infile, xcol, ycol)
     if len(xs) != len(ys):
         raise ValueError(f"x and y selections differ in length: {len(xs)} vs {len(ys)}")
     prov, manifest = _manifest(
-        out, "scatter", {"in": Path(str(infile)).name, "x": xcol, "y": ycol, "points": len(xs)}
+        out, "scatter", {"in": Path(infile).name, "x": xcol, "y": ycol, "points": len(xs)}
     )
     csvio.write_artifact(out, prov, {xcol: xs, ycol: ys}, texts=[manifest])
     print(f"wrote {out} ({len(xs)} points)")
     return 0
+
+
+COMMANDS = {
+    "curve": _cmd_curve,
+    "ref-gen": _cmd_ref_gen,
+    "simulate": _cmd_simulate,
+    "finedate": _cmd_finedate,
+    "evaluate": _cmd_evaluate,
+    "lookup": _cmd_lookup,
+    "hist": _cmd_hist,
+    "scatter": _cmd_scatter,
+}
 
 
 if __name__ == "__main__":

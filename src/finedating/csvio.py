@@ -56,7 +56,13 @@ reader) of a file whose binary sidecar (below) holds its data block
 takes its columns from the sidecar; every other read goes through the
 line reader, which accepts what it always did and names what is wrong,
 down to the line and column of a cell that its parser rejects.  Either
-path gives a ``str`` column as :class:`Labels`.
+path gives a ``str`` column as :class:`Labels`.  Both parse the ``#``
+header and the column line, and check ``format`` and the schema's
+columns, with one function (:func:`_read_header`); the sidecar path
+adds only its own checks (no ``\\r`` in the header, the data block's
+byte length and crc32).  A file read without a schema (an ages file, an
+exported simulation) names its columns in any case, and
+:func:`find_columns` looks them up.
 
 The bulk artifacts that a later command reads whole, reference tables,
 test series and evaluation rows (``SIDECAR_FORMATS``), get that binary
@@ -592,37 +598,66 @@ def read_commented_csv(path, kind: str | None = None, schema: dict | None = None
     return _read_lines(path, kind, schema, extra)
 
 
-def _read_lines(path, kind, schema, extra) -> Artifact:
+def find_columns(path, columns: list[str], aliases: dict[str, tuple[str, ...]]) -> list[int]:
+    """The index in ``columns`` of each key of ``aliases``: that of the
+    first of its names found among the column names, compared casefolded."""
+    folded = [column.casefold() for column in columns]
+    indices = []
+    for kind, names in aliases.items():
+        found = [folded.index(name) for name in names if name in folded]
+        if not found:
+            raise ValueError(f"cannot find a {kind} column in {path}; columns are {columns}")
+        indices.append(found[0])
+    return indices
+
+
+def _read_header(lines: Iterator[str], path, kind, schema, extra) -> tuple[dict, list[str]]:
+    """The ``#`` header and the column names, read from ``lines`` up to
+    and including the column line, where both read paths stop: ``kind``,
+    when given, must equal the ``format`` header, and ``schema``, when
+    given, must have the column names as its keys.  A file without a
+    column line has none, which only a read without either allows."""
     meta: dict = {key: [] for key in extra}
-    columns: list[str] = []
+    for line in lines:
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            _meta_line(meta, line, extra)
+            continue
+        columns = [cell.strip() for cell in line.split(",")]
+        if kind is not None and meta.get("format") != kind:
+            raise ValueError(f"{path} is not a {kind} file")
+        if schema is not None and columns != list(schema):
+            raise ValueError(f"unexpected columns in {path}: {columns}")
+        return meta, columns
+    if kind is not None or schema is not None:
+        raise ValueError(f"{path} has no column line")
+    return meta, []
+
+
+def _read_lines(path, kind, schema, extra) -> Artifact:
     data: list[str] = []
-    commas = -1
     with open(path, "r", encoding="utf-8") as fh:
+        lines = enumerate(fh, start=1)
         try:
-            for lineno, line in enumerate(fh, start=1):
+            meta, columns = _read_header((line for _, line in lines), path, kind, schema, extra)
+            commas = len(columns) - 1
+            for lineno, line in lines:
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
                 if line.startswith("#"):
                     _meta_line(meta, line, extra)
-                elif columns:
-                    if line.count(",") != commas:
-                        raise ValueError(
-                            f"ragged row in {path} at line {lineno}: "
-                            f"{line.count(',') + 1} cells, the column line has {len(columns)}"
-                        )
-                    data.append(line)
+                elif line.count(",") != commas:
+                    raise ValueError(
+                        f"ragged row in {path} at line {lineno}: "
+                        f"{line.count(',') + 1} cells, the column line has {len(columns)}"
+                    )
                 else:
-                    columns = [cell.strip() for cell in line.split(",")]
-                    commas = len(columns) - 1
-                    if kind is not None and meta.get("format") != kind:
-                        raise ValueError(f"{path} is not a {kind} file")
-                    if schema is not None and columns != list(schema):
-                        raise ValueError(f"unexpected columns in {path}: {columns}")
+                    data.append(line)
         except UnicodeDecodeError:
             raise ValueError(f"corrupt file: {path} is not UTF-8 text") from None
-    if not columns and (kind is not None or schema is not None):
-        raise ValueError(f"{path} has no column line")
     if "checksum" in meta and meta["checksum"] != str(rows_checksum(data)):
         raise ValueError(f"corrupt table: checksum mismatch in {path}")
     if schema is None:
@@ -700,31 +735,18 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
 
 
 def _read_head(path, kind, schema: dict, extra, crc: int, size: int) -> tuple[dict, list] | None:
-    """The header and column names of the file, parsed line by line as
-    the line reader parses them, if its column line and ``format`` are
-    the schema's and its data block is ``size`` bytes of crc32 ``crc``,
-    streamed in ``_BLOCK`` reads, that also equals any ``checksum``
-    header; else None."""
-    meta: dict = {key: [] for key in extra}
+    """The header and column names of the file, as :func:`_read_header`
+    reads them, if the header holds no ``\\r`` (which the line reader
+    reads as a line break) and the data block after the column line is
+    ``size`` bytes of crc32 ``crc``, streamed in ``_BLOCK`` reads, that
+    also equals any ``checksum`` header; else None, or the error of a
+    header that is not UTF-8 or that the line reader rejects."""
     with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            if "\r" in line:
-                return None
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if not line.startswith("#"):
-                break
-            _meta_line(meta, line, extra)
-        else:
-            return None
-        columns = [cell.strip() for cell in line.split(",")]
-        if (columns != list(schema) or (kind is not None and meta.get("format") != kind)
-                or os.fstat(fh.fileno()).st_size - fh.tell() != size):
+        meta, columns = _read_header((raw.decode("utf-8") for raw in fh),
+                                     path, kind, schema, extra)
+        head = fh.tell()
+        fh.seek(0)
+        if b"\r" in fh.read(head) or os.fstat(fh.fileno()).st_size - head != size:
             return None
         streamed = 0
         while chunk := fh.read(_BLOCK):

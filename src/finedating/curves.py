@@ -23,6 +23,13 @@ INTCAL20_ENV = "INTCAL20_PATH"
 INTCAL20_FILENAME = "intcal20.14c"
 
 
+def _knots(span: tuple[float, float], step: float) -> np.ndarray:
+    """Knot positions in cal BP every ``step`` years over the calendar
+    ``span`` (oldest, youngest), youngest first."""
+    oldest, youngest = span
+    return np.arange(1950.0 - youngest, 1950.0 - oldest + step / 2, step)
+
+
 def flat_curve(
     level: float = 2000.0,
     error: float = 5.0,
@@ -31,9 +38,7 @@ def flat_curve(
 ) -> CalCurve:
     """Constant curve mean and error, with knots every 50 years;
     calibrations are uniform."""
-    oldest, youngest = span
-    knot_step = 50.0
-    bp = np.arange(1950.0 - youngest, 1950.0 - oldest + knot_step / 2, knot_step)
+    bp = _knots(span, 50.0)
     return CalCurve(
         name=name,
         cal_bp=bp,
@@ -49,9 +54,7 @@ def linear_curve(
 ) -> CalCurve:
     """Identity curve with knots every 50 years: the 14C age equals cal
     BP, so posteriors are Gaussian and closed-form comparable."""
-    oldest, youngest = span
-    knot_step = 50.0
-    bp = np.arange(1950.0 - youngest, 1950.0 - oldest + knot_step / 2, knot_step)
+    bp = _knots(span, 50.0)
     return CalCurve(
         name=name,
         cal_bp=bp,
@@ -86,9 +89,8 @@ def synthetic_study_curve(
             return 2.6
         return 1.0 + 0.45 * math.sin(2.0 * math.pi * (bp - 1830.0) / 173.0)
 
-    oldest, youngest = span
     knot_step = 5.0
-    bp = np.arange(1950.0 - youngest, 1950.0 - oldest + knot_step / 2, knot_step)
+    bp = _knots(span, knot_step)
     mu = np.empty_like(bp)
     mu[0] = bp[0] - 15.0
     for i in range(1, bp.size):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import csvio
-from .finedate import FAMILIES, INDICATOR_NAMES, batch_indicators, pool_blocks
+from .finedate import FAMILIES, INDICATOR_NAMES, batch_indicators, normalize_indicator, pool_blocks
 from .reftable import RefTable, match_ages
 from .simulate import TestSeries
 
@@ -557,6 +557,41 @@ def rice_bins(n: int) -> int:
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     return int(math.ceil(2.0 * n ** (1.0 / 3.0) - 1e-9))
+
+
+def select_values(path, *names: str) -> list[list[float]]:
+    """The numeric cells of each of one or two named columns of a CSV,
+    read once.  In a file with ``indicator`` and ``value`` columns, an
+    indicator name selects the values of that indicator's rows, and a
+    plain column paired with an indicator name (the other of two) takes
+    its cells from the same rows."""
+    _, columns, body = csvio.read_commented_csv(path)
+    by_indicator = "indicator" in columns and "value" in columns
+    selections = []
+    for column, paired in zip(names, reversed(names)):
+        name = _indicator_or_none(column) if by_indicator else None
+        if name is not None:
+            column = "value"
+        elif column not in columns:
+            raise ValueError(f"no column {column!r} in {path}; columns are {columns}")
+        elif by_indicator and paired not in columns:
+            name = _indicator_or_none(paired)
+        rows = body
+        if name is not None:
+            ii = columns.index("indicator")
+            rows = [cells for cells in body if cells[ii] == name]
+        ci = columns.index(column)
+        selections.append([float(cells[ci]) for cells in rows if cells[ci]])
+        if not selections[-1]:
+            raise ValueError(f"no numeric values for {column!r} in {path}")
+    return selections
+
+
+def _indicator_or_none(name: str) -> str | None:
+    try:
+        return normalize_indicator(name)
+    except ValueError:
+        return None
 
 
 def histogram(sample, bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:

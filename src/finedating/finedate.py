@@ -7,6 +7,10 @@ three value families are aggregated: the simulated calendar dates, the
 calibrated means and the calibrated medians.  Every family yields a
 mean, a median, and the same pair over the deduplicated values, for
 twelve indicators in total.  Means are unweighted throughout.
+
+The measurements come in here too: :func:`read_measurements` reads an
+ages file and :func:`parse_sd` checks an sd, so that a malformed age or
+sd names where it came from (the flag, or the file, row and column).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio
-from .calcurve import Measurement
+from .calcurve import Measurement, check_sd
 from .reftable import RefTable, match_ages
 
 # Canonical indicator names, in report order.  The leading token is the
@@ -67,6 +71,39 @@ def normalize_indicator(name: str) -> str:
         raise ValueError(
             f"unknown indicator {name!r}; known: {', '.join(INDICATOR_NAMES)}"
         ) from None
+
+
+def parse_sd(text: str, source: str) -> float:
+    """``text`` as a measurement sd, finite and >= 0; an error names
+    ``source``, the flag or the file cell the text came from."""
+    try:
+        sd = float(text)
+        check_sd(sd)
+    except ValueError:
+        raise ValueError(f"{source} must be finite and >= 0, got {text!r}") from None
+    return sd
+
+
+def read_measurements(path) -> list[Measurement]:
+    """The measurements of an ages file: a CSV, ``#`` header lines
+    allowed, with ``age`` and ``sd`` columns (names compared casefolded)
+    holding per row an integer age that fits in 64 bits, as the table's
+    ages do, and a finite sd >= 0.  An error names the file, the row and
+    the column."""
+    _, columns, rows = csvio.read_commented_csv(path)
+    ai, si = csvio.find_columns(path, columns, {"age": ("age",), "sd": ("sd",)})
+    measurements = []
+    for row, cells in enumerate(rows, start=1):
+        where = f"ages file {path} row {row}"
+        try:
+            age = int(cells[ai])
+        except ValueError:
+            age = None
+        if age is None or not -(2**63) <= age < 2**63:
+            raise ValueError(f"{where}: age must be an integer that fits in 64 bits, "
+                             f"got {cells[ai]!r}")
+        measurements.append(Measurement(age, parse_sd(cells[si], f"{where}: sd")))
+    return measurements
 
 
 @dataclass(frozen=True, eq=False)

@@ -309,11 +309,8 @@ def buffer_margin(table: RefTable, sd: float, curve: CalCurve | None = None) -> 
         return 3.0 * sd
     oldest, youngest = table.span
     max_err = max(curve_at(curve, oldest)[1], curve_at(curve, youngest)[1])
-    n = 16
-    for i in range(n + 1):
-        d = oldest + (youngest - oldest) * i / n
-        max_err = max(max_err, curve_at(curve, d)[1])
-    return 3.0 * (sd + max_err)
+    grid = oldest + (youngest - oldest) * np.arange(17) / 16
+    return 3.0 * (sd + max(max_err, curve_at(curve, grid)[1].max()))
 
 
 def edge_warnings(

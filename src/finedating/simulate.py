@@ -349,15 +349,7 @@ def convert_rsim_to_tests(
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     _, columns, rows = csvio.read_commented_csv(path)
-    cols = [c.casefold() for c in columns]
-
-    def find(kind: str) -> int:
-        for alias in _EXPORT_ALIASES[kind]:
-            if alias in cols:
-                return cols.index(alias)
-        raise ValueError(f"cannot find a {kind} column in {path}; columns are {columns}")
-
-    ci, ai, si = find("cal_date"), find("age"), find("sd")
+    ci, ai, si = csvio.find_columns(path, columns, _EXPORT_ALIASES)
     by_key: dict[tuple[float, float], list[int]] = {}
     for lineno, cells in enumerate(rows, start=1):
         try:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import finedating as fd
 from finedating import csvio
-from finedating.cli import main, parse_date, parse_date_range, parse_span
+from finedating.cli import build_parser, main, parse_date, parse_date_range, parse_span
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +492,195 @@ def test_flags_override_config(curve_file, tmp_path):
     out = tmp_path / "ref.csv"
     assert run("--config", config, "ref-gen", "--label", "5_20_5", "--out", out) == 0
     assert len(fd.read_table(out)) == 1300
+
+
+# Per case: the command's words, then each of its options with a value.
+# Values name the inputs as {curve}, {ref}, ... and the output directory as
+# {out}; --seed goes before the command.
+CONFIG_CASES = {
+    "curve info": (["curve", "info", "{curve}"], {"--at": "-150,0"}),
+    "ref-gen": (["ref-gen"], {"--seed": "3", "--curve": "{curve}", "--label": "tiny",
+                              "--step": "10", "--per-slice": "2", "--sd": "5",
+                              "--span": "-100:-50", "--out": "{out}/ref.csv"}),
+    "ref-gen combo": (["ref-gen"], {"--combo": "5_10_20", "--curve": "{curve}",
+                                    "--label": "both", "--out": "{out}/combo.csv"}),
+    "simulate tests": (["simulate", "tests"], {"--curve": "{curve}", "--dates": "-100:-90:5",
+                                               "--per-date": "2", "--group": "2", "--sd": "20",
+                                               "--out": "{out}/tests.csv"}),
+    "simulate convert": (["simulate", "convert"], {"--in": "{rsim}", "--group": "2",
+                                                   "--out": "{out}/tests.csv"}),
+    "finedate": (["finedate"], {"--ref": "{ref}", "--ages": "2087,2097", "--sd": "20,25",
+                                "--out": "{out}/report"}),
+    "finedate ages-file": (["finedate"], {"--ref": "{ref}", "--ages-file": "{ages}",
+                                          "--out": "{out}/report"}),
+    "evaluate": (["evaluate"], {"--ref": "{ref}", "--tests": "{tests}", "--curve": "{curve}",
+                                "--out": "{out}/eval"}),
+    "lookup build": (["lookup", "build"], {"--eval": "{eval}", "--bucket-width": "7.5",
+                                           "--out": "{out}/lookup.csv"}),
+    "lookup query": (["lookup", "query"], {"--table": "{lookup}", "--indicator": "caldate median",
+                                           "--value": "-140"}),
+    "hist": (["hist"], {"--in": "{eval}", "--col": "Mean_Median", "--bins": "4",
+                        "--out": "{out}/hist.csv"}),
+    "scatter": (["scatter"], {"--in": "{eval}", "--x": "original_cal_date",
+                              "--y": "caldate_median", "--out": "{out}/scatter.csv"}),
+}
+
+
+@pytest.fixture(scope="module")
+def config_inputs(curve_file, pipeline, lookup_file, tmp_path_factory):
+    base = tmp_path_factory.mktemp("config-inputs")
+    (base / "rsim.csv").write_text("cal_date,age,sd\n" + "-100,2050,20\n-100,2060,20\n" * 3)
+    (base / "ages.csv").write_text("age,sd\n2087,20\n2097,25\n")
+    return {"curve": curve_file, "ref": pipeline / "ref.csv", "tests": pipeline / "tests.csv",
+            "eval": pipeline / "eval" / "eval_long.csv", "lookup": lookup_file,
+            "rsim": base / "rsim.csv", "ages": base / "ages.csv"}
+
+
+def run_case(case: str, inputs: dict, out, flags: dict, config: dict, config_path):
+    """Exit code, stdout (the output directory written as {out}), stderr and
+    the files written of ``case`` with ``flags`` on the command line and
+    ``config`` in a config file (none if empty)."""
+    words, _ = CONFIG_CASES[case]
+    paths = {**inputs, "out": out}
+    out.mkdir()
+    argv = [] if "--seed" not in flags else ["--seed", flags["--seed"]]
+    if config:
+        config_path.write_text("".join(f"{key[2:]} = {value.format(**paths)}\n"
+                                       for key, value in config.items()))
+        argv += ["--config", config_path]
+    argv += [word.format(**paths) for word in words]
+    argv += [item.format(**paths) for key, value in flags.items() if key != "--seed"
+             for item in (key, value)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([str(a) for a in argv])
+    return code, stdout.getvalue().replace(str(out), "{out}"), stderr.getvalue(), files_under(out)
+
+
+def parser_options(parser, words=()):
+    """(subcommand words, option) of every option that takes a value."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield from parser_options(subparser, (*words, name))
+        elif action.option_strings and action.nargs != 0:
+            yield words, action.option_strings[-1]
+
+
+def test_config_cases_cover_every_option():
+    covered = {((), "--config")}
+    for words, options in CONFIG_CASES.values():
+        command = tuple(word for word in words if "{" not in word)
+        covered |= {(() if option == "--seed" else command, option) for option in options}
+    assert covered == set(parser_options(build_parser()))
+
+
+@pytest.mark.parametrize("case", list(CONFIG_CASES))
+def test_config_entry_gives_the_bytes_of_its_flag(config_inputs, tmp_path, case):
+    # each option in turn moves from the command line to the config file
+    _, options = CONFIG_CASES[case]
+    expected = run_case(case, config_inputs, tmp_path / "flags", options, {}, None)
+    assert expected[0] == 0, expected
+    assert expected[3] or case in ("curve info", "lookup query")
+    for option, value in options.items():
+        flags = {key: v for key, v in options.items() if key != option}
+        got = run_case(case, config_inputs, tmp_path / option[2:], flags, {option: value},
+                       tmp_path / f"{option[2:]}.cfg")
+        assert got == expected, option
+
+
+@pytest.mark.parametrize("case, option, value", [
+    ("ref-gen", "--seed", "abc"), ("ref-gen", "--seed", "1.5"), ("ref-gen", "--step", "x"),
+    ("ref-gen", "--per-slice", ""), ("ref-gen", "--sd", "abc"),
+    ("simulate tests", "--group", "2.5"), ("simulate tests", "--per-date", "1e3"),
+    ("simulate tests", "--sd", "20x"), ("simulate convert", "--group", "three"),
+    ("lookup build", "--bucket-width", "wide"), ("lookup query", "--value", "-"),
+    ("hist", "--bins", "4.0"),
+])
+def test_malformed_config_value_exits_2_with_the_flags_message(config_inputs, tmp_path, case,
+                                                                 option, value):
+    _, options = CONFIG_CASES[case]
+    flags = {key: v for key, v in options.items() if key != option}
+    code, _, err, files = run_case(case, config_inputs, tmp_path / "flag",
+                                   {**flags, option: value}, {}, None)
+    assert code == 2 and f"argument {option}: invalid" in err and not files
+    got = run_case(case, config_inputs, tmp_path / "config", flags, {option: value},
+                   tmp_path / "bad.cfg")
+    assert got == (code, "", err, {})
+
+
+def test_unknown_config_keys_are_ignored(config_inputs, tmp_path):
+    # keys that name no option, or an argument that is not an option taking a value
+    _, options = CONFIG_CASES["ref-gen"]
+    expected = run_case("ref-gen", config_inputs, tmp_path / "flags", options, {}, None)
+    unknown = {"--workers": "1", "--no-such-key": "x", "--subcommand": "hist", "--action": "x",
+               "--file": "x", "--help": "x", "--version": "x", "--at": "abc", "--ages": "x"}
+    got = run_case("ref-gen", config_inputs, tmp_path / "unknown", options, unknown,
+                   tmp_path / "unknown.cfg")
+    assert got == expected
+
+
+def test_flag_beats_a_config_entry_it_would_reject(config_inputs, tmp_path):
+    _, options = CONFIG_CASES["ref-gen"]
+    expected = run_case("ref-gen", config_inputs, tmp_path / "flags", options, {}, None)
+    config = {"--seed": "x", "--step": "x", "--per-slice": "-", "--sd": "abc", "--label": "other"}
+    got = run_case("ref-gen", config_inputs, tmp_path / "both", options, config,
+                   tmp_path / "both.cfg")
+    assert got == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ref-gen", "--curve", "{curve}", "--label", "x", "--step", "5", "--per-slice", "1",
+      "--sd", "5", "--span=-100:abc", "--out", "{out}/r.csv"],
+     "--span OLD:YOUNG must be finite years, got '-100:abc'"),
+    (["ref-gen", "--curve", "{curve}", "--label", "x", "--step", "5", "--per-slice", "1",
+      "--sd", "5", "--span", "100bcd:-50", "--out", "{out}/r.csv"],
+     "--span OLD:YOUNG must be finite years, got '100bcd:-50'"),
+    (["curve", "info", "{curve}", "--at", "abc"],
+     "--at must be comma-separated finite years, got 'abc'"),
+    (["curve", "info", "{curve}", "--at", "-150,0,abc"],
+     "--at must be comma-separated finite years, got '-150,0,abc'"),
+    (["curve", "info", "{curve}", "--at", "-150,"],
+     "--at must be comma-separated finite years, got '-150,'"),
+    (["simulate", "tests", "--curve", "{curve}", "--dates=-100:0:abc", "--per-date", "1",
+      "--sd", "20", "--out", "{out}/t.csv"],
+     "--dates START:END:STEP must be finite numbers, got '-100:0:abc'"),
+    (["simulate", "tests", "--curve", "{curve}", "--dates", "ABC:0:5", "--per-date", "1",
+      "--sd", "20", "--out", "{out}/t.csv"],
+     "--dates START:END:STEP must be finite numbers, got 'ABC:0:5'"),
+])
+def test_malformed_date_names_its_flag_and_whole_value(curve_file, tmp_path, capsys, argv,
+                                                      message):
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(*[a.format(curve=curve_file, out=out) for a in argv]) == 4
+    # curve info prints nothing before it has parsed every --at date
+    assert capsys.readouterr() == ("", f"error: data: {message}\n")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("source, message", [
+    ("--sd abc", "--sd must be finite and >= 0, got 'abc'"),
+    ("--sd 20,x", "--sd must be finite and >= 0, got 'x'"),
+    ("age,sd\n2087,20\n2097,\n", "ages file {path} row 2: sd must be finite and >= 0, got ''"),
+    ("AGE,SD\n2087,nan\n", "ages file {path} row 1: sd must be finite and >= 0, got 'nan'"),
+    ("# note=x\nsd,age\n20,2087\n-1,2097\n",
+     "ages file {path} row 2: sd must be finite and >= 0, got '-1'"),
+    ("age,error\n2087,20\n", "cannot find a sd column in {path}; columns are ['age', 'error']"),
+])
+def test_malformed_sd_names_where_it_came_from(pipeline, tmp_path, capsys, source, message):
+    path = tmp_path / "ages.csv"
+    if source.startswith("--sd"):
+        measurements = ["--ages", "2087,2097", "--sd", source.split(" ")[1]]
+    else:
+        path.write_text(source)
+        measurements = ["--ages-file", path]
+    capsys.readouterr()
+    assert run("finedate", "--ref", pipeline / "ref.csv", *measurements,
+               "--out", tmp_path / "report") == 4
+    assert capsys.readouterr().err == f"error: data: {message.format(path=path)}\n"
+    assert sorted(tmp_path.iterdir()) == ([path] if path.exists() else [])
 
 
 def test_same_seed_produces_byte_identical_csvs(curve_file, tmp_path):
