@@ -19,6 +19,14 @@ entry that names no option of the command is ignored.  The commands
 read their inputs through the library: this module parses flags, calls
 the pipeline and prints.
 
+Each subcommand is declared once, in ``COMMANDS``: its help line, the
+builder of its options and its handler.  A call builds the top-level
+parser with only the subcommand that argv names (:func:`build_parser`
+with that name); argv that names none, that may ask for help or the
+version, or that this parser refuses is parsed again by the whole
+parser, which prints every usage line, help text and error, so these
+are the same as with the whole parser alone.
+
 Exit codes: 0 success, 2 usage, 3 I/O, 4 data.
 """
 
@@ -129,15 +137,18 @@ def _parse_age(text: str) -> int:
 def load_config(path) -> dict[str, str]:
     """Flat ``key = value`` text; later keys win, '#' starts a comment."""
     config: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ValueError(f"bad config line {lineno}: {line.rstrip()!r}")
-            key, _, val = text.partition("=")
-            config[key.strip()] = val.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                if "=" not in text:
+                    raise ValueError(f"bad config line {lineno} in {path}: {line.rstrip()!r}")
+                key, _, val = text.partition("=")
+                config[key.strip()] = val.strip()
+    except UnicodeDecodeError:
+        raise ValueError(f"corrupt file: {path} is not UTF-8 text") from None
     return config
 
 
@@ -175,23 +186,14 @@ def _manifest(out_base: Path, subcommand: str, entries: dict,
     return prov, (path, lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="finedating",
-        description="Simulation-based radiocarbon fine-dating pipeline.",
-    )
-    parser.add_argument("--version", action="version", version=f"finedating {__version__}")
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    parser.add_argument("--config", default=None, help="flat key = value config file")
-    sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("curve", help="inspect a calibration curve file")
+def _curve_options(p) -> None:
     curve_sub = p.add_subparsers(dest="action")
     info = curve_sub.add_parser("info", help="knot count, domain, interpolated values")
     info.add_argument("file")
     info.add_argument("--at", default=None, help="comma-separated calendar dates")
 
-    p = sub.add_parser("ref-gen", help="build a reference table")
+
+def _ref_gen_options(p) -> None:
     p.add_argument("--curve", default=None)
     p.add_argument("--label", default=None, help="table name, e.g. 5_20_5")
     p.add_argument("--step", type=int, default=None, help="grid step in years")
@@ -201,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--combo", default=None, help="comma-separated component labels")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("simulate", help="generate or convert test datasets")
+
+def _simulate_options(p) -> None:
     sim_sub = p.add_subparsers(dest="action")
     tests = sim_sub.add_parser("tests", help="simulate clustered test datasets")
     tests.add_argument("--curve", default=None)
@@ -215,20 +218,23 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--group", type=int, default=3)
     conv.add_argument("--out", default=None)
 
-    p = sub.add_parser("finedate", help="match measured ages and write the report")
+
+def _finedate_options(p) -> None:
     p.add_argument("--ref", default=None, help="reference table CSV")
     p.add_argument("--ages", default=None, help="comma-separated integer ages BP")
     p.add_argument("--sd", default=None, help="shared sd, or comma-separated per age")
     p.add_argument("--ages-file", default=None, help="CSV with age,sd columns")
     p.add_argument("--out", default=None, help="report path prefix")
 
-    p = sub.add_parser("evaluate", help="score a test series against a table")
+
+def _evaluate_options(p) -> None:
     p.add_argument("--ref", default=None)
     p.add_argument("--tests", default=None)
     p.add_argument("--curve", default=None, help="curve file, sharpens the buffer warning")
     p.add_argument("--out", default=None, help="output directory")
 
-    p = sub.add_parser("lookup", help="indicator-quality lookup table")
+
+def _lookup_options(p) -> None:
     lk_sub = p.add_subparsers(dest="action")
     build = lk_sub.add_parser("build")
     build.add_argument("--eval", default=None)
@@ -239,17 +245,48 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--indicator", default=None)
     query.add_argument("--value", type=float, default=None)
 
-    p = sub.add_parser("hist", help="histogram data from a CSV column or indicator")
+
+def _hist_options(p) -> None:
     p.add_argument("--in", default=None)
     p.add_argument("--col", default=None)
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("scatter", help="x/y data from CSV columns or indicators")
+
+def _scatter_options(p) -> None:
     p.add_argument("--in", default=None)
     p.add_argument("--x", default=None)
     p.add_argument("--y", default=None)
     p.add_argument("--out", default=None)
+
+
+class _Refused(Exception):
+    """argv that a one-command parser does not accept."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises where the full parser would print an error and exit; its
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise _Refused(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser; with ``command``, the top-level parser with only
+    that subcommand's parser (its actions included), which raises
+    :class:`_Refused` instead of printing an error."""
+    parser = (_OneCommandParser if command else argparse.ArgumentParser)(
+        prog="finedating",
+        description="Simulation-based radiocarbon fine-dating pipeline.",
+    )
+    parser.add_argument("--version", action="version", version=f"finedating {__version__}")
+    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
+    parser.add_argument("--config", default=None, help="flat key = value config file")
+    sub = parser.add_subparsers(dest="subcommand")
+    for name, (help_text, add_options, _) in COMMANDS.items():
+        if command in (None, name):
+            add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -293,27 +330,53 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict[str, str]) ->
     parser.set_defaults(**defaults)
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    argv = _merge_negative_values(argv)
-    parser = build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+def _command_word(argv: list[str]) -> str | None:
+    """The subcommand to build a one-command parser for: the first token
+    of ``argv`` that is neither an option nor the value of one given
+    without '=', if it names a subcommand; None where a token may ask for
+    help or the version, which only the full parser prints."""
+    if any(token.startswith("-h") or len(token) > 2 and (
+            "--help".startswith(token) or "--version".startswith(token)) for token in argv):
+        return None
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            return token if token in COMMANDS else None
+        if "=" not in token:
+            next(tokens, None)
+    return None
+
+
+def _parse(argv: list[str], command: str | None = None) -> argparse.Namespace:
+    """``argv`` parsed by the parser of ``command`` (the whole parser for
+    None), a ``--config`` file's entries as defaults.  Where the
+    one-command parser refuses ``argv``, the whole parser parses it again
+    and prints what it rejects."""
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
         if args.config:
             _config_defaults(parser, load_config(args.config))
             args = parser.parse_args(argv)
+    except _Refused:
+        return _parse(argv)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _merge_negative_values(argv)
+    try:
+        args = _parse(argv, _command_word(argv))
         if any(isinstance(value, list) for value in vars(args).values()):
             # argparse drops an attached value of '--' (as in --sd=--) and keeps []
             raise CliError(EXIT_USAGE, "usage: '--' is not an option value")
         if args.subcommand is None:
-            parser.print_usage(sys.stderr)
+            build_parser().print_usage(sys.stderr)
             return EXIT_USAGE
         if args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        return COMMANDS[args.subcommand](args)
+        return COMMANDS[args.subcommand][2](args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except CliError as exc:
@@ -580,15 +643,16 @@ def _cmd_scatter(args) -> int:
     return 0
 
 
+# Each subcommand: its help line, the builder of its options and its handler.
 COMMANDS = {
-    "curve": _cmd_curve,
-    "ref-gen": _cmd_ref_gen,
-    "simulate": _cmd_simulate,
-    "finedate": _cmd_finedate,
-    "evaluate": _cmd_evaluate,
-    "lookup": _cmd_lookup,
-    "hist": _cmd_hist,
-    "scatter": _cmd_scatter,
+    "curve": ("inspect a calibration curve file", _curve_options, _cmd_curve),
+    "ref-gen": ("build a reference table", _ref_gen_options, _cmd_ref_gen),
+    "simulate": ("generate or convert test datasets", _simulate_options, _cmd_simulate),
+    "finedate": ("match measured ages and write the report", _finedate_options, _cmd_finedate),
+    "evaluate": ("score a test series against a table", _evaluate_options, _cmd_evaluate),
+    "lookup": ("indicator-quality lookup table", _lookup_options, _cmd_lookup),
+    "hist": ("histogram data from a CSV column or indicator", _hist_options, _cmd_hist),
+    "scatter": ("x/y data from CSV columns or indicators", _scatter_options, _cmd_scatter),
 }
 
 

@@ -667,18 +667,19 @@ def _read_lines(path, kind, schema, extra) -> Artifact:
     except OverflowError:
         raise ValueError(f"integer cell out of range in {path}") from None
     except ValueError:
-        _reject_cell(path, schema)
+        reject_cell(path, schema.items())
         raise
 
 
-def _reject_cell(path, schema: dict) -> None:
+def reject_cell(path, parsers) -> None:
     """Raise the error of the first data cell of the file that its parser
-    rejects, naming the file, the line and the column; the file is read
+    rejects, naming the file, the line and the column; ``parsers`` holds
+    the ``(name, parser)`` of each column, in order.  The file is read
     again, as the line reader reads it, only once a parse has failed."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip() and line[0] != "#"]
     # each cell of each data line, in order: the first line is the column line
-    for (lineno, line), (j, (name, parse)) in product(lines[1:], enumerate(schema.items())):
+    for (lineno, line), (j, (name, parse)) in product(lines[1:], enumerate(parsers)):
         try:
             parse(line.rstrip("\n").split(",")[j])
         except ValueError as exc:

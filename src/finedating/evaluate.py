@@ -564,7 +564,9 @@ def select_values(path, *names: str) -> list[list[float]]:
     read once.  In a file with ``indicator`` and ``value`` columns, an
     indicator name selects the values of that indicator's rows, and a
     plain column paired with an indicator name (the other of two) takes
-    its cells from the same rows."""
+    its cells from the same rows.  A selected cell that is not a number
+    fails as the line reader fails it: the error names the first such
+    cell of its column in the file, by line and column."""
     _, columns, body = csvio.read_commented_csv(path)
     by_indicator = "indicator" in columns and "value" in columns
     selections = []
@@ -581,7 +583,12 @@ def select_values(path, *names: str) -> list[list[float]]:
             ii = columns.index("indicator")
             rows = [cells for cells in body if cells[ii] == name]
         ci = columns.index(column)
-        selections.append([float(cells[ci]) for cells in rows if cells[ci]])
+        try:
+            selections.append([float(cells[ci]) for cells in rows if cells[ci]])
+        except ValueError:
+            csvio.reject_cell(path, [(col, csvio.parse_float if j == ci else str.strip)
+                                     for j, col in enumerate(columns)])
+            raise
         if not selections[-1]:
             raise ValueError(f"no numeric values for {column!r} in {path}")
     return selections

@@ -8,6 +8,7 @@ asserted band was checked against the seeded output.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import re
@@ -24,10 +25,33 @@ TABLE_SEED_50_5 = 202
 TS3_SEED = 303
 
 
+def _openblas() -> str:
+    """The core and config of the OpenBLAS that numpy loaded, read best
+    effort through ctypes from the mapped library (scipy-openblas builds
+    prefix and suffix their symbols)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            path = next(line.split()[-1] for line in fh
+                        if "openblas" in line.rsplit("/", 1)[-1])
+        lib = ctypes.CDLL(path)
+    except (OSError, StopIteration):
+        return "openblas: not found"
+    for core, config in (("scipy_openblas_get_corename64_", "scipy_openblas_get_config64_"),
+                         ("openblas_get_corename", "openblas_get_config")):
+        if hasattr(lib, core) and hasattr(lib, config):
+            core, config = getattr(lib, core), getattr(lib, config)
+            for get in (core, config):
+                get.argtypes, get.restype = [], ctypes.c_char_p
+            return f"openblas: core {core().decode()}, config {config().decode().strip()}"
+    return f"openblas: {path} has no corename symbol"
+
+
 def pytest_report_header():
-    """The numpy build and the CPU targets it runs here, which the pinned
-    artifact digests depend on: a digest that fails on another CPU is
-    read against these lines."""
+    """The numpy build, the CPU targets it runs here, the OpenBLAS core
+    and config, and the CPUs this process may use: the pinned artifact
+    digests depend on the first three, and the writer forks only where
+    two CPUs can run, so a digest or timing that differs on another host
+    is read against these lines."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
@@ -36,6 +60,9 @@ def pytest_report_header():
     dispatched = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     lines = [f"numpy {np.__version__}: baseline {' '.join(umath.__cpu_baseline__)}, "
              f"dispatched {' '.join(dispatched) or 'none'}"]
+    lines.append(_openblas())
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "?"
+    lines.append(f"usable CPUs: {usable} of {os.cpu_count()}")
     lines += [f"{name}={os.environ[name]}" for name in ("NPY_DISABLE_CPU_FEATURES",
                                                         "OPENBLAS_CORETYPE")
               if name in os.environ]

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finedating as fd
-from finedating import csvio
+from finedating import cli, csvio
 from finedating.cli import build_parser, main, parse_date, parse_date_range, parse_span
 
 
@@ -1387,3 +1387,179 @@ def test_bad_table_record_names_the_file(pipeline, tmp_path, capsys, damage, mes
     assert err.startswith("error: data: corrupt table: ") and str(bad) in err
     assert message.format(bad) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tables"]
+
+
+@pytest.mark.parametrize("argv", [["hist", "--col", "name"], ["scatter", "--x", "x", "--y", "name"]],
+                         ids=["hist", "scatter"])
+def test_non_numeric_cell_names_file_line_and_column(tmp_path, capsys, argv):
+    src = tmp_path / "s.csv"
+    src.write_text("# note=x\nid,name,x\n1,,2\n\n2,abc,3\n3,def,4\n")
+    assert run(*argv, "--in", src, "--out", tmp_path / "out.csv") == 4
+    assert capsys.readouterr() == ("", f"error: data: bad cell in {src} at line 5, column name: "
+                                       "could not convert string to float: 'abc'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+def test_non_numeric_cell_is_found_by_its_column_position(tmp_path, capsys):
+    # a repeated column name shifts no column: 'abc', under the second x,
+    # is neither read nor reported
+    src = tmp_path / "s.csv"
+    src.write_text("x,y,x,name\n1,2,abc,3\n1,2,3,def\n")
+    assert run("hist", "--in", src, "--col", "name", "--out", tmp_path / "h.csv") == 4
+    assert capsys.readouterr().err == (f"error: data: bad cell in {src} at line 3, column name: "
+                                       "could not convert string to float: 'def'\n")
+
+
+def test_non_numeric_indicator_value_names_file_line_and_column(pipeline, tmp_path, capsys):
+    lines = (pipeline / "eval" / "eval_long.csv").read_text().splitlines()
+    columns = next(line for line in lines if not line.startswith("#")).split(",")
+    at = [i for i, line in enumerate(lines) if ",Mean_Median," in line][3]
+    cells = lines[at].split(",")
+    assert cells[columns.index("indicator")] == "Mean_Median"
+    cells[columns.index("value")] = "x1"
+    lines[at] = ",".join(cells)
+    src = tmp_path / "eval_long.csv"
+    src.write_text("".join(line + "\n" for line in lines))
+    assert run("hist", "--in", src, "--col", "mean median", "--out", tmp_path / "h.csv") == 4
+    assert capsys.readouterr().err == (f"error: data: bad cell in {src} at line {at + 1}, "
+                                       "column value: could not convert string to float: 'x1'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eval_long.csv"]
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"label = 5_10_20\n\xff\xfe = 2\n", "corrupt file: {path} is not UTF-8 text"),
+    (b"label = 5_10_20\n\n# note\nno equals sign\n",
+     "bad config line 4 in {path}: 'no equals sign'"),
+], ids=["not utf-8", "line without ="])
+def test_bad_config_file_names_the_file(config_inputs, tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(text)
+    assert run("--config", path, "hist", "--in", config_inputs["eval"], "--col", "Mean_Median",
+               "--out", tmp_path / "h.csv") == 4
+    assert capsys.readouterr() == ("", f"error: data: {message.format(path=path)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+def case_argv(case: str, flags: dict) -> list[str]:
+    """The argv template of ``case`` with ``flags`` on the command line."""
+    words, _ = CONFIG_CASES[case]
+    seed = ["--seed", flags["--seed"]] if "--seed" in flags else []
+    return seed + words + [item for key, value in flags.items() if key != "--seed"
+                           for item in (key, value)]
+
+
+REF_GEN = ["ref-gen", "--curve", "{curve}", "--label", "5_10_20", "--out", "{out}/ref.csv"]
+QUERY = ["lookup", "query", "--table", "{lookup}", "--indicator", "caldate median"]
+# Argv (templates as in CONFIG_CASES; {cfg} is a config file of the given
+# text, {base} the directory of the run) whose parse is not a plain case.
+PARSER_EDGE_CASES = {
+    "no arguments": ([], None),
+    "no subcommand": (["--seed", "3"], None),
+    "no subcommand, a config file": (["--config", "{cfg}"], "seed = 3\n"),
+    "unknown subcommand": (["nosuch", "--out", "x"], None),
+    "unknown subcommand after the seed": (["--seed", "3", "nosuch"], None),
+    "abbreviated subcommand": (["fine", "--ages", "1"], None),
+    "subcommand as the seed's value": (["--seed", "finedate"], None),
+    "-- before the subcommand": (["--", *REF_GEN], None),
+    "-h": (["-h"], None),
+    "--help": (["--help"], None),
+    "--he": (["--he"], None),
+    "--version": (["--version"], None),
+    "--ver": (["--ver"], None),
+    "-h before the subcommand": (["-h", *REF_GEN], None),
+    "--version before the subcommand": (["--version", *REF_GEN], None),
+    "-h after the subcommand": ([*REF_GEN, "-h"], None),
+    "--help after the action": ([*QUERY, "--help"], None),
+    "--hel after the subcommand": (["simulate", "--hel"], None),
+    "--version after the subcommand": ([*REF_GEN, "--version"], None),
+    "--vers after the action": (["simulate", "tests", "--vers"], None),
+    "-h as a value": (["ref-gen", "--label", "-h"], None),
+    "--help=x": (["finedate", "--help=x"], None),
+    "--se": (["--se", "3", *REF_GEN], None),
+    "--se=": (["--se=3", *REF_GEN], None),
+    "--conf": (["--conf", "{cfg}", *REF_GEN], "label = 5_20_5\n"),
+    "abbreviated options": (["lookup", "query", "--tab", "{lookup}", "--ind", "CalDate_Median",
+                             "--val", "-140"], None),
+    "--v, a prefix of --version and of --value": ([*QUERY, "--v", "-140"], None),
+    "ambiguous abbreviation": (["finedate", "--age", "2087"], None),
+    "malformed value": ([*REF_GEN, "--step", "x"], None),
+    "malformed value of a global option": (["--seed", "x", *REF_GEN], None),
+    "negative seed": (["--seed", "-1", *REF_GEN], None),
+    "malformed config entry": (["--config", "{cfg}", *REF_GEN], "step = x\n"),
+    "malformed config entry of a global option": (["--config", "{cfg}", *REF_GEN], "seed = x\n"),
+    "config line without =": (["--config", "{cfg}", *REF_GEN], "no equals sign\n"),
+    "missing config file": (["--config", "{base}/none.cfg", *REF_GEN], None),
+    "global option after the subcommand": ([*REF_GEN, "--seed", "3"], None),
+    "config after the subcommand": ([*REF_GEN, "--config", "{cfg}"], "seed = 3\n"),
+    "extra positional": ([*REF_GEN, "extra"], None),
+    "missing positional": (["curve", "info"], None),
+    "no action": (["lookup"], None),
+    "unknown action": (["simulate", "delete"], None),
+    "option of another subcommand": ([*REF_GEN, "--ages", "1"], None),
+    "-- as a value": (["finedate", "--sd=--"], None),
+}
+
+
+def parser_corpus():
+    """(id, argv template, config text or None): each case with all its
+    options as flags, each option in turn as a config entry, and the edge
+    cases."""
+    for case, (_, options) in CONFIG_CASES.items():
+        yield case, case_argv(case, options), None
+        for option, value in options.items():
+            rest = {key: v for key, v in options.items() if key != option}
+            yield (f"{case}, {option} from config", ["--config", "{cfg}", *case_argv(case, rest)],
+                   f"{option[2:]} = {value}\n")
+    for name, (argv, config) in PARSER_EDGE_CASES.items():
+        yield name, argv, config
+
+
+def through_parser(argv_template, config, inputs, base):
+    """What the parse of the argv gives (its namespace, or the exit code
+    of a parse that stops) with what it printed, and main's exit code,
+    stdout and stderr; ``base`` is written as {base}."""
+    base.mkdir()
+    paths = {**inputs, "base": base, "out": base / "out", "cfg": base / "run.cfg"}
+    paths["out"].mkdir()
+    if config is not None:
+        paths["cfg"].write_text(config.format(**paths))
+    argv = [str(word).format(**paths) for word in argv_template]
+    got = []
+    for call in (lambda: vars(cli._parse(argv, cli._command_word(argv))), lambda: main(argv)):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                result = call()
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+            except (OSError, ValueError) as exc:  # a config file's, which main reports
+                result = (type(exc).__name__, str(exc))
+        got += [result, stdout.getvalue(), stderr.getvalue()]
+    return repr(got).replace(str(base), "{base}")
+
+
+@pytest.mark.parametrize("argv, config", [pytest.param(argv, config, id=name)
+                                          for name, argv, config in parser_corpus()])
+def test_one_command_parser_gives_what_the_whole_parser_gives(config_inputs, tmp_path, argv,
+                                                              config):
+    # the merge of negative values runs before either parser
+    template = cli._merge_negative_values(argv)
+    one = through_parser(template, config, config_inputs, tmp_path / "one")
+    with mock.patch.object(cli, "_command_word", return_value=None):  # the whole parser only
+        whole = through_parser(template, config, config_inputs, tmp_path / "whole")
+    assert one == whole
+
+
+@pytest.mark.parametrize("case", list(CONFIG_CASES))
+def test_one_command_parser_holds_its_subcommand_and_accepts_its_flags(config_inputs, tmp_path,
+                                                                       case):
+    words, options = CONFIG_CASES[case]
+    paths = {**config_inputs, "out": tmp_path}
+    argv = cli._merge_negative_values([word.format(**paths)
+                                       for word in case_argv(case, options)])
+    command = cli._command_word(argv)
+    assert command == words[0]
+    # the global options, and every option of the subcommand, its actions' included
+    assert sorted(parser_options(build_parser(command))) == sorted(
+        option for option in parser_options(build_parser()) if option[0][:1] in ((), (command,)))
+    assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))

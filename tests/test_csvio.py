@@ -4,6 +4,7 @@ import os
 import signal
 import threading
 import warnings
+import zipfile
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from unittest import mock
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finedating as fd
+from conftest import take_datasets
 from finedating import csvio
-from finedating.evaluate import EVAL_SCHEMA
+from finedating.evaluate import EVAL_SCHEMA, write_eval_rows
 from finedating.finedate import SUMMARY_SCHEMA
 from finedating.lookup import LOOKUP_SCHEMA
 from finedating.reftable import TABLE_SCHEMA
@@ -902,3 +905,48 @@ def test_given_labels_of_other_cells_write_as_their_object_column(tmp_path):
                              {"id": np.arange(6), "x": column})
     assert files_in(tmp_path / "object") == files_in(tmp_path / "labels") == {
         "a.csv": b"# format=finedating-eval\nid,x\n0,\n1,2.5\n2,true\n3,a\n4,2.5\n5,\n"}
+
+
+# Damage inside a sidecar, which only the zip's crc32 of each member guards.
+SIDECAR_DAMAGES = ["flipped byte in a column member", "truncated npz", "compressed members",
+                   "extra member"]
+
+
+@pytest.mark.parametrize("damage", SIDECAR_DAMAGES)
+@pytest.mark.parametrize("kind", ["finedating-reftable", "finedating-tests", "finedating-eval"])
+def test_damaged_sidecar_reads_as_the_line_reader_reads_it(tmp_path, table_5_20_5, ts3_datasets,
+                                                           eval_rows, kind, damage):
+    path = tmp_path / "a.csv"
+    if kind == "finedating-reftable":
+        fd.write_table(table_5_20_5, path)
+        column = "cal_mean"
+    elif kind == "finedating-tests":
+        fd.write_tests(take_datasets(ts3_datasets, range(0, 6100, 61)), path)
+        column = "cal_median"
+    else:
+        write_eval_rows(eval_rows[:1200], path)
+        column = "delta"
+    args = path, kind, SCHEMAS[kind], ("spec",) if kind == "finedating-reftable" else ()
+    sidecar = csvio.sidecar_path(path)
+    with np.load(sidecar) as npz:
+        members = dict(npz)
+    data = sidecar.read_bytes()
+    if damage == "flipped byte in a column member":
+        # np.savez stores members uncompressed: the column's bytes are in the file
+        cells = members[column].tobytes()
+        at = data.index(cells) + len(cells) // 2
+        sidecar.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+        with pytest.raises(zipfile.BadZipFile, match="CRC"), np.load(sidecar) as npz:
+            npz[column]
+    elif damage == "truncated npz":
+        sidecar.write_bytes(data[: len(data) // 2])
+    elif damage == "compressed members":
+        np.savez_compressed(sidecar, allow_pickle=False, **members)
+    else:
+        np.savez(sidecar, allow_pickle=False, **members, extra=np.zeros(1))
+    lines = outcome(csvio._read_lines, *args)
+    assert outcome(csvio.read_commented_csv, *args) == lines
+    # compressed members hold the same arrays, which the block reader takes
+    assert (csvio._read_block(*args) is not None) == (damage == "compressed members")
+    sidecar.unlink()
+    assert outcome(csvio.read_commented_csv, *args) == lines
