@@ -42,6 +42,7 @@ from .calcurve import Measurement, curve_at, load_curve, parse_date
 from .evaluate import (
     evaluate_test_series,
     histogram,
+    interval_normality,
     read_eval_rows,
     select_values,
     write_evaluation,
@@ -60,6 +61,7 @@ from .reftable import (
     build_combo_table,
     build_reference_table,
     edge_warnings,
+    match_ages,
     read_table,
     standard_spec,
     write_table,
@@ -556,7 +558,11 @@ def _cmd_evaluate(args) -> int:
     ):
         print(f"warning: {warning}", file=sys.stderr)
 
-    rows = evaluate_test_series(table, series)
+    # one match for both; normality first, while the rows are not yet held
+    match = match_ages(table.age, series.age)
+    normality = interval_normality(table, series, match)
+    rows = evaluate_test_series(table, series, match)
+    del match  # 8 bytes a matched row, not held while the artifacts are written
     prov, manifest = _manifest(
         out_dir,
         "evaluate",
@@ -567,7 +573,7 @@ def _cmd_evaluate(args) -> int:
             "out": out_dir.name,
         },
     )
-    write_evaluation(table, series, rows, out_dir, prov, texts=[manifest])
+    write_evaluation(rows, normality, out_dir, prov, texts=[manifest])
     print(f"wrote evaluation artifacts to {out_dir} ({len(rows)} rows)")
     return 0
 

@@ -66,25 +66,31 @@ exported simulation) names its columns in any case, and
 
 The bulk artifacts that a later command reads whole, reference tables,
 test series and evaluation rows (``SIDECAR_FORMATS``), get that binary
-sidecar, ``<name>.npz`` (:func:`sidecar_path`), written by ``np.savez``
-in the same replacing step as the file: its columns as the line reader
-gives them, the crc32 of the data lines and their byte length, summed
-as the lines are written.  Int64 columns are stored as they are,
-float64 columns with NaN as ``np.nan`` and -0.0 as 0.0, and a label
-column whose names in use are printable ASCII, without comma or space,
-as int32 codes, ``<name>``, into its names in use stored as bytes in
-order of first appearance, ``<name>#labels``, both taken from the
-column's :class:`Labels`.  A file with any other column, or with no rows, gets
-none, and a rewrite that gets none deletes the old one.  The sidecar is
-a cache, taken (:func:`_read_block`) only for a schema whose first
-parser is ``int``, only if its members hold the schema's columns
-(:func:`_load_sidecar`), and only if the file's data block has its
+sidecar, ``<name>.cols`` (:func:`sidecar_path`), written in the same
+replacing step as the file (:func:`_write_sidecar`): one JSON header
+line, then the columns' bytes as the line reader gives them, each at
+the 8-byte boundary after the one before (:func:`_layout`).  The header
+names the layout (``_LAYOUT``), the row count, each column's name,
+little-endian dtype and offset, the names in use of each label column,
+in order of first appearance, the crc32 of the data lines and their
+byte length, summed as the lines are written, and the crc32 of the
+column bytes.  Int64 columns are stored as they are, float64 columns
+with NaN as ``np.nan`` and -0.0 as 0.0, and a label column whose names
+in use are printable ASCII, without comma or space, as int32 codes into
+those names, taken from the column's :class:`Labels`.  A file with any
+other column, or with no rows, gets none, and a rewrite that gets none
+deletes the old one.  The sidecar is a cache, read whole with one
+``readinto`` and taken (:func:`_read_block`) only for a schema whose
+first parser is ``int``, only if its header lays out the schema's
+columns, its length and column crc32 are as the header says, its
+columns pass :func:`_load_sidecar`, and the file's data block has its
 crc32 and byte length, that crc32 also matching any ``checksum``
 header.  The crc32 is the only check of the block's bytes: a damaged
 block whose crc32 and byte length both equal the written block's is
 read from the sidecar.  Any other sidecar, or none, sends the file to
 the line reader: deleting it, or copying a file without it, changes no
-result and no message.
+result and no message.  The columns read are writable views of the one
+buffer read.
 """
 
 from __future__ import annotations
@@ -120,6 +126,8 @@ _NO_CHUNK = -1
 SIDECAR_FORMATS = ("finedating-reftable", "finedating-tests", "finedating-eval")
 # The bits of np.nan, which is what a blank parse_float cell parses to.
 _NAN_BITS = np.float64(np.nan).view(np.int64)
+# The layout that a sidecar's header names; a sidecar of any other is not read.
+_LAYOUT = "finedating-columns-1"
 
 
 def fmt(value) -> str:
@@ -230,10 +238,10 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
     into place once all are written; if any open or write fails, none is.
     An artifact of a format in ``SIDECAR_FORMATS`` whose columns
     :func:`_sidecar_labels` accepts also gets its sidecar, written the
-    same way, its label columns' codes and ``#labels`` taken from their
-    :class:`Labels`, with the crc32 and byte length of its data lines
-    summed chunk by chunk as they are written; once the files are moved, the old
-    sidecar of every other artifact is deleted.  ``texts`` holds plain
+    same way (:func:`_write_sidecar`), its label columns' codes and names
+    taken from their :class:`Labels`, with the crc32 and byte length of
+    its data lines summed chunk by chunk as they are written; once the
+    files are moved, the old sidecar of every other artifact is deleted.  ``texts`` holds plain
     files ``(path, lines)``, such as a run's manifest, each line followed
     by ``\\n``, written in the same step and moved into place after the
     artifacts.  The moves are one ``os.replace`` per file, so a move that
@@ -282,9 +290,7 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
                     fh.write(b"\n")
             if labels is not None:
                 # built after the formatting, so as not to add to its memory
-                np.savez(next(sidecar_files), allow_pickle=False,
-                         **_sidecar_members(dict(zip(columns, table)), labels),
-                         **{"#crc": total[0], "#bytes": total[1]})
+                _write_sidecar(next(sidecar_files), dict(zip(columns, table)), labels, *total)
     for (path, *_), labels in zip(artifacts, sidecars):
         if labels is None:
             sidecar_path(path).unlink(missing_ok=True)
@@ -299,13 +305,13 @@ def _head(header: dict, columns: dict, extra: dict | None) -> str:
 
 
 def sidecar_path(path) -> Path:
-    """The binary sidecar of an artifact: ``<name>.npz`` beside it."""
+    """The binary sidecar of an artifact: ``<name>.cols`` beside it."""
     path = Path(path)
-    return path.with_name(path.name + ".npz")
+    return path.with_name(path.name + ".cols")
 
 
 def _sidecar_labels(columns: dict, table: list) -> dict[str, tuple] | None:
-    """Whether the columns get a sidecar (:func:`_sidecar_members`): for
+    """Whether the columns get a sidecar (:func:`_write_sidecar`): for
     each label column, the sidecar code of each of its codes, and its
     names in use in order of first appearance, as the object column's
     distinct cells would be; None where the columns get none.
@@ -334,27 +340,66 @@ def _sidecar_labels(columns: dict, table: list) -> dict[str, tuple] | None:
     return labels
 
 
-def _sidecar_members(columns: dict, labels: dict) -> dict[str, np.ndarray]:
-    """The sidecar members that hold the columns exactly as a schema read
-    of their data lines gives them.  An int64 column is stored as it is.
-    A float64 column is stored with each NaN as ``np.nan`` and each -0.0
-    as 0.0: ``fmt`` writes them blank and ``0``, which parse back so.  A
-    label column (``labels``) is stored as ``<name>``, the int32 code of
-    each cell, and ``<name>#labels``, its distinct cells as bytes."""
-    stored = {}
+def _write_sidecar(fh: BinaryIO, columns: dict, labels: dict, crc: int, size: int) -> None:
+    """Write the sidecar of columns whose data lines have crc32 ``crc``
+    and ``size`` bytes: one header line, then each column's bytes as a
+    schema read of the lines gives them, at its place in :func:`_layout`.
+
+    The header is JSON: the layout (``_LAYOUT``), the row count, each
+    column's ``[name, dtype, offset]``, the names in use of each label
+    column, ``crc``, ``size``, and the crc32 of the column bytes, padded
+    with spaces to a multiple of 8 bytes.  An int64 column is stored as
+    it is.  A float64 column is stored with each NaN as ``np.nan`` and
+    each -0.0 as 0.0: ``fmt`` writes them blank and ``0``, which parse
+    back so.  A label column (``labels``) is stored as the int32 code of
+    each cell into its names in use.  Each column is summed and written
+    from its own buffer (:func:`_pieces`)."""
+    import json  # here, so that a command that touches no sidecar never imports it
+
+    stored = []
     for name, column in columns.items():
         if name in labels:
-            recode, names = labels[name]
-            stored[name] = recode[column.codes]
-            stored[name + "#labels"] = np.array([label.encode() for label in names], "S")
-            continue
-        if column.dtype == np.float64:
+            column = labels[name][0][column.codes]
+        elif column.dtype == np.float64:
             nan = np.isnan(column)
             if ((column[nan].view(np.int64) != _NAN_BITS).any()
                     or np.signbit(column[column == 0]).any()):
                 column = np.where(nan, np.nan, column + 0.0)
-        stored[name] = column
-    return stored
+        stored.append(column.astype(column.dtype.newbyteorder("<"), copy=False))
+    rows = len(stored[0])
+    layout, _ = _layout([(name, column.dtype.str) for name, column in zip(columns, stored)], rows)
+    columns_crc = 0
+    for piece in _pieces(stored):
+        columns_crc = zlib.crc32(piece, columns_crc)
+    head = json.dumps({"layout": _LAYOUT, "rows": rows, "columns": layout,
+                       "labels": {name: names for name, (_, names) in labels.items()},
+                       "crc": crc, "bytes": size, "columns_crc": columns_crc})
+    fh.write((head + " " * (-(len(head) + 1) % 8) + "\n").encode("ascii"))
+    for piece in _pieces(stored):
+        fh.write(piece)
+
+
+def _pieces(columns: list[np.ndarray]) -> Iterator[np.ndarray | bytes]:
+    """The bytes of each column, then its padding to 8 bytes, in pieces
+    of at most ``_BLOCK`` bytes: a contiguous column gives views of its
+    buffer, and a strided one (a field of a wider array, as the table's
+    posterior summaries are) is copied one piece at a time, never whole."""
+    for column in columns:
+        step = _BLOCK // column.itemsize
+        for k in range(0, len(column), step):
+            yield np.ascontiguousarray(column[k : k + step])
+        yield bytes(-column.nbytes % 8)
+
+
+def _layout(columns: list[tuple[str, str]], rows: int) -> tuple[list[list], int]:
+    """The ``[name, dtype, offset]`` of each ``(name, dtype)`` column of a
+    sidecar of ``rows`` rows, each column at the 8-byte boundary after the
+    one before, and the length of the column bytes, the last padded so."""
+    layout, end = [], 0
+    for name, dtype in columns:
+        layout.append([name, dtype, end])
+        end += (rows * np.dtype(dtype).itemsize + 7) // 8 * 8
+    return layout, end
 
 
 @contextmanager
@@ -671,15 +716,20 @@ def _read_lines(path, kind, schema, extra) -> Artifact:
         raise
 
 
-def reject_cell(path, parsers) -> None:
+def reject_cell(path, parsers, rows: Iterable[int] | None = None) -> None:
     """Raise the error of the first data cell of the file that its parser
     rejects, naming the file, the line and the column; ``parsers`` holds
-    the ``(name, parser)`` of each column, in order.  The file is read
-    again, as the line reader reads it, only once a parse has failed."""
+    the ``(name, parser)`` of each column, in order, and ``rows``, where
+    given, the indices of the data lines to look at, in order.  The file
+    is read again, as the line reader reads it, only once a parse has
+    failed."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip() and line[0] != "#"]
-    # each cell of each data line, in order: the first line is the column line
-    for (lineno, line), (j, (name, parse)) in product(lines[1:], enumerate(parsers)):
+    data = lines[1:]  # the first line is the column line
+    if rows is not None:
+        data = [data[k] for k in rows]
+    # each cell of each data line, in order
+    for (lineno, line), (j, (name, parse)) in product(data, enumerate(parsers)):
         try:
             parse(line.rstrip("\n").split(",")[j])
         except ValueError as exc:
@@ -695,13 +745,16 @@ def _meta_line(meta: dict, line: str, extra) -> None:
         meta[key] = val
 
 
-# Bytes read per step of the data block's crc32.
-_BLOCK = 1 << 20
+# Bytes read per step of the data block's crc32: below glibc's initial mmap
+# threshold (128 KiB), so each read reuses heap memory, where 1 MiB reads cost
+# a fresh mapping and its page faults each, about half the read of a 1.9 MB
+# table.
+_BLOCK = 1 << 16
 # The bytes of a str cell that a sidecar may hold: printable ASCII but the
 # space and the comma.
 _LABEL_BYTES = bytes(range(0x21, 0x7F)).replace(b",", b"")
-# The dtype of a sidecar column of each numeric parser.
-_DTYPES = {int: np.int64, float: np.float64, parse_float: np.float64}
+# The dtype of a sidecar column of each parser: a label column holds codes.
+_DTYPES = {int: "<i8", float: "<f8", parse_float: "<f8", str.strip: "<i4"}
 
 
 def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
@@ -711,28 +764,36 @@ def _read_block(path, kind, schema: dict, extra) -> Artifact | None:
     Only a schema whose first parser is ``int`` takes a sidecar: a data
     line then starts with an int64's digits, never blank or ``#``, so the
     line reader keeps every line that the writer summed.  The sidecar is
-    opened first, so a file without one is opened only by the line
-    reader; the file's data block must have the sidecar's byte length and
-    crc32, which must equal any ``checksum`` header (:func:`_read_head`),
-    before the sidecar's columns are loaded (:func:`_load_sidecar`).  A
-    damaged block whose crc32 and byte length both collide with the
-    written block's is read from the sidecar.
+    read first, whole, with one ``readinto``, so a file without one is
+    opened only by the line reader.  Its header must name ``_LAYOUT`` and
+    the schema's columns at their :func:`_layout` places, the file must
+    end where the last column does, and its column bytes must have the
+    header's crc32.  The file's data block must then have the sidecar's
+    byte length and crc32, which must equal any ``checksum`` header
+    (:func:`_read_head`), before the columns are taken
+    (:func:`_load_sidecar`).  A damaged block whose crc32 and byte length
+    both collide with the written block's is read from the sidecar.
     """
     if next(iter(schema.values()), None) is not int:
         return None
-    members = [member for name, parse in schema.items()
-               for member in ((name, name + "#labels") if parse is str.strip else (name,))]
+    import json  # as in _write_sidecar
+
     try:
-        # np.load of a path leaves its file open when the zip is unreadable
-        with open(sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if npz.files != [*members, "#crc", "#bytes"]:
-                return None
-            head = _read_head(path, kind, schema, extra,
-                              npz["#crc"].tolist(), npz["#bytes"].tolist())
-            body = None if head is None else _load_sidecar(npz, schema)
+        with open(sidecar_path(path), "rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            fh.readinto(data)  # a short read leaves zeros, which the crc32 sees
+        start = data.index(b"\n") + 1
+        head = json.loads(data[:start])
+        layout, end = _layout([(name, _DTYPES[parse]) for name, parse in schema.items()],
+                              head["rows"])
+        if (head["layout"] != _LAYOUT or head["columns"] != layout or len(data) != start + end
+                or zlib.crc32(memoryview(data)[start:]) != head["columns_crc"]):
+            return None
+        meta = _read_head(path, kind, schema, extra, head["crc"], head["bytes"])
+        body = None if meta is None else _load_sidecar(data, start, head, schema)
     except Exception:  # a miss: the line reader reads the file and reports its errors
         return None
-    return None if body is None else Artifact(*head, body)
+    return None if body is None else Artifact(*meta, body)
 
 
 def _read_head(path, kind, schema: dict, extra, crc: int, size: int) -> tuple[dict, list] | None:
@@ -757,33 +818,30 @@ def _read_head(path, kind, schema: dict, extra, crc: int, size: int) -> tuple[di
     return meta, columns
 
 
-def _load_sidecar(npz, schema: dict) -> dict[str, np.ndarray | Labels] | None:
-    """The columns held by an open sidecar whose members are the
-    schema's columns, each ``str.strip`` column followed by its
-    ``#labels``, then ``#crc`` and ``#bytes``; or None unless each column
-    is 1-D, of the schema's dtype, or, for a ``str.strip`` column, of
-    integer codes into its labels, which are 1-D distinct bytes; a
-    ``float`` column holds no NaN, as a blank ``float`` cell fails the
-    parse; and the columns are of one length.  A ``str.strip`` column is
-    its codes and labels as they are (:class:`Labels`)."""
+def _load_sidecar(data: bytearray, start: int, head: dict,
+                  schema: dict) -> dict[str, np.ndarray | Labels] | None:
+    """The columns of a sidecar read into ``data``, whose header ``head``
+    ends at ``start`` and lays out the schema's columns, as writable views
+    of ``data``; or None unless each ``str.strip`` column's names are
+    distinct ASCII ``str`` and its codes index them, and no ``float``
+    column holds NaN, as a blank ``float`` cell fails the parse.  A
+    ``str.strip`` column is its codes and names as they are
+    (:class:`Labels`)."""
     body = {}
-    for name, parse in schema.items():
-        column = npz[name]
-        if column.ndim != 1:
-            return None
-        if parse is str.strip:
-            names = npz[name + "#labels"]
-            if (names.dtype.kind != "S" or names.ndim != 1 or column.dtype.kind not in "iu"
-                    or column.min() < 0 or column.max() >= names.size):
+    for name, dtype, offset in head["columns"]:
+        column = np.frombuffer(data, dtype, head["rows"], start + offset)
+        if schema[name] is str.strip:
+            names = head["labels"][name]
+            if (type(names) is not list
+                    or not all(type(label) is str and label.isascii() for label in names)
+                    or len(set(names)) != len(names)
+                    or column.min() < 0 or column.max() >= len(names)):
                 return None
-            names = np.array([label.decode("ascii") for label in names.tolist()], dtype=object)
-            if len(set(names.tolist())) != names.size:
-                return None
-            column = Labels(column, names)
-        elif column.dtype != _DTYPES[parse] or (parse is float and np.isnan(column).any()):
+            column = Labels(column, np.array(names, dtype=object))
+        elif schema[name] is float and np.isnan(column).any():
             return None
         body[name] = column
-    return body if len(set(map(len, body.values()))) == 1 else None
+    return body
 
 
 def _parse_body(lines: list[str], schema: dict) -> dict[str, np.ndarray | Labels]:

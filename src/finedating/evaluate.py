@@ -267,17 +267,18 @@ class EvalColumns:
                 self.category, self.n_matches)
 
 
-def evaluate_test_series(table: RefTable, series: TestSeries) -> EvalColumns:
+def evaluate_test_series(table: RefTable, series: TestSeries, match=None) -> EvalColumns:
     """Fine-date every dataset against the table and score each of the
     twelve indicators against the known original date.
 
     All datasets are matched and aggregated in one batch
-    (:func:`~finedating.finedate.batch_indicators`); each value is
+    (:func:`~finedating.finedate.batch_indicators`, given ``match``, which
+    is ``match_ages(table.age, series.age)`` where given); each value is
     that of :func:`~finedating.finedate.compute_indicators` on the
     dataset alone.  A dataset without any match yields rows of category
     ``no_match`` without a value.
     """
-    values, n_prime = batch_indicators(table, series.age, np.diff(series.offsets))
+    values, n_prime = batch_indicators(table, series.age, np.diff(series.offsets), match)
     matched = n_prime > 0
     k = len(INDICATOR_NAMES)
     value = np.full((len(series), k), math.nan)
@@ -566,7 +567,7 @@ def select_values(path, *names: str) -> list[list[float]]:
     plain column paired with an indicator name (the other of two) takes
     its cells from the same rows.  A selected cell that is not a number
     fails as the line reader fails it: the error names the first such
-    cell of its column in the file, by line and column."""
+    cell of its column among the selected rows, by line and column."""
     _, columns, body = csvio.read_commented_csv(path)
     by_indicator = "indicator" in columns and "value" in columns
     selections = []
@@ -578,16 +579,16 @@ def select_values(path, *names: str) -> list[list[float]]:
             raise ValueError(f"no column {column!r} in {path}; columns are {columns}")
         elif by_indicator and paired not in columns:
             name = _indicator_or_none(paired)
-        rows = body
+        picked = range(len(body))
         if name is not None:
             ii = columns.index("indicator")
-            rows = [cells for cells in body if cells[ii] == name]
+            picked = [k for k, cells in enumerate(body) if cells[ii] == name]
         ci = columns.index(column)
         try:
-            selections.append([float(cells[ci]) for cells in rows if cells[ci]])
+            selections.append([float(body[k][ci]) for k in picked if body[k][ci]])
         except ValueError:
             csvio.reject_cell(path, [(col, csvio.parse_float if j == ci else str.strip)
-                                     for j, col in enumerate(columns)])
+                                     for j, col in enumerate(columns)], picked)
             raise
         if not selections[-1]:
             raise ValueError(f"no numeric values for {column!r} in {path}")
@@ -716,18 +717,25 @@ class IntervalNormality:
 _NDTR_BLOCK = 16384
 
 
-def interval_normality(table: RefTable, series: TestSeries) -> list[IntervalNormality]:
+def interval_normality(table: RefTable, series: TestSeries,
+                       match=None) -> list[IntervalNormality]:
     """For each original date: the omnibus test over all simulated ages
     and the Anderson-Darling statistic over the pooled matched calendar
     dates.  Each statistic is that of :func:`dagostino_pearson` or
     :func:`anderson_darling` on the interval alone; the normal CDF of
     the standardized dates of all intervals is taken together, in blocks
-    of ``_NDTR_BLOCK`` values."""
+    of ``_NDTR_BLOCK`` values.  ``match``, where given, is
+    ``match_ages(table.age, series.age)``, which ``evaluate`` has already
+    made for :func:`evaluate_test_series`; its runs of rows are regrouped
+    here by date."""
     dates = np.repeat(series.original_date, np.diff(series.offsets))
     order = np.argsort(dates, kind="stable")  # dataset order, then measurement order
     ages = series.age[order]
-    positions, count = match_ages(table.age, ages)
-    matched = table.base_date[positions]
+    positions, count = match_ages(table.age, series.age) if match is None else match
+    # the rows of each age, as match_ages(table.age, ages) lays them out
+    start, count = (np.cumsum(count) - count)[order], count[order]
+    shift = np.repeat(start - (np.cumsum(count) - count), count)
+    matched = table.base_date[positions[shift + np.arange(shift.size)]]
     by_date, n_ages = np.unique(dates, return_counts=True)
     age_bounds = np.concatenate(([0], np.cumsum(n_ages)))
     matched_bounds = np.concatenate(([0], np.cumsum(count)))[age_bounds]
@@ -763,16 +771,16 @@ def interval_normality(table: RefTable, series: TestSeries) -> list[IntervalNorm
 NORMALITY_COLUMNS = ["original_cal_date", "n_ages", "ages_statistic", "ages_p_value",
                      "n_matched_dates", "matched_dates_statistic"]
 def write_evaluation(
-    table: RefTable,
-    series: TestSeries,
     rows: EvalColumns,
+    normality: list[IntervalNormality],
     out_dir,
     header: dict,
     texts: list[tuple] = (),
 ) -> None:
     """Write the artifacts of an evaluated test series into ``out_dir``:
     ``eval_long.csv``, ``performance_25.csv``, ``performance_35.csv``,
-    ``avg_deviation.csv``, ``normality_by_interval.csv`` and
+    ``avg_deviation.csv``, ``normality_by_interval.csv`` (of
+    ``normality``, :func:`interval_normality` of the series) and
     ``mpd_report.csv``, each under the given header, and ``texts`` with
     them, in one :func:`csvio.write_artifacts` call."""
     out_dir = Path(out_dir)
@@ -802,7 +810,6 @@ def write_evaluation(
         None,
     ))
 
-    normality = interval_normality(table, series)
     artifacts.append((
         out_dir / "normality_by_interval.csv",
         header,

@@ -225,19 +225,20 @@ def _sorted_median(block: np.ndarray) -> np.ndarray:
 
 
 def batch_indicators(
-    table: RefTable, ages: np.ndarray, n_measured: np.ndarray
+    table: RefTable, ages: np.ndarray, n_measured: np.ndarray, match=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The twelve indicators of many measurement sets at once.
 
     ``ages`` holds the integer measured ages of all sets back to back,
-    ``n_measured`` the number in each set.  Returns the indicator values
+    ``n_measured`` the number in each set, and ``match``, where given,
+    ``match_ages(table.age, ages)``.  Returns the indicator values
     of the matched sets as a ``(matched sets, 12)`` matrix in
     :data:`INDICATOR_NAMES` order, and n' of every set (0 = no match).
     Pools keep the order of :func:`match_measurements` (measurement
     order, then table order), so each row equals
     :func:`compute_indicators` of that set bit for bit.
     """
-    positions, count = match_ages(table.age, ages)
+    positions, count = match_ages(table.age, ages) if match is None else match
     owner = np.repeat(np.arange(n_measured.size), n_measured)
     n_prime = np.bincount(owner, weights=count, minlength=n_measured.size).astype(np.int64)
     flat = np.concatenate([table.base_date[positions], table.cal_mean[positions],

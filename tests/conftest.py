@@ -9,14 +9,17 @@ asserted band was checked against the seeded output.
 from __future__ import annotations
 
 import ctypes
+import json
 import math
 import os
 import re
+import zlib
 
 import numpy as np
 import pytest
 
 import finedating as fd
+from finedating import csvio
 
 STUDY_DATES = [-300.0 + 5.0 * i for i in range(61)]
 
@@ -260,3 +263,34 @@ def same_eval(a: fd.EvalColumns, b: fd.EvalColumns) -> bool:
     return all(
         np.array_equal(x, y, equal_nan=x.dtype == float) for x, y in zip(a.columns(), b.columns())
     )
+
+
+def sidecar_parts(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header of the sidecar of ``path``, less what
+    :func:`write_sidecar` works out (``rows``, ``columns`` and
+    ``columns_crc``), and copies of its columns by name."""
+    data = csvio.sidecar_path(path).read_bytes()
+    start = data.index(b"\n") + 1
+    head = json.loads(data[:start])
+    columns = {name: np.frombuffer(data, dtype, head["rows"], start + offset).copy()
+               for name, dtype, offset in head.pop("columns")}
+    del head["rows"], head["columns_crc"]
+    return head, columns
+
+
+def write_sidecar(path, head: dict, columns: dict[str, np.ndarray], tail: bytes = b"") -> None:
+    """Write the sidecar of ``path`` as the writer lays one out: a header
+    line of ``head``, padded to 8 bytes, then each column's bytes at the
+    next 8-byte boundary, then ``tail``.  Where ``head`` does not give
+    them, the header holds the first column's length as ``rows``, each
+    column's ``[name, dtype, offset]`` as laid out and the crc32 of all
+    the bytes after it, so that only what the caller gives wrong is."""
+    body, layout = b"", []
+    for name, column in columns.items():
+        layout.append([name, column.dtype.str, len(body)])
+        body += column.tobytes() + bytes(-column.nbytes % 8)
+    body += tail
+    text = json.dumps({"rows": len(next(iter(columns.values()))), "columns": layout,
+                       "columns_crc": zlib.crc32(body), **head})
+    csvio.sidecar_path(path).write_bytes(
+        (text + " " * (-(len(text) + 1) % 8) + "\n").encode("ascii") + body)

@@ -50,11 +50,11 @@ GOLDEN = {
 # The binary sidecars (``csvio.sidecar_path``) of the two reference tables,
 # the two test series and the evaluation rows.
 SIDECARS = {
-    "combo.csv.npz": "933b7a82a679026cdb6dbc81ac241c2109b50888244d75d83d00ffd450098c8e",
-    "conv.csv.npz": "89f80821110b831282bbc166c99d86f0e7071e070e415cebc7232d4d0eae6bd3",
-    "eval/eval_long.csv.npz": "7b37e510836c0a8f586b3434847b247bff523d9a084e9f4a255e90bdae57aba7",
-    "ref.csv.npz": "08a8b7e8409c8879a5522be584559e4e06ac4d5e6c833b0f5902fc21bd940d0f",
-    "tests.csv.npz": "48b48521839eb35bff33077c4e78070a30948da1e6276c0bcb736ad6ef40bb17",
+    "combo.csv.cols": "909ba002a27d8835646d0ed04b4fd6ace0274a77dcd9b47d79f58eee309fe603",
+    "conv.csv.cols": "c08f685571528a5dce132bdb4ba5a65e29601d0d1908cb4b6984abb88b8c5b86",
+    "eval/eval_long.csv.cols": "c61e63b24a49f13df1d1b0039d5d82bba6d5ac258ccf7f491588c0b6e506b498",
+    "ref.csv.cols": "e9a9ff6f66d27f60b0b0878a62fc7768f52e87ce947fcf9480213134b99dda99",
+    "tests.csv.cols": "18b956ba4df16c1f0c0a9d748e6966f7eab03cbfceaf13423d884c14287ce420",
 }
 
 
@@ -108,7 +108,7 @@ def test_artifacts_match_pinned_digests(work):
 
 
 def test_sidecars_match_pinned_digests(work):
-    written = sorted(str(p.relative_to(work)) for p in work.rglob("*.npz"))
+    written = sorted(str(p.relative_to(work)) for p in work.rglob("*.cols"))
     assert written == sorted(SIDECARS)
     assert {name: sha256(work / name) for name in written} == SIDECARS
 

@@ -21,6 +21,8 @@ import finedating as fd
 from finedating import cli, csvio
 from finedating.cli import build_parser, main, parse_date, parse_date_range, parse_span
 
+from conftest import write_sidecar
+
 
 @pytest.fixture(scope="module")
 def curve_file(tmp_path_factory):
@@ -917,7 +919,8 @@ def test_non_utf8_table_names_the_file(tmp_path, capsys):
 
 
 def test_failed_sidecar_write_leaves_no_table(curve_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(np, "savez", mock.Mock(side_effect=OSError("No space left on device")))
+    monkeypatch.setattr(csvio, "_write_sidecar",
+                        mock.Mock(side_effect=OSError("No space left on device")))
     assert run("--seed", 11, "ref-gen", "--curve", curve_file, "--label", "5_20_5",
                "--out", tmp_path / "ref.csv") == 3
     assert "error: io: No space left on device" in capsys.readouterr().err
@@ -1048,7 +1051,7 @@ def test_fresh_sidecars_skip_the_parse_and_change_no_output(curve_file, tmp_path
         assert parse.called == (base == bare)
         outputs[base.name] = {**written, **{name: (base / name).read_bytes()
                                             for name in ("lookup.csv", "lookup_manifest.txt")}}
-    assert "eval_long.csv.npz" in outputs["fresh"]
+    assert "eval_long.csv.cols" in outputs["fresh"]
     assert outputs["fresh"] == outputs["bare"]
 
 
@@ -1132,11 +1135,11 @@ def test_sidecar_cache_changes_no_output(curve_file, tmp_path_factory, pipeline)
     shutil.copytree(other, base / "rerun")
 
     def delete(mode):
-        for sidecar in mode.rglob("*.npz"):
+        for sidecar in mode.rglob("*.cols"):
             sidecar.unlink()
 
     def swap(mode):
-        for sidecar in mode.rglob("*.npz"):
+        for sidecar in mode.rglob("*.cols"):
             stale = other / sidecar.relative_to(mode)
             if stale.exists():
                 shutil.copyfile(stale, sidecar)
@@ -1147,9 +1150,9 @@ def test_sidecar_cache_changes_no_output(curve_file, tmp_path_factory, pipeline)
     # every command up to lookup build succeeds, so that no later command of
     # the rerun reads an input that only the other seed's run wrote
     assert [code for code, _, _ in calls[:4]] == [0] * 4
-    assert any(name.endswith(".npz") for name in fresh)
+    assert any(name.endswith(".cols") for name in fresh)
     def without_sidecars(files):
-        return {name: data for name, data in files.items() if not name.endswith(".npz")}
+        return {name: data for name, data in files.items() if not name.endswith(".cols")}
 
     for mode, spoil in [(base / "deleted", delete), (base / "swapped", swap)]:
         got_calls, got = run_in(mode, argvs(curve_file, seed), lambda: spoil(mode))
@@ -1330,8 +1333,8 @@ def test_non_finite_table_value_is_data_error(pipeline, tmp_path, capsys, column
         columns = dict(zip(fd.reftable.TABLE_SCHEMA, table.columns()))
         columns[column] = columns[column].copy()
         columns[column][6] = float(token)
-        np.savez(csvio.sidecar_path(bad), allow_pickle=False, **columns,
-                 **{"#crc": crc, "#bytes": sum(len(line) + 1 for line in data)})
+        write_sidecar(bad, {"layout": csvio._LAYOUT, "labels": {}, "crc": crc,
+                            "bytes": sum(len(line) + 1 for line in data)}, columns)
         # NaN in a float column is refused by the sidecar read, inf is not
         read = csvio._read_block(bad, "finedating-reftable", fd.reftable.TABLE_SCHEMA, ("spec",))
         assert (read is None) == (token == "nan")
@@ -1424,6 +1427,23 @@ def test_non_numeric_indicator_value_names_file_line_and_column(pipeline, tmp_pa
     assert capsys.readouterr().err == (f"error: data: bad cell in {src} at line {at + 1}, "
                                        "column value: could not convert string to float: 'x1'\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["eval_long.csv"]
+
+
+@pytest.mark.parametrize("line_6", ["y", "14"], ids=["line 6 bad", "only line 3 bad"])
+def test_bad_cell_in_a_row_of_another_indicator_is_not_read(tmp_path, capsys, line_6):
+    # line 3, a CalDate_Mean row, holds x; hist of Mean_Median reads lines 2, 5 and 6
+    src = tmp_path / "eval_long.csv"
+    src.write_text("data_id,indicator,value\n1,Mean_Median,10\n1,CalDate_Mean,x\n"
+                   f"2,CalDate_Mean,5\n2,Mean_Median,12\n3,Mean_Median,{line_6}\n")
+    code = run("hist", "--in", src, "--col", "Mean_Median", "--out", tmp_path / "h.csv")
+    err = capsys.readouterr().err
+    if line_6 == "y":
+        assert (code, err) == (4, f"error: data: bad cell in {src} at line 6, column value: "
+                                  "could not convert string to float: 'y'\n")
+    else:
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval_long.csv", "h.csv",
+                                                              "h_manifest.txt"]
 
 
 @pytest.mark.parametrize("text, message", [

@@ -4,7 +4,6 @@ import os
 import signal
 import threading
 import warnings
-import zipfile
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from unittest import mock
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finedating as fd
-from conftest import take_datasets
+from conftest import sidecar_parts, take_datasets, write_sidecar
 from finedating import csvio
 from finedating.evaluate import EVAL_SCHEMA, write_eval_rows
 from finedating.finedate import SUMMARY_SCHEMA
@@ -315,7 +314,7 @@ def test_lockstep_writer_equals_separate_writes(tmp_path_factory, tables):
         assert path.read_bytes() == alone.read_bytes()
         names.append(path.name)
         if has_sidecar(header, columns):
-            names.append(path.name + ".npz")
+            names.append(csvio.sidecar_path(path).name)
             assert (csvio.sidecar_path(path).read_bytes()
                     == csvio.sidecar_path(alone).read_bytes())
     assert sorted(p.name for p in (base / "together").iterdir()) == sorted(names)
@@ -342,10 +341,10 @@ def test_failed_sidecar_write_leaves_no_file(tmp_path, existing):
     if existing:
         path.write_text("old\n")
         csvio.sidecar_path(path).write_text("old\n")
-    with mock.patch.object(np, "savez", side_effect=OSError("disk full")), \
+    with mock.patch.object(csvio, "_write_sidecar", side_effect=OSError("disk full")), \
             pytest.raises(OSError, match="disk full"):
         csvio.write_artifact(path, {"format": "finedating-tests"}, {"x": np.arange(3)})
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["a.csv", "a.csv.npz"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["a.csv", "a.csv.cols"]
                                                           if existing else [])
     assert all(p.read_text() == "old\n" for p in tmp_path.iterdir())
 
@@ -361,9 +360,8 @@ def test_rewrite_without_a_sidecar_deletes_the_old_one(tmp_path, header, column)
         csvio.write_artifact(path, {"format": "finedating-tests"}, {"x": np.arange(3)})
     csvio.write_artifacts([(a, header, {"x": column}, None),
                            (b, {"format": "finedating-tests"}, {"x": np.arange(4)}, None)])
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "b.csv.npz"]
-    with np.load(csvio.sidecar_path(b)) as npz:
-        assert npz["x"].tolist() == [0, 1, 2, 3]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "b.csv.cols"]
+    assert sidecar_parts(b)[1]["x"].tolist() == [0, 1, 2, 3]
 
 
 def test_lockstep_writer_checks_every_artifact_before_opening_any(tmp_path):
@@ -473,7 +471,7 @@ def test_failed_write_of_the_parent_ends_the_child(tmp_path, monkeypatch, existi
     monkeypatch.setattr(csvio, "open", failing_open, raising=False)
     artifacts = [(tmp_path / "a.csv", {"format": "finedating-tests"}, {"x": np.arange(400)}, None),
                  (tmp_path / "b.csv", {"format": "demo"}, {"x": np.arange(400.5, 800)}, None)]
-    before = old_files(tmp_path, existing, "a.csv", "a.csv.npz", "b.csv")
+    before = old_files(tmp_path, existing, "a.csv", "a.csv.cols", "b.csv")
     with forking(8) as fork, pytest.raises(OSError, match="No space left on device") as caught:
         csvio.write_artifacts(artifacts)
     # reaped before the call raised: its frames, held by the traceback, are alive
@@ -503,7 +501,7 @@ def test_child_that_ends_without_its_step_leaves_it_to_the_writer(tmp_path, exis
     written = {}
     for mode, cells in (("killed", 0), ("serial", 10**18)):
         (tmp_path / mode).mkdir()
-        old_files(tmp_path / mode, existing, "a.csv", "a.csv.npz")
+        old_files(tmp_path / mode, existing, "a.csv", "a.csv.cols")
         artifacts = [(tmp_path / mode / "a.csv", {"format": "finedating-eval", "checksum": None},
                       {"x": np.arange(40)}, None)]
         with forking(4) as fork, mock.patch.object(csvio, "_FORK_CELLS", cells), \
@@ -512,7 +510,7 @@ def test_child_that_ends_without_its_step_leaves_it_to_the_writer(tmp_path, exis
         written[mode] = files_in(tmp_path / mode), fork.call_count
         assert no_child_left()
     assert written["killed"][0] == written["serial"][0]
-    assert sorted(written["killed"][0]) == ["a.csv", "a.csv.npz"]
+    assert sorted(written["killed"][0]) == ["a.csv", "a.csv.cols"]
     assert (written["killed"][1], written["serial"][1]) == (1, 0)
 
 
@@ -870,9 +868,8 @@ def test_given_labels_write_the_bytes_of_their_object_column(tmp_path_factory, d
     has_labels = all(map(is_label, column.tolist()))
     assert csvio.sidecar_path(base / "labels" / "eval.csv").exists() == has_labels
     if has_labels:
-        with np.load(csvio.sidecar_path(base / "labels" / "eval.csv")) as npz:
-            assert npz["label#labels"].tolist() == [name.encode()
-                                                    for name in dict.fromkeys(column.tolist())]
+        assert (sidecar_parts(base / "labels" / "eval.csv")[0]["labels"]["label"]
+                == list(dict.fromkeys(column.tolist())))
 
 
 def test_read_with_labels_gives_codes_into_distinct_names(tmp_path):
@@ -881,14 +878,11 @@ def test_read_with_labels_gives_codes_into_distinct_names(tmp_path):
                          {"id": np.arange(5), "name": np.array(list("babca"), dtype=object)})
     schema = {"id": int, "name": str.strip}
     reads = {}
-    with np.load(csvio.sidecar_path(path)) as npz:
-        members = dict(npz)
+    head, columns = sidecar_parts(path)
     for source in ("sidecar", "repeated label", "lines"):
         if source == "repeated label":  # a sidecar whose labels repeat is not taken
-            codes = members["name"].copy()
-            codes[0] = 3
-            np.savez(csvio.sidecar_path(path), allow_pickle=False, **{
-                **members, "name": codes, "name#labels": np.array([b"b", b"a", b"c", b"b"])})
+            columns["name"][0] = 3
+            write_sidecar(path, {**head, "labels": {"name": ["b", "a", "c", "b"]}}, columns)
             assert csvio._read_block(path, "finedating-eval", schema, ()) is None
         if source == "lines":
             csvio.sidecar_path(path).unlink()
@@ -907,46 +901,78 @@ def test_given_labels_of_other_cells_write_as_their_object_column(tmp_path):
         "a.csv": b"# format=finedating-eval\nid,x\n0,\n1,2.5\n2,true\n3,a\n4,2.5\n5,\n"}
 
 
-# Damage inside a sidecar, which only the zip's crc32 of each member guards.
-SIDECAR_DAMAGES = ["flipped byte in a column member", "truncated npz", "compressed members",
-                   "extra member"]
+# Damage inside a sidecar: the flipped byte and the truncation only its
+# columns' crc32 tells, each other damage under a crc32 of the bytes as they
+# are, so that only the damage named is wrong.
+SIDECAR_DAMAGES = ["flipped byte in a column member", "truncated sidecar",
+                   "header naming another layout", "extra member", "trailing bytes",
+                   "label code out of range", "column offset past the end"]
 
 
-@pytest.mark.parametrize("damage", SIDECAR_DAMAGES)
-@pytest.mark.parametrize("kind", ["finedating-reftable", "finedating-tests", "finedating-eval"])
-def test_damaged_sidecar_reads_as_the_line_reader_reads_it(tmp_path, table_5_20_5, ts3_datasets,
-                                                           eval_rows, kind, damage):
-    path = tmp_path / "a.csv"
+def sidecar_file(path, kind, table, datasets, rows) -> tuple[tuple, str]:
+    """The read arguments of a written file of ``kind`` and its sidecar,
+    and the name of one of its float columns."""
     if kind == "finedating-reftable":
-        fd.write_table(table_5_20_5, path)
+        fd.write_table(table, path)
         column = "cal_mean"
     elif kind == "finedating-tests":
-        fd.write_tests(take_datasets(ts3_datasets, range(0, 6100, 61)), path)
+        fd.write_tests(take_datasets(datasets, range(0, 6100, 61)), path)
         column = "cal_median"
     else:
-        write_eval_rows(eval_rows[:1200], path)
+        write_eval_rows(rows[:1200], path)
         column = "delta"
-    args = path, kind, SCHEMAS[kind], ("spec",) if kind == "finedating-reftable" else ()
-    sidecar = csvio.sidecar_path(path)
-    with np.load(sidecar) as npz:
-        members = dict(npz)
+    return (path, kind, SCHEMAS[kind], ("spec",) if kind == "finedating-reftable" else ()), column
+
+
+@pytest.mark.parametrize("kind, damage", [
+    (kind, damage) for kind in csvio.SIDECAR_FORMATS for damage in SIDECAR_DAMAGES
+    if damage != "label code out of range" or kind == "finedating-eval"])
+def test_damaged_sidecar_reads_as_the_line_reader_reads_it(tmp_path, table_5_20_5, ts3_datasets,
+                                                           eval_rows, kind, damage):
+    args, column = sidecar_file(tmp_path / "a.csv", kind, table_5_20_5, ts3_datasets, eval_rows)
+    sidecar = csvio.sidecar_path(args[0])
+    head, columns = sidecar_parts(args[0])
     data = sidecar.read_bytes()
     if damage == "flipped byte in a column member":
-        # np.savez stores members uncompressed: the column's bytes are in the file
-        cells = members[column].tobytes()
+        cells = columns[column].tobytes()
         at = data.index(cells) + len(cells) // 2
         sidecar.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
-        with pytest.raises(zipfile.BadZipFile, match="CRC"), np.load(sidecar) as npz:
-            npz[column]
-    elif damage == "truncated npz":
+    elif damage == "truncated sidecar":
         sidecar.write_bytes(data[: len(data) // 2])
-    elif damage == "compressed members":
-        np.savez_compressed(sidecar, allow_pickle=False, **members)
+    elif damage == "header naming another layout":
+        write_sidecar(args[0], {**head, "layout": "finedating-columns-0"}, columns)
+    elif damage == "extra member":  # a column that the schema does not have
+        write_sidecar(args[0], head, {**columns, "extra": np.zeros(len(columns[column]))})
+    elif damage == "trailing bytes":
+        write_sidecar(args[0], head, columns, tail=bytes(8))
+    elif damage == "label code out of range":
+        columns["indicator"][-1] = len(head["labels"]["indicator"])
+        write_sidecar(args[0], head, columns)
     else:
-        np.savez(sidecar, allow_pickle=False, **members, extra=np.zeros(1))
+        layout, end = csvio._layout([(name, c.dtype.str) for name, c in columns.items()],
+                                    len(columns[column]))
+        layout[-1][2] = end
+        write_sidecar(args[0], {**head, "columns": layout}, columns)
     lines = outcome(csvio._read_lines, *args)
+    assert csvio._read_block(*args) is None
     assert outcome(csvio.read_commented_csv, *args) == lines
-    # compressed members hold the same arrays, which the block reader takes
-    assert (csvio._read_block(*args) is not None) == (damage == "compressed members")
     sidecar.unlink()
     assert outcome(csvio.read_commented_csv, *args) == lines
+
+
+@pytest.mark.parametrize("kind", csvio.SIDECAR_FORMATS)
+def test_fresh_sidecar_is_read(tmp_path, table_5_20_5, ts3_datasets, eval_rows, kind):
+    args, _ = sidecar_file(tmp_path / "a.csv", kind, table_5_20_5, ts3_datasets, eval_rows)
+    with mock.patch.object(csvio, "_read_lines", side_effect=AssertionError("parsed")):
+        assert csvio._read_block(*args) is not None
+        csvio.read_commented_csv(*args)
+
+
+@pytest.mark.parametrize("kind", csvio.SIDECAR_FORMATS)
+def test_sidecar_columns_are_writable(tmp_path, table_5_20_5, ts3_datasets, eval_rows, kind):
+    args, _ = sidecar_file(tmp_path / "a.csv", kind, table_5_20_5, ts3_datasets, eval_rows)
+    body = csvio._read_block(*args).body
+    for column in body.values():
+        column = column.codes if isinstance(column, csvio.Labels) else column
+        assert column.flags.writeable
+        column[0] = column[-1]

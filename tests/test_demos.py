@@ -16,9 +16,9 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 OUTPUTS = {
     "01_calibration_basics.py": [],
-    "02_reference_tables.py": ["ref_5_20_5.csv", "ref_5_20_5.csv.npz"],
+    "02_reference_tables.py": ["ref_5_20_5.csv", "ref_5_20_5.csv.cols"],
     "03_fine_dating_walkthrough.py": ["object_75bc_overview.csv", "object_75bc_summary.csv"],
-    "04_test_series_evaluation.py": ["eval_long.csv", "eval_long.csv.npz"],
+    "04_test_series_evaluation.py": ["eval_long.csv", "eval_long.csv.cols"],
     "05_lookup_table.py": ["lookup.csv"],
 }
 

@@ -22,7 +22,14 @@ from finedating.evaluate import (
     read_eval_rows,
     write_eval_rows,
 )
-from conftest import eval_columns, make_series, same_eval, take_datasets
+from conftest import (
+    eval_columns,
+    make_series,
+    same_eval,
+    sidecar_parts,
+    take_datasets,
+    write_sidecar,
+)
 from test_finedate import tiny_table
 
 
@@ -443,40 +450,44 @@ def csv_only_eval(path, tmp_path) -> fd.EvalColumns:
     return read_eval_rows(copy)
 
 
-def spoil_eval(sidecar, kind: str, path, rows) -> None:
+def spoil_eval(kind: str, path, rows) -> None:
     """Damage the sidecar of ``path`` so that only ``kind`` is wrong: its
-    ``#crc`` and ``#bytes`` still match, except for a stale sidecar, which
+    crc32s and byte length still match, except for a stale sidecar, which
     is left beside ``path`` rewritten with other rows."""
-    good = dict(np.load(sidecar))
+    head, columns = sidecar_parts(path)
     if kind == "stale":
+        sidecar = csvio.sidecar_path(path)
         old = sidecar.read_bytes()
         write_eval_rows(rows[::-1], path)
         sidecar.write_bytes(old)
         return
+    labels = head["labels"]
     if kind == "code out of range":
-        good["indicator"][-1] = good["indicator#labels"].size
+        columns["indicator"][-1] = len(labels["indicator"])
     elif kind == "negative code":  # the last label, were it taken as an index
-        good["category"][0] = -1
-    elif kind == "labels not bytes":
-        good["category#labels"] = good["category#labels"].astype(str)
-    elif kind == "labels of raw bytes":  # void, not S: they read back as bytes
-        good["category#labels"] = good["category#labels"].astype("V")
+        columns["category"][0] = -1
+    elif kind == "labels not a list":
+        labels["category"] = "ABCDEFGH"[: len(labels["category"])]  # distinct letters
+    elif kind == "labels not strings":
+        labels["category"] = list(range(len(labels["category"])))
+    elif kind == "labels of raw bytes":  # a byte beyond ASCII
+        labels["category"][0] += "\xff"
     elif kind == "NaN in a float column":
-        good["original_cal_date"][0] = np.nan
+        columns["original_cal_date"][0] = np.nan
     elif kind == "missing labels":
-        del good["indicator#labels"]
-    np.savez(sidecar, **good)
+        del labels["indicator"]
+    write_sidecar(path, head, columns)
 
 
-@pytest.mark.parametrize("kind", ["code out of range", "negative code", "labels not bytes",
-                                  "labels of raw bytes", "NaN in a float column",
-                                  "missing labels", "stale"])
+@pytest.mark.parametrize("kind", ["code out of range", "negative code", "labels not a list",
+                                  "labels not strings", "labels of raw bytes",
+                                  "NaN in a float column", "missing labels", "stale"])
 def test_bad_eval_sidecar_reads_as_the_csv_alone(tmp_path, eval_rows, kind, monkeypatch):
     rows = eval_rows[(eval_rows.data_id <= 20) | (eval_rows.category == NO_MATCH)]
     assert np.isnan(rows.value).any()
     path = tmp_path / "eval_long.csv"
     write_eval_rows(rows, path)
-    spoil_eval(csvio.sidecar_path(path), kind, path, rows)
+    spoil_eval(kind, path, rows)
     parse = mock.Mock(wraps=csvio._read_lines)
     monkeypatch.setattr(csvio, "_read_lines", parse)
     back = read_eval_rows(path)

@@ -15,6 +15,8 @@ from finedating.reftable import (
     match_ages,
 )
 
+from conftest import sidecar_parts, write_sidecar
+
 
 def same_columns(a: fd.RefTable, b: fd.RefTable) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a.columns(), b.columns()))
@@ -291,28 +293,31 @@ def restamped(text: str, edit) -> str:
 
 
 def spoil(sidecar, kind: str, path, other) -> None:
-    good = dict(np.load(sidecar))
+    head, columns = sidecar_parts(path)
     if kind == "missing":
         sidecar.unlink()
     elif kind == "truncated":
         sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
     elif kind == "garbage":
         sidecar.write_bytes(bytes(range(256)) * 16)
-    elif kind == "pickled":
-        np.savez(sidecar, **{**good, "cal_sigma": good["cal_sigma"].astype(object)})
+    elif kind == "pickled":  # a column of Python objects, which only a pickle restores
+        write_sidecar(path, head, {**columns, "cal_sigma": columns["cal_sigma"].astype(object)})
     elif kind == "wrong dtype":
-        np.savez(sidecar, **{**good, "age_bp": good["age_bp"].astype(np.float64)})
+        write_sidecar(path, head, {**columns, "age_bp": columns["age_bp"].astype(np.float64)})
     elif kind == "short column":
-        np.savez(sidecar, **{**good, "cal_mean": good["cal_mean"][:-1]})
+        write_sidecar(path, head, {**columns, "cal_mean": columns["cal_mean"][:-1]})
     elif kind == "foreign":
         csvio.sidecar_path(other).replace(sidecar)
     elif kind == "stale":  # the CSV changed under its sidecar, checksum and all
         path.write_text(restamped(path.read_text(), flip_last_digit))
-    else:  # columns that differ from the CSV's, and one key of the sidecar wrong
-        key, value = {"crc off by one": ("#crc", good["#crc"] ^ 1),
-                      "byte count off by one": ("#bytes", good["#bytes"] + 1),
-                      "extra member": ("extra", 0)}[kind]
-        np.savez(sidecar, **{**good, "cal_sigma": good["cal_sigma"] + 1, key: value})
+    else:  # columns that differ from the CSV's, and one entry of the sidecar wrong
+        columns["cal_sigma"] += 1
+        if kind == "extra member":
+            columns["extra"] = np.zeros(len(columns["cal_sigma"]))
+        else:
+            key = {"crc off by one": "crc", "byte count off by one": "bytes"}[kind]
+            head[key] += 1
+        write_sidecar(path, head, columns)
 
 
 @pytest.mark.parametrize("kind", ["missing", "truncated", "garbage", "pickled", "wrong dtype",
