@@ -12,20 +12,23 @@ one), and every CSV starts with a provenance comment block.  Outputs contain no
 timestamps: the same configuration and seed reproduce identical bytes.
 
 A ``--config`` file's entries become the defaults of the options they
-name, on the parser and every subcommand's, and argv is parsed again:
-an entry is typed and checked as its flag is (a malformed one exits 2
-with the flag's message), a flag given on the command line wins, and an
-entry that names no option of the command is ignored.  The commands
+name, on the parser and every subcommand's: an entry is typed and
+checked as its flag is (a malformed one exits 2 with the flag's
+message), a flag given on the command line wins, and an entry that
+names no option of the command is ignored.  The commands
 read their inputs through the library: this module parses flags, calls
 the pipeline and prints.
 
-Each subcommand is declared once, in ``COMMANDS``: its help line, the
-builder of its options and its handler.  A call builds the top-level
-parser with only the subcommand that argv names (:func:`build_parser`
-with that name); argv that names none, that may ask for help or the
-version, or that this parser refuses is parsed again by the whole
-parser, which prints every usage line, help text and error, so these
-are the same as with the whole parser alone.
+Each subcommand is declared once, in ``COMMANDS``: its help line, its
+options (flag, type, default and help line), its actions with theirs,
+and its handler.  A call reads argv straight from these declarations
+(:func:`_scan`) where it plainly fits them: the global options, a
+subcommand and its action, then that scope's exact flags as ``--flag
+value`` or ``--flag=value``.  Anything else (an abbreviation, help or
+the version, '--', a value the flag's type refuses, a missing or extra
+word) is parsed by the whole argparse parser (:func:`build_parser`,
+built from the same declarations), which prints every usage line, help
+text and error, so these are the same as with the whole parser alone.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 data.
 """
@@ -188,108 +191,40 @@ def _manifest(out_base: Path, subcommand: str, entries: dict,
     return prov, (path, lines)
 
 
-def _curve_options(p) -> None:
-    curve_sub = p.add_subparsers(dest="action")
-    info = curve_sub.add_parser("info", help="knot count, domain, interpolated values")
-    info.add_argument("file")
-    info.add_argument("--at", default=None, help="comma-separated calendar dates")
+# The options of the top-level parser, as COMMANDS declares each scope's.
+GLOBAL_OPTIONS = {
+    "--seed": (int, 0, "global RNG seed"),
+    "--config": (str, None, "flat key = value config file"),
+}
 
 
-def _ref_gen_options(p) -> None:
-    p.add_argument("--curve", default=None)
-    p.add_argument("--label", default=None, help="table name, e.g. 5_20_5")
-    p.add_argument("--step", type=int, default=None, help="grid step in years")
-    p.add_argument("--per-slice", type=int, default=None, help="measurements per time step")
-    p.add_argument("--sd", type=float, default=None)
-    p.add_argument("--span", default=None, help="OLD:YOUNG, e.g. -300:20")
-    p.add_argument("--combo", default=None, help="comma-separated component labels")
-    p.add_argument("--out", default=None)
-
-
-def _simulate_options(p) -> None:
-    sim_sub = p.add_subparsers(dest="action")
-    tests = sim_sub.add_parser("tests", help="simulate clustered test datasets")
-    tests.add_argument("--curve", default=None)
-    tests.add_argument("--dates", default=None, help="START:END:STEP")
-    tests.add_argument("--per-date", type=int, default=None)
-    tests.add_argument("--group", type=int, default=3, help="measurements per dataset")
-    tests.add_argument("--sd", type=float, default=None)
-    tests.add_argument("--out", default=None)
-    conv = sim_sub.add_parser("convert", help="cluster an exported simulation CSV")
-    conv.add_argument("--in", default=None)
-    conv.add_argument("--group", type=int, default=3)
-    conv.add_argument("--out", default=None)
-
-
-def _finedate_options(p) -> None:
-    p.add_argument("--ref", default=None, help="reference table CSV")
-    p.add_argument("--ages", default=None, help="comma-separated integer ages BP")
-    p.add_argument("--sd", default=None, help="shared sd, or comma-separated per age")
-    p.add_argument("--ages-file", default=None, help="CSV with age,sd columns")
-    p.add_argument("--out", default=None, help="report path prefix")
-
-
-def _evaluate_options(p) -> None:
-    p.add_argument("--ref", default=None)
-    p.add_argument("--tests", default=None)
-    p.add_argument("--curve", default=None, help="curve file, sharpens the buffer warning")
-    p.add_argument("--out", default=None, help="output directory")
-
-
-def _lookup_options(p) -> None:
-    lk_sub = p.add_subparsers(dest="action")
-    build = lk_sub.add_parser("build")
-    build.add_argument("--eval", default=None)
-    build.add_argument("--bucket-width", type=float, default=5.0)
-    build.add_argument("--out", default=None)
-    query = lk_sub.add_parser("query")
-    query.add_argument("--table", default=None)
-    query.add_argument("--indicator", default=None)
-    query.add_argument("--value", type=float, default=None)
-
-
-def _hist_options(p) -> None:
-    p.add_argument("--in", default=None)
-    p.add_argument("--col", default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-
-def _scatter_options(p) -> None:
-    p.add_argument("--in", default=None)
-    p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--out", default=None)
-
-
-class _Refused(Exception):
-    """argv that a one-command parser does not accept."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    """Raises where the full parser would print an error and exit; its
-    subparsers inherit the class."""
-
-    def error(self, message):
-        raise _Refused(message)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The whole parser; with ``command``, the top-level parser with only
-    that subcommand's parser (its actions included), which raises
-    :class:`_Refused` instead of printing an error."""
-    parser = (_OneCommandParser if command else argparse.ArgumentParser)(
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The whole parser, built from ``GLOBAL_OPTIONS`` and ``COMMANDS``;
+    each ``config`` entry is the default of the option it names
+    (``per-slice`` of ``--per-slice``), which argparse converts with the
+    option's type when the flag is not given."""
+    parser = argparse.ArgumentParser(
         prog="finedating",
         description="Simulation-based radiocarbon fine-dating pipeline.",
     )
     parser.add_argument("--version", action="version", version=f"finedating {__version__}")
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    parser.add_argument("--config", default=None, help="flat key = value config file")
-    sub = parser.add_subparsers(dest="subcommand")
-    for name, (help_text, add_options, _) in COMMANDS.items():
-        if command in (None, name):
-            add_options(sub.add_parser(name, help=help_text))
+    _add_scope(parser, GLOBAL_OPTIONS, COMMANDS, "subcommand", config or {})
     return parser
+
+
+def _add_scope(parser, options: dict, actions: dict, dest: str, config: dict) -> None:
+    """Add ``options`` to ``parser``, and each of ``actions`` as a
+    subparser named in ``dest``."""
+    for name, (kind, default, help_text) in options.items():
+        if name.startswith("--"):
+            default = config.get(name[2:], default)
+        parser.add_argument(name, type=kind, default=default, help=help_text)
+    if actions:
+        sub = parser.add_subparsers(dest=dest)
+        for word, (help_text, sub_options, sub_actions, *_) in actions.items():
+            # a help line given as None would still list the action
+            _add_scope(sub.add_parser(word, **({"help": help_text} if help_text else {})),
+                       sub_options, sub_actions, "action", config)
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -315,53 +250,69 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
-def _config_defaults(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Make each ``config`` entry the default of the option it names
-    (``per-slice`` of ``--per-slice``) on ``parser`` and every subparser
-    under it; argparse then converts it with the option's ``type`` when
-    the flag is not given.  Entries that name no option are ignored."""
-    defaults = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for subparser in action.choices.values():
-                _config_defaults(subparser, config)
-        elif action.option_strings and action.nargs != 0:
-            key = action.option_strings[-1].removeprefix("--")
-            if key in config:
-                defaults[action.dest] = config[key]
-    parser.set_defaults(**defaults)
-
-
-def _command_word(argv: list[str]) -> str | None:
-    """The subcommand to build a one-command parser for: the first token
-    of ``argv`` that is neither an option nor the value of one given
-    without '=', if it names a subcommand; None where a token may ask for
-    help or the version, which only the full parser prints."""
-    if any(token.startswith("-h") or len(token) > 2 and (
-            "--help".startswith(token) or "--version".startswith(token)) for token in argv):
-        return None
+def _scan(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the whole parser gives ``argv``, a ``--config``
+    file's entries as defaults, read straight from ``GLOBAL_OPTIONS`` and
+    ``COMMANDS``; None where argv is not plainly accepted, before the
+    config file is opened.  It accepts the global options, a subcommand
+    and its action, then only that scope's exact flags, each as ``--flag
+    value`` or ``--flag=value`` and converted by its type as given, and
+    its positionals; anything else (an abbreviation, help or the version,
+    '--', a detached value starting with '-', a failed conversion, a
+    missing or extra word) is left to the whole parser."""
+    scopes, words, given = [(GLOBAL_OPTIONS, COMMANDS)], [], {}
     tokens = iter(argv)
     for token in tokens:
-        if not token.startswith("-"):
-            return token if token in COMMANDS else None
-        if "=" not in token:
-            next(tokens, None)
-    return None
+        options, actions = scopes[-1]
+        name, eq, value = token.partition("=")
+        if token.startswith("--") and name in options:
+            if not eq:
+                value = next(tokens, "-")
+            # a detached value starting with '-' is missing, or argparse may read it as a flag
+            if value == "--" or not eq and value.startswith("-"):
+                return None
+        elif token.startswith("-") or actions and token not in actions:
+            return None
+        elif actions:
+            words.append(token)
+            scopes.append(actions[token][1:3])
+            continue
+        else:  # the first positional not yet given
+            name, value = next((key for key in options if key[0] != "-" and key not in given),
+                               None), token
+            if name is None:
+                return None
+        try:
+            given[name] = options[name][0](value)
+        except (TypeError, ValueError):
+            return None
+    options, actions = scopes[-1]
+    if actions or any(name[0] != "-" and name not in given for name in options):
+        return None
+    config = load_config(given["--config"]) if given.get("--config") else {}
+    values = {}
+    for depth, (options, actions) in enumerate(scopes):
+        for name, (kind, default, _) in options.items():
+            key = name.removeprefix("--")
+            if name not in given and name.startswith("--") and key in config:
+                try:
+                    given[name] = kind(config[key])
+                except (TypeError, ValueError):
+                    return None
+            values[key.replace("-", "_")] = given.get(name, default)
+        if actions:
+            values[("subcommand", "action")[depth]] = words[depth]
+    return argparse.Namespace(**values)
 
 
-def _parse(argv: list[str], command: str | None = None) -> argparse.Namespace:
-    """``argv`` parsed by the parser of ``command`` (the whole parser for
-    None), a ``--config`` file's entries as defaults.  Where the
-    one-command parser refuses ``argv``, the whole parser parses it again
-    and prints what it rejects."""
-    parser = build_parser(command)
-    try:
-        args = parser.parse_args(argv)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` read by :func:`_scan`, or else parsed by the whole parser,
+    which prints every usage line, help text and error."""
+    args = _scan(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
         if args.config:
-            _config_defaults(parser, load_config(args.config))
-            args = parser.parse_args(argv)
-    except _Refused:
-        return _parse(argv)
+            args = build_parser(load_config(args.config)).parse_args(argv)
     return args
 
 
@@ -369,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     argv = _merge_negative_values(argv)
     try:
-        args = _parse(argv, _command_word(argv))
+        args = _parse(argv)
         if any(isinstance(value, list) for value in vars(args).values()):
             # argparse drops an attached value of '--' (as in --sd=--) and keeps []
             raise CliError(EXIT_USAGE, "usage: '--' is not an option value")
@@ -378,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         if args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        return COMMANDS[args.subcommand][2](args)
+        return COMMANDS[args.subcommand][3](args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except CliError as exc:
@@ -649,16 +600,62 @@ def _cmd_scatter(args) -> int:
     return 0
 
 
-# Each subcommand: its help line, the builder of its options and its handler.
+# Each subcommand: its help line, its options, its actions and its handler.
+# An option maps its flag, or a positional's name, to its type, default and
+# help line; an action has a help line (or None), its options and no
+# actions of its own.
+_TEXT = (str, None, None)  # a string option without a help line
 COMMANDS = {
-    "curve": ("inspect a calibration curve file", _curve_options, _cmd_curve),
-    "ref-gen": ("build a reference table", _ref_gen_options, _cmd_ref_gen),
-    "simulate": ("generate or convert test datasets", _simulate_options, _cmd_simulate),
-    "finedate": ("match measured ages and write the report", _finedate_options, _cmd_finedate),
-    "evaluate": ("score a test series against a table", _evaluate_options, _cmd_evaluate),
-    "lookup": ("indicator-quality lookup table", _lookup_options, _cmd_lookup),
-    "hist": ("histogram data from a CSV column or indicator", _hist_options, _cmd_hist),
-    "scatter": ("x/y data from CSV columns or indicators", _scatter_options, _cmd_scatter),
+    "curve": ("inspect a calibration curve file", {}, {
+        "info": ("knot count, domain, interpolated values",
+                 {"file": _TEXT, "--at": (str, None, "comma-separated calendar dates")}, {}),
+    }, _cmd_curve),
+    "ref-gen": ("build a reference table", {
+        "--curve": _TEXT,
+        "--label": (str, None, "table name, e.g. 5_20_5"),
+        "--step": (int, None, "grid step in years"),
+        "--per-slice": (int, None, "measurements per time step"),
+        "--sd": (float, None, None),
+        "--span": (str, None, "OLD:YOUNG, e.g. -300:20"),
+        "--combo": (str, None, "comma-separated component labels"),
+        "--out": _TEXT,
+    }, {}, _cmd_ref_gen),
+    "simulate": ("generate or convert test datasets", {}, {
+        "tests": ("simulate clustered test datasets", {
+            "--curve": _TEXT,
+            "--dates": (str, None, "START:END:STEP"),
+            "--per-date": (int, None, None),
+            "--group": (int, 3, "measurements per dataset"),
+            "--sd": (float, None, None),
+            "--out": _TEXT,
+        }, {}),
+        "convert": ("cluster an exported simulation CSV",
+                    {"--in": _TEXT, "--group": (int, 3, None), "--out": _TEXT}, {}),
+    }, _cmd_simulate),
+    "finedate": ("match measured ages and write the report", {
+        "--ref": (str, None, "reference table CSV"),
+        "--ages": (str, None, "comma-separated integer ages BP"),
+        "--sd": (str, None, "shared sd, or comma-separated per age"),
+        "--ages-file": (str, None, "CSV with age,sd columns"),
+        "--out": (str, None, "report path prefix"),
+    }, {}, _cmd_finedate),
+    "evaluate": ("score a test series against a table", {
+        "--ref": _TEXT,
+        "--tests": _TEXT,
+        "--curve": (str, None, "curve file, sharpens the buffer warning"),
+        "--out": (str, None, "output directory"),
+    }, {}, _cmd_evaluate),
+    "lookup": ("indicator-quality lookup table", {}, {
+        "build": (None, {"--eval": _TEXT, "--bucket-width": (float, 5.0, None), "--out": _TEXT},
+                  {}),
+        "query": (None, {"--table": _TEXT, "--indicator": _TEXT, "--value": (float, None, None)},
+                  {}),
+    }, _cmd_lookup),
+    "hist": ("histogram data from a CSV column or indicator",
+             {"--in": _TEXT, "--col": _TEXT, "--bins": (int, None, None), "--out": _TEXT}, {},
+             _cmd_hist),
+    "scatter": ("x/y data from CSV columns or indicators",
+                {"--in": _TEXT, "--x": _TEXT, "--y": _TEXT, "--out": _TEXT}, {}, _cmd_scatter),
 }
 
 

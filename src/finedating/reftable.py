@@ -210,8 +210,14 @@ def write_table(table: RefTable, path, extra_header: dict | None = None,
     ``texts`` are written with it (:func:`csvio.write_artifacts`).  A
     table whose records :func:`read_table` would refuse (their count,
     ids, dates, or a value that is not finite) is refused with the
-    reader's message before any file is opened."""
+    reader's message before any file is opened, as is a label the header
+    cannot hold: a line break, or a comma in a spec label."""
     _validate_table(table, path)
+    labels = [*(("spec", s.label, ",\r\n") for s in table.specs), ("table", table.label, "\r\n")]
+    for kind, label, refused in labels:
+        if any(char in label for char in refused):
+            raise ValueError(f"{kind} label {label!r} cannot be written to {path}: "
+                             f"it holds one of {refused!r}")
     header = {
         "format": "finedating-reftable",
         "label": table.label,

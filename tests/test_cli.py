@@ -193,6 +193,33 @@ def test_ref_gen_missing_required_option(curve_file, tmp_path):
     assert run("ref-gen", "--curve", curve_file) == 2
 
 
+SPEC = ["--step", "5", "--per-slice", "2", "--sd", "20", "--span=-300:0"]
+
+
+@pytest.mark.parametrize("label_argv, message", [
+    (["--label", "a,b", *SPEC], "spec label 'a,b'"),
+    (["--label", "a\rb", *SPEC], "spec label 'a\\rb'"),
+    (["--label", "a\nb", *SPEC], "spec label 'a\\nb'"),
+    (["--combo", "5_20_5", "--label", "a\nb"], "table label 'a\\nb'"),
+    (["--combo", "5_20_5", "--label", "a\rb"], "table label 'a\\rb'"),
+], ids=["spec comma", "spec cr", "spec lf", "table lf", "table cr"])
+def test_ref_gen_refuses_a_label_the_reader_would_refuse(curve_file, tmp_path, capsys,
+                                                         label_argv, message):
+    out = tmp_path / "out" / "ref.csv"
+    out.parent.mkdir()
+    assert run("ref-gen", "--curve", curve_file, *label_argv, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {message} cannot be written to {out}"), err
+    assert list(out.parent.iterdir()) == []
+
+
+def test_ref_gen_combo_label_with_a_comma_reads_back(curve_file, tmp_path):
+    out = tmp_path / "combo.csv"
+    assert run("ref-gen", "--curve", curve_file, "--combo", "5_20_5", "--label", "a,b",
+               "--out", out) == 0
+    assert fd.read_table(out).label == "a,b"
+
+
 @pytest.fixture(scope="module")
 def pipeline(curve_file, tmp_path_factory):
     """ref table + tests + evaluation directory, built once via the CLI."""
@@ -339,6 +366,17 @@ def test_lookup_build_rejects_too_many_buckets(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bucket width 1e-06 gives " in err and "more than the 1000000 allowed" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_lookup_build_bounds_the_length_of_its_bucket_count(pipeline, tmp_path, capsys):
+    # the count of a width of 1e-300 is about 1e+302 buckets, printed as such
+    out = tmp_path / "lookup.csv"
+    assert run("lookup", "build", "--eval", pipeline / "eval" / "eval_long.csv",
+               "--bucket-width", "1e-300", "--out", out) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: data: bucket width 1e-300 gives \S+e\+30\d buckets, "
+                        r"more than the 1000000 allowed\n", err), err
+    assert len(err) < 120 and list(tmp_path.iterdir()) == []
 
 
 def test_lookup_query_outside_range(pipeline, capsys):
@@ -1513,6 +1551,10 @@ PARSER_EDGE_CASES = {
     "config after the subcommand": ([*REF_GEN, "--config", "{cfg}"], "seed = 3\n"),
     "extra positional": ([*REF_GEN, "extra"], None),
     "missing positional": (["curve", "info"], None),
+    "missing positional, a missing config file": (["--config", "{base}/none.cfg", "curve", "info"],
+                                                  None),
+    "malformed value, a missing config file": (["--config", "{base}/none.cfg", *REF_GEN,
+                                                "--step", "x"], None),
     "no action": (["lookup"], None),
     "unknown action": (["simulate", "delete"], None),
     "option of another subcommand": ([*REF_GEN, "--ages", "1"], None),
@@ -1545,7 +1587,7 @@ def through_parser(argv_template, config, inputs, base):
         paths["cfg"].write_text(config.format(**paths))
     argv = [str(word).format(**paths) for word in argv_template]
     got = []
-    for call in (lambda: vars(cli._parse(argv, cli._command_word(argv))), lambda: main(argv)):
+    for call in (lambda: vars(cli._parse(argv)), lambda: main(argv)):
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
@@ -1562,24 +1604,147 @@ def through_parser(argv_template, config, inputs, base):
                                           for name, argv, config in parser_corpus()])
 def test_one_command_parser_gives_what_the_whole_parser_gives(config_inputs, tmp_path, argv,
                                                               config):
-    # the merge of negative values runs before either parser
+    # the merge of negative values runs before either the scan or the parser
     template = cli._merge_negative_values(argv)
-    one = through_parser(template, config, config_inputs, tmp_path / "one")
-    with mock.patch.object(cli, "_command_word", return_value=None):  # the whole parser only
+    scanned = through_parser(template, config, config_inputs, tmp_path / "scanned")
+    with mock.patch.object(cli, "_scan", return_value=None):  # the whole parser only
         whole = through_parser(template, config, config_inputs, tmp_path / "whole")
-    assert one == whole
+    assert scanned == whole
 
 
 @pytest.mark.parametrize("case", list(CONFIG_CASES))
 def test_one_command_parser_holds_its_subcommand_and_accepts_its_flags(config_inputs, tmp_path,
                                                                        case):
-    words, options = CONFIG_CASES[case]
-    paths = {**config_inputs, "out": tmp_path}
-    argv = cli._merge_negative_values([word.format(**paths)
-                                       for word in case_argv(case, options)])
-    command = cli._command_word(argv)
-    assert command == words[0]
-    # the global options, and every option of the subcommand, its actions' included
-    assert sorted(parser_options(build_parser(command))) == sorted(
-        option for option in parser_options(build_parser()) if option[0][:1] in ((), (command,)))
-    assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    # the scan reads each case without the parser, with every option as a
+    # flag and with each in turn as a config entry
+    _, options = CONFIG_CASES[case]
+    paths = {**config_inputs, "out": tmp_path, "cfg": tmp_path / "run.cfg"}
+    variants = [(options, {})] + [({key: v for key, v in options.items() if key != option},
+                                   {option: value}) for option, value in options.items()]
+    for flags, config in variants:
+        argv = (["--config", "{cfg}"] if config else []) + case_argv(case, flags)
+        argv = cli._merge_negative_values([str(word).format(**paths) for word in argv])
+        paths["cfg"].write_text("".join(f"{key[2:]} = {value.format(**paths)}\n"
+                                        for key, value in config.items()))
+        expected = build_parser().parse_args(argv)
+        if config:
+            expected = build_parser(cli.load_config(paths["cfg"])).parse_args(argv)
+        with mock.patch.object(cli, "build_parser", side_effect=AssertionError("fell back")):
+            assert repr(vars(cli._parse(argv))) == repr(vars(expected)), (flags, config)
+
+
+def declared_scopes():
+    """The options of the top-level parser, each subcommand and each action."""
+    yield cli.GLOBAL_OPTIONS
+    for _, options, actions, _ in cli.COMMANDS.values():
+        yield options
+        for _, action_options, _ in actions.values():
+            yield action_options
+
+
+SCAN_FLAGS = sorted({name for scope in declared_scopes() for name in scope if name[0] == "-"})
+SCAN_WORDS = [*cli.COMMANDS, *(word for _, _, actions, _ in cli.COMMANDS.values()
+                               for word in actions)]
+# values: numbers, negative numbers, a word, the empty string, '--' and the
+# config file, written as {cfg}
+SCAN_VALUES = st.sampled_from(["3", "1.5", "0", "-1", "-2.5", "x", "", "--", "{cfg}"])
+SCAN_TOKENS = st.one_of(
+    st.sampled_from([*SCAN_WORDS, *SCAN_FLAGS, "-h", "--help", "--version", "--"]),
+    SCAN_VALUES,
+    st.sampled_from(SCAN_FLAGS).flatmap(lambda flag: st.integers(2, len(flag) - 1).map(
+        lambda k: flag[:k])),  # a prefix of a flag
+)
+
+
+def flag_with_value(flags):
+    """A flag with a value, detached or joined to it by '='."""
+    return st.tuples(st.sampled_from(flags), SCAN_VALUES, st.booleans()).map(
+        lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+
+
+@st.composite
+def scanned_calls(draw):
+    """(argv template, config text or None): global options, a subcommand
+    and its action, then that scope's options, with tokens of the whole
+    alphabet mixed in and some tokens left out."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, options, actions, _ = cli.COMMANDS[command]
+    words = [command]
+    if actions:
+        action = draw(st.sampled_from(list(actions)))
+        words.append(action)
+        options = actions[action][1]
+    flags = [name for name in options if name[0] == "-"]
+    positionals = [[draw(st.sampled_from(["x", "{cfg}"]))] for name in options if name[0] != "-"]
+    stray = draw(st.booleans())
+    tokens = SCAN_TOKENS.map(lambda token: [token]) if stray else st.nothing()
+    head = draw(st.lists(flag_with_value(["--seed"]) | st.just(["--config", "{cfg}"]) | tokens,
+                         max_size=2))
+    tail = draw(st.lists(flag_with_value(flags) | tokens, max_size=5))
+    argv = [token for chunk in [*head, words, *positionals, *tail] for token in chunk]
+    if stray:
+        argv = [token for token in argv if draw(st.integers(0, 9))]
+    # config entries, mostly of the flags this argv may give; None for no file
+    entries = st.tuples(st.sampled_from(["--seed", *flags]) | st.sampled_from(SCAN_FLAGS),
+                        SCAN_VALUES.filter(lambda v: v != "{cfg}"))
+    config = draw(st.none() | st.lists(entries, max_size=3).map(
+        lambda items: "".join(f"{flag[2:]} = {value}\n" for flag, value in items)))
+    if config is not None and draw(st.booleans()):
+        argv = ["--config", "{cfg}", *argv]
+    return argv, config
+
+
+def captured(call):
+    """What ``call`` returns (or the exit code of a parse that stops, or a
+    config file's error) with what it printed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except (OSError, ValueError) as exc:
+            result = (type(exc).__name__, str(exc))
+    return repr((result, stdout.getvalue(), stderr.getvalue()))
+
+
+@pytest.fixture(scope="module")
+def scan_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scan")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(call=scanned_calls())
+def test_scan_accepts_only_what_the_whole_parser_reads_alike(scan_dir, call):
+    # run in a directory of no inputs, so that no command gets to write
+    template, config = call
+    cfg = scan_dir / "run.cfg"
+    cfg.unlink(missing_ok=True)
+    if config is not None:
+        cfg.write_text(config)
+    argv = cli._merge_negative_values([token.replace("{cfg}", str(cfg)) for token in template])
+    cwd = os.getcwd()
+    os.chdir(scan_dir)
+    try:
+        scanned = captured(lambda: (lambda args: args and vars(args))(cli._scan(argv)))
+        main_scanned = captured(lambda: main(argv))
+        with mock.patch.object(cli, "_scan", return_value=None):  # the whole parser only
+            whole = captured(lambda: vars(cli._parse(argv)))
+            main_whole = captured(lambda: main(argv))
+    finally:
+        os.chdir(cwd)
+    assert scanned == repr((None, "", "")) or scanned == whole
+    assert main_scanned == main_whole
+
+
+def test_object_dating_request_builds_no_parser(config_inputs, tmp_path):
+    # the two calls of one request of the benchmark's object-dating workload
+    prefix = tmp_path / "r0"
+    with mock.patch.object(argparse.ArgumentParser, "__init__",
+                           side_effect=AssertionError("an argparse parser was built")):
+        assert run("--seed", 7, "finedate", "--ref", config_inputs["ref"], "--ages", "2087,2097",
+                   "--sd", "20", "--out", prefix) == 0
+        summary = csvio.read_commented_csv(f"{prefix}_summary.csv").body
+        (value,) = [row[1] for row in summary if row[0] == "CalDate_Median"]
+        assert run("--seed", 7, "lookup", "query", "--table", config_inputs["lookup"],
+                   "--indicator", "CalDate_Median", f"--value={value}") == 0

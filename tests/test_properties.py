@@ -712,7 +712,7 @@ def string_build_lookup(rows, bucket_width=5.0):
     index = _bucket_floor(usable.value, bucket_width)
     first, last = index.min(), index.max()
     if last - first >= MAX_BUCKETS:
-        raise ValueError(f"bucket width {bucket_width:g} gives {last - first + 1:.0f} buckets, "
+        raise ValueError(f"bucket width {bucket_width:g} gives {last - first + 1:.15g} buckets, "
                          f"more than the {MAX_BUCKETS} allowed")
     if max(-first, last) >= 2.0**53:
         raise ValueError(f"bucket width {bucket_width:g} is too fine for the value "
