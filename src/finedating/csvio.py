@@ -10,18 +10,23 @@ An artifact is a UTF-8 text file of ``\\n``-terminated lines, in order:
 4. the data rows, cells joined by ``,`` without quoting (no cell holds a
    comma).
 
-Every cell, header value included, is formatted by :func:`fmt`: ``None``
+Every cell, header value included, is :func:`fmt` of its value: ``None``
 and NaN are blank, booleans are ``true``/``false``, integral floats below
 1e15 drop the point, infinities are ``inf``/``-inf``, and other floats use
 the shortest repr that round trips.  numpy scalars format as the Python
 values they hold.  Nothing depends on time or locale, so the same seed
-rebuilds byte-identical files.
+rebuilds byte-identical files.  A header value or extra cell that the
+reader would not read back as written, one holding ``\\r`` or ``\\n`` or
+with leading or trailing whitespace, is refused, as is a text line (a
+manifest's) holding a line break.
 
 Artifacts are written in lockstep (:func:`write_artifacts`): step i
 formats rows ``i * 4096`` to ``(i + 1) * 4096`` (``_CHUNK``) of every
 artifact of the call.  Within a step, the numeric and bool columns of
-one dtype, across all the artifacts, share one ``np.unique``, and
-``fmt`` runs once per distinct value.  A column of ``str`` cells is
+one dtype, across all the artifacts, share one ``np.unique``, and its
+distinct values are formatted in one pass per kind of number
+(:func:`_format_numbers`, which gives what ``fmt`` gives; ``fmt`` runs
+once per distinct value of a bool column).  A column of ``str`` cells is
 written from one form, :class:`Labels`: integer codes into its distinct
 names, given so by the caller (``evaluate``'s ``indicator`` and
 ``category``) or built once per call from an object column; a step
@@ -225,8 +230,10 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
     equal length; ``extra`` maps a key to the cell tuples of its repeated
     ``# key=`` lines, or is None.  A ``checksum`` key in ``header`` is
     written, at its place, as the crc32 of the data lines, whatever value
-    it holds.  Every artifact's columns are checked before any file is
-    opened.  Chunk i of every artifact is formatted in one step and
+    it holds.  Every artifact's columns, header values and extra cells,
+    and every text line, are checked before any file is opened
+    (:func:`_head_cells`; a text line holding ``\\r`` or ``\\n`` is
+    refused).  Chunk i of every artifact is formatted in one step and
     encoded once as UTF-8 (:func:`_format_steps`, which has a large call's
     odd steps formatted by a forked child, to the same bytes); only a
     checksummed artifact holds its encoded chunks until its header is
@@ -247,6 +254,12 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
     artifacts.  The moves are one ``os.replace`` per file, so a move that
     fails after the first leaves the earlier files new and the rest old.
     """
+    heads = [_head_cells(path, header, extra) for path, header, _, extra in artifacts]
+    for path, lines in texts:
+        for line in lines:
+            if "\r" in line or "\n" in line:
+                raise ValueError(f"line {line!r} cannot be written to {path}: "
+                                 "it holds a line break")
     tables = [_table(columns.values()) for _, _, columns, _ in artifacts]
     held = [[] if "checksum" in header else None for _, header, _, _ in artifacts]
     sidecars = [_sidecar_labels(columns, table) if header.get("format") in SIDECAR_FORMATS
@@ -264,9 +277,9 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
             for line in lines:
                 fh.write(line.encode("utf-8"))
                 fh.write(b"\n")
-        for fh, hold, (_, header, columns, extra) in zip(files, held, artifacts):
+        for fh, hold, head, (_, _, columns, _) in zip(files, held, heads, artifacts):
             if hold is None:
-                fh.write(_head(header, columns, extra).encode("utf-8"))
+                fh.write(_head(*head, columns))
         with closing(_format_steps(tables)) as steps:
             for chunks in steps:
                 for fh, hold, total, data in zip(files, held, sums, chunks):
@@ -281,10 +294,10 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
                         fh.write(b"\n")
                     else:
                         hold.append(data)
-        for fh, hold, total, labels, table, (_, header, columns, extra) in zip(
-                files, held, sums, sidecars, tables, artifacts):
+        for fh, hold, total, labels, table, (cells, lines), (_, _, columns, _) in zip(
+                files, held, sums, sidecars, tables, heads, artifacts):
             if hold is not None:
-                fh.write(_head({**header, "checksum": total[0]}, columns, extra).encode("utf-8"))
+                fh.write(_head({**cells, "checksum": fmt(total[0])}, lines, columns))
                 for data in hold:
                     fh.write(data)
                     fh.write(b"\n")
@@ -296,12 +309,32 @@ def write_artifacts(artifacts: list[tuple], texts: list[tuple] = ()) -> None:
             sidecar_path(path).unlink(missing_ok=True)
 
 
-def _head(header: dict, columns: dict, extra: dict | None) -> str:
-    lines = [f"# {key}={fmt(val)}" for key, val in header.items()]
-    for key, entries in (extra or {}).items():
-        lines.extend(f"# {key}=" + ",".join(map(fmt, cells)) for cells in entries)
-    lines.append(",".join(columns))
-    return "".join(line + "\n" for line in lines)
+def _head_cells(path, header: dict, extra: dict | None) -> tuple[dict[str, str], list[str]]:
+    """Each header value (but ``checksum``'s, which is known only once the
+    data lines are) and the extra ``# key=cell,...`` lines, each value and
+    cell formatted by :func:`fmt` once.  A value or cell that the reader
+    would not read back as written is refused, naming its key and the
+    file: one holding ``\\r`` or ``\\n``, which the reader takes for a line
+    break, or with leading or trailing whitespace, which it strips."""
+
+    def cell(key, value) -> str:
+        text = fmt(value)
+        if "\r" in text or "\n" in text:
+            raise ValueError(f"{key} {text!r} cannot be written to {path}: it holds a line break")
+        if text != text.strip():
+            raise ValueError(f"{key} {text!r} cannot be written to {path}: "
+                             "it has leading or trailing whitespace")
+        return text
+
+    cells = {key: "" if key == "checksum" else cell(key, value) for key, value in header.items()}
+    lines = [f"# {key}=" + ",".join(cell(key, value) for value in entry)
+             for key, entries in (extra or {}).items() for entry in entries]
+    return cells, lines
+
+
+def _head(cells: dict[str, str], lines: list[str], columns: dict) -> bytes:
+    head = [f"# {key}={text}" for key, text in cells.items()] + lines + [",".join(columns)]
+    return "".join(line + "\n" for line in head).encode("utf-8")
 
 
 def sidecar_path(path) -> Path:
@@ -575,12 +608,8 @@ def _format_step(tables: list[list[np.ndarray]], start: int) -> list[str | None]
 
     Each cell is :func:`fmt` of its value.  A :class:`Labels` column is
     its names gathered by code: they are ``str``, which ``fmt`` returns as
-    they are.  The numeric and bool columns of one dtype, across all
-    tables, share one ``np.unique``: ``fmt`` runs once per distinct value
-    (NaNs are one value, as are -0.0 and 0.0, and ``fmt`` writes each
-    alike) and the strings are gathered.  The other object columns run
-    ``fmt`` once per distinct cell, keyed by type and value, so that
-    ``True``, ``1`` and ``1.0`` each keep their own string.
+    they are.  The other columns are formatted by dtype
+    (:func:`_format_group`).
     """
     chunks = [[c[start : start + _CHUNK] for c in table] if table and start < len(table[0])
               else None for table in tables]
@@ -600,15 +629,42 @@ def _format_step(tables: list[list[np.ndarray]], start: int) -> list[str | None]
 
 
 def _format_group(dtype: np.dtype, columns: list[np.ndarray]) -> list[list[str]]:
+    """The cells of each of the columns of one dtype in a step.  Numeric
+    and bool columns share one ``np.unique``: its sorted distinct values
+    are formatted in one pass per kind (:func:`_format_numbers`; NaNs are
+    one value, as are -0.0 and 0.0, each written alike) and the strings
+    are gathered.  Object columns run ``fmt`` once per distinct cell,
+    keyed by type and value, so that ``True``, ``1`` and ``1.0`` each keep
+    their own string."""
     if dtype == object:
         # True == 1 == 1.0 and they hash alike, but each formats its own way
         keys = [list(zip(map(type, cells), cells)) for cells in map(np.ndarray.tolist, columns)]
         memo = {key: fmt(key[1]) for key in dict.fromkeys(chain.from_iterable(keys))}
         return [list(map(memo.__getitem__, column_keys)) for column_keys in keys]
     values, inverse = np.unique(np.concatenate(columns), return_inverse=True)
-    strings = np.array(list(map(fmt, values.tolist())), dtype=object)[inverse]
+    strings = _format_numbers(values)[inverse]
     ends = np.cumsum([len(column) for column in columns]).tolist()
     return [strings[end - len(column) : end].tolist() for column, end in zip(columns, ends)]
+
+
+def _format_numbers(values: np.ndarray) -> np.ndarray:
+    """:func:`fmt` of each of ``values``, a 1-D numeric array, as an
+    object array of ``str``, a pass per kind of cell: an integer dtype is
+    ``str`` of each value; float64 is blank for NaN, ``str`` of the int64
+    of an integral value below 1e15 in size (-0.0 is ``0``) and ``repr``
+    of the rest, infinities included.  Any other dtype, such as bool, is
+    ``fmt`` of each value."""
+    if values.dtype.kind in "iu":
+        return np.fromiter(map(str, values.tolist()), object, values.size)
+    if values.dtype != np.float64:
+        return np.fromiter(map(fmt, values.tolist()), object, values.size)
+    strings = np.full(values.size, "", dtype=object)
+    integral = (np.abs(values) < 1e15) & (values == np.trunc(values))  # NaN is neither
+    rest = ~integral & ~np.isnan(values)
+    ints = values[integral].astype(np.int64)
+    strings[integral] = np.fromiter(map(str, ints.tolist()), object, ints.size)
+    strings[rest] = np.fromiter(map(repr, values[rest].tolist()), object, np.count_nonzero(rest))
+    return strings
 
 
 class Artifact(NamedTuple):

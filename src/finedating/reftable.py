@@ -211,7 +211,10 @@ def write_table(table: RefTable, path, extra_header: dict | None = None,
     table whose records :func:`read_table` would refuse (their count,
     ids, dates, or a value that is not finite) is refused with the
     reader's message before any file is opened, as is a label the header
-    cannot hold: a line break, or a comma in a spec label."""
+    cannot hold: a line break, or a comma in a spec label.  The writer
+    refuses any other header value or spec cell that the reader would
+    strip or split, such as a label with leading or trailing whitespace
+    or a curve name with a line break."""
     _validate_table(table, path)
     labels = [*(("spec", s.label, ",\r\n") for s in table.specs), ("table", table.label, "\r\n")]
     for kind, label, refused in labels:

@@ -220,6 +220,83 @@ def test_ref_gen_combo_label_with_a_comma_reads_back(curve_file, tmp_path):
     assert fd.read_table(out).label == "a,b"
 
 
+TS = ["--dates=-160:-120:10", "--per-date", "4", "--group", "3", "--sd", "20"]
+
+
+@pytest.mark.parametrize("command", [["ref-gen", "--label", "5_20_5"], ["simulate", "tests", *TS]],
+                         ids=["ref-gen", "simulate tests"])
+@pytest.mark.parametrize("name, message", [
+    ("cu\nrve.14c", "it holds a line break"),
+    ("cu\rrve.14c", "it holds a line break"),
+    (" curve.14c", "it has leading or trailing whitespace"),
+], ids=["lf", "cr", "space"])
+def test_a_curve_name_the_header_cannot_hold_is_refused(curve_file, tmp_path, capsys, command,
+                                                         name, message):
+    # the name goes into the header and the manifest, which the reader
+    # would split at the break or strip
+    curve = tmp_path / name
+    shutil.copy(curve_file, curve)
+    out = tmp_path / "out" / "c1.csv"
+    out.parent.mkdir()
+    assert run(*command, "--curve", curve, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: curve {name!r} cannot be written to {out}: {message}"), err
+    assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("label_argv", [["--label", " x ", *SPEC], ["--label", "x\t", *SPEC],
+                                        ["--combo", "5_20_5", "--label", " x"]],
+                         ids=["spec", "spec tab", "combo"])
+def test_ref_gen_refuses_a_label_the_reader_would_strip(curve_file, tmp_path, capsys, label_argv):
+    out = tmp_path / "out" / "ref.csv"
+    out.parent.mkdir()
+    assert run("ref-gen", "--curve", curve_file, *label_argv, "--out", out) == 4
+    label = label_argv[label_argv.index("--label") + 1]
+    assert capsys.readouterr().err.startswith(
+        f"error: data: label {label!r} cannot be written to {out}: "
+        "it has leading or trailing whitespace")
+    assert list(out.parent.iterdir()) == []
+
+
+def test_convert_refuses_an_input_name_its_manifest_cannot_hold(tmp_path, capsys):
+    # the input's name goes into the manifest only
+    src = tmp_path / "rs\nim.csv"
+    src.write_text("cal_date,age,sd\n-100,2050,20\n")
+    out = tmp_path / "out" / "tests.csv"
+    out.parent.mkdir()
+    assert run("simulate", "convert", "--in", src, "--group", 1, "--out", out) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: data: line 'in = rs\\nim.csv' cannot be written to "
+        f"{out.parent / 'tests_manifest.txt'}: it holds a line break")
+    assert list(out.parent.iterdir()) == []
+
+
+def test_long_generation_formats_only_header_and_manifest_values_with_fmt(tmp_path):
+    # the data cells of the table and the test series are formatted in bulk,
+    # by csvio._format_numbers; fmt formats each header and manifest value once
+    curve = tmp_path / "long.14c"
+    fd.write_curve(fd.synthetic_study_curve(span=(-48050, 1950)), curve)
+    table, tests = tmp_path / "table.csv", tmp_path / "tests.csv"
+    calls = []
+    with mock.patch.object(csvio, "fmt", lambda value, fmt=csvio.fmt: calls.append(value)
+                           or fmt(value)):
+        assert run("ref-gen", "--curve", curve, "--label", "5_50_5", "--out", table) == 0
+        assert run("simulate", "tests", "--curve", curve, "--dates=-300:0:5", "--per-date", 100,
+                   "--group", 3, "--sd", 20, "--out", tests) == 0
+    cells = []
+    for path in (table, tests):
+        with open(path) as fh:
+            for line in fh:
+                if not line.startswith("#"):
+                    break
+                key, _, value = line[2:-1].partition("=")
+                cells += value.split(",") if key == "spec" else [value]
+        manifest = path.with_name(path.stem + "_manifest.txt")
+        cells += [line.partition(" = ")[2] for line in manifest.read_text().splitlines()]
+    assert sorted(map(csvio.fmt, calls)) == sorted(cells)
+    assert len(calls) <= 50
+
+
 @pytest.fixture(scope="module")
 def pipeline(curve_file, tmp_path_factory):
     """ref table + tests + evaluation directory, built once via the CLI."""

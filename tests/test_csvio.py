@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import signal
 import threading
 import warnings
@@ -189,6 +190,31 @@ def column_sets(draw, n=LENGTHS, pools=None):
     return columns
 
 
+@contextmanager
+def counting_formats():
+    """The values formatted while the block runs: one per ``fmt`` call
+    made outside ``_format_numbers``, and one per value passed to
+    ``_format_numbers``, which formats each of its values once."""
+    calls, inside = [], []
+    fmt, format_numbers = csvio.fmt, csvio._format_numbers
+
+    def counted_fmt(value):
+        if not inside:
+            calls.append(value)
+        return fmt(value)
+
+    def counted_numbers(values):
+        calls.extend(values.tolist())
+        inside.append(values)
+        try:
+            return format_numbers(values)
+        finally:
+            inside.pop()
+
+    with mock.patch.multiple(csvio, fmt=counted_fmt, _format_numbers=counted_numbers):
+        yield calls
+
+
 def reference_lines(columns) -> list[str]:
     """The per-row writer: each row's cells through ``fmt``."""
     values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
@@ -225,13 +251,7 @@ def test_column_writer_equals_per_row_reference(tmp_path_factory, columns, check
     n = len(next(iter(columns.values())))
     header = {"format": "demo", **({"checksum": None} if checksum else {}), "n": n}
     path = tmp_path_factory.mktemp("w") / "a.csv"
-    calls = []
-
-    def counted_fmt(value, fmt=csvio.fmt):
-        calls.append(value)
-        return fmt(value)
-
-    with mock.patch.object(csvio, "fmt", counted_fmt):
+    with counting_formats() as calls:
         csvio.write_artifact(path, header, columns)
     assert len(calls) == expected_fmt_calls([(header, columns)])
 
@@ -253,11 +273,60 @@ def test_column_writer_equals_per_row_reference(tmp_path_factory, columns, check
 
 def test_column_writer_formats_each_distinct_value_once(tmp_path):
     column = np.array([0.0, -0.0, math.nan, -math.nan, 1.5, 1.5, 0.0])
-    calls = []
-    with mock.patch.object(csvio, "fmt", lambda v, fmt=csvio.fmt: calls.append(v) or fmt(v)):
+    with counting_formats() as calls:
         csvio.write_artifact(tmp_path / "a.csv", {}, {"x": column})
     assert len(calls) == 3
     assert (tmp_path / "a.csv").read_text() == "x\n0\n0\n\n\n1.5\n1.5\n0\n"
+
+
+# Floats at the edges of the kinds of ``_format_numbers``: NaN of either sign,
+# the zeros, the infinities, the smallest subnormal, integral floats past
+# int32, 2**53 and its neighbours (2**53 + 1 rounds to 2**53), and 1e15 with
+# its neighbours.
+EDGE_FLOATS = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+               *(sign * x for sign in (1, -1) for x in (
+                   2.0**31, 1e15 - 1, 2.0**53 - 1, 2.0**53, float(2**53 + 1), 2.0**53 + 2,
+                   float(np.nextafter(1e15, 0)), 1e15, float(np.nextafter(1e15, math.inf))))]
+NUMBERS = {
+    "float": (st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), np.float64),
+    "int": (st.one_of(st.sampled_from([-2**63, -(2**63 - 1), 2**63 - 1, 0, -1]),
+                      st.integers(-2**63, 2**63 - 1)), np.int64),
+    "bool": (st.booleans(), np.bool_),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), kind=st.sampled_from(list(NUMBERS)))
+def test_format_numbers_equals_fmt_of_each_value(data, kind):
+    # the writer passes the sorted distinct values of a step's dtype group
+    cells, dtype = NUMBERS[kind]
+    values = np.unique(np.array(data.draw(st.lists(cells, max_size=30)), dtype=dtype))
+    strings = csvio._format_numbers(values)
+    assert strings.dtype == object and strings.shape == values.shape
+    assert strings.tolist() == [csvio.fmt(value) for value in values.tolist()]
+
+
+BREAKS = ["a\nb", "a\rb", "\n"]
+SPACED = [" a", "a ", "a\t", "\u2028a"]
+
+
+# the reader splits lines at \r and \n and strips every header value and extra
+# cell; a text line may start or end with whitespace but holds no break
+@pytest.mark.parametrize("place, value", [
+    *((place, value) for place in ("header", "extra") for value in BREAKS + SPACED),
+    *(("text", value) for value in BREAKS)])
+def test_writer_refuses_a_header_cell_the_reader_would_read_otherwise(tmp_path, place, value):
+    old = tmp_path / "a.csv"
+    old.write_text("old\n")
+    header = {"format": "demo", "checksum": None, "key": value if place == "header" else "v"}
+    extra = {"spec": [("a", value if place == "extra" else "b")]}
+    texts = [(tmp_path / "m.txt", ["x = 1", f"y = {value}" if place == "text" else "y = 2"])]
+    name = {"header": f"key {value!r}", "extra": f"spec {value!r}",
+            "text": f"line {'y = ' + value!r}"}[place]
+    with pytest.raises(ValueError, match=re.escape(f"{name} cannot be written to ")):
+        csvio.write_artifact(tmp_path / "a.csv", header, {"x": np.arange(3)}, extra, texts)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+    assert old.read_text() == "old\n"
 
 
 def test_column_writer_rejects_unequal_columns(tmp_path):
@@ -303,8 +372,7 @@ def test_lockstep_writer_equals_separate_writes(tmp_path_factory, tables):
     base = tmp_path_factory.mktemp("l")
     together = [(base / "together" / f"a{i}.csv", header, columns, None)
                 for i, (header, columns) in enumerate(tables)]
-    calls = []
-    with mock.patch.object(csvio, "fmt", lambda v, fmt=csvio.fmt: calls.append(v) or fmt(v)):
+    with counting_formats() as calls:
         csvio.write_artifacts(together)
     assert len(calls) == expected_fmt_calls(tables)
     names = []
